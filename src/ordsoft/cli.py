@@ -18,7 +18,6 @@ import argparse
 import csv
 import glob as globmod
 import json
-import math
 import os
 import re
 import sys
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelSpace, SampleSet, confusion_from_labels
+from .core import LabelSpace, RunResult, SampleSet, build_confusion, confusion_from_labels
 from .jointanalysis import (
     ContingencyTable,
     JointDistribution,
@@ -56,9 +55,11 @@ from .trainer import (
     ProtocolSettings,
     SearchSpace,
     TrainConfig,
-    _train_final,
+    fit,
     run_paired_single,
     run_single,
+    stratified_split,
+    validation_split,
 )
 
 EXIT_OK = 0
@@ -221,9 +222,6 @@ def _run_record(task: str, result) -> dict:
 
 
 def cmd_train(args) -> int:
-    from .core import PredictionSet, RunResult, build_confusion
-    from .trainer import stratified_split
-
     dataset = SampleSet.from_csv(args.data)
     space = LabelSpace(args.classes or int(dataset.labels.max()) + 1)
     cfg = {}
@@ -260,8 +258,8 @@ def cmd_train(args) -> int:
     )
     train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, config.seed)
     train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
-    model = _train_final(train_set, config, space, settings)
-    preds = PredictionSet.from_probs(test_set.labels, model.predict_proba(test_set.features))
+    model = fit(*validation_split(train_set, config.seed, settings), config, space, settings)
+    preds = model.predict(test_set)
     metrics = compute_report(build_confusion(preds, space))
     result = RunResult(config.seed, config.strategy, config, metrics, preds)
     line = _dump_json(_run_record(args.task, result))
@@ -276,19 +274,19 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------- sweep
 
 
-def summarise_records(records: list[dict], task: str, n_seeds: int) -> dict:
+def summarise_records(records: list[dict], task: str, n_seeds: int, metrics_key: str) -> dict:
     """Mean/std per strategy and metric, in the paper's Mean_STD display form.
 
     Exactly recomputable from the JSON-lines records: uses only their
-    ``strategy`` and ``metrics`` fields. Std is the sample standard deviation
-    (ddof=1), 0 for a single seed.
+    ``strategy`` field and the metrics under ``metrics_key`` (``metrics``, or
+    ``metrics_a``/``metrics_b`` for one scale of a paired record). Std is the
+    sample standard deviation (ddof=1), 0 for a single seed.
     """
     by_strategy: dict[str, dict[str, list[float]]] = {}
     for rec in records:
         bucket = by_strategy.setdefault(rec["strategy"], {m: [] for m in METRIC_NAMES})
-        metrics = rec.get("metrics") or rec.get("metrics_a")
         for m in METRIC_NAMES:
-            bucket[m].append(metrics[m])
+            bucket[m].append(rec[metrics_key][m])
 
     def cell(values: list[float]) -> dict:
         mean = float(np.mean(values))
@@ -380,41 +378,45 @@ def cmd_sweep(args) -> int:
         header = next(csv.reader(fh))
     paired = header[-2:] == ["label_a", "label_b"]
 
-    seeds = [settings.root_seed + i for i in range(n_seeds)]
     if paired:
         features, labels_a, labels_b = _read_paired_csv(dataset_path)
         grades = PairedGrades(
             labels_a, labels_b, int(labels_a.max()) + 1, int(labels_b.max()) + 1
         )
-        payloads = [
-            (features, grades, strategy, seed, search_space, settings, task)
-            for seed in seeds
-            for strategy in strategies
+        task_fn, data = _paired_task, (features, grades)
+        scales = [
+            ("summary.json", "metrics_a", "scale A\n"),
+            ("summary_b.json", "metrics_b", "scale B\n"),
         ]
-        records = _map_tasks(_paired_task, payloads)
+    else:
+        dataset = SampleSet.from_csv(dataset_path)
+        task_fn, data = _single_task, (dataset, LabelSpace(int(dataset.labels.max()) + 1))
+        scales = [("summary.json", "metrics", "")]
+    payloads = [
+        (*data, strategy, settings.root_seed + i, search_space, settings, task)
+        for i in range(n_seeds)
+        for strategy in strategies
+    ]
+    records = _map_tasks(task_fn, payloads)
+    if paired:
         (output_dir / "tables").mkdir(parents=True, exist_ok=True)
         grades.contingency().to_csv(str(output_dir / "tables" / "truth.csv"))
         for rec in records:
             counts = np.asarray(rec["table"], dtype=int)
             ContingencyTable(counts).to_csv(str(output_dir / rec["table_file"]))
-    else:
-        dataset = SampleSet.from_csv(dataset_path)
-        space = LabelSpace(int(dataset.labels.max()) + 1)
-        payloads = [
-            (dataset, space, strategy, seed, search_space, settings, task)
-            for seed in seeds
-            for strategy in strategies
-        ]
-        records = _map_tasks(_single_task, payloads)
 
     output_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(
         output_dir / "results.jsonl", "".join(_dump_json(r) + "\n" for r in records)
     )
-    summary = summarise_records(records, task, n_seeds)
-    _atomic_write(output_dir / "summary.json", _dump_json(summary) + "\n")
-    _atomic_write(output_dir / "summary.txt", render_summary(summary))
-    sys.stdout.write(render_summary(summary))
+    rendered = []
+    for name, metrics_key, heading in scales:
+        summary = summarise_records(records, task, n_seeds, metrics_key)
+        _atomic_write(output_dir / name, _dump_json(summary) + "\n")
+        rendered.append(heading + render_summary(summary))
+    text = "\n".join(rendered)
+    _atomic_write(output_dir / "summary.txt", text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ severity is the conservative default), which is what ``np.argmax`` does.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -190,4 +190,3 @@ class RunResult:
     metrics: "MetricReport"
     predictions: PredictionSet
     validation_amae: float | None = None
-    extra: dict = field(default_factory=dict)

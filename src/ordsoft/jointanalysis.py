@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -170,13 +170,6 @@ def table_mae(p: JointDistribution, q: JointDistribution) -> float:
     return float(np.abs(p.probs - q.probs).mean())
 
 
-def table_mae_counts(a: ContingencyTable, b: ContingencyTable) -> float:
-    """Count-based variant of table_mae, for tables with comparable totals."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a.counts - b.counts).mean())
-
-
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with tied values sharing the average of their rank range."""
     values = np.asarray(values, dtype=float)
@@ -276,8 +269,6 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> TestResult:
     if n == 0:
         warnings.warn("all paired differences are zero; Wilcoxon test is degenerate")
         return TestResult(0.0, 1.0, "wilcoxon_exact", (0,), degenerate=True)
-    if n < 5:
-        raise ValueError(f"need at least 5 non-zero paired differences, got {n}")
     w_pos, ranks = _signed_rank_statistic(diffs)
     if n <= EXACT_WILCOXON_LIMIT:
         p = _exact_signed_rank_p(w_pos, ranks)
@@ -320,7 +311,6 @@ class AnovaResult:
     df: dict
     f: dict
     p: dict
-    tests: dict = field(default_factory=dict)
     zero_variance: bool = False
 
     def to_dict(self) -> dict:
@@ -392,15 +382,12 @@ def two_way_anova(
 
     ms_res = ss_res / df["residual"]
     if ms_res == 0:
-        return AnovaResult(ss, df, {}, {}, {}, zero_variance=True)
+        return AnovaResult(ss, df, {}, {}, zero_variance=True)
 
-    f_stats, p_vals, tests = {}, {}, {}
+    f_stats, p_vals = {}, {}
     for factor in ("model", "task", "interaction"):
         f_val = (ss[factor] / df[factor]) / ms_res
         p_val = 1.0 - f_cdf(f_val, df[factor], df["residual"])
         f_stats[factor] = float(f_val)
         p_vals[factor] = float(min(max(p_val, 0.0), 1.0))
-        tests[factor] = TestResult(
-            float(f_val), p_vals[factor], "anova_f", (int(values.size),)
-        )
-    return AnovaResult(ss, df, f_stats, p_vals, tests)
+    return AnovaResult(ss, df, f_stats, p_vals)

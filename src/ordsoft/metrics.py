@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfusionMatrix, LabelSpace, PredictionSet, build_confusion
+from .core import ConfusionMatrix
 
 METRIC_NAMES = ("qwk", "mae", "ms", "ba", "amae", "mmae")
 
@@ -163,7 +163,3 @@ def compute_report(confusion: ConfusionMatrix) -> MetricReport:
         per_class_mae=tuple(pcm),
         empty_classes=empty,
     )
-
-
-def report_from_predictions(preds: PredictionSet, space: LabelSpace) -> MetricReport:
-    return compute_report(build_confusion(preds, space))

@@ -15,13 +15,14 @@ at the class-segment midpoint), plus the ``nominal`` one-hot baseline and a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import LabelSpace, ROW_SUM_TOL
-from .specfun import binom_coef, reg_inc_beta
+from .specfun import reg_inc_beta
 
 ORDINAL_STRATEGIES = ("triangular", "binomial", "beta", "exponential")
 STRATEGIES = ("nominal", "nominal_smoothed") + ORDINAL_STRATEGIES
@@ -91,7 +92,7 @@ def binomial_row(n_classes: int, k: int) -> np.ndarray:
         row[k] = 1.0
         return row
     for j in range(n_classes):
-        row[j] = binom_coef(n, j) * t**j * (1.0 - t) ** (n - j)
+        row[j] = math.comb(n, j) * t**j * (1.0 - t) ** (n - j)
     return row
 
 

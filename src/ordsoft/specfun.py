@@ -20,26 +20,6 @@ class ConvergenceError(ArithmeticError):
     """Continued fraction or series failed to converge within the iteration cap."""
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0`` (poles and the reflection branch are out of scope).
-    """
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def binom_coef(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for integers 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binom_coef requires 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
-
-
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Lentz evaluation of the continued fraction for I_x(a, b)."""
     qab = a + b

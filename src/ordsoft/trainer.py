@@ -1,6 +1,6 @@
 """Desk-scale classifier training under soft-target supervision.
 
-A small numpy network (linear or one-hidden-layer tanh MLP) stands in for the
+A small numpy network (linear or one-hidden-layer ReLU MLP) stands in for the
 image backbone: the supervision strategies under study act purely at the
 label level, so the comparison logic is architecture-agnostic. Training is
 plain mini-batch gradient descent on the soft cross-entropy, with early
@@ -8,15 +8,16 @@ stopping on validation loss (weights restored from the best epoch) and full
 determinism: every random draw comes from child generators of the run seed.
 
 ``random_search`` samples hyperparameter configurations without replacement
-from the per-strategy grid and selects by validation AMAE; ``run_protocol``
-repeats split / search / retrain / evaluate over independent seeds.
+from the per-strategy grid, selects by validation AMAE and returns the model it
+trained for the winner; ``run_protocol`` repeats split / search / evaluate over
+independent seeds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,9 +73,18 @@ class TrainConfig:
         }
 
 
+def _forward(weights: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and the output layer's input: the ReLU hidden layer, or ``x`` itself
+    when the weights have no hidden layer (the linear model)."""
+    hidden = x
+    if "w_in" in weights:
+        hidden = np.maximum(x @ weights["w_in"] + weights["b_in"], 0.0)
+    return hidden @ weights["w_out"] + weights["b_out"], hidden
+
+
 @dataclass
 class ClassifierModel:
-    """Linear or one-hidden-layer tanh classifier with J outputs."""
+    """Linear or one-hidden-layer ReLU classifier with J outputs."""
 
     architecture: str  # "linear" | "mlp_1_hidden"
     weights: dict
@@ -82,14 +92,13 @@ class ClassifierModel:
     hidden_width: int = 0
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        w = self.weights
-        if self.architecture == "linear":
-            return features @ w["w_out"] + w["b_out"]
-        hidden = np.maximum(features @ w["w_in"] + w["b_in"], 0.0)
-        return hidden @ w["w_out"] + w["b_out"]
+        return _forward(self.weights, features)[0]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return softmax(self.logits(features))
+
+    def predict(self, samples: SampleSet) -> PredictionSet:
+        return PredictionSet.from_probs(samples.labels, self.predict_proba(samples.features))
 
     def copy_weights(self) -> dict:
         return {k: v.copy() for k, v in self.weights.items()}
@@ -106,17 +115,14 @@ def init_model(
         return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
     if architecture == "linear":
-        weights = {"w_out": layer(n_features, n_classes), "b_out": np.zeros(n_classes)}
-        return ClassifierModel(architecture, weights, n_classes)
-    if architecture == "mlp_1_hidden":
-        weights = {
-            "w_in": layer(n_features, hidden_width),
-            "b_in": np.zeros(hidden_width),
-            "w_out": layer(hidden_width, n_classes),
-            "b_out": np.zeros(n_classes),
-        }
-        return ClassifierModel(architecture, weights, n_classes, hidden_width)
-    raise ValueError(f"unknown architecture {architecture!r}")
+        weights, fan_in, hidden_width = {}, n_features, 0
+    elif architecture == "mlp_1_hidden":
+        weights = {"w_in": layer(n_features, hidden_width), "b_in": np.zeros(hidden_width)}
+        fan_in = hidden_width
+    else:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    weights.update(w_out=layer(fan_in, n_classes), b_out=np.zeros(n_classes))
+    return ClassifierModel(architecture, weights, n_classes, hidden_width)
 
 
 def stratified_split(
@@ -167,27 +173,17 @@ class TrainHistory:
     stopped_epoch: int
 
 
-def _batch_gradients(model: ClassifierModel, x: np.ndarray, t: np.ndarray) -> tuple[dict, float]:
+def _batch_gradients(weights: dict, x: np.ndarray, t: np.ndarray) -> tuple[dict, float]:
     """Gradients of the mean soft cross-entropy of one batch."""
-    w = model.weights
-    if model.architecture == "linear":
-        logits = x @ w["w_out"] + w["b_out"]
-        probs = softmax(logits)
-        d_logits = (probs - t) / x.shape[0]
-        grads = {"w_out": x.T @ d_logits, "b_out": d_logits.sum(axis=0)}
-    else:
-        z_in = x @ w["w_in"] + w["b_in"]
-        hidden = np.maximum(z_in, 0.0)
-        logits = hidden @ w["w_out"] + w["b_out"]
-        probs = softmax(logits)
-        d_logits = (probs - t) / x.shape[0]
-        d_hidden = (d_logits @ w["w_out"].T) * (z_in > 0.0)
-        grads = {
-            "w_out": hidden.T @ d_logits,
-            "b_out": d_logits.sum(axis=0),
-            "w_in": x.T @ d_hidden,
-            "b_in": d_hidden.sum(axis=0),
-        }
+    logits, hidden = _forward(weights, x)
+    probs = softmax(logits)
+    d_logits = (probs - t) / x.shape[0]
+    grads = {"w_out": hidden.T @ d_logits, "b_out": d_logits.sum(axis=0)}
+    if "w_in" in weights:
+        # hidden > 0 exactly where the ReLU's input is positive
+        d_hidden = (d_logits @ weights["w_out"].T) * (hidden > 0.0)
+        grads["w_in"] = x.T @ d_hidden
+        grads["b_in"] = d_hidden.sum(axis=0)
     batch_loss = -(t * np.log(np.maximum(probs, 1e-12))).sum() / x.shape[0]
     return grads, float(batch_loss)
 
@@ -253,7 +249,7 @@ def train(
             for start in range(0, data.n_samples, config.batch_size):
                 batch = perm[start : start + config.batch_size]
                 grads, batch_loss = _batch_gradients(
-                    model, data.features[batch], train_targets[batch]
+                    model.weights, data.features[batch], train_targets[batch]
                 )
                 optimizer.update(model.weights, grads)
                 batch_losses.append(batch_loss)
@@ -355,31 +351,35 @@ class SearchOutcome:
     val_amae: float
     val_mae: float
     n_evaluated: int
+    model: ClassifierModel = field(compare=False, repr=False)  # trained for ``config``
 
 
-def _fit_and_score(
-    space_labels: LabelSpace,
+def validation_split(
+    data: SampleSet, seed: int, settings: ProtocolSettings
+) -> tuple[SampleSet, SampleSet]:
+    """Carve the validation set from a training split at ``settings.val_fraction``."""
+    sub_idx, val_idx = stratified_split(data.labels, 1.0 - settings.val_fraction, seed)
+    return data.subset(sub_idx), data.subset(val_idx)
+
+
+def fit(
     subtrain: SampleSet,
     val: SampleSet,
     config: TrainConfig,
+    label_space: LabelSpace,
     settings: ProtocolSettings,
-) -> tuple[Optional[ClassifierModel], float, float]:
-    """Train one candidate; a diverged run scores worst instead of aborting the search."""
-    targets = build_target_matrix(space_labels, config.strategy, config.params)
+) -> ClassifierModel:
+    """Build the config's targets, initialise a model from its seed and train it."""
+    targets = build_target_matrix(label_space, config.strategy, config.params)
     model = init_model(
         settings.architecture,
         subtrain.n_features,
-        space_labels.n_classes,
+        label_space.n_classes,
         config.seed,
         settings.hidden_width,
     )
-    try:
-        model, _ = train(model, subtrain, targets, config, val)
-    except TrainingDiverged:
-        return None, math.inf, math.inf
-    preds = PredictionSet.from_probs(val.labels, model.predict_proba(val.features))
-    confusion = build_confusion(preds, space_labels)
-    return model, amae_metric(confusion), mae_metric(confusion)
+    model, _ = train(model, subtrain, targets, config, val)
+    return model
 
 
 def random_search(
@@ -394,15 +394,14 @@ def random_search(
 
     The validation set is carved from ``data`` (the training split) at
     ``settings.val_fraction``; ties break by validation MAE, then lower
-    learning rate, then grid position.
+    learning rate, then grid position. A diverged candidate is skipped;
+    ``TrainingDiverged`` is raised only when every candidate diverges.
     """
     grid = space.grid(strategy)
     rng = np.random.default_rng([seed, _STREAM_SEARCH])
     n_sample = min(space.max_configs, len(grid))
     chosen = rng.choice(len(grid), size=n_sample, replace=False)
-
-    sub_idx, val_idx = stratified_split(data.labels, 1.0 - settings.val_fraction, seed)
-    subtrain, val = data.subset(sub_idx), data.subset(val_idx)
+    subtrain, val = validation_split(data, seed, settings)
 
     best_key = None
     best: Optional[SearchOutcome] = None
@@ -418,34 +417,21 @@ def random_search(
             patience=settings.patience,
             optimizer=settings.optimizer,
         )
-        _, val_amae, val_mae = _fit_and_score(label_space, subtrain, val, config, settings)
+        try:
+            model = fit(subtrain, val, config, label_space, settings)
+        except TrainingDiverged:
+            continue
+        confusion = build_confusion(model.predict(val), label_space)
+        val_amae, val_mae = amae_metric(confusion), mae_metric(confusion)
         key = (val_amae, val_mae, lr, int(grid_pos))
         if best_key is None or key < best_key:
             best_key = key
-            best = SearchOutcome(config, val_amae, val_mae, n_sample)
-    assert best is not None
+            best = SearchOutcome(config, val_amae, val_mae, n_sample, model)
+    if best is None:
+        raise TrainingDiverged(
+            f"all {n_sample} candidates diverged for strategy={strategy}, seed={seed}"
+        )
     return best
-
-
-def _train_final(
-    data: SampleSet,
-    config: TrainConfig,
-    label_space: LabelSpace,
-    settings: ProtocolSettings,
-) -> ClassifierModel:
-    """Retrain the chosen configuration on the run's subtrain/validation split."""
-    sub_idx, val_idx = stratified_split(data.labels, 1.0 - settings.val_fraction, config.seed)
-    subtrain, val = data.subset(sub_idx), data.subset(val_idx)
-    targets = build_target_matrix(label_space, config.strategy, config.params)
-    model = init_model(
-        settings.architecture,
-        subtrain.n_features,
-        label_space.n_classes,
-        config.seed,
-        settings.hidden_width,
-    )
-    model, _ = train(model, subtrain, targets, config, val)
-    return model
 
 
 def run_single(
@@ -456,12 +442,11 @@ def run_single(
     search_space: SearchSpace,
     settings: ProtocolSettings,
 ) -> RunResult:
-    """One (seed, strategy) run: split, search, retrain, evaluate on the holdout."""
+    """One (seed, strategy) run: split, search, evaluate the search's model on the holdout."""
     train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, seed)
     train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
     outcome = random_search(search_space, train_set, strategy, seed, label_space, settings)
-    model = _train_final(train_set, outcome.config, label_space, settings)
-    preds = PredictionSet.from_probs(test_set.labels, model.predict_proba(test_set.features))
+    preds = outcome.model.predict(test_set)
     metrics = compute_report(build_confusion(preds, label_space))
     return RunResult(
         seed=seed,
@@ -519,53 +504,29 @@ def run_paired_single(
     stratify on); the predicted contingency table pairs the two models' test
     predictions sample by sample.
     """
-    space_a = LabelSpace(grades.n_classes_a)
-    space_b = LabelSpace(grades.n_classes_b)
     train_idx, test_idx = stratified_split(grades.labels_a, settings.train_fraction, seed)
-
-    tables = {}
-    configs = {}
-    reports = {}
-    preds = {}
-    for task, labels, space in (("a", grades.labels_a, space_a), ("b", grades.labels_b, space_b)):
+    configs, reports, predicted = {}, {}, {}
+    for task, labels, n_classes in (
+        ("a", grades.labels_a, grades.n_classes_a),
+        ("b", grades.labels_b, grades.n_classes_b),
+    ):
+        space = LabelSpace(n_classes)
         train_set = SampleSet(features[train_idx], labels[train_idx])
         test_set = SampleSet(features[test_idx], labels[test_idx])
         outcome = random_search(search_space, train_set, strategy, seed, space, settings)
-        model = _train_final(train_set, outcome.config, space, settings)
-        task_preds = PredictionSet.from_probs(test_set.labels, model.predict_proba(test_set.features))
-        preds[task] = task_preds
+        preds = outcome.model.predict(test_set)
         configs[task] = outcome.config
-        reports[task] = compute_report(build_confusion(task_preds, space))
+        reports[task] = compute_report(build_confusion(preds, space))
+        predicted[task] = preds.predicted_labels
 
     counts = np.zeros((grades.n_classes_a, grades.n_classes_b), dtype=int)
-    np.add.at(counts, (preds["a"].predicted_labels, preds["b"].predicted_labels), 1)
-    tables = ContingencyTable(counts, row_axis="A", col_axis="B")
+    np.add.at(counts, (predicted["a"], predicted["b"]), 1)
     return PairedRunResult(
         seed=seed,
         strategy=strategy,
-        table=tables,
+        table=ContingencyTable(counts, row_axis="A", col_axis="B"),
         config_a=configs["a"],
         config_b=configs["b"],
         metrics_a=reports["a"],
         metrics_b=reports["b"],
     )
-
-
-def run_paired_protocol(
-    features: np.ndarray,
-    grades: PairedGrades,
-    strategies: Sequence[str],
-    n_seeds: int,
-    search_space: SearchSpace = SearchSpace(),
-    settings: ProtocolSettings = ProtocolSettings(),
-) -> list[PairedRunResult]:
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    results = []
-    for i in range(n_seeds):
-        seed = settings.root_seed + i
-        for strategy in strategies:
-            results.append(
-                run_paired_single(features, grades, strategy, seed, search_space, settings)
-            )
-    return results

@@ -165,7 +165,7 @@ def test_sweep_end_to_end(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     _validate("ordsoft.sweep_summary-v1", summary)
     # summary is exactly recomputable from the records
-    assert summarise_records(records, "toy", 2) == summary
+    assert summarise_records(records, "toy", 2, "metrics") == summary
     table = capsys.readouterr().out
     assert "QWK" in table and "nominal" in table
 
@@ -198,12 +198,15 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     assert (out_dir / "results.jsonl").read_bytes() == serial
 
 
-def test_sweep_paired_writes_tables(tmp_path):
+def _paired_dataset(tmp_path):
     data = tmp_path / "paired.csv"
-    truth = tmp_path / "truth.csv"
     main(["synth", "--paired", "--classes-a", "3", "--classes-b", "3", "--n", "150",
-          "--noise-sd", "0.4", "--seed", "5", "--out", str(data), "--truth-out", str(truth)])
-    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=2)
+          "--noise-sd", "0.4", "--seed", "5", "--out", str(data)])
+    return data
+
+
+def test_sweep_paired_writes_tables(tmp_path, capsys):
+    config, out_dir = _write_sweep_config(tmp_path, _paired_dataset(tmp_path), ["nominal"])
     assert main(["sweep", "--config", str(config)]) == EXIT_OK
     records = [json.loads(line) for line in (out_dir / "results.jsonl").read_text().splitlines()]
     for record in records:
@@ -211,6 +214,28 @@ def test_sweep_paired_writes_tables(tmp_path):
         table_path = out_dir / record["table_file"]
         assert table_path.exists()
     assert (out_dir / "tables" / "truth.csv").exists()
+    for name, metrics_key in (("summary.json", "metrics_a"), ("summary_b.json", "metrics_b")):
+        summary = json.loads((out_dir / name).read_text())
+        _validate("ordsoft.sweep_summary-v1", summary)
+        assert summarise_records(records, "toy", 2, metrics_key) == summary
+    text = (out_dir / "summary.txt").read_text()
+    assert "scale A" in text and "scale B" in text
+    assert capsys.readouterr().out == text
+
+
+def test_paired_sweep_with_one_seed_then_analyze(tmp_path, capsys):
+    config, out_dir = _write_sweep_config(
+        tmp_path, _paired_dataset(tmp_path), ["nominal", "binomial"], n_seeds=1
+    )
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    tables = out_dir / "tables"
+    report = out_dir / "analysis.json"
+    assert main(["analyze", "--truth", str(tables / "truth.csv"),
+                 "--pred", str(tables / "*_seed*.csv"), "--out", str(report)]) == EXIT_OK
+    pair = json.loads(report.read_text())["pairwise"][0]
+    assert pair["pair"] == ["binomial", "nominal"]
+    assert not pair["degenerate"]  # one non-zero KLD difference
+    assert pair["p_value"] == 1.0
 
 
 def test_sweep_bad_config_usage_error(tmp_path):

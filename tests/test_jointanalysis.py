@@ -26,7 +26,6 @@ from ordsoft.jointanalysis import (
     pairwise_wilcoxon_holm,
     residuals,
     table_mae,
-    table_mae_counts,
     two_way_anova,
     wilcoxon_signed_rank,
     _midranks,
@@ -134,12 +133,6 @@ def test_table_mae():
     a = JointDistribution(rng.dirichlet(np.ones(6)).reshape(2, 3))
     b = JointDistribution(rng.dirichlet(np.ones(6)).reshape(2, 3))
     assert table_mae(a, b) <= np.abs(a.probs - b.probs).max() + 1e-15
-
-
-def test_table_mae_counts_variant():
-    a = ContingencyTable(np.array([[2, 0], [0, 2]]))
-    b = ContingencyTable(np.array([[0, 2], [2, 0]]))
-    assert table_mae_counts(a, b) == 2.0
 
 
 # ---------------------------------------------------------- kruskal-wallis
@@ -294,9 +287,17 @@ def test_wilcoxon_all_zero_differences():
     assert result.degenerate
 
 
-def test_wilcoxon_too_few_pairs():
-    with pytest.raises(ValueError):
-        wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0])
+def test_wilcoxon_few_pairs_match_scipy_exact():
+    # the exact sign enumeration is valid for any n >= 1
+    rng = np.random.default_rng(149)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            x = rng.normal(size=n)
+            y = x + rng.normal(size=n)
+            ours = wilcoxon_signed_rank(x, y)
+            ref = stats.wilcoxon(x, y, method="exact", alternative="two-sided")
+            assert ours.method == "wilcoxon_exact"
+            assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-12)
 
 
 def test_wilcoxon_normal_branch_for_large_n():

@@ -8,7 +8,7 @@ library path.
 import numpy as np
 import pytest
 
-from ordsoft.core import ConfusionMatrix, LabelSpace, PredictionSet, build_confusion
+from ordsoft.core import ConfusionMatrix
 from ordsoft.metrics import (
     MetricReport,
     UndefinedMetricError,
@@ -20,7 +20,6 @@ from ordsoft.metrics import (
     mmae,
     per_class_mae,
     qwk,
-    report_from_predictions,
 )
 
 
@@ -177,17 +176,6 @@ def test_empty_class_excluded_and_flagged():
     assert report.per_class_mae[1] is None
     present = [v for v in report.per_class_mae if v is not None]
     assert report.amae == pytest.approx(np.mean(present))
-
-
-def test_report_from_predictions_matches_confusion_path():
-    rng = np.random.default_rng(83)
-    space = LabelSpace(4)
-    true = rng.integers(0, 4, size=120)
-    probs = rng.dirichlet(np.ones(4), size=120)
-    preds = PredictionSet.from_probs(true, probs)
-    direct = report_from_predictions(preds, space)
-    via_confusion = compute_report(build_confusion(preds, space))
-    assert direct == via_confusion
 
 
 def test_report_json_roundtrip():

@@ -7,52 +7,14 @@ import numpy as np
 import pytest
 
 from ordsoft.specfun import (
-    binom_coef,
     chi2_cdf,
     f_cdf,
-    log_gamma,
     normal_cdf,
     reg_inc_beta,
     reg_inc_gamma_lower,
 )
 
 mp.mp.dps = 30
-
-
-def test_log_gamma_anchors():
-    assert log_gamma(1.0) == 0.0
-    # ln(sqrt(pi)), from the exact Gamma(1/2)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-12)
-    # ln(9!) from the exact integer factorial
-    assert log_gamma(10.0) == pytest.approx(math.log(math.factorial(9)), rel=1e-14)
-
-
-def test_log_gamma_matches_mpmath_over_range():
-    for x in np.geomspace(1e-3, 1e6, 60):
-        expected = float(mp.loggamma(mp.mpf(float(x))))
-        assert log_gamma(float(x)) == pytest.approx(expected, rel=1e-11)
-
-
-def test_log_gamma_recurrence():
-    rng = np.random.default_rng(7)
-    for x in rng.uniform(0.01, 50.0, size=200):
-        assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x), abs=1e-10)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-
-def test_binom_coef():
-    assert binom_coef(3, 1) == 3
-    assert binom_coef(5, 0) == 1
-    assert binom_coef(10, 5) == 252
-    with pytest.raises(ValueError):
-        binom_coef(3, 4)
-    with pytest.raises(ValueError):
-        binom_coef(-1, 0)
 
 
 def test_reg_inc_beta_bounds_and_trivials():

@@ -13,12 +13,14 @@ from ordsoft.trainer import (
     SearchSpace,
     TrainConfig,
     TrainingDiverged,
+    fit,
     init_model,
     random_search,
     run_protocol,
     run_single,
     stratified_split,
     train,
+    validation_split,
 )
 
 
@@ -215,6 +217,27 @@ def test_search_recovers_planted_best_config():
     settings = ProtocolSettings(max_epochs=30, patience=30, hidden_width=8)
     outcome = random_search(grid, data, "nominal", seed=3, label_space=space, settings=settings)
     assert outcome.config.learning_rate == 0.3
+
+
+def test_search_returns_the_model_it_trained_for_the_winner():
+    data, space = _small_dataset(n_per_class=20)
+    settings = ProtocolSettings(max_epochs=5, patience=5, hidden_width=4)
+    outcome = random_search(SearchSpace(max_configs=4), data, "exponential", seed=2,
+                            label_space=space, settings=settings)
+    subtrain, val = validation_split(data, 2, settings)
+    refit = fit(subtrain, val, outcome.config, space, settings)
+    for key, weights in refit.weights.items():
+        np.testing.assert_array_equal(outcome.model.weights[key], weights)
+
+
+def test_search_raises_when_every_candidate_diverges():
+    data, space = _small_dataset()
+    big = SampleSet(data.features * 1e4, data.labels)
+    grid = SearchSpace(learning_rates=(1e300,), etas=(0.8, 1.0), max_configs=2)
+    settings = ProtocolSettings(batch_size=8, max_epochs=10, patience=10,
+                                architecture="linear", optimizer="sgd")
+    with pytest.raises(TrainingDiverged, match="strategy=binomial, seed=4"):
+        random_search(grid, big, "binomial", seed=4, label_space=space, settings=settings)
 
 
 def test_search_deterministic():
