@@ -221,9 +221,23 @@ def _run_record(task: str, result) -> dict:
     }
 
 
+def _given(value, default):
+    """A flag's value when given (0 included), else ``default``."""
+    return value if value is not None else default
+
+
 def cmd_train(args) -> int:
     dataset = SampleSet.from_csv(args.data)
-    space = LabelSpace(args.classes or int(dataset.labels.max()) + 1)
+    try:
+        space = LabelSpace(_given(args.classes, int(dataset.labels.max()) + 1))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not space.contains(dataset.labels):
+        outside = np.unique(dataset.labels[dataset.labels >= space.n_classes]).tolist()
+        raise UsageError(
+            f"labels {outside} in {args.data} lie outside the {space.n_classes} grades "
+            "of --classes"
+        )
     cfg = {}
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
@@ -239,13 +253,13 @@ def cmd_train(args) -> int:
     )
     try:
         config = TrainConfig(
-            learning_rate=args.learning_rate or cfg.get("learning_rate", 1e-3),
+            learning_rate=_given(args.learning_rate, cfg.get("learning_rate", 1e-3)),
             strategy=args.strategy or cfg.get("strategy", "nominal"),
             params=params,
-            seed=args.seed if args.seed is not None else cfg.get("seed", 0),
-            batch_size=args.batch_size or cfg.get("batch_size", 32),
-            max_epochs=args.max_epochs or cfg.get("max_epochs", 100),
-            patience=args.patience or cfg.get("patience", 40),
+            seed=_given(args.seed, cfg.get("seed", 0)),
+            batch_size=_given(args.batch_size, cfg.get("batch_size", 32)),
+            max_epochs=_given(args.max_epochs, cfg.get("max_epochs", 100)),
+            patience=_given(args.patience, cfg.get("patience", 40)),
             optimizer=args.optimizer or cfg.get("optimizer", "adam"),
         )
     except ValueError as exc:
@@ -348,8 +362,19 @@ def _paired_task(payload) -> dict:
     }
 
 
-def _map_tasks(fn, payloads):
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+def _workers() -> int:
+    """The worker count that ``ORDSOFT_WORKERS`` asks for: an integer >= 1, default 1."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
+
+
+def _map_tasks(fn, payloads, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
@@ -373,6 +398,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"unknown strategies {unknown}")
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise UsageError(f"bad sweep config: {exc}") from exc
+    workers = _workers()
 
     with open(dataset_path, newline="") as fh:
         header = next(csv.reader(fh))
@@ -397,7 +423,7 @@ def cmd_sweep(args) -> int:
         for i in range(n_seeds)
         for strategy in strategies
     ]
-    records = _map_tasks(task_fn, payloads)
+    records = _map_tasks(task_fn, payloads, workers)
     if paired:
         (output_dir / "tables").mkdir(parents=True, exist_ok=True)
         grades.contingency().to_csv(str(output_dir / "tables" / "truth.csv"))

@@ -3,14 +3,25 @@
 A small numpy network (linear or one-hidden-layer ReLU MLP) stands in for the
 image backbone: the supervision strategies under study act purely at the
 label level, so the comparison logic is architecture-agnostic. Training is
-plain mini-batch gradient descent on the soft cross-entropy, with early
-stopping on validation loss (weights restored from the best epoch) and full
-determinism: every random draw comes from child generators of the run seed.
+plain mini-batch gradient descent (SGD or Adam) on the soft cross-entropy,
+with early stopping on validation loss (weights restored from the best epoch)
+and full determinism: every random draw comes from child generators of the
+run seed.
+
+There is one training loop, ``_fit_lockstep``, which trains K models at once:
+their weights are stacked on a leading axis, every step runs one batched
+forward/backward and one update on a mini-batch they share, each with its own
+learning rate and targets, and each stops early on its own. A tiny network's
+step costs Python overhead rather than arithmetic, so K stacked members cost
+little more than one. Each member's arithmetic is bit for bit that of a lone
+fit. ``train`` is the loop's one-member case.
 
 ``random_search`` samples hyperparameter configurations without replacement
-from the per-strategy grid, selects by validation AMAE and returns the model it
-trained for the winner; ``run_protocol`` repeats split / search / evaluate over
-independent seeds.
+from the per-strategy grid. The candidates share the seed, so the same initial
+weights, split and shuffle order, and differ only in learning rate and
+targets: they train as one lockstep fit. The search selects by validation
+AMAE and returns the model it trained for the winner; ``run_protocol``
+repeats split / search / evaluate over independent seeds.
 """
 
 from __future__ import annotations
@@ -75,11 +86,15 @@ class TrainConfig:
 
 def _forward(weights: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logits and the output layer's input: the ReLU hidden layer, or ``x`` itself
-    when the weights have no hidden layer (the linear model)."""
+    when the weights have no hidden layer (the linear model).
+
+    Takes one model's weights, or a ``(K, ...)`` stack of them, which gives
+    ``(K, B, ...)`` outputs for the batch ``x`` that the K members share.
+    """
     hidden = x
     if "w_in" in weights:
-        hidden = np.maximum(x @ weights["w_in"] + weights["b_in"], 0.0)
-    return hidden @ weights["w_out"] + weights["b_out"], hidden
+        hidden = np.maximum(x @ weights["w_in"] + weights["b_in"][..., None, :], 0.0)
+    return hidden @ weights["w_out"] + weights["b_out"][..., None, :], hidden
 
 
 @dataclass
@@ -99,9 +114,6 @@ class ClassifierModel:
 
     def predict(self, samples: SampleSet) -> PredictionSet:
         return PredictionSet.from_probs(samples.labels, self.predict_proba(samples.features))
-
-    def copy_weights(self) -> dict:
-        return {k: v.copy() for k, v in self.weights.items()}
 
 
 def init_model(
@@ -173,36 +185,46 @@ class TrainHistory:
     stopped_epoch: int
 
 
-def _batch_gradients(weights: dict, x: np.ndarray, t: np.ndarray) -> tuple[dict, float]:
-    """Gradients of the mean soft cross-entropy of one batch."""
+def _batch_gradients(weights: dict, x: np.ndarray, t: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Per member: the gradients of one batch's mean soft cross-entropy, and the
+    batch's sum of target-weighted log-probabilities (minus the loss times the batch size)."""
     logits, hidden = _forward(weights, x)
     probs = softmax(logits)
     d_logits = (probs - t) / x.shape[0]
-    grads = {"w_out": hidden.T @ d_logits, "b_out": d_logits.sum(axis=0)}
+    grads = {"w_out": hidden.swapaxes(-1, -2) @ d_logits, "b_out": d_logits.sum(axis=-2)}
     if "w_in" in weights:
         # hidden > 0 exactly where the ReLU's input is positive
-        d_hidden = (d_logits @ weights["w_out"].T) * (hidden > 0.0)
+        d_hidden = (d_logits @ weights["w_out"].swapaxes(-1, -2)) * (hidden > 0.0)
         grads["w_in"] = x.T @ d_hidden
-        grads["b_in"] = d_hidden.sum(axis=0)
-    batch_loss = -(t * np.log(np.maximum(probs, 1e-12))).sum() / x.shape[0]
-    return grads, float(batch_loss)
+        grads["b_in"] = d_hidden.sum(axis=-2)
+    return grads, (t * np.log(np.maximum(probs, 1e-12))).sum(axis=(-2, -1))
 
 
 class _Optimizer:
-    """Plain SGD or Adam (bias-corrected moments, betas 0.9/0.999, eps 1e-8)."""
+    """Plain SGD or Adam (bias-corrected moments, betas 0.9/0.999, eps 1e-8) over a
+    ``(K, ...)`` stack of weights, with one learning rate per member."""
 
-    def __init__(self, kind: str, lr: float, weights: dict):
+    def __init__(self, kind: str, learning_rates: np.ndarray, weights: dict):
         self.kind = kind
-        self.lr = lr
         self.steps = 0
+        self.lr = {
+            k: learning_rates.reshape((-1,) + (1,) * (v.ndim - 1)) for k, v in weights.items()
+        }
         if kind == "adam":
             self.m = {k: np.zeros_like(v) for k, v in weights.items()}
             self.v = {k: np.zeros_like(v) for k, v in weights.items()}
 
+    def keep(self, rows: list[int]) -> None:
+        """Drop the state of the members not in ``rows``."""
+        self.lr = {k: v[rows] for k, v in self.lr.items()}
+        if self.kind == "adam":
+            self.m = {k: v[rows] for k, v in self.m.items()}
+            self.v = {k: v[rows] for k, v in self.v.items()}
+
     def update(self, weights: dict, grads: dict) -> None:
         if self.kind == "sgd":
             for key, grad in grads.items():
-                weights[key] -= self.lr * grad
+                weights[key] -= self.lr[key] * grad
             return
         self.steps += 1
         correction_m = 1.0 - 0.9**self.steps
@@ -212,7 +234,109 @@ class _Optimizer:
             self.v[key] = 0.999 * self.v[key] + 0.001 * grad**2
             m_hat = self.m[key] / correction_m
             v_hat = self.v[key] / correction_v
-            weights[key] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            weights[key] -= self.lr[key] * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@dataclass
+class _Member:
+    """Early-stopping state of one member of a lockstep fit."""
+
+    config: TrainConfig
+    val_targets: np.ndarray
+    train_loss: list = field(default_factory=list)
+    val_loss: list = field(default_factory=list)
+    best_val: float = math.inf
+    best_epoch: int = 0
+    best_weights: Optional[dict] = None
+    stale_epochs: int = 0
+    diverged: Optional[TrainingDiverged] = None
+
+    def record(self, epoch: int, train_loss: float, val_loss: float, weights: dict) -> bool:
+        """Book one epoch's losses for the member holding ``weights``; False once it stops."""
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            self.diverged = TrainingDiverged(
+                f"non-finite loss at epoch {epoch} (train={train_loss}, val={val_loss}) "
+                f"with lr={self.config.learning_rate}, strategy={self.config.strategy}"
+            )
+            return False
+        self.train_loss.append(train_loss)
+        self.val_loss.append(val_loss)
+        if val_loss < self.best_val:
+            self.best_val = val_loss
+            self.best_weights = {k: w.copy() for k, w in weights.items()}
+            self.best_epoch = epoch
+            self.stale_epochs = 0
+        else:
+            self.stale_epochs += 1
+        return self.stale_epochs < self.config.patience
+
+    @property
+    def history(self) -> TrainHistory:
+        return TrainHistory(
+            tuple(self.train_loss), tuple(self.val_loss), self.best_epoch, len(self.val_loss)
+        )
+
+
+def _fit_lockstep(
+    init_weights: dict,
+    data: SampleSet,
+    validation: SampleSet,
+    targets: Sequence[SoftTargetMatrix],
+    configs: Sequence[TrainConfig],
+) -> list[_Member]:
+    """Train one member per config in lockstep, every member from ``init_weights``.
+
+    The configs share seed, batch size, epoch limit, patience and optimizer;
+    they differ in learning rate and targets. The members' weights are stacked
+    on a leading axis, and each step runs one batched forward/backward and
+    update on one mini-batch that all members share. A batched matmul runs one
+    gemm per member and reductions run over the batch axis, so every member's
+    arithmetic is bit for bit that of the member trained alone. A member that
+    stops early or goes non-finite leaves the stack.
+    """
+    if data.n_samples == 0 or validation.n_samples == 0:
+        raise ValueError("training and validation sets must be non-empty")
+    shared = configs[0]
+    members = [_Member(c, t.for_labels(validation.labels)) for c, t in zip(configs, targets)]
+    alive = list(members)
+    weights = {k: np.repeat(w[None], len(members), axis=0) for k, w in init_weights.items()}
+    train_targets = np.stack([t.for_labels(data.labels) for t in targets])
+    learning_rates = np.array([c.learning_rate for c in configs])
+    optimizer = _Optimizer(shared.optimizer, learning_rates, weights)
+    rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
+    starts = range(0, data.n_samples, shared.batch_size)
+    batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
+
+    for epoch in range(1, shared.max_epochs + 1):
+        perm = rng.permutation(data.n_samples)
+        x_epoch, t_epoch = data.features[perm], train_targets[:, perm]
+        log_likelihoods = np.empty((len(alive), len(starts)))
+        # divergence surfaces as non-finite losses below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, start in enumerate(starts):
+                end = start + shared.batch_size
+                grads, log_likelihoods[:, i] = _batch_gradients(
+                    weights, x_epoch[start:end], t_epoch[:, start:end]
+                )
+                optimizer.update(weights, grads)
+            # per-batch mean losses, then their mean over the epoch
+            epoch_train = (-log_likelihoods / batch_sizes).mean(axis=1)
+            rows = []
+            for row, member in enumerate(alive):
+                # one member at a time keeps the validation pass at a lone model's size
+                member_weights = {k: w[row] for k, w in weights.items()}
+                probs = softmax(_forward(member_weights, validation.features)[0])
+                epoch_val = mean_soft_ce(probs, member.val_targets)
+                if member.record(epoch, float(epoch_train[row]), epoch_val, member_weights):
+                    rows.append(row)
+        if len(rows) < len(alive):
+            if not rows:
+                break
+            alive = [alive[row] for row in rows]
+            weights = {k: w[rows] for k, w in weights.items()}
+            train_targets = train_targets[rows]
+            optimizer.keep(rows)
+    return members
 
 
 def train(
@@ -225,55 +349,14 @@ def train(
     """Mini-batch gradient descent with early stopping on validation loss.
 
     Stops after ``patience`` consecutive epochs without strict validation-loss
-    improvement (or at max_epochs) and restores the best epoch's weights.
+    improvement (or at max_epochs) and restores the best epoch's weights. This
+    is the one-member case of the lockstep fit that ``random_search`` runs.
     """
-    if data.n_samples == 0 or validation.n_samples == 0:
-        raise ValueError("training and validation sets must be non-empty")
-    train_targets = targets.for_labels(data.labels)
-    val_targets = targets.for_labels(validation.labels)
-    rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE])
-    optimizer = _Optimizer(config.optimizer, config.learning_rate, model.weights)
-
-    best_val = math.inf
-    best_weights = model.copy_weights()
-    best_epoch = 0
-    epochs_without_improvement = 0
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-
-    for epoch in range(1, config.max_epochs + 1):
-        perm = rng.permutation(data.n_samples)
-        batch_losses = []
-        # divergence surfaces as non-finite losses below, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, data.n_samples, config.batch_size):
-                batch = perm[start : start + config.batch_size]
-                grads, batch_loss = _batch_gradients(
-                    model.weights, data.features[batch], train_targets[batch]
-                )
-                optimizer.update(model.weights, grads)
-                batch_losses.append(batch_loss)
-            epoch_train = float(np.mean(batch_losses))
-            epoch_val = mean_soft_ce(model.predict_proba(validation.features), val_targets)
-        if not (math.isfinite(epoch_train) and math.isfinite(epoch_val)):
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch} (train={epoch_train}, val={epoch_val}) "
-                f"with lr={config.learning_rate}, strategy={config.strategy}"
-            )
-        train_losses.append(epoch_train)
-        val_losses.append(epoch_val)
-        if epoch_val < best_val:
-            best_val = epoch_val
-            best_weights = model.copy_weights()
-            best_epoch = epoch
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-        if epochs_without_improvement >= config.patience:
-            break
-
-    model.weights = best_weights
-    return model, TrainHistory(tuple(train_losses), tuple(val_losses), best_epoch, len(val_losses))
+    (member,) = _fit_lockstep(model.weights, data, validation, [targets], [config])
+    if member.diverged is not None:
+        raise member.diverged
+    model.weights = member.best_weights
+    return model, member.history
 
 
 @dataclass(frozen=True)
@@ -393,21 +476,21 @@ def random_search(
     """Sample configurations without replacement and pick the lowest validation AMAE.
 
     The validation set is carved from ``data`` (the training split) at
-    ``settings.val_fraction``; ties break by validation MAE, then lower
-    learning rate, then grid position. A diverged candidate is skipped;
+    ``settings.val_fraction``. The candidates share the seed, hence the initial
+    weights and the shuffle order, so they train in one lockstep fit, each
+    exactly as it would train alone; candidates with the same smoothing
+    parameters share one target matrix. Ties break by validation MAE, then
+    lower learning rate, then grid position. A diverged candidate is skipped;
     ``TrainingDiverged`` is raised only when every candidate diverges.
     """
     grid = space.grid(strategy)
     rng = np.random.default_rng([seed, _STREAM_SEARCH])
     n_sample = min(space.max_configs, len(grid))
-    chosen = rng.choice(len(grid), size=n_sample, replace=False)
+    chosen = [int(g) for g in rng.choice(len(grid), size=n_sample, replace=False)]
     subtrain, val = validation_split(data, seed, settings)
 
-    best_key = None
-    best: Optional[SearchOutcome] = None
-    for grid_pos in chosen:
-        lr, params = grid[int(grid_pos)]
-        config = TrainConfig(
+    configs = [
+        TrainConfig(
             learning_rate=lr,
             strategy=strategy,
             params=params,
@@ -417,16 +500,37 @@ def random_search(
             patience=settings.patience,
             optimizer=settings.optimizer,
         )
-        try:
-            model = fit(subtrain, val, config, label_space, settings)
-        except TrainingDiverged:
+        for lr, params in (grid[g] for g in chosen)
+    ]
+    matrices: dict[SmoothingParams, SoftTargetMatrix] = {}
+    for config in configs:
+        if config.params not in matrices:
+            matrices[config.params] = build_target_matrix(label_space, strategy, config.params)
+    init = init_model(
+        settings.architecture,
+        subtrain.n_features,
+        label_space.n_classes,
+        seed,
+        settings.hidden_width,
+    )
+    members = _fit_lockstep(
+        init.weights, subtrain, val, [matrices[c.params] for c in configs], configs
+    )
+
+    best_key = None
+    best: Optional[SearchOutcome] = None
+    for grid_pos, member in zip(chosen, members):
+        if member.diverged is not None:
             continue
+        model = ClassifierModel(
+            init.architecture, member.best_weights, init.n_classes, init.hidden_width
+        )
         confusion = build_confusion(model.predict(val), label_space)
         val_amae, val_mae = amae_metric(confusion), mae_metric(confusion)
-        key = (val_amae, val_mae, lr, int(grid_pos))
+        key = (val_amae, val_mae, member.config.learning_rate, grid_pos)
         if best_key is None or key < best_key:
             best_key = key
-            best = SearchOutcome(config, val_amae, val_mae, n_sample, model)
+            best = SearchOutcome(member.config, val_amae, val_mae, n_sample, model)
     if best is None:
         raise TrainingDiverged(
             f"all {n_sample} candidates diverged for strategy={strategy}, seed={seed}"

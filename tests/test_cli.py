@@ -115,6 +115,24 @@ def test_train_appends_valid_record(tmp_path):
     assert record["config"]["params"]["alpha"] == 0.05
 
 
+@pytest.mark.parametrize("flag", ["--learning-rate", "--batch-size", "--max-epochs", "--patience"])
+def test_train_zero_flag_is_usage_error(tmp_path, capsys, flag):
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    # a given 0 reaches TrainConfig's checks instead of falling back to a default
+    assert main(["train", "--data", str(data), "--max-epochs", "40", "--patience", "2",
+                 flag, "0"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_train_labels_outside_classes_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "5", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    assert main(["train", "--data", str(data), "--classes", "3"]) == EXIT_USAGE
+    assert "labels [3, 4]" in capsys.readouterr().err
+    assert main(["train", "--data", str(data), "--classes", "1"]) == EXIT_USAGE
+
+
 def test_evaluate_reports_metrics(tmp_path, capsys):
     pred = tmp_path / "preds.csv"
     pred.write_text("true,pred\n0,0\n1,1\n1,0\n2,2\n")
@@ -196,6 +214,17 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     finally:
         del os.environ["ORDSOFT_WORKERS"]
     assert (out_dir / "results.jsonl").read_bytes() == serial
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5"])
+def test_sweep_bad_workers_is_usage_error(tmp_path, capsys, monkeypatch, workers):
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "3", "--per-class", "16", "--seed", "1", "--out", str(data)])
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    monkeypatch.setenv("ORDSOFT_WORKERS", workers)
+    assert main(["sweep", "--config", str(config)]) == EXIT_USAGE
+    assert "ORDSOFT_WORKERS" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def _paired_dataset(tmp_path):

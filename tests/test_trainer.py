@@ -13,6 +13,7 @@ from ordsoft.trainer import (
     SearchSpace,
     TrainConfig,
     TrainingDiverged,
+    _fit_lockstep,
     fit,
     init_model,
     random_search,
@@ -238,6 +239,42 @@ def test_search_raises_when_every_candidate_diverges():
                                 architecture="linear", optimizer="sgd")
     with pytest.raises(TrainingDiverged, match="strategy=binomial, seed=4"):
         random_search(grid, big, "binomial", seed=4, label_space=space, settings=settings)
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_lockstep_members_match_lone_fits(architecture, optimizer):
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    settings = ProtocolSettings(batch_size=16, max_epochs=30, patience=4,
+                                architecture=architecture, optimizer=optimizer, hidden_width=8)
+    subtrain, val = validation_split(data, 6, settings)
+    # lr 1e308 diverges; the others stop early at different epochs or run to max_epochs
+    configs = [
+        TrainConfig(lr, "triangular", SmoothingParams(eta=eta, alpha=0.05), seed=6,
+                    batch_size=16, max_epochs=30, patience=4, optimizer=optimizer)
+        for lr in (1e-3, 0.1, 2.0, 1e308)
+        for eta in (0.8, 1.0)
+    ]
+    targets = [build_target_matrix(space, "triangular", c.params) for c in configs]
+    init = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
+    members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
+
+    stopped = set()
+    for config, target, member in zip(configs, targets, members):
+        lone = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
+        if config.learning_rate == 1e308:
+            assert isinstance(member.diverged, TrainingDiverged)
+            with pytest.raises(TrainingDiverged):
+                train(lone, subtrain, target, config, val)
+            continue
+        # a diverged member shared the stack with these, so equality shows it touched none
+        lone, history = train(lone, subtrain, target, config, val)
+        assert member.diverged is None
+        assert member.history == history
+        for key, weights in lone.weights.items():
+            np.testing.assert_array_equal(member.best_weights[key], weights)
+        stopped.add(history.stopped_epoch)
+    assert len(stopped) >= 2
 
 
 def test_search_deterministic():
