@@ -226,18 +226,29 @@ def _given(value, default):
     return value if value is not None else default
 
 
-def cmd_train(args) -> int:
-    dataset = SampleSet.from_csv(args.data)
+def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelSpace:
+    """The grades of ``--classes`` when given (0 included), else 0 .. the largest label.
+
+    No labels, a bad grade count and labels outside the grades are usage errors.
+    """
+    if labels.size == 0:
+        raise UsageError(f"{source}: no rows after the header")
     try:
-        space = LabelSpace(_given(args.classes, int(dataset.labels.max()) + 1))
+        space = LabelSpace(_given(classes, int(labels.max()) + 1))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if not space.contains(dataset.labels):
-        outside = np.unique(dataset.labels[dataset.labels >= space.n_classes]).tolist()
+    if not space.contains(labels):
+        outside = np.unique(labels[(labels < 0) | (labels >= space.n_classes)]).tolist()
+        given = " of --classes" if classes is not None else ""
         raise UsageError(
-            f"labels {outside} in {args.data} lie outside the {space.n_classes} grades "
-            "of --classes"
+            f"labels {outside} in {source} lie outside the {space.n_classes} grades{given}"
         )
+    return space
+
+
+def cmd_train(args) -> int:
+    dataset = SampleSet.from_csv(args.data)
+    space = _label_space(args.classes, dataset.labels, args.data)
     cfg = {}
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
@@ -458,8 +469,10 @@ def cmd_evaluate(args) -> int:
         pairs = [(int(r[0]), int(r[1])) for r in reader if r]
     true_labels = np.asarray([p[0] for p in pairs], dtype=int)
     pred_labels = np.asarray([p[1] for p in pairs], dtype=int)
-    n_classes = args.classes or int(max(true_labels.max(), pred_labels.max())) + 1
-    confusion = confusion_from_labels(true_labels, pred_labels, LabelSpace(n_classes))
+    space = _label_space(
+        args.classes, np.concatenate([true_labels, pred_labels]), args.predictions
+    )
+    confusion = confusion_from_labels(true_labels, pred_labels, space)
     _emit(_dump_json(compute_report(confusion).to_dict()) + "\n", args.out)
     return EXIT_OK
 

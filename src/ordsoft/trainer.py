@@ -16,6 +16,14 @@ step costs Python overhead rather than arithmetic, so K stacked members cost
 little more than one. Each member's arithmetic is bit for bit that of a lone
 fit. ``train`` is the loop's one-member case.
 
+The K members' parameters live in one flat ``(K, P)`` buffer, P being the
+parameter count of one model, and their gradients in a second one; the layers
+(``w_in``, ``b_in``, ``w_out``, ``b_out``) are named ``(K, *shape)`` views of
+those buffers. The backward pass writes each gradient into its view, and the
+optimizer updates the whole buffer with one short run of in-place ufuncs per
+step rather than one allocating pass per layer. Every ufunc is elementwise or
+keeps its reduction axis, so the flat layout does not change a single bit.
+
 ``random_search`` samples hyperparameter configurations without replacement
 from the per-strategy grid. The candidates share the seed, so the same initial
 weights, split and shuffle order, and differ only in learning rate and
@@ -185,56 +193,88 @@ class TrainHistory:
     stopped_epoch: int
 
 
-def _batch_gradients(weights: dict, x: np.ndarray, t: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Per member: the gradients of one batch's mean soft cross-entropy, and the
-    batch's sum of target-weighted log-probabilities (minus the loss times the batch size)."""
+def _layout(weights: dict) -> list[tuple[str, slice, tuple]]:
+    """Name, span in the flat buffer and shape of each of one model's layers."""
+    layout, offset = [], 0
+    for key, w in weights.items():
+        layout.append((key, slice(offset, offset + w.size), w.shape))
+        offset += w.size
+    return layout
+
+
+def _views(flat: np.ndarray, layout: list[tuple[str, slice, tuple]]) -> dict:
+    """Named layer views of a flat ``(P,)`` buffer, or ``(K, *shape)`` views of a
+    ``(K, P)`` one; writing to a view writes to the buffer."""
+    lead = flat.shape[:-1]
+    return {key: flat[..., span].reshape(lead + shape) for key, span, shape in layout}
+
+
+def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per member: write the gradients of one batch's mean soft cross-entropy into
+    ``grads`` (views of the same layout as ``weights``) and return the batch's sum of
+    target-weighted log-probabilities (minus the loss times the batch size)."""
     logits, hidden = _forward(weights, x)
     probs = softmax(logits)
     d_logits = (probs - t) / x.shape[0]
-    grads = {"w_out": hidden.swapaxes(-1, -2) @ d_logits, "b_out": d_logits.sum(axis=-2)}
+    np.matmul(hidden.swapaxes(-1, -2), d_logits, out=grads["w_out"])
+    d_logits.sum(axis=-2, out=grads["b_out"])
     if "w_in" in weights:
         # hidden > 0 exactly where the ReLU's input is positive
         d_hidden = (d_logits @ weights["w_out"].swapaxes(-1, -2)) * (hidden > 0.0)
-        grads["w_in"] = x.T @ d_hidden
-        grads["b_in"] = d_hidden.sum(axis=-2)
-    return grads, (t * np.log(np.maximum(probs, 1e-12))).sum(axis=(-2, -1))
+        np.matmul(x.T, d_hidden, out=grads["w_in"])
+        d_hidden.sum(axis=-2, out=grads["b_in"])
+    return (t * np.log(np.maximum(probs, 1e-12))).sum(axis=(-2, -1))
 
 
 class _Optimizer:
     """Plain SGD or Adam (bias-corrected moments, betas 0.9/0.999, eps 1e-8) over a
-    ``(K, ...)`` stack of weights, with one learning rate per member."""
+    flat ``(K, P)`` buffer of K members' parameters, with one learning rate per member.
 
-    def __init__(self, kind: str, learning_rates: np.ndarray, weights: dict):
+    The moments and scratch space are ``(K, P)`` buffers too, so a step is one run
+    of in-place ufuncs over the whole buffer, whatever the layers. The order of
+    operations is that of the textbook per-layer update:
+    ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g**2`` and
+    ``w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8)``.
+    """
+
+    def __init__(self, kind: str, learning_rates: np.ndarray, n_params: int):
         self.kind = kind
         self.steps = 0
-        self.lr = {
-            k: learning_rates.reshape((-1,) + (1,) * (v.ndim - 1)) for k, v in weights.items()
-        }
+        self.lr = learning_rates.reshape(-1, 1)
+        shape = (len(learning_rates), n_params)
+        self.scratch = np.empty(shape)
         if kind == "adam":
-            self.m = {k: np.zeros_like(v) for k, v in weights.items()}
-            self.v = {k: np.zeros_like(v) for k, v in weights.items()}
+            self.m, self.v, self.denom = np.zeros(shape), np.zeros(shape), np.empty(shape)
 
     def keep(self, rows: list[int]) -> None:
         """Drop the state of the members not in ``rows``."""
-        self.lr = {k: v[rows] for k, v in self.lr.items()}
+        self.lr = self.lr[rows]
+        self.scratch = self.scratch[rows]
         if self.kind == "adam":
-            self.m = {k: v[rows] for k, v in self.m.items()}
-            self.v = {k: v[rows] for k, v in self.v.items()}
+            self.m, self.v, self.denom = self.m[rows], self.v[rows], self.denom[rows]
 
-    def update(self, weights: dict, grads: dict) -> None:
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        step = self.scratch
         if self.kind == "sgd":
-            for key, grad in grads.items():
-                weights[key] -= self.lr[key] * grad
+            np.multiply(self.lr, grads, out=step)
+            params -= step
             return
         self.steps += 1
-        correction_m = 1.0 - 0.9**self.steps
-        correction_v = 1.0 - 0.999**self.steps
-        for key, grad in grads.items():
-            self.m[key] = 0.9 * self.m[key] + 0.1 * grad
-            self.v[key] = 0.999 * self.v[key] + 0.001 * grad**2
-            m_hat = self.m[key] / correction_m
-            v_hat = self.v[key] / correction_v
-            weights[key] -= self.lr[key] * m_hat / (np.sqrt(v_hat) + 1e-8)
+        m, v, denom = self.m, self.v, self.denom
+        m *= 0.9
+        np.multiply(grads, 0.1, out=step)
+        m += step
+        v *= 0.999
+        np.square(grads, out=step)
+        step *= 0.001
+        v += step
+        np.divide(v, 1.0 - 0.999**self.steps, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        np.divide(m, 1.0 - 0.9**self.steps, out=step)
+        step *= self.lr
+        step /= denom
+        params -= step
 
 
 @dataclass
@@ -247,12 +287,15 @@ class _Member:
     val_loss: list = field(default_factory=list)
     best_val: float = math.inf
     best_epoch: int = 0
-    best_weights: Optional[dict] = None
+    best_weights: Optional[dict] = None  # layer views of one flat copy
     stale_epochs: int = 0
     diverged: Optional[TrainingDiverged] = None
 
-    def record(self, epoch: int, train_loss: float, val_loss: float, weights: dict) -> bool:
-        """Book one epoch's losses for the member holding ``weights``; False once it stops."""
+    def record(
+        self, epoch: int, train_loss: float, val_loss: float, params: np.ndarray, layout: list
+    ) -> bool:
+        """Book one epoch's losses for the member whose flat parameters are ``params``;
+        False once it stops."""
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             self.diverged = TrainingDiverged(
                 f"non-finite loss at epoch {epoch} (train={train_loss}, val={val_loss}) "
@@ -263,7 +306,7 @@ class _Member:
         self.val_loss.append(val_loss)
         if val_loss < self.best_val:
             self.best_val = val_loss
-            self.best_weights = {k: w.copy() for k, w in weights.items()}
+            self.best_weights = _views(params.copy(), layout)
             self.best_epoch = epoch
             self.stale_epochs = 0
         else:
@@ -291,18 +334,24 @@ def _fit_lockstep(
     on a leading axis, and each step runs one batched forward/backward and
     update on one mini-batch that all members share. A batched matmul runs one
     gemm per member and reductions run over the batch axis, so every member's
-    arithmetic is bit for bit that of the member trained alone. A member that
-    stops early or goes non-finite leaves the stack.
+    arithmetic is bit for bit that of the member trained alone. The weights and
+    gradients are flat ``(K, P)`` buffers seen through per-layer views. A member
+    that stops early or goes non-finite leaves the stack: one row selection of
+    each buffer, after which the views are rebuilt.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
     shared = configs[0]
     members = [_Member(c, t.for_labels(validation.labels)) for c, t in zip(configs, targets)]
     alive = list(members)
-    weights = {k: np.repeat(w[None], len(members), axis=0) for k, w in init_weights.items()}
+    layout = _layout(init_weights)
+    flat_init = np.concatenate([w.ravel() for w in init_weights.values()])
+    params = np.repeat(flat_init[None], len(members), axis=0)
+    flat_grads = np.empty_like(params)
+    weights, grads = _views(params, layout), _views(flat_grads, layout)
     train_targets = np.stack([t.for_labels(data.labels) for t in targets])
     learning_rates = np.array([c.learning_rate for c in configs])
-    optimizer = _Optimizer(shared.optimizer, learning_rates, weights)
+    optimizer = _Optimizer(shared.optimizer, learning_rates, flat_init.size)
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
     starts = range(0, data.n_samples, shared.batch_size)
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
@@ -315,25 +364,25 @@ def _fit_lockstep(
         with np.errstate(over="ignore", invalid="ignore"):
             for i, start in enumerate(starts):
                 end = start + shared.batch_size
-                grads, log_likelihoods[:, i] = _batch_gradients(
-                    weights, x_epoch[start:end], t_epoch[:, start:end]
+                log_likelihoods[:, i] = _batch_gradients(
+                    weights, grads, x_epoch[start:end], t_epoch[:, start:end]
                 )
-                optimizer.update(weights, grads)
+                optimizer.update(params, flat_grads)
             # per-batch mean losses, then their mean over the epoch
             epoch_train = (-log_likelihoods / batch_sizes).mean(axis=1)
             rows = []
             for row, member in enumerate(alive):
                 # one member at a time keeps the validation pass at a lone model's size
-                member_weights = {k: w[row] for k, w in weights.items()}
-                probs = softmax(_forward(member_weights, validation.features)[0])
+                probs = softmax(_forward(_views(params[row], layout), validation.features)[0])
                 epoch_val = mean_soft_ce(probs, member.val_targets)
-                if member.record(epoch, float(epoch_train[row]), epoch_val, member_weights):
+                if member.record(epoch, float(epoch_train[row]), epoch_val, params[row], layout):
                     rows.append(row)
         if len(rows) < len(alive):
             if not rows:
                 break
             alive = [alive[row] for row in rows]
-            weights = {k: w[rows] for k, w in weights.items()}
+            params, flat_grads = params[rows], flat_grads[rows]
+            weights, grads = _views(params, layout), _views(flat_grads, layout)
             train_targets = train_targets[rows]
             optimizer.keep(rows)
     return members

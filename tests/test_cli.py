@@ -142,6 +142,30 @@ def test_evaluate_reports_metrics(tmp_path, capsys):
     assert report["mae"] == pytest.approx(0.25)
 
 
+def test_evaluate_zero_classes_is_usage_error(tmp_path, capsys):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("true,pred\n0,0\n1,1\n2,2\n")
+    # a given 0 reaches LabelSpace instead of falling back to the inferred count
+    assert main(["evaluate", "--predictions", str(pred), "--classes", "0"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_evaluate_labels_outside_classes_is_usage_error(tmp_path, capsys):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("true,pred\n0,1\n4,2\n3,3\n")
+    assert main(["evaluate", "--predictions", str(pred), "--classes", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "labels [3, 4]" in err and str(pred) in err
+    assert main(["evaluate", "--predictions", str(pred), "--classes", "5"]) == EXIT_OK
+
+
+def test_evaluate_header_only_is_usage_error(tmp_path, capsys):
+    pred = tmp_path / "preds.csv"
+    pred.write_text("true,pred\n")
+    assert main(["evaluate", "--predictions", str(pred)]) == EXIT_USAGE
+    assert str(pred) in capsys.readouterr().err
+
+
 def test_evaluate_missing_file_is_runtime_error(tmp_path):
     assert main(["evaluate", "--predictions", str(tmp_path / "nope.csv")]) == EXIT_RUNTIME
 

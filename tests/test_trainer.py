@@ -13,7 +13,10 @@ from ordsoft.trainer import (
     SearchSpace,
     TrainConfig,
     TrainingDiverged,
+    _STREAM_SHUFFLE,
     _fit_lockstep,
+    _Member,
+    _views,
     fit,
     init_model,
     random_search,
@@ -275,6 +278,119 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
             np.testing.assert_array_equal(member.best_weights[key], weights)
         stopped.add(history.stopped_epoch)
     assert len(stopped) >= 2
+
+
+def _reference_epochs(init_weights, data, target, config, n_epochs):
+    """Each epoch's weights of a lone fit with per-layer dict-of-arrays SGD/Adam: the
+    forward/backward and update written one layer at a time, allocating as they go."""
+    weights = {k: w[None].copy() for k, w in init_weights.items()}
+    m = {k: np.zeros_like(w) for k, w in weights.items()}
+    v = {k: np.zeros_like(w) for k, w in weights.items()}
+    lr, steps, epochs = config.learning_rate, 0, []
+    rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE])
+    t_all = target.for_labels(data.labels)[None]
+    for _ in range(n_epochs):
+        perm = rng.permutation(data.n_samples)
+        for start in range(0, data.n_samples, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            x, t = data.features[idx], t_all[:, idx]
+            hidden = x
+            if "w_in" in weights:
+                hidden = np.maximum(x @ weights["w_in"] + weights["b_in"][..., None, :], 0.0)
+            logits = hidden @ weights["w_out"] + weights["b_out"][..., None, :]
+            exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            d_logits = (exp / exp.sum(axis=-1, keepdims=True) - t) / x.shape[0]
+            grads = {"w_out": hidden.swapaxes(-1, -2) @ d_logits, "b_out": d_logits.sum(axis=-2)}
+            if "w_in" in weights:
+                d_hidden = (d_logits @ weights["w_out"].swapaxes(-1, -2)) * (hidden > 0.0)
+                grads["w_in"] = x.T @ d_hidden
+                grads["b_in"] = d_hidden.sum(axis=-2)
+            if config.optimizer == "sgd":
+                for key, grad in grads.items():
+                    weights[key] -= lr * grad
+                continue
+            steps += 1
+            for key, grad in grads.items():
+                m[key] = 0.9 * m[key] + 0.1 * grad
+                v[key] = 0.999 * v[key] + 0.001 * grad**2
+                m_hat = m[key] / (1.0 - 0.9**steps)
+                v_hat = v[key] / (1.0 - 0.999**steps)
+                weights[key] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        epochs.append({k: w[0].copy() for k, w in weights.items()})
+    return epochs
+
+
+def _spy_on_record(monkeypatch):
+    """Record, per member, the parameters it was handed at each epoch: a copy, and
+    the live row of the fit's buffer."""
+    seen = {}
+    record = _Member.record
+
+    def spy(self, epoch, train_loss, val_loss, params, layout):
+        seen.setdefault(id(self), []).append((params.copy(), params, layout))
+        return record(self, epoch, train_loss, val_loss, params, layout)
+
+    monkeypatch.setattr(_Member, "record", spy)
+    return seen
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_update_matches_per_layer_reference_every_epoch(
+    monkeypatch, architecture, optimizer
+):
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    settings = ProtocolSettings(batch_size=16, max_epochs=25, patience=3,
+                                architecture=architecture, optimizer=optimizer, hidden_width=8)
+    subtrain, val = validation_split(data, 2, settings)
+    configs = [
+        TrainConfig(lr, "triangular", SmoothingParams(eta=eta, alpha=0.05), seed=2,
+                    batch_size=16, max_epochs=25, patience=3, optimizer=optimizer)
+        for lr in (1e-3, 0.1, 2.0)
+        for eta in (0.8, 1.0)
+    ]
+    targets = [build_target_matrix(space, "triangular", c.params) for c in configs]
+    init = init_model(architecture, data.n_features, space.n_classes, seed=2, hidden_width=8)
+    seen = _spy_on_record(monkeypatch)
+    members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
+
+    epochs_run = [len(seen[id(member)]) for member in members]
+    # members left the stack at different epochs while others trained on
+    assert len(set(epochs_run)) >= 2 and max(epochs_run) > min(epochs_run)
+    for config, target, member, n_epochs in zip(configs, targets, members, epochs_run):
+        reference = _reference_epochs(init.weights, subtrain, target, config, n_epochs)
+        for (params, _, layout), expected in zip(seen[id(member)], reference):
+            got = _views(params, layout)
+            assert got.keys() == expected.keys()
+            for key, weights in expected.items():
+                np.testing.assert_array_equal(got[key], weights)
+
+
+def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    subtrain, val = validation_split(data, 3, ProtocolSettings())
+    config = TrainConfig(0.1, "nominal", SmoothingParams(), seed=3, batch_size=16,
+                         max_epochs=30, patience=5)
+    targets = build_target_matrix(space, "nominal")
+    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=8)
+    shapes = {k: w.shape for k, w in init.weights.items()}
+    seen = _spy_on_record(monkeypatch)
+    (member,) = _fit_lockstep(init.weights, subtrain, val, [targets], [config])
+
+    epochs = seen[id(member)]
+    # later steps ran on the buffer after the best epoch was recorded
+    assert member.best_epoch < len(epochs)
+    best_params, _, layout = epochs[member.best_epoch - 1]
+    last_params, live_row, _ = epochs[-1]
+    assert not np.array_equal(best_params, last_params)
+    for key, weights in _views(best_params, layout).items():
+        np.testing.assert_array_equal(member.best_weights[key], weights)
+        assert not np.shares_memory(member.best_weights[key], live_row)
+
+    model, _ = train(init, subtrain, targets, config, val)
+    assert {k: w.shape for k, w in model.weights.items()} == shapes
+    # one flat copy seen through the layer views
+    assert len({id(w.base) for w in model.weights.values()}) == 1
 
 
 def test_search_deterministic():
