@@ -44,7 +44,6 @@ from .trainer import (
     SearchSpace,
     TrainConfig,
     random_search,
-    run_protocol,
     stratified_split,
     train,
 )

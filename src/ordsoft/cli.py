@@ -28,7 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelSpace, RunResult, SampleSet, build_confusion, confusion_from_labels
+from .core import (
+    EmptyFileError,
+    LabelSpace,
+    RunResult,
+    SampleSet,
+    build_confusion,
+    confusion_from_labels,
+    read_header,
+)
 from .jointanalysis import (
     ContingencyTable,
     JointDistribution,
@@ -142,7 +150,7 @@ def _write_paired_csv(path: str, features: np.ndarray, labels_a: np.ndarray, lab
 def _read_paired_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = read_header(reader, path)
         if header[-2:] != ["label_a", "label_b"]:
             raise ValueError(f"{path}: expected trailing columns label_a,label_b")
         d = len(header) - 2
@@ -412,7 +420,7 @@ def cmd_sweep(args) -> int:
     workers = _workers()
 
     with open(dataset_path, newline="") as fh:
-        header = next(csv.reader(fh))
+        header = read_header(csv.reader(fh), dataset_path)
     paired = header[-2:] == ["label_a", "label_b"]
 
     if paired:
@@ -463,7 +471,7 @@ def cmd_sweep(args) -> int:
 def cmd_evaluate(args) -> int:
     with open(args.predictions, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = read_header(reader, args.predictions)
         if header[:2] != ["true", "pred"]:
             raise UsageError(f"{args.predictions}: expected header true,pred")
         pairs = [(int(r[0]), int(r[1])) for r in reader if r]
@@ -656,7 +664,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, EmptyFileError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -20,6 +20,19 @@ if TYPE_CHECKING:
 ROW_SUM_TOL = 1e-9
 
 
+class EmptyFileError(ValueError):
+    """A CSV input that is empty: not even a header line."""
+
+
+def read_header(reader, path: str) -> list[str]:
+    """The header row of a CSV ``reader`` over ``path``; an empty file raises
+    ``EmptyFileError`` naming it."""
+    header = next(reader, None)
+    if header is None:
+        raise EmptyFileError(f"{path}: empty file, expected a header line")
+    return header
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """An ordered set of grades indexed 0 .. n_classes-1."""
@@ -79,7 +92,7 @@ class SampleSet:
     def from_csv(cls, path: str) -> "SampleSet":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = read_header(reader, path)
             if not header or header[-1] != "label":
                 raise ValueError(f"{path}: expected header f0,...,label")
             d = len(header) - 1

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import read_header
 from .specfun import chi2_cdf, f_cdf, normal_cdf
 
 DEFAULT_KLD_EPSILON = 1e-6
@@ -62,7 +63,7 @@ class ContingencyTable:
     def from_csv(cls, path: str) -> "ContingencyTable":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = read_header(reader, path)
             if not header or "\\" not in header[0]:
                 raise ValueError(f"{path}: expected a 'row\\col' header cell")
             row_axis, col_axis = header[0].split("\\", 1)

@@ -3,6 +3,10 @@
 The loss is -sum_j target[j] * log(probs[j]); with a one-hot target this is
 the ordinary categorical cross-entropy. Probabilities are floored at 1e-12
 before the logarithm since the loss is undefined at exactly zero.
+
+These are the plain, allocating forms. The trainer computes the same softmax
+and loss in place over preallocated work arrays; its tests hold it to these
+functions bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _check_target(target: np.ndarray) -> np.ndarray:
+def check_target(target: np.ndarray) -> np.ndarray:
+    """``target`` as floats, once every row is checked to sum to 1 within 1e-6."""
     target = np.asarray(target, dtype=float)
     sums = target.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > _TARGET_TOL:
@@ -32,19 +37,19 @@ def _check_target(target: np.ndarray) -> np.ndarray:
 def soft_ce(probs: np.ndarray, target: np.ndarray) -> float:
     """Cross-entropy of a predicted distribution against a soft target."""
     probs = np.asarray(probs, dtype=float)
-    target = _check_target(target)
+    target = check_target(target)
     return float(-(target * np.log(np.maximum(probs, PROB_FLOOR))).sum())
 
 
 def soft_ce_grad(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Gradient of soft_ce(softmax(logits), target) with respect to the logits."""
-    target = _check_target(target)
+    target = check_target(target)
     return softmax(logits) - target
 
 
 def mean_soft_ce(probs: np.ndarray, targets: np.ndarray) -> float:
     """Batch reduction of soft_ce: arithmetic mean over the rows."""
     probs = np.asarray(probs, dtype=float)
-    targets = _check_target(targets)
+    targets = check_target(targets)
     per_sample = -(targets * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=-1)
     return float(per_sample.mean())

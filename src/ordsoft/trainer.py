@@ -19,17 +19,32 @@ fit. ``train`` is the loop's one-member case.
 The K members' parameters live in one flat ``(K, P)`` buffer, P being the
 parameter count of one model, and their gradients in a second one; the layers
 (``w_in``, ``b_in``, ``w_out``, ``b_out``) are named ``(K, *shape)`` views of
-those buffers. The backward pass writes each gradient into its view, and the
-optimizer updates the whole buffer with one short run of in-place ufuncs per
-step rather than one allocating pass per layer. Every ufunc is elementwise or
-keeps its reduction axis, so the flat layout does not change a single bit.
+those buffers. The optimizer updates the whole buffer with one short run of
+in-place ufuncs per step rather than one allocating pass per layer.
+
+A step's forward/backward allocates no arrays either, only views. It writes
+into work arrays (``_Work``) that a fit allocates once per batch shape:
+``(K, B, H)`` hidden activations, ReLU mask and ``d_hidden``; ``(K, B, J)``
+logits, which become probabilities and then ``d_logits`` in place, and
+log-likelihood terms; ``(K, B)`` row max and sum. The short last batch of an
+epoch has its own set, because a matmul writing into part of a larger array may
+leave the BLAS path and round differently. The arrays are cut like the
+optimizer state when members leave the stack. The softmax takes each row's max
+and sum as J-1 ufuncs over the grade columns rather than as reductions over the
+last axis, because numpy reduces a length-5 trailing axis slowly; the max is
+exact and numpy adds a short row in index order, so the probabilities are bit
+for bit those of ``loss.softmax``. The validation loss runs one member at a
+time through one reused ``(1, V, ...)`` set, so memory stays at a lone model's
+size whatever K is, and the validation targets are checked once per fit.
+Inference is the same forward with a one-off set. Every ufunc is elementwise
+or keeps its reduction axis, so none of this changes a single bit.
 
 ``random_search`` samples hyperparameter configurations without replacement
 from the per-strategy grid. The candidates share the seed, so the same initial
 weights, split and shuffle order, and differ only in learning rate and
 targets: they train as one lockstep fit. The search selects by validation
-AMAE and returns the model it trained for the winner; ``run_protocol``
-repeats split / search / evaluate over independent seeds.
+AMAE and returns the model it trained for the winner; ``run_single`` wraps
+split / search / holdout evaluation for one seed.
 """
 
 from __future__ import annotations
@@ -43,7 +58,7 @@ import numpy as np
 
 from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion
 from .jointanalysis import ContingencyTable
-from .loss import mean_soft_ce, softmax
+from .loss import PROB_FLOOR, check_target
 from .metrics import MetricReport, amae as amae_metric, mae as mae_metric, compute_report
 from .softlabel import SmoothingParams, SoftTargetMatrix, build_target_matrix
 from .synth import PairedGrades
@@ -92,17 +107,88 @@ class TrainConfig:
         }
 
 
-def _forward(weights: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and the output layer's input: the ReLU hidden layer, or ``x`` itself
-    when the weights have no hidden layer (the linear model).
+class _Work:
+    """Work arrays for one forward/backward of K members over a batch of B rows.
 
-    Takes one model's weights, or a ``(K, ...)`` stack of them, which gives
-    ``(K, B, ...)`` outputs for the batch ``x`` that the K members share.
+    ``hidden``, ``mask`` and ``d_hidden`` are ``(K, B, H)`` (None for the linear
+    model); ``logits``, which become probabilities and then ``d_logits``, and
+    ``llik`` are ``(K, B, J)``; ``row_max`` and ``row_sum`` are ``(K, B)``. The
+    J column views of ``logits`` and the ``(K, B, 1)`` broadcast views of the
+    row max and sum are built with the arrays, and again after ``keep``.
     """
-    hidden = x
-    if "w_in" in weights:
-        hidden = np.maximum(x @ weights["w_in"] + weights["b_in"][..., None, :], 0.0)
-    return hidden @ weights["w_out"] + weights["b_out"][..., None, :], hidden
+
+    _ARRAYS = ("hidden", "mask", "d_hidden", "logits", "llik", "row_max", "row_sum", "total")
+
+    def __init__(self, layers: dict, n_members: int, n_rows: int):
+        """Arrays for ``n_members`` models laid out as ``layers`` (one model's)."""
+        self.hidden = self.mask = self.d_hidden = None
+        if "w_in" in layers:
+            shape = (n_members, n_rows, layers["b_in"].size)
+            self.hidden, self.d_hidden = np.empty(shape), np.empty(shape)
+            self.mask = np.empty(shape, dtype=bool)
+        self.logits = np.empty((n_members, n_rows, layers["b_out"].size))
+        self.llik = np.empty_like(self.logits)
+        self.row_max, self.row_sum = np.empty((n_members, n_rows)), np.empty((n_members, n_rows))
+        self.total = np.empty(n_members)
+        self._build_views()
+
+    def _build_views(self) -> None:
+        self.cols = [self.logits[..., j] for j in range(self.logits.shape[-1])]
+        self.max_bc, self.sum_bc = self.row_max[..., None], self.row_sum[..., None]
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop the arrays' rows of the members not in ``rows``."""
+        for name in self._ARRAYS:
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[rows])
+        self._build_views()
+
+
+def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
+    """Logits of a ``(K, ...)`` stack of models on the batch ``x`` they share,
+    written into ``work.logits`` and returned; ``work.hidden`` keeps the MLP's
+    ReLU hidden layer."""
+    inputs = x
+    if work.hidden is not None:
+        np.matmul(x, weights["w_in"], out=work.hidden)
+        work.hidden += weights["b_in"][..., None, :]
+        np.maximum(work.hidden, 0.0, out=work.hidden)
+        inputs = work.hidden
+    np.matmul(inputs, weights["w_out"], out=work.logits)
+    work.logits += weights["b_out"][..., None, :]
+    return work.logits
+
+
+def _softmax(work: _Work) -> np.ndarray:
+    """Turn ``work.logits`` into softmax probabilities in place and return them.
+
+    Each row's max and sum are J-1 ufuncs over the grade columns, in grade
+    order, since numpy reduces a short trailing axis slowly. The max is exact,
+    and numpy sums a row shorter than 8 in index order, so the result is bit
+    for bit ``loss.softmax``; longer rows take numpy's own pairwise reduction.
+    """
+    probs, cols = work.logits, work.cols
+    np.maximum(cols[0], cols[1], out=work.row_max)
+    for col in cols[2:]:
+        np.maximum(work.row_max, col, out=work.row_max)
+    probs -= work.max_bc
+    np.exp(probs, out=probs)
+    if len(cols) < 8:
+        np.add(cols[0], cols[1], out=work.row_sum)
+        for col in cols[2:]:
+            work.row_sum += col
+    else:
+        probs.sum(axis=-1, out=work.row_sum)
+    probs /= work.sum_bc
+    return probs
+
+
+def _log_likelihood(probs: np.ndarray, targets: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Target-weighted log-probabilities, probabilities floored as in ``loss``."""
+    np.maximum(probs, PROB_FLOOR, out=out)
+    np.log(out, out=out)
+    out *= targets
+    return out
 
 
 @dataclass
@@ -114,11 +200,17 @@ class ClassifierModel:
     n_classes: int
     hidden_width: int = 0
 
+    def _forward(self, features: np.ndarray) -> _Work:
+        """One forward pass over ``features`` with a one-off set of work arrays."""
+        work = _Work(self.weights, 1, len(features))
+        _forward({k: w[None] for k, w in self.weights.items()}, features, work)
+        return work
+
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return _forward(self.weights, features)[0]
+        return self._forward(features).logits[0]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(features))
+        return _softmax(self._forward(features))[0]
 
     def predict(self, samples: SampleSet) -> PredictionSet:
         return PredictionSet.from_probs(samples.labels, self.predict_proba(samples.features))
@@ -209,21 +301,39 @@ def _views(flat: np.ndarray, layout: list[tuple[str, slice, tuple]]) -> dict:
     return {key: flat[..., span].reshape(lead + shape) for key, span, shape in layout}
 
 
-def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _batch_gradients(
+    weights: dict, grads: dict, x: np.ndarray, t: np.ndarray, work: _Work
+) -> np.ndarray:
     """Per member: write the gradients of one batch's mean soft cross-entropy into
     ``grads`` (views of the same layout as ``weights``) and return the batch's sum of
-    target-weighted log-probabilities (minus the loss times the batch size)."""
-    logits, hidden = _forward(weights, x)
-    probs = softmax(logits)
-    d_logits = (probs - t) / x.shape[0]
+    target-weighted log-probabilities (minus the loss times the batch size), all
+    through the work arrays ``work`` sized for this batch."""
+    _forward(weights, x, work)
+    probs = _softmax(work)
+    _log_likelihood(probs, t, work.llik).sum(axis=(-2, -1), out=work.total)
+    d_logits = probs
+    d_logits -= t
+    d_logits /= x.shape[0]
+    hidden = x if work.hidden is None else work.hidden
     np.matmul(hidden.swapaxes(-1, -2), d_logits, out=grads["w_out"])
     d_logits.sum(axis=-2, out=grads["b_out"])
-    if "w_in" in weights:
+    if work.hidden is not None:
+        np.matmul(d_logits, weights["w_out"].swapaxes(-1, -2), out=work.d_hidden)
         # hidden > 0 exactly where the ReLU's input is positive
-        d_hidden = (d_logits @ weights["w_out"].swapaxes(-1, -2)) * (hidden > 0.0)
-        np.matmul(x.T, d_hidden, out=grads["w_in"])
-        d_hidden.sum(axis=-2, out=grads["b_in"])
-    return (t * np.log(np.maximum(probs, 1e-12))).sum(axis=(-2, -1))
+        np.greater(hidden, 0.0, out=work.mask)
+        work.d_hidden *= work.mask
+        np.matmul(x.T, work.d_hidden, out=grads["w_in"])
+        work.d_hidden.sum(axis=-2, out=grads["b_in"])
+    return work.total
+
+
+def _mean_soft_ce(weights: dict, x: np.ndarray, targets: np.ndarray, work: _Work) -> float:
+    """One model's mean soft cross-entropy over ``x``, as ``loss.mean_soft_ce``
+    computes it: row sums of the log-likelihood terms, then their mean."""
+    _forward(weights, x, work)
+    llik = _log_likelihood(_softmax(work), targets, work.llik)
+    llik.sum(axis=-1, out=work.row_sum)
+    return -float(work.row_sum.mean())
 
 
 class _Optimizer:
@@ -342,7 +452,9 @@ def _fit_lockstep(
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
     shared = configs[0]
-    members = [_Member(c, t.for_labels(validation.labels)) for c, t in zip(configs, targets)]
+    members = [
+        _Member(c, check_target(t.for_labels(validation.labels))) for c, t in zip(configs, targets)
+    ]
     alive = list(members)
     layout = _layout(init_weights)
     flat_init = np.concatenate([w.ravel() for w in init_weights.values()])
@@ -355,6 +467,11 @@ def _fit_lockstep(
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
     starts = range(0, data.n_samples, shared.batch_size)
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
+    # one set of work arrays per batch size: the short last batch gets its own,
+    # since a matmul writing into part of a larger array may round differently
+    work_sets = {n: _Work(init_weights, len(members), n) for n in set(batch_sizes.tolist())}
+    batch_work = [work_sets[n] for n in batch_sizes.tolist()]
+    val_work = _Work(init_weights, 1, validation.n_samples)
 
     for epoch in range(1, shared.max_epochs + 1):
         perm = rng.permutation(data.n_samples)
@@ -362,10 +479,10 @@ def _fit_lockstep(
         log_likelihoods = np.empty((len(alive), len(starts)))
         # divergence surfaces as non-finite losses below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, start in enumerate(starts):
+            for i, (start, work) in enumerate(zip(starts, batch_work)):
                 end = start + shared.batch_size
                 log_likelihoods[:, i] = _batch_gradients(
-                    weights, grads, x_epoch[start:end], t_epoch[:, start:end]
+                    weights, grads, x_epoch[start:end], t_epoch[:, start:end], work
                 )
                 optimizer.update(params, flat_grads)
             # per-batch mean losses, then their mean over the epoch
@@ -373,8 +490,12 @@ def _fit_lockstep(
             rows = []
             for row, member in enumerate(alive):
                 # one member at a time keeps the validation pass at a lone model's size
-                probs = softmax(_forward(_views(params[row], layout), validation.features)[0])
-                epoch_val = mean_soft_ce(probs, member.val_targets)
+                epoch_val = _mean_soft_ce(
+                    _views(params[row : row + 1], layout),
+                    validation.features,
+                    member.val_targets,
+                    val_work,
+                )
                 if member.record(epoch, float(epoch_train[row]), epoch_val, params[row], layout):
                     rows.append(row)
         if len(rows) < len(alive):
@@ -385,6 +506,8 @@ def _fit_lockstep(
             weights, grads = _views(params, layout), _views(flat_grads, layout)
             train_targets = train_targets[rows]
             optimizer.keep(rows)
+            for work in work_sets.values():
+                work.keep(rows)
     return members
 
 
@@ -609,25 +732,6 @@ def run_single(
         predictions=preds,
         validation_amae=outcome.val_amae,
     )
-
-
-def run_protocol(
-    dataset: SampleSet,
-    label_space: LabelSpace,
-    strategies: Sequence[str],
-    n_seeds: int,
-    search_space: SearchSpace = SearchSpace(),
-    settings: ProtocolSettings = ProtocolSettings(),
-) -> list[RunResult]:
-    """Repeat run_single over seeds root_seed .. root_seed + n_seeds - 1."""
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    results = []
-    for i in range(n_seeds):
-        seed = settings.root_seed + i
-        for strategy in strategies:
-            results.append(run_single(dataset, label_space, strategy, seed, search_space, settings))
-    return results
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,23 @@ def test_evaluate_header_only_is_usage_error(tmp_path, capsys):
     assert str(pred) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep", "analyze_truth", "analyze_pred"])
+def test_empty_csv_is_usage_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty_seed0.csv"
+    empty.write_text("")
+    table = tmp_path / "table.csv"
+    _write_table(table, [[5, 5], [5, 5]])
+    argv = {
+        "train": ["train", "--data", str(empty)],
+        "evaluate": ["evaluate", "--predictions", str(empty)],
+        "sweep": ["sweep", "--config", str(_write_sweep_config(tmp_path, empty, ["nominal"])[0])],
+        "analyze_truth": ["analyze", "--truth", str(empty), "--pred", str(table)],
+        "analyze_pred": ["analyze", "--truth", str(table), "--pred", str(empty)],
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    assert f"{empty}: empty file" in capsys.readouterr().err
+
+
 def test_evaluate_missing_file_is_runtime_error(tmp_path):
     assert main(["evaluate", "--predictions", str(tmp_path / "nope.csv")]) == EXIT_RUNTIME
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ordsoft.core import LabelSpace, PredictionSet, SampleSet, build_confusion
+from ordsoft.loss import PROB_FLOOR, mean_soft_ce, softmax
 from ordsoft.metrics import amae
 from ordsoft.softlabel import SmoothingParams, build_target_matrix
 from ordsoft.synth import SynthSpec, generate
@@ -20,7 +21,6 @@ from ordsoft.trainer import (
     fit,
     init_model,
     random_search,
-    run_protocol,
     run_single,
     stratified_split,
     train,
@@ -141,8 +141,6 @@ def test_early_stopping_restores_best_epoch_weights():
     )
     model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=16)
     model, history = train(model, data, targets, config, val)
-    from ordsoft.loss import mean_soft_ce
-
     final_val = mean_soft_ce(model.predict_proba(val.features), targets.for_labels(val.labels))
     assert final_val == pytest.approx(min(history.val_loss), abs=1e-12)
 
@@ -280,26 +278,34 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
     assert len(stopped) >= 2
 
 
-def _reference_epochs(init_weights, data, target, config, n_epochs):
-    """Each epoch's weights of a lone fit with per-layer dict-of-arrays SGD/Adam: the
-    forward/backward and update written one layer at a time, allocating as they go."""
+def _reference_epochs(init_weights, data, val, target, config, n_epochs):
+    """Each epoch's weights, train loss and val loss of a lone fit with per-layer
+    dict-of-arrays SGD/Adam: the forward/backward, update and losses written one
+    layer at a time with ``loss.softmax`` and ``loss.mean_soft_ce``, allocating as
+    they go."""
     weights = {k: w[None].copy() for k, w in init_weights.items()}
     m = {k: np.zeros_like(w) for k, w in weights.items()}
     v = {k: np.zeros_like(w) for k, w in weights.items()}
     lr, steps, epochs = config.learning_rate, 0, []
     rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE])
     t_all = target.for_labels(data.labels)[None]
+
+    def forward(x):
+        hidden = x
+        if "w_in" in weights:
+            hidden = np.maximum(x @ weights["w_in"] + weights["b_in"][..., None, :], 0.0)
+        return hidden, softmax(hidden @ weights["w_out"] + weights["b_out"][..., None, :])
+
     for _ in range(n_epochs):
         perm = rng.permutation(data.n_samples)
+        batch_losses = []
         for start in range(0, data.n_samples, config.batch_size):
             idx = perm[start:start + config.batch_size]
             x, t = data.features[idx], t_all[:, idx]
-            hidden = x
-            if "w_in" in weights:
-                hidden = np.maximum(x @ weights["w_in"] + weights["b_in"][..., None, :], 0.0)
-            logits = hidden @ weights["w_out"] + weights["b_out"][..., None, :]
-            exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            d_logits = (exp / exp.sum(axis=-1, keepdims=True) - t) / x.shape[0]
+            hidden, probs = forward(x)
+            # one sum over all the batch's rows and grades, then per row, as the trainer reduces it
+            batch_losses.append(-(t * np.log(np.maximum(probs, PROB_FLOOR))).sum() / x.shape[0])
+            d_logits = (probs - t) / x.shape[0]
             grads = {"w_out": hidden.swapaxes(-1, -2) @ d_logits, "b_out": d_logits.sum(axis=-2)}
             if "w_in" in weights:
                 d_hidden = (d_logits @ weights["w_out"].swapaxes(-1, -2)) * (hidden > 0.0)
@@ -316,7 +322,9 @@ def _reference_epochs(init_weights, data, target, config, n_epochs):
                 m_hat = m[key] / (1.0 - 0.9**steps)
                 v_hat = v[key] / (1.0 - 0.999**steps)
                 weights[key] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        epochs.append({k: w[0].copy() for k, w in weights.items()})
+        val_loss = mean_soft_ce(forward(val.features)[1][0], target.for_labels(val.labels))
+        epochs.append(({k: w[0].copy() for k, w in weights.items()},
+                       float(np.mean(batch_losses)), val_loss))
     return epochs
 
 
@@ -343,6 +351,8 @@ def test_flat_update_matches_per_layer_reference_every_epoch(
     settings = ProtocolSettings(batch_size=16, max_epochs=25, patience=3,
                                 architecture=architecture, optimizer=optimizer, hidden_width=8)
     subtrain, val = validation_split(data, 2, settings)
+    # a short last batch, so the fit's second set of work arrays runs too
+    assert subtrain.n_samples % settings.batch_size != 0
     configs = [
         TrainConfig(lr, "triangular", SmoothingParams(eta=eta, alpha=0.05), seed=2,
                     batch_size=16, max_epochs=25, patience=3, optimizer=optimizer)
@@ -358,12 +368,44 @@ def test_flat_update_matches_per_layer_reference_every_epoch(
     # members left the stack at different epochs while others trained on
     assert len(set(epochs_run)) >= 2 and max(epochs_run) > min(epochs_run)
     for config, target, member, n_epochs in zip(configs, targets, members, epochs_run):
-        reference = _reference_epochs(init.weights, subtrain, target, config, n_epochs)
-        for (params, _, layout), expected in zip(seen[id(member)], reference):
+        reference = _reference_epochs(init.weights, subtrain, val, target, config, n_epochs)
+        for (params, _, layout), (expected, _, _) in zip(seen[id(member)], reference):
             got = _views(params, layout)
             assert got.keys() == expected.keys()
             for key, weights in expected.items():
                 np.testing.assert_array_equal(got[key], weights)
+        # early stopping reads these, so they must be the reference's to the bit
+        assert member.diverged is None
+        assert member.history.train_loss == tuple(r[1] for r in reference)
+        assert member.history.val_loss == tuple(r[2] for r in reference)
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+@pytest.mark.parametrize("n_classes", [2, 5, 9])
+@pytest.mark.parametrize("spread", [1e3, 10.0])
+def test_predict_proba_is_the_reference_softmax(architecture, n_classes, spread):
+    rng = np.random.default_rng(n_classes)
+    model = init_model(architecture, 8, n_classes, seed=4, hidden_width=16)
+    weights = {k: w + rng.normal(size=w.shape) for k, w in model.weights.items()}
+    # a row count unlike any batch size
+    x = rng.normal(size=(37, 8))
+
+    def reference_logits():
+        hidden = x
+        if "w_in" in weights:
+            hidden = np.maximum(x @ weights["w_in"] + weights["b_in"], 0.0)
+        return hidden @ weights["w_out"] + weights["b_out"]
+
+    # scale the output layer so the logits spread over ``spread``: at 1e3 most
+    # probabilities underflow, at 10 every grade adds to each row's sum
+    scale = spread / np.ptp(reference_logits())
+    weights["w_out"], weights["b_out"] = weights["w_out"] * scale, weights["b_out"] * scale
+    model.weights = weights
+    logits = reference_logits()
+    assert np.ptp(logits) == pytest.approx(spread)
+    np.testing.assert_array_equal(model.logits(x), logits)
+    probs = model.predict_proba(x)
+    assert probs.tobytes() == softmax(logits).tobytes()
 
 
 def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
@@ -415,17 +457,17 @@ def test_run_single_metrics_recomputable():
     assert result.seed == 0
 
 
-def test_run_protocol_shape_and_determinism():
+def test_run_single_deterministic():
     data, space = _small_dataset(n_per_class=24, adjacent_flip_prob=0.2)
     settings = ProtocolSettings(max_epochs=5, patience=5, hidden_width=4)
-    space_cfg = SearchSpace(max_configs=2)
-    results = run_protocol(data, space, ["nominal", "binomial"], n_seeds=2,
-                           search_space=space_cfg, settings=settings)
-    assert [(r.seed, r.strategy) for r in results] == [
-        (0, "nominal"), (0, "binomial"), (1, "nominal"), (1, "binomial"),
+    runs = [
+        run_single(data, space, strategy, seed, SearchSpace(max_configs=2), settings)
+        for _ in range(2)
+        for seed in (0, 1)
+        for strategy in ("nominal", "binomial")
     ]
-    again = run_protocol(data, space, ["nominal", "binomial"], n_seeds=2,
-                         search_space=space_cfg, settings=settings)
-    for a, b in zip(results, again):
+    for a, b in zip(runs[:4], runs[4:]):
+        assert (a.seed, a.strategy, a.chosen_config) == (b.seed, b.strategy, b.chosen_config)
         assert a.metrics == b.metrics
         np.testing.assert_array_equal(a.predictions.predicted_probs, b.predictions.predicted_probs)
+        np.testing.assert_array_equal(a.predictions.predicted_labels, b.predictions.predicted_labels)
