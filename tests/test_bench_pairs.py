@@ -16,10 +16,16 @@ def _tool():
     return module
 
 
-def _run(pair, side, wall, rss, correct=True):
+def _run(pair, side, wall, rss, correct=True, failed=0):
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MiB"}}
-    line = {"workload": "w", "correct": correct, "failed": 0, "metrics": metrics}
+    if wall is None:
+        del metrics["wall_s"]
+    line = {"workload": "w", "correct": correct, "failed": failed, "metrics": metrics}
     return {"pair": pair, "side": side, "exit_code": 0, "lines": [line]}
+
+
+def _crashed(pair, side):
+    return {"pair": pair, "side": side, "exit_code": 1, "lines": []}
 
 
 METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -34,10 +40,11 @@ def test_wins_quartiles_and_gain_rule():
         runs.append(_run(i, "change", 8.0 + i * 0.1 if i < 9 else 20.0, 40.0))
     summary = _tool().summarise(runs, METRICS)["w"]
     wall = summary["metrics"]["wall_s"]
-    assert (wall["pairs"], wall["wins"], wall["ties"]) == (10, 9, 0)
+    assert (wall["pairs"], wall["reported"], wall["wins"], wall["ties"]) == (10, 10, 9, 0)
     assert wall["parent"]["median"] == pytest.approx(10.45)
-    assert wall["parent"]["q1"] == pytest.approx(10.225)
-    assert wall["parent"]["q3"] == pytest.approx(10.675)
+    # statistics.quantiles' default (exclusive) method, as perfbench/README.md defines them
+    assert wall["parent"]["q1"] == pytest.approx(10.175)
+    assert wall["parent"]["q3"] == pytest.approx(10.725)
     assert wall["gain_rule_met"] is True
     rss = summary["metrics"]["peak_rss_mb"]
     assert (rss["wins"], rss["ties"], rss["change_rel"]) == (0, 10, 0.0)
@@ -54,3 +61,37 @@ def test_gain_rule_needs_nine_tenths_of_the_pairs():
     assert summary["metrics"]["wall_s"]["wins"] == 8
     assert summary["metrics"]["wall_s"]["gain_rule_met"] is False
     assert summary["change"]["correct"] == 9
+
+
+def test_gain_rule_counts_every_pair_run():
+    # the change wins every pair it reports, but reports wall_s in only 8 of 10
+    runs = []
+    for i in range(10):
+        runs.append(_run(i, "parent", 10.0, 40.0))
+        runs.append(_run(i, "change", 5.0 if i < 8 else None, 40.0))
+    wall = _tool().summarise(runs, METRICS)["w"]["metrics"]["wall_s"]
+    assert (wall["pairs"], wall["reported"], wall["wins"]) == (10, 8, 8)
+    assert wall["change"]["n"] == 8
+    assert wall["gain_rule_met"] is False
+    # one pair where the change run printed no line at all: 9 wins of 10, but a run is lost
+    runs = []
+    for i in range(10):
+        runs.append(_run(i, "parent", 10.0, 40.0))
+        runs.append(_run(i, "change", 5.0, 40.0) if i < 9 else _crashed(i, "change"))
+    summary = _tool().summarise(runs, METRICS)["w"]
+    assert (summary["metrics"]["wall_s"]["pairs"], summary["metrics"]["wall_s"]["wins"]) == (10, 9)
+    assert summary["change"] == {"runs": 9, "correct": 9, "failed_ops": 0}
+    assert summary["metrics"]["wall_s"]["gain_rule_met"] is False
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
+def test_gain_rule_fails_when_the_change_fails_more(correct, failed):
+    runs = []
+    for i in range(10):
+        runs.append(_run(i, "parent", 10.0 + i * 0.01, 40.0))
+        bad = i == 4
+        runs.append(_run(i, "change", 5.0, 40.0, correct=correct if bad else True,
+                         failed=failed if bad else 0))
+    wall = _tool().summarise(runs, METRICS)["w"]["metrics"]["wall_s"]
+    assert wall["wins"] == 10
+    assert wall["gain_rule_met"] is False

@@ -1,19 +1,22 @@
 """Run the benchmark on two source trees in alternating pairs and summarise them.
 
     python3 tools/bench_pairs.py --parent TREE --change TREE --pairs 10 \
-        --seed 61 --seconds 15 --tag NAME [--workload all] [--out FILE]
+        --seed 61 --seconds 15 --tag NAME [--out FILE]
 
 Each tree is a checkout of this repository. Pair i runs
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
-each tree, the parent first in even pairs and the change first in odd ones, one
-run at a time. The benchmark is only run as a command, never imported or
+``python3 perfbench/run.py --workload all --seed S --seconds T --trace 0`` once
+in each tree, the parent first in even pairs and the change first in odd ones,
+one run at a time. The benchmark is only run as a command, never imported or
 changed. ``BENCH_<tag>.json`` (or ``--out``) gets every run's JSON lines and,
 per workload and end-to-end metric of ``BENCHMARK.json``, each side's median
-and quartiles, the change's win count over the pairs where both sides reported
-the metric (ties count for neither side), and whether the gain rule holds:
-wins in at least nine tenths of the pairs and a median gap wider than the
-parent's interquartile range. Each side is identified by a SHA-256 of its
-``src/`` files, so the result can be matched to a commit later.
+and quartiles (``statistics.quantiles(n=4)``, as ``perfbench/README.md``
+defines them), the change's win count over all pairs run (a pair where either
+side did not report the metric counts as a loss, a tie counts for neither
+side), and whether the gain rule holds: wins in at least nine tenths of the
+pairs run, a median gap wider than the parent's interquartile range, and no
+fewer correct runs and no more failed operations on the change's side. Each
+side is identified by a SHA-256 of its ``src/`` files, so the result can be
+matched to a commit later.
 """
 
 from __future__ import annotations
@@ -39,25 +42,27 @@ def src_digest(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its exit code and the JSON lines it printed."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def benchmark_argv(seed: int, seconds: float) -> list[str]:
+    """The benchmark command of every run: all workloads, untraced."""
+    return ["perfbench/run.py", "--workload", "all", "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    lines = []
-    for text in proc.stdout.splitlines():
-        if text.startswith("{"):
-            line = json.loads(text)
-            line.setdefault("workload", workload)
-            lines.append(line)
+
+
+def run_benchmark(tree: Path, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``: its exit code and the JSON lines it printed."""
+    proc = subprocess.run([sys.executable, *benchmark_argv(seed, seconds)], cwd=tree,
+                          capture_output=True, text=True)
+    lines = [json.loads(text) for text in proc.stdout.splitlines() if text.startswith("{")]
     return {"exit_code": proc.returncode, "lines": lines, "stderr_tail": proc.stderr[-2000:]}
 
 
-def quartiles(values: list[float]) -> dict:
+def quartiles(values: list[float]) -> dict | None:
+    if not values:
+        return None
     if len(values) < 2:
         q1 = q3 = values[0]
     else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1,
             "n": len(values)}
 
@@ -78,36 +83,41 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                 entry[side]["runs"] += 1
                 entry[side]["correct"] += bool(line.get("correct"))
                 entry[side]["failed_ops"] += line.get("failed", 0)
+        no_worse = (entry["change"]["correct"] >= entry["parent"]["correct"]
+                    and entry["change"]["failed_ops"] <= entry["parent"]["failed_ops"])
         entry["metrics"] = {}
         for metric in metrics:
             name, lower = metric["name"], metric.get("better", "lower") == "lower"
-            paired = []
-            for i in pairs:
-                values = [lines.get((i, side, wl), {}).get("metrics", {}).get(name, {})
-                          .get("value") for side in SIDES]
-                if None not in values:
-                    paired.append(values)
-            if not paired:
+            values = {i: [lines.get((i, side, wl), {}).get("metrics", {}).get(name, {})
+                          .get("value") for side in SIDES] for i in pairs}
+            if all(v == [None, None] for v in values.values()):
                 continue
-            parent = quartiles([p for p, _ in paired])
-            change = quartiles([c for _, c in paired])
+            paired = [v for v in values.values() if None not in v]
+            parent = quartiles([p for p, _ in values.values() if p is not None])
+            change = quartiles([c for _, c in values.values() if c is not None])
             wins = sum((c < p) if lower else (c > p) for p, c in paired)
             ties = sum(c == p for p, c in paired)
-            gap = change["median"] - parent["median"]
-            if lower:
-                gap = -gap
+            gain = False
+            change_rel = None
+            if parent and change:
+                gap = change["median"] - parent["median"]
+                if parent["median"]:
+                    change_rel = gap / parent["median"]
+                if lower:
+                    gap = -gap
+                gain = no_worse and wins >= 0.9 * len(pairs) and gap > parent["iqr"]
             entry["metrics"][name] = {
                 "unit": metric.get("unit"),
                 "better": metric.get("better", "lower"),
                 "bound": metric.get("bound"),
                 "parent": parent,
                 "change": change,
-                "change_rel": (change["median"] - parent["median"]) / parent["median"]
-                if parent["median"] else None,
-                "pairs": len(paired),
+                "change_rel": change_rel,
+                "pairs": len(pairs),
+                "reported": len(paired),
                 "wins": wins,
                 "ties": ties,
-                "gain_rule_met": wins >= 0.9 * len(paired) and gap > parent["iqr"],
+                "gain_rule_met": gain,
             }
         summary[wl] = entry
     return summary
@@ -121,7 +131,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
-    parser.add_argument("--workload", default="all")
     parser.add_argument("--out", type=Path, help="output file (default: BENCH_<tag>.json)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -137,7 +146,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run_benchmark(trees[side], args.workload, args.seed, args.seconds)
+            result = run_benchmark(trees[side], args.seed, args.seconds)
             runs.append({"pair": i, "side": side, **result})
             brief = {line["workload"]: line.get("metrics", {}).get("wall_s", {}).get("value")
                      for line in result["lines"]}
@@ -145,8 +154,7 @@ def main(argv=None) -> int:
     report = {
         "schema": "bench_pairs-v1",
         "tag": args.tag,
-        "command": ["python3", "perfbench/run.py", "--workload", args.workload,
-                    "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        "command": ["python3", *benchmark_argv(args.seed, args.seconds)],
         "pairs": args.pairs,
         "order": "parent first in even pairs, change first in odd pairs",
         "src_sha256": {side: src_digest(tree) for side, tree in trees.items()},
