@@ -36,6 +36,8 @@ from .core import (
     build_confusion,
     confusion_from_labels,
     read_header,
+    read_labelled_csv,
+    write_labelled_csv,
 )
 from .jointanalysis import (
     ContingencyTable,
@@ -54,7 +56,6 @@ from .synth import (
     PairedGrades,
     PairedSynthSpec,
     SynthSpec,
-    flip_adjacent,
     generate,
     generate_paired,
     paired_features,
@@ -63,10 +64,11 @@ from .trainer import (
     ProtocolSettings,
     SearchSpace,
     TrainConfig,
-    fit,
+    init_model,
     run_paired_single,
     run_single,
     stratified_split,
+    train,
     validation_split,
 )
 
@@ -74,9 +76,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 WORKERS_ENV = "ORDSOFT_WORKERS"
-
-_STREAM_PAIR_FLIP_A = 21
-_STREAM_PAIR_FLIP_B = 22
 
 
 class UsageError(Exception):
@@ -140,75 +139,42 @@ def cmd_softlabels(args) -> int:
 
 
 def _write_paired_csv(path: str, features: np.ndarray, labels_a: np.ndarray, labels_b: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(features.shape[1])] + ["label_a", "label_b"])
-        for row, la, lb in zip(features, labels_a, labels_b):
-            writer.writerow([repr(float(v)) for v in row] + [int(la), int(lb)])
+    write_labelled_csv(path, features, {"label_a": labels_a, "label_b": labels_b})
 
 
 def _read_paired_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = read_header(reader, path)
-        if header[-2:] != ["label_a", "label_b"]:
-            raise ValueError(f"{path}: expected trailing columns label_a,label_b")
-        d = len(header) - 2
-        feats, la, lb = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            feats.append([float(v) for v in row[:d]])
-            la.append(int(row[d]))
-            lb.append(int(row[d + 1]))
-    return np.asarray(feats, dtype=float), np.asarray(la, dtype=int), np.asarray(lb, dtype=int)
+    return read_labelled_csv(path, ("label_a", "label_b"))
 
 
 def cmd_synth(args) -> int:
-    if args.paired:
-        try:
+    shared = dict(
+        n_features=args.dim,
+        class_separation=args.separation,
+        noise_sd=args.noise_sd,
+        adjacent_flip_prob=args.flip_prob,
+        seed=args.seed,
+    )
+    try:
+        if args.paired:
             spec = PairedSynthSpec(
                 n_classes_a=args.classes_a,
                 n_classes_b=args.classes_b,
                 n_samples=args.n,
                 low_grade_concentration=args.low_grade_concentration,
                 high_grade_spread=args.high_grade_spread,
-                seed=args.seed,
+                **shared,
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        grades = generate_paired(spec)
-        labels_a, labels_b = grades.labels_a, grades.labels_b
-        if args.flip_prob > 0:
-            labels_a = flip_adjacent(
-                labels_a, spec.n_classes_a, args.flip_prob,
-                np.random.default_rng([args.seed, _STREAM_PAIR_FLIP_A]),
-            )
-            labels_b = flip_adjacent(
-                labels_b, spec.n_classes_b, args.flip_prob,
-                np.random.default_rng([args.seed, _STREAM_PAIR_FLIP_B]),
-            )
-        observed = PairedGrades(labels_a, labels_b, spec.n_classes_a, spec.n_classes_b)
-        features = paired_features(
-            observed, args.dim, args.separation, args.noise_sd, seed=args.seed
-        )
-        _write_paired_csv(args.out, features, labels_a, labels_b)
-        if args.truth_out:
-            observed.contingency().to_csv(args.truth_out)
-        return EXIT_OK
-    try:
-        spec = SynthSpec(
-            n_classes=args.classes,
-            n_per_class=args.per_class,
-            n_features=args.dim,
-            class_separation=args.separation,
-            noise_sd=args.noise_sd,
-            adjacent_flip_prob=args.flip_prob,
-            seed=args.seed,
-        )
+        else:
+            spec = SynthSpec(n_classes=args.classes, n_per_class=args.per_class, **shared)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    generate(spec).to_csv(args.out)
+    if args.paired:
+        grades = generate_paired(spec)
+        _write_paired_csv(args.out, paired_features(grades, spec), grades.labels_a, grades.labels_b)
+        if args.truth_out:
+            grades.contingency().to_csv(args.truth_out)
+    else:
+        generate(spec).to_csv(args.out)
     return EXIT_OK
 
 
@@ -260,17 +226,14 @@ def cmd_train(args) -> int:
     cfg = {}
     if args.config:
         cfg = json.loads(Path(args.config).read_text())
-    params = SmoothingParams(
-        eta=args.eta if args.eta is not None else cfg.get("params", {}).get("eta", 1.0),
-        alpha=args.alpha if args.alpha is not None else cfg.get("params", {}).get("alpha"),
-        p=args.p if args.p is not None else cfg.get("params", {}).get("p"),
-        concentration=(
-            args.concentration
-            if args.concentration is not None
-            else cfg.get("params", {}).get("concentration")
-        ),
-    )
+    cfg_params = cfg.get("params", {})
     try:
+        params = SmoothingParams(
+            eta=_given(args.eta, cfg_params.get("eta", 1.0)),
+            alpha=_given(args.alpha, cfg_params.get("alpha")),
+            p=_given(args.p, cfg_params.get("p")),
+            concentration=_given(args.concentration, cfg_params.get("concentration")),
+        )
         config = TrainConfig(
             learning_rate=_given(args.learning_rate, cfg.get("learning_rate", 1e-3)),
             strategy=args.strategy or cfg.get("strategy", "nominal"),
@@ -281,17 +244,18 @@ def cmd_train(args) -> int:
             patience=_given(args.patience, cfg.get("patience", 40)),
             optimizer=args.optimizer or cfg.get("optimizer", "adam"),
         )
+        targets = build_target_matrix(space, config.strategy, config.params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    settings = ProtocolSettings(
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        optimizer=config.optimizer,
-    )
+    settings = ProtocolSettings()
     train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, config.seed)
     train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
-    model = fit(*validation_split(train_set, config.seed, settings), config, space, settings)
+    subtrain, val = validation_split(train_set, config.seed, settings)
+    model = init_model(
+        settings.architecture, dataset.n_features, space.n_classes, config.seed,
+        settings.hidden_width,
+    )
+    model, _ = train(model, subtrain, targets, config, val)
     preds = model.predict(test_set)
     metrics = compute_report(build_confusion(preds, space))
     result = RunResult(config.seed, config.strategy, config, metrics, preds)
@@ -366,18 +330,22 @@ def _single_task(payload) -> dict:
 
 def _paired_task(payload) -> dict:
     features, grades, strategy, seed, search_space, settings, task = payload
-    result = run_paired_single(features, grades, strategy, seed, search_space, settings)
+    a, b = run_paired_single(features, grades, strategy, seed, search_space, settings)
+    predicted = PairedGrades(
+        a.predictions.predicted_labels, b.predictions.predicted_labels,
+        grades.n_classes_a, grades.n_classes_b,
+    )
     return {
         "schema": "ordsoft.paired_run_record-v1",
         "task": task,
-        "seed": result.seed,
-        "strategy": result.strategy,
-        "config_a": result.config_a.to_dict(),
-        "config_b": result.config_b.to_dict(),
-        "metrics_a": result.metrics_a.to_dict(),
-        "metrics_b": result.metrics_b.to_dict(),
-        "table": [[int(v) for v in row] for row in result.table.counts],
-        "table_file": f"tables/{result.strategy}_seed{result.seed}.csv",
+        "seed": seed,
+        "strategy": strategy,
+        "config_a": a.chosen_config.to_dict(),
+        "config_b": b.chosen_config.to_dict(),
+        "metrics_a": a.metrics.to_dict(),
+        "metrics_b": b.metrics.to_dict(),
+        "table": predicted.contingency().counts.tolist(),
+        "table_file": f"tables/{strategy}_seed{seed}.csv",
     }
 
 
@@ -426,7 +394,10 @@ def cmd_sweep(args) -> int:
     if paired:
         features, labels_a, labels_b = _read_paired_csv(dataset_path)
         grades = PairedGrades(
-            labels_a, labels_b, int(labels_a.max()) + 1, int(labels_b.max()) + 1
+            labels_a,
+            labels_b,
+            _label_space(None, labels_a, dataset_path).n_classes,
+            _label_space(None, labels_b, dataset_path).n_classes,
         )
         task_fn, data = _paired_task, (features, grades)
         scales = [
@@ -435,7 +406,7 @@ def cmd_sweep(args) -> int:
         ]
     else:
         dataset = SampleSet.from_csv(dataset_path)
-        task_fn, data = _single_task, (dataset, LabelSpace(int(dataset.labels.max()) + 1))
+        task_fn, data = _single_task, (dataset, _label_space(None, dataset.labels, dataset_path))
         scales = [("summary.json", "metrics", "")]
     payloads = [
         (*data, strategy, settings.root_seed + i, search_space, settings, task)

@@ -33,6 +33,36 @@ def read_header(reader, path: str) -> list[str]:
     return header
 
 
+def write_labelled_csv(path: str, features: np.ndarray, labels: dict) -> None:
+    """Write ``features`` as columns f0,...,f{d-1} followed by one integer column
+    per entry of ``labels`` (column name -> labels)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(features.shape[1])] + list(labels))
+        for row, *labs in zip(features, *labels.values()):
+            writer.writerow([repr(float(v)) for v in row] + [int(v) for v in labs])
+
+
+def read_labelled_csv(path: str, label_names: tuple) -> tuple:
+    """The features and the label columns of a CSV with header f0,...,f{d-1}
+    followed by ``label_names``: ``(features, labels_1, ...)``, parsed in one pass."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = read_header(reader, path)
+        d = len(header) - len(label_names)
+        if d < 0 or header[d:] != list(label_names):
+            raise ValueError(f"{path}: expected trailing columns {','.join(label_names)}")
+        feats, labs = [], [[] for _ in label_names]
+        for row in reader:
+            if not row:
+                continue
+            feats.append([float(v) for v in row[:d]])
+            for i, column in enumerate(labs):
+                column.append(int(row[d + i]))
+    features = np.asarray(feats, dtype=float).reshape(len(feats), d)
+    return (features, *(np.asarray(column, dtype=int) for column in labs))
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """An ordered set of grades indexed 0 .. n_classes-1."""
@@ -82,27 +112,11 @@ class SampleSet:
 
     def to_csv(self, path: str) -> None:
         """Write as CSV with header f0,...,f{d-1},label."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"f{i}" for i in range(self.n_features)] + ["label"])
-            for row, lab in zip(self.features, self.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+        write_labelled_csv(path, self.features, {"label": self.labels})
 
     @classmethod
     def from_csv(cls, path: str) -> "SampleSet":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = read_header(reader, path)
-            if not header or header[-1] != "label":
-                raise ValueError(f"{path}: expected header f0,...,label")
-            d = len(header) - 1
-            feats, labs = [], []
-            for row in reader:
-                if not row:
-                    continue
-                feats.append([float(v) for v in row[:d]])
-                labs.append(int(row[d]))
-        return cls(np.asarray(feats, dtype=float).reshape(len(labs), d), np.asarray(labs, dtype=int))
+        return cls(*read_labelled_csv(path, ("label",)))
 
 
 @dataclass(frozen=True)

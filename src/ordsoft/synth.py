@@ -6,10 +6,15 @@ to a uniformly chosen adjacent grade with a fixed probability — the
 adjacent-confusion regime ordinal soft labels are built for. ``generate_paired``
 draws two grade variables whose joint table is concentrated on B = 0 for low
 A grades and spreads toward uniform for high A grades, reproducing the
-asymmetric association shape the joint analysis targets.
+asymmetric association shape the joint analysis targets. Paired data takes
+the same label noise (``adjacent_flip_prob``, applied to each scale) and the
+same feature spec (``n_features``, ``class_separation``, ``noise_sd``) as
+single data, with the same checks, except that it needs at least 2 features.
 
 All draws come from per-purpose child generators of the spec seed, so e.g.
-changing the flip probability never changes the features.
+changing the flip probability never changes the noise drawn for the features.
+``paired_features`` places its rows at the flipped grades, though, so on paired
+data the flips move the features with the labels.
 """
 
 from __future__ import annotations
@@ -26,6 +31,18 @@ from .jointanalysis import ContingencyTable
 _STREAM_FEATURES = 1
 _STREAM_FLIPS = 2
 _STREAM_PAIRS = 3
+_STREAM_PAIR_FLIPS_A = 21
+_STREAM_PAIR_FLIPS_B = 22
+
+
+def _check_features_and_noise(spec, min_features: int) -> None:
+    """The checks shared by both specs of the feature and label-noise fields."""
+    if spec.n_features < min_features:
+        raise ValueError(f"n_features must be at least {min_features}, got {spec.n_features}")
+    if spec.class_separation <= 0 or spec.noise_sd <= 0:
+        raise ValueError("class_separation and noise_sd must be positive")
+    if not 0.0 <= spec.adjacent_flip_prob < 0.5:
+        raise ValueError("adjacent_flip_prob must lie in [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -44,12 +61,7 @@ class SynthSpec:
         counts = self.class_counts()
         if any(c < 2 for c in counts):
             raise ValueError("every class needs at least 2 samples")
-        if self.n_features < 1:
-            raise ValueError("need at least 1 feature")
-        if self.class_separation <= 0 or self.noise_sd <= 0:
-            raise ValueError("class_separation and noise_sd must be positive")
-        if not 0.0 <= self.adjacent_flip_prob < 0.5:
-            raise ValueError("adjacent_flip_prob must lie in [0, 0.5)")
+        _check_features_and_noise(self, min_features=1)
 
     def class_counts(self) -> tuple:
         if isinstance(self.n_per_class, int):
@@ -98,6 +110,10 @@ class PairedSynthSpec:
     high_grade_spread: float = 0.9
     marginal_a: Union[tuple, None] = None  # None draws A uniformly
     seed: int = 0
+    n_features: int = 8
+    class_separation: float = 1.0
+    noise_sd: float = 0.5
+    adjacent_flip_prob: float = 0.0  # per scale
 
     def __post_init__(self) -> None:
         if self.n_classes_a < 2 or self.n_classes_b < 2:
@@ -114,6 +130,8 @@ class PairedSynthSpec:
                 raise ValueError("marginal_a must be a non-negative vector over the A grades")
             if abs(marginal.sum() - 1.0) > 1e-9:
                 raise ValueError("marginal_a must sum to 1")
+        # axis 0 carries A and axis 1 carries B
+        _check_features_and_noise(self, min_features=2)
 
 
 def paired_conditional(spec: PairedSynthSpec, grade_a: int) -> np.ndarray:
@@ -147,7 +165,8 @@ class PairedGrades:
 
 
 def generate_paired(spec: PairedSynthSpec) -> PairedGrades:
-    """Draw A from its marginal (uniform by default), then B conditionally on A."""
+    """Draw A from its marginal (uniform by default), then B conditionally on A,
+    then flip each scale's grades to an adjacent one at ``adjacent_flip_prob``."""
     rng = np.random.default_rng([spec.seed, _STREAM_PAIRS])
     if spec.marginal_a is None:
         labels_a = rng.integers(0, spec.n_classes_a, size=spec.n_samples)
@@ -160,22 +179,22 @@ def generate_paired(spec: PairedSynthSpec) -> PairedGrades:
     for a in range(spec.n_classes_a):
         mask = labels_a == a
         labels_b[mask] = rng.choice(spec.n_classes_b, size=int(mask.sum()), p=conditionals[a])
+    labels_a = flip_adjacent(
+        labels_a, spec.n_classes_a, spec.adjacent_flip_prob,
+        np.random.default_rng([spec.seed, _STREAM_PAIR_FLIPS_A]),
+    )
+    labels_b = flip_adjacent(
+        labels_b, spec.n_classes_b, spec.adjacent_flip_prob,
+        np.random.default_rng([spec.seed, _STREAM_PAIR_FLIPS_B]),
+    )
     return PairedGrades(labels_a, labels_b, spec.n_classes_a, spec.n_classes_b)
 
 
-def paired_features(
-    grades: PairedGrades,
-    n_features: int,
-    class_separation: float = 1.0,
-    noise_sd: float = 0.5,
-    seed: int = 0,
-) -> np.ndarray:
+def paired_features(grades: PairedGrades, spec: PairedSynthSpec) -> np.ndarray:
     """Features carrying both grades: axis 0 scales with A, axis 1 with B."""
-    if n_features < 2:
-        raise ValueError("paired features need at least 2 dimensions")
-    rng = np.random.default_rng([seed, _STREAM_FEATURES])
+    rng = np.random.default_rng([spec.seed, _STREAM_FEATURES])
     n = grades.labels_a.size
-    features = rng.normal(0.0, noise_sd, size=(n, n_features))
-    features[:, 0] += grades.labels_a * class_separation
-    features[:, 1] += grades.labels_b * class_separation
+    features = rng.normal(0.0, spec.noise_sd, size=(n, spec.n_features))
+    features[:, 0] += grades.labels_a * spec.class_separation
+    features[:, 1] += grades.labels_b * spec.class_separation
     return features

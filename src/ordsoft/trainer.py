@@ -28,8 +28,9 @@ into work arrays (``_Work``) that a fit allocates once per batch shape:
 logits, which become probabilities and then ``d_logits`` in place, and
 log-likelihood terms; ``(K, B)`` row max and sum. The short last batch of an
 epoch has its own set, because a matmul writing into part of a larger array may
-leave the BLAS path and round differently. The arrays are cut like the
-optimizer state when members leave the stack. The softmax takes each row's max
+leave the BLAS path and round differently. When members leave the stack, the
+fit frees the sets and allocates fresh ones for the members left, since every
+work array is written before it is read. The softmax takes each row's max
 and sum as J-1 ufuncs over the grade columns rather than as reductions over the
 last axis, because numpy reduces a length-5 trailing axis slowly; the max is
 exact and numpy adds a short row in index order, so the probabilities are bit
@@ -43,8 +44,16 @@ or keeps its reduction axis, so none of this changes a single bit.
 from the per-strategy grid. The candidates share the seed, so the same initial
 weights, split and shuffle order, and differ only in learning rate and
 targets: they train as one lockstep fit. The search selects by validation
-AMAE and returns the model it trained for the winner; ``run_single`` wraps
-split / search / holdout evaluation for one seed.
+AMAE and returns the model it trained for the winner.
+
+One grading scale's run for one (seed, strategy) takes the train and holdout
+subsets of a given split, searches on the train subset, predicts the holdout
+with the search's model and scores it, giving a ``RunResult``. ``run_single``
+splits stratified on the labels and makes that run once. A paired task is the
+same run made twice, once per scale: ``run_paired_single`` splits stratified
+on the A grades alone, since joint cells can be too sparse to stratify on,
+and both scales' runs share that split, so their holdout predictions pair up
+row by row into the predicted joint table.
 """
 
 from __future__ import annotations
@@ -57,9 +66,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion
-from .jointanalysis import ContingencyTable
 from .loss import PROB_FLOOR, check_target
-from .metrics import MetricReport, amae as amae_metric, mae as mae_metric, compute_report
+from .metrics import amae as amae_metric, mae as mae_metric, compute_report
 from .softlabel import SmoothingParams, SoftTargetMatrix, build_target_matrix
 from .synth import PairedGrades
 
@@ -114,10 +122,8 @@ class _Work:
     model); ``logits``, which become probabilities and then ``d_logits``, and
     ``llik`` are ``(K, B, J)``; ``row_max`` and ``row_sum`` are ``(K, B)``. The
     J column views of ``logits`` and the ``(K, B, 1)`` broadcast views of the
-    row max and sum are built with the arrays, and again after ``keep``.
+    row max and sum are built with the arrays.
     """
-
-    _ARRAYS = ("hidden", "mask", "d_hidden", "logits", "llik", "row_max", "row_sum", "total")
 
     def __init__(self, layers: dict, n_members: int, n_rows: int):
         """Arrays for ``n_members`` models laid out as ``layers`` (one model's)."""
@@ -130,18 +136,8 @@ class _Work:
         self.llik = np.empty_like(self.logits)
         self.row_max, self.row_sum = np.empty((n_members, n_rows)), np.empty((n_members, n_rows))
         self.total = np.empty(n_members)
-        self._build_views()
-
-    def _build_views(self) -> None:
         self.cols = [self.logits[..., j] for j in range(self.logits.shape[-1])]
         self.max_bc, self.sum_bc = self.row_max[..., None], self.row_sum[..., None]
-
-    def keep(self, rows: list[int]) -> None:
-        """Drop the arrays' rows of the members not in ``rows``."""
-        for name in self._ARRAYS:
-            if getattr(self, name) is not None:
-                setattr(self, name, getattr(self, name)[rows])
-        self._build_views()
 
 
 def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
@@ -430,6 +426,14 @@ class _Member:
         )
 
 
+def _batch_work(layers: dict, n_members: int, batch_sizes: list[int]) -> list[_Work]:
+    """Work arrays for each batch of an epoch, one set per batch size: the short
+    last batch gets its own, since a matmul writing into part of a larger array
+    may round differently."""
+    sets = {n: _Work(layers, n_members, n) for n in set(batch_sizes)}
+    return [sets[n] for n in batch_sizes]
+
+
 def _fit_lockstep(
     init_weights: dict,
     data: SampleSet,
@@ -447,7 +451,7 @@ def _fit_lockstep(
     arithmetic is bit for bit that of the member trained alone. The weights and
     gradients are flat ``(K, P)`` buffers seen through per-layer views. A member
     that stops early or goes non-finite leaves the stack: one row selection of
-    each buffer, after which the views are rebuilt.
+    each buffer, after which the views and the work arrays are built afresh.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -467,10 +471,7 @@ def _fit_lockstep(
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
     starts = range(0, data.n_samples, shared.batch_size)
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
-    # one set of work arrays per batch size: the short last batch gets its own,
-    # since a matmul writing into part of a larger array may round differently
-    work_sets = {n: _Work(init_weights, len(members), n) for n in set(batch_sizes.tolist())}
-    batch_work = [work_sets[n] for n in batch_sizes.tolist()]
+    batch_work = _batch_work(init_weights, len(members), batch_sizes.tolist())
     val_work = _Work(init_weights, 1, validation.n_samples)
 
     for epoch in range(1, shared.max_epochs + 1):
@@ -479,10 +480,10 @@ def _fit_lockstep(
         log_likelihoods = np.empty((len(alive), len(starts)))
         # divergence surfaces as non-finite losses below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (start, work) in enumerate(zip(starts, batch_work)):
+            for i, start in enumerate(starts):
                 end = start + shared.batch_size
                 log_likelihoods[:, i] = _batch_gradients(
-                    weights, grads, x_epoch[start:end], t_epoch[:, start:end], work
+                    weights, grads, x_epoch[start:end], t_epoch[:, start:end], batch_work[i]
                 )
                 optimizer.update(params, flat_grads)
             # per-batch mean losses, then their mean over the epoch
@@ -506,8 +507,8 @@ def _fit_lockstep(
             weights, grads = _views(params, layout), _views(flat_grads, layout)
             train_targets = train_targets[rows]
             optimizer.keep(rows)
-            for work in work_sets.values():
-                work.keep(rows)
+            batch_work = None  # free the old sets before allocating the new ones
+            batch_work = _batch_work(init_weights, len(rows), batch_sizes.tolist())
     return members
 
 
@@ -617,26 +618,6 @@ def validation_split(
     return data.subset(sub_idx), data.subset(val_idx)
 
 
-def fit(
-    subtrain: SampleSet,
-    val: SampleSet,
-    config: TrainConfig,
-    label_space: LabelSpace,
-    settings: ProtocolSettings,
-) -> ClassifierModel:
-    """Build the config's targets, initialise a model from its seed and train it."""
-    targets = build_target_matrix(label_space, config.strategy, config.params)
-    model = init_model(
-        settings.architecture,
-        subtrain.n_features,
-        label_space.n_classes,
-        config.seed,
-        settings.hidden_width,
-    )
-    model, _ = train(model, subtrain, targets, config, val)
-    return model
-
-
 def random_search(
     space: SearchSpace,
     data: SampleSet,
@@ -710,16 +691,18 @@ def random_search(
     return best
 
 
-def run_single(
+def _run_scale(
     dataset: SampleSet,
     label_space: LabelSpace,
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
     strategy: str,
     seed: int,
     search_space: SearchSpace,
     settings: ProtocolSettings,
 ) -> RunResult:
-    """One (seed, strategy) run: split, search, evaluate the search's model on the holdout."""
-    train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, seed)
+    """One grading scale's run on a given split: search on the train subset,
+    then evaluate the search's model on the holdout subset."""
     train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
     outcome = random_search(search_space, train_set, strategy, seed, label_space, settings)
     preds = outcome.model.predict(test_set)
@@ -734,17 +717,19 @@ def run_single(
     )
 
 
-@dataclass(frozen=True)
-class PairedRunResult:
-    """One paired-task run: both models' metrics plus the predicted joint table."""
-
-    seed: int
-    strategy: str
-    table: ContingencyTable
-    config_a: TrainConfig
-    config_b: TrainConfig
-    metrics_a: MetricReport
-    metrics_b: MetricReport
+def run_single(
+    dataset: SampleSet,
+    label_space: LabelSpace,
+    strategy: str,
+    seed: int,
+    search_space: SearchSpace,
+    settings: ProtocolSettings,
+) -> RunResult:
+    """One (seed, strategy) run: a split stratified on the labels, then the run."""
+    train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, seed)
+    return _run_scale(
+        dataset, label_space, train_idx, test_idx, strategy, seed, search_space, settings
+    )
 
 
 def run_paired_single(
@@ -754,36 +739,17 @@ def run_paired_single(
     seed: int,
     search_space: SearchSpace,
     settings: ProtocolSettings,
-) -> PairedRunResult:
-    """Train one model per grade scale on shared features; cross their predictions.
-
-    The split stratifies on the A grades (joint cells can be too sparse to
-    stratify on); the predicted contingency table pairs the two models' test
-    predictions sample by sample.
-    """
+) -> tuple[RunResult, RunResult]:
+    """One (seed, strategy) run per grade scale on shared features, on one split
+    stratified on the A grades: the scales' results, A first."""
     train_idx, test_idx = stratified_split(grades.labels_a, settings.train_fraction, seed)
-    configs, reports, predicted = {}, {}, {}
-    for task, labels, n_classes in (
-        ("a", grades.labels_a, grades.n_classes_a),
-        ("b", grades.labels_b, grades.n_classes_b),
-    ):
-        space = LabelSpace(n_classes)
-        train_set = SampleSet(features[train_idx], labels[train_idx])
-        test_set = SampleSet(features[test_idx], labels[test_idx])
-        outcome = random_search(search_space, train_set, strategy, seed, space, settings)
-        preds = outcome.model.predict(test_set)
-        configs[task] = outcome.config
-        reports[task] = compute_report(build_confusion(preds, space))
-        predicted[task] = preds.predicted_labels
-
-    counts = np.zeros((grades.n_classes_a, grades.n_classes_b), dtype=int)
-    np.add.at(counts, (predicted["a"], predicted["b"]), 1)
-    return PairedRunResult(
-        seed=seed,
-        strategy=strategy,
-        table=ContingencyTable(counts, row_axis="A", col_axis="B"),
-        config_a=configs["a"],
-        config_b=configs["b"],
-        metrics_a=reports["a"],
-        metrics_b=reports["b"],
+    return tuple(
+        _run_scale(
+            SampleSet(features, labels), LabelSpace(n_classes), train_idx, test_idx,
+            strategy, seed, search_space, settings,
+        )
+        for labels, n_classes in (
+            (grades.labels_a, grades.n_classes_a),
+            (grades.labels_b, grades.n_classes_b),
+        )
     )

@@ -96,6 +96,17 @@ def test_synth_invalid_spec_usage_error(tmp_path):
     assert main(["synth", "--classes", "1", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--flip-prob", "0.7"), ("--flip-prob", "-1"), ("--noise-sd", "0"), ("--dim", "1"),
+])
+def test_synth_paired_bad_noise_or_features_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "paired.csv"
+    # paired data takes single data's checks; --dim 1 leaves no axis for scale B
+    assert main(["synth", "--paired", "--n", "50", flag, value, "--out", str(out)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ train/evaluate
 
 
@@ -131,6 +142,23 @@ def test_train_labels_outside_classes_is_usage_error(tmp_path, capsys):
     assert main(["train", "--data", str(data), "--classes", "3"]) == EXIT_USAGE
     assert "labels [3, 4]" in capsys.readouterr().err
     assert main(["train", "--data", str(data), "--classes", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--eta", "2"], None),
+    (["--strategy", "triangular", "--alpha", "0.7"], None),
+    ([], {"strategy": "bogus"}),
+    ([], {"strategy": "triangular", "params": {"eta": 1.0}}),  # no alpha
+])
+def test_train_bad_smoothing_or_strategy_is_usage_error(tmp_path, capsys, flags, config):
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        flags = flags + ["--config", str(tmp_path / "config.json")]
+    args = ["train", "--data", str(data), "--max-epochs", "2", "--patience", "2"]
+    assert main(args + flags) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_evaluate_reports_metrics(tmp_path, capsys):
@@ -273,6 +301,24 @@ def _paired_dataset(tmp_path):
     main(["synth", "--paired", "--classes-a", "3", "--classes-b", "3", "--n", "150",
           "--noise-sd", "0.4", "--seed", "5", "--out", str(data)])
     return data
+
+
+@pytest.mark.parametrize("case", ["single_header_only", "paired_header_only", "paired_negative_b"])
+def test_sweep_without_rows_or_with_a_negative_grade_is_usage_error(tmp_path, capsys, case):
+    data = tmp_path / "data.csv"
+    if case == "single_header_only":
+        data.write_text("f0,f1,label\n")
+    elif case == "paired_header_only":
+        data.write_text("f0,f1,label_a,label_b\n")
+    else:
+        lines = _paired_dataset(tmp_path).read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",-1"
+        data.write_text("\n".join(lines) + "\n")
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    assert main(["sweep", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(data) in err
+    assert not out_dir.exists()
 
 
 def test_sweep_paired_writes_tables(tmp_path, capsys):

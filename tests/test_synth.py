@@ -139,9 +139,10 @@ def test_paired_asymmetry_statistic_positive_over_seeds():
 
 
 def test_paired_features_carry_both_grades():
-    spec = PairedSynthSpec(n_classes_a=4, n_classes_b=3, n_samples=3000, seed=23)
+    spec = PairedSynthSpec(n_classes_a=4, n_classes_b=3, n_samples=3000, seed=23,
+                           n_features=6, class_separation=1.0, noise_sd=0.3)
     grades = generate_paired(spec)
-    feats = paired_features(grades, n_features=6, class_separation=1.0, noise_sd=0.3, seed=23)
+    feats = paired_features(grades, spec)
     assert feats.shape == (3000, 6)
     # axis 0 correlates with A, axis 1 with B
     assert np.corrcoef(feats[:, 0], grades.labels_a)[0, 1] > 0.8

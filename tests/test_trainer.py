@@ -8,7 +8,7 @@ from ordsoft.core import LabelSpace, PredictionSet, SampleSet, build_confusion
 from ordsoft.loss import PROB_FLOOR, mean_soft_ce, softmax
 from ordsoft.metrics import amae
 from ordsoft.softlabel import SmoothingParams, build_target_matrix
-from ordsoft.synth import SynthSpec, generate
+from ordsoft.synth import PairedSynthSpec, SynthSpec, generate, generate_paired, paired_features
 from ordsoft.trainer import (
     ProtocolSettings,
     SearchSpace,
@@ -18,9 +18,9 @@ from ordsoft.trainer import (
     _fit_lockstep,
     _Member,
     _views,
-    fit,
     init_model,
     random_search,
+    run_paired_single,
     run_single,
     stratified_split,
     train,
@@ -227,7 +227,10 @@ def test_search_returns_the_model_it_trained_for_the_winner():
     outcome = random_search(SearchSpace(max_configs=4), data, "exponential", seed=2,
                             label_space=space, settings=settings)
     subtrain, val = validation_split(data, 2, settings)
-    refit = fit(subtrain, val, outcome.config, space, settings)
+    targets = build_target_matrix(space, outcome.config.strategy, outcome.config.params)
+    init = init_model(settings.architecture, data.n_features, space.n_classes, 2,
+                      settings.hidden_width)
+    refit, _ = train(init, subtrain, targets, outcome.config, val)
     for key, weights in refit.weights.items():
         np.testing.assert_array_equal(outcome.model.weights[key], weights)
 
@@ -471,3 +474,18 @@ def test_run_single_deterministic():
         assert a.metrics == b.metrics
         np.testing.assert_array_equal(a.predictions.predicted_probs, b.predictions.predicted_probs)
         np.testing.assert_array_equal(a.predictions.predicted_labels, b.predictions.predicted_labels)
+
+
+def test_paired_run_evaluates_both_scales_on_the_split_stratified_on_a():
+    spec = PairedSynthSpec(n_classes_a=4, n_classes_b=3, n_samples=120, seed=6)
+    grades = generate_paired(spec)
+    features = paired_features(grades, spec)
+    settings = ProtocolSettings(max_epochs=3, patience=3, hidden_width=4)
+    _, test_idx = stratified_split(grades.labels_a, settings.train_fraction, seed=1)
+    # the test would not tell the two splits apart if B's own split were the same
+    _, b_test_idx = stratified_split(grades.labels_b, settings.train_fraction, seed=1)
+    assert not np.array_equal(test_idx, b_test_idx)
+    a, b = run_paired_single(features, grades, "nominal", 1, SearchSpace(max_configs=2), settings)
+    np.testing.assert_array_equal(a.predictions.true_labels, grades.labels_a[test_idx])
+    np.testing.assert_array_equal(b.predictions.true_labels, grades.labels_b[test_idx])
+    assert (a.seed, a.strategy, b.seed, b.strategy) == (1, "nominal", 1, "nominal")
