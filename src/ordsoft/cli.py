@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure. Per-run records are
 JSON lines with sorted keys; all randomness derives from the seeds in the
 config, so re-running a command reproduces its output files byte for byte.
 The ``ORDSOFT_WORKERS`` environment variable bounds the sweep worker pool.
+
+A command imports only what it runs: the joint-table statistics, the synthetic
+generators and the worker pool are imported by the functions that use them,
+so ``train`` and a single-task ``sweep`` load none of them.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import re
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,27 +43,8 @@ from .core import (
     read_labelled_csv,
     write_labelled_csv,
 )
-from .jointanalysis import (
-    ContingencyTable,
-    JointDistribution,
-    kld,
-    kruskal_wallis,
-    normalise,
-    pairwise_wilcoxon_holm,
-    residuals,
-    table_mae,
-    DEFAULT_KLD_EPSILON,
-)
 from .metrics import METRIC_NAMES, compute_report
 from .softlabel import STRATEGIES, SmoothingParams, build_target_matrix
-from .synth import (
-    PairedGrades,
-    PairedSynthSpec,
-    SynthSpec,
-    generate,
-    generate_paired,
-    paired_features,
-)
 from .trainer import (
     ProtocolSettings,
     SearchSpace,
@@ -71,6 +56,9 @@ from .trainer import (
     train,
     validation_split,
 )
+
+if TYPE_CHECKING:
+    from .jointanalysis import ContingencyTable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,6 +135,8 @@ def _read_paired_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def cmd_synth(args) -> int:
+    from .synth import PairedSynthSpec, SynthSpec, generate, generate_paired, paired_features
+
     shared = dict(
         n_features=args.dim,
         class_separation=args.separation,
@@ -220,14 +210,24 @@ def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelS
     return space
 
 
-def cmd_train(args) -> int:
-    dataset = SampleSet.from_csv(args.data)
-    space = _label_space(args.classes, dataset.labels, args.data)
-    cfg = {}
-    if args.config:
-        cfg = json.loads(Path(args.config).read_text())
-    cfg_params = cfg.get("params", {})
+def _read_samples(path: str) -> SampleSet:
+    """The single-label CSV at ``path``. A file that makes no sample set, such
+    as one with a negative grade, is a usage error naming the file."""
     try:
+        return SampleSet.from_csv(path)
+    except ValueError as exc:
+        message = str(exc)
+        if not message.startswith(f"{path}:"):
+            message = f"{path}: {message}"
+        raise UsageError(message) from exc
+
+
+def cmd_train(args) -> int:
+    dataset = _read_samples(args.data)
+    space = _label_space(args.classes, dataset.labels, args.data)
+    try:
+        cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+        cfg_params = cfg.get("params", {})
         params = SmoothingParams(
             eta=_given(args.eta, cfg_params.get("eta", 1.0)),
             alpha=_given(args.alpha, cfg_params.get("alpha")),
@@ -245,6 +245,8 @@ def cmd_train(args) -> int:
             optimizer=args.optimizer or cfg.get("optimizer", "adam"),
         )
         targets = build_target_matrix(space, config.strategy, config.params)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{args.config}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     settings = ProtocolSettings()
@@ -329,6 +331,8 @@ def _single_task(payload) -> dict:
 
 
 def _paired_task(payload) -> dict:
+    from .synth import PairedGrades
+
     features, grades, strategy, seed, search_space, settings, task = payload
     a, b = run_paired_single(features, grades, strategy, seed, search_space, settings)
     predicted = PairedGrades(
@@ -363,6 +367,8 @@ def _workers() -> int:
 
 def _map_tasks(fn, payloads, workers: int):
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
@@ -392,6 +398,8 @@ def cmd_sweep(args) -> int:
     paired = header[-2:] == ["label_a", "label_b"]
 
     if paired:
+        from .synth import PairedGrades
+
         features, labels_a, labels_b = _read_paired_csv(dataset_path)
         grades = PairedGrades(
             labels_a,
@@ -405,7 +413,7 @@ def cmd_sweep(args) -> int:
             ("summary_b.json", "metrics_b", "scale B\n"),
         ]
     else:
-        dataset = SampleSet.from_csv(dataset_path)
+        dataset = _read_samples(dataset_path)
         task_fn, data = _single_task, (dataset, _label_space(None, dataset.labels, dataset_path))
         scales = [("summary.json", "metrics", "")]
     payloads = [
@@ -415,6 +423,8 @@ def cmd_sweep(args) -> int:
     ]
     records = _map_tasks(task_fn, payloads, workers)
     if paired:
+        from .jointanalysis import ContingencyTable
+
         (output_dir / "tables").mkdir(parents=True, exist_ok=True)
         grades.contingency().to_csv(str(output_dir / "tables" / "truth.csv"))
         for rec in records:
@@ -465,9 +475,24 @@ _TABLE_NAME = re.compile(r"^(?P<strategy>.+)_seed(?P<seed>\d+)$")
 def analyse_tables(
     truth: ContingencyTable,
     predicted: dict[str, list[tuple[int, ContingencyTable]]],
-    epsilon: float = DEFAULT_KLD_EPSILON,
+    epsilon: float | None = None,
 ) -> dict:
-    """KLD/MAE per run, residuals of mean predicted tables, and the test pipeline."""
+    """KLD/MAE per run, residuals of mean predicted tables, and the test pipeline.
+
+    ``epsilon`` smooths the KLD; None means ``jointanalysis.DEFAULT_KLD_EPSILON``.
+    """
+    from .jointanalysis import (
+        DEFAULT_KLD_EPSILON,
+        JointDistribution,
+        kld,
+        kruskal_wallis,
+        normalise,
+        pairwise_wilcoxon_holm,
+        residuals,
+        table_mae,
+    )
+
+    epsilon = _given(epsilon, DEFAULT_KLD_EPSILON)
     p = normalise(truth)
     strategies_report = {}
     kld_by_strategy: dict[str, list[float]] = {}
@@ -534,6 +559,8 @@ def analyse_tables(
 
 
 def cmd_analyze(args) -> int:
+    from .jointanalysis import ContingencyTable
+
     truth = ContingencyTable.from_csv(args.truth)
     files = sorted(globmod.glob(args.pred))
     if not files:
@@ -623,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="joint-table KLD/residual/statistics report")
     p.add_argument("--truth", required=True, help="ground-truth contingency CSV")
     p.add_argument("--pred", required=True, help="glob of <strategy>_seed<N>.csv tables")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_KLD_EPSILON)
+    p.add_argument("--epsilon", type=float,
+                   help="KLD smoothing (default: jointanalysis.DEFAULT_KLD_EPSILON, 1e-6)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 

@@ -28,17 +28,21 @@ into work arrays (``_Work``) that a fit allocates once per batch shape:
 logits, which become probabilities and then ``d_logits`` in place, and
 log-likelihood terms; ``(K, B)`` row max and sum. The short last batch of an
 epoch has its own set, because a matmul writing into part of a larger array may
-leave the BLAS path and round differently. When members leave the stack, the
-fit frees the sets and allocates fresh ones for the members left, since every
-work array is written before it is read. The softmax takes each row's max
+leave the BLAS path and round differently. The softmax takes each row's max
 and sum as J-1 ufuncs over the grade columns rather than as reductions over the
 last axis, because numpy reduces a length-5 trailing axis slowly; the max is
 exact and numpy adds a short row in index order, so the probabilities are bit
-for bit those of ``loss.softmax``. The validation loss runs one member at a
-time through one reused ``(1, V, ...)`` set, so memory stays at a lone model's
-size whatever K is, and the validation targets are checked once per fit.
-Inference is the same forward with a one-off set. Every ufunc is elementwise
-or keeps its reduction axis, so none of this changes a single bit.
+for bit those of ``loss.softmax``.
+
+The validation loss of all K members is one forward pass per epoch over the
+V validation rows, through a ``(K, V, ...)`` set of its own, against the
+members' ``(K, V, J)`` validation targets, stacked and checked once per fit.
+That set and inference's one-off ``(1, N, ...)`` set run forward only, so they
+hold no mask or ``d_hidden``: about 1 MB at K=15, V=204. When members leave the
+stack, the fit cuts the validation targets to the members left, frees the work
+sets and allocates fresh ones, since every work array is written before it is
+read. Every ufunc is elementwise or keeps its reduction axis, so none of this
+changes a single bit.
 
 ``random_search`` samples hyperparameter configurations without replacement
 from the per-strategy grid. The candidates share the seed, so the same initial
@@ -61,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -69,7 +73,9 @@ from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusi
 from .loss import PROB_FLOOR, check_target
 from .metrics import amae as amae_metric, mae as mae_metric, compute_report
 from .softlabel import SmoothingParams, SoftTargetMatrix, build_target_matrix
-from .synth import PairedGrades
+
+if TYPE_CHECKING:
+    from .synth import PairedGrades
 
 _STREAM_SPLIT = 11
 _STREAM_INIT = 12
@@ -116,22 +122,26 @@ class TrainConfig:
 
 
 class _Work:
-    """Work arrays for one forward/backward of K members over a batch of B rows.
+    """Work arrays for one pass of K members over a batch of B rows.
 
-    ``hidden``, ``mask`` and ``d_hidden`` are ``(K, B, H)`` (None for the linear
-    model); ``logits``, which become probabilities and then ``d_logits``, and
-    ``llik`` are ``(K, B, J)``; ``row_max`` and ``row_sum`` are ``(K, B)``. The
-    J column views of ``logits`` and the ``(K, B, 1)`` broadcast views of the
-    row max and sum are built with the arrays.
+    ``hidden`` is ``(K, B, H)`` (None for the linear model); ``logits``, which
+    become probabilities (and then ``d_logits`` in a backward pass), and
+    ``llik`` are ``(K, B, J)``; ``row_max`` and ``row_sum`` are ``(K, B)``;
+    ``total`` is ``(K,)``. A set for a backward pass also holds the MLP's
+    ``(K, B, H)`` ReLU ``mask`` and ``d_hidden``; a forward-only set, as
+    validation and inference use, leaves them None. The J column views of
+    ``logits`` and the ``(K, B, 1)`` broadcast views of the row max and sum are
+    built with the arrays.
     """
 
-    def __init__(self, layers: dict, n_members: int, n_rows: int):
+    def __init__(self, layers: dict, n_members: int, n_rows: int, backward: bool = False):
         """Arrays for ``n_members`` models laid out as ``layers`` (one model's)."""
         self.hidden = self.mask = self.d_hidden = None
         if "w_in" in layers:
             shape = (n_members, n_rows, layers["b_in"].size)
-            self.hidden, self.d_hidden = np.empty(shape), np.empty(shape)
-            self.mask = np.empty(shape, dtype=bool)
+            self.hidden = np.empty(shape)
+            if backward:
+                self.d_hidden, self.mask = np.empty(shape), np.empty(shape, dtype=bool)
         self.logits = np.empty((n_members, n_rows, layers["b_out"].size))
         self.llik = np.empty_like(self.logits)
         self.row_max, self.row_sum = np.empty((n_members, n_rows)), np.empty((n_members, n_rows))
@@ -323,13 +333,14 @@ def _batch_gradients(
     return work.total
 
 
-def _mean_soft_ce(weights: dict, x: np.ndarray, targets: np.ndarray, work: _Work) -> float:
-    """One model's mean soft cross-entropy over ``x``, as ``loss.mean_soft_ce``
-    computes it: row sums of the log-likelihood terms, then their mean."""
+def _mean_soft_ce(weights: dict, x: np.ndarray, targets: np.ndarray, work: _Work) -> np.ndarray:
+    """Each member's mean soft cross-entropy over ``x`` against its ``(V, J)``
+    slice of ``targets``, as ``loss.mean_soft_ce`` computes it: row sums of the
+    log-likelihood terms, then their mean over each member's contiguous row."""
     _forward(weights, x, work)
     llik = _log_likelihood(_softmax(work), targets, work.llik)
     llik.sum(axis=-1, out=work.row_sum)
-    return -float(work.row_sum.mean())
+    return -work.row_sum.mean(axis=-1)
 
 
 class _Optimizer:
@@ -388,7 +399,6 @@ class _Member:
     """Early-stopping state of one member of a lockstep fit."""
 
     config: TrainConfig
-    val_targets: np.ndarray
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_val: float = math.inf
@@ -430,7 +440,7 @@ def _batch_work(layers: dict, n_members: int, batch_sizes: list[int]) -> list[_W
     """Work arrays for each batch of an epoch, one set per batch size: the short
     last batch gets its own, since a matmul writing into part of a larger array
     may round differently."""
-    sets = {n: _Work(layers, n_members, n) for n in set(batch_sizes)}
+    sets = {n: _Work(layers, n_members, n, backward=True) for n in set(batch_sizes)}
     return [sets[n] for n in batch_sizes]
 
 
@@ -446,19 +456,19 @@ def _fit_lockstep(
     The configs share seed, batch size, epoch limit, patience and optimizer;
     they differ in learning rate and targets. The members' weights are stacked
     on a leading axis, and each step runs one batched forward/backward and
-    update on one mini-batch that all members share. A batched matmul runs one
-    gemm per member and reductions run over the batch axis, so every member's
-    arithmetic is bit for bit that of the member trained alone. The weights and
-    gradients are flat ``(K, P)`` buffers seen through per-layer views. A member
-    that stops early or goes non-finite leaves the stack: one row selection of
-    each buffer, after which the views and the work arrays are built afresh.
+    update on one mini-batch that all members share; each epoch ends with one
+    batched forward over the validation set. A batched matmul runs one gemm
+    per member and reductions run over the batch axis or within one member's
+    row, so every member's arithmetic is bit for bit that of the member trained
+    alone. The weights and gradients are flat ``(K, P)`` buffers seen through
+    per-layer views. A member that stops early or goes non-finite leaves the
+    stack: one row selection of each buffer and of the stacked targets, after
+    which the views and the work arrays are built afresh.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
     shared = configs[0]
-    members = [
-        _Member(c, check_target(t.for_labels(validation.labels))) for c, t in zip(configs, targets)
-    ]
+    members = [_Member(c) for c in configs]
     alive = list(members)
     layout = _layout(init_weights)
     flat_init = np.concatenate([w.ravel() for w in init_weights.values()])
@@ -466,13 +476,14 @@ def _fit_lockstep(
     flat_grads = np.empty_like(params)
     weights, grads = _views(params, layout), _views(flat_grads, layout)
     train_targets = np.stack([t.for_labels(data.labels) for t in targets])
+    val_targets = check_target(np.stack([t.for_labels(validation.labels) for t in targets]))
     learning_rates = np.array([c.learning_rate for c in configs])
     optimizer = _Optimizer(shared.optimizer, learning_rates, flat_init.size)
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
     starts = range(0, data.n_samples, shared.batch_size)
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
     batch_work = _batch_work(init_weights, len(members), batch_sizes.tolist())
-    val_work = _Work(init_weights, 1, validation.n_samples)
+    val_work = _Work(init_weights, len(members), validation.n_samples)
 
     for epoch in range(1, shared.max_epochs + 1):
         perm = rng.permutation(data.n_samples)
@@ -488,16 +499,11 @@ def _fit_lockstep(
                 optimizer.update(params, flat_grads)
             # per-batch mean losses, then their mean over the epoch
             epoch_train = (-log_likelihoods / batch_sizes).mean(axis=1)
+            epoch_val = _mean_soft_ce(weights, validation.features, val_targets, val_work)
             rows = []
             for row, member in enumerate(alive):
-                # one member at a time keeps the validation pass at a lone model's size
-                epoch_val = _mean_soft_ce(
-                    _views(params[row : row + 1], layout),
-                    validation.features,
-                    member.val_targets,
-                    val_work,
-                )
-                if member.record(epoch, float(epoch_train[row]), epoch_val, params[row], layout):
+                losses = float(epoch_train[row]), float(epoch_val[row])
+                if member.record(epoch, *losses, params[row], layout):
                     rows.append(row)
         if len(rows) < len(alive):
             if not rows:
@@ -505,10 +511,11 @@ def _fit_lockstep(
             alive = [alive[row] for row in rows]
             params, flat_grads = params[rows], flat_grads[rows]
             weights, grads = _views(params, layout), _views(flat_grads, layout)
-            train_targets = train_targets[rows]
+            train_targets, val_targets = train_targets[rows], val_targets[rows]
             optimizer.keep(rows)
-            batch_work = None  # free the old sets before allocating the new ones
+            batch_work = val_work = None  # free the old sets before allocating the new ones
             batch_work = _batch_work(init_weights, len(rows), batch_sizes.tolist())
+            val_work = _Work(init_weights, len(rows), validation.n_samples)
     return members
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,28 @@ def test_train_labels_outside_classes_is_usage_error(tmp_path, capsys):
     assert main(["train", "--data", str(data), "--classes", "3"]) == EXIT_USAGE
     assert "labels [3, 4]" in capsys.readouterr().err
     assert main(["train", "--data", str(data), "--classes", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("case", ["header_only", "negative_grade"])
+def test_train_without_rows_or_with_a_negative_grade_is_usage_error(tmp_path, capsys, case):
+    data = tmp_path / "data.csv"
+    if case == "header_only":
+        data.write_text("f0,f1,label\n")
+    else:
+        data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,-1\n0.5,0.6,1\n")
+    assert main(["train", "--data", str(data)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(data) in err
+
+
+def test_train_malformed_config_is_usage_error_naming_it(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    config = tmp_path / "config.json"
+    config.write_text("{bad")
+    assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(config) in err
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -303,11 +327,15 @@ def _paired_dataset(tmp_path):
     return data
 
 
-@pytest.mark.parametrize("case", ["single_header_only", "paired_header_only", "paired_negative_b"])
+@pytest.mark.parametrize("case", [
+    "single_header_only", "single_negative", "paired_header_only", "paired_negative_b",
+])
 def test_sweep_without_rows_or_with_a_negative_grade_is_usage_error(tmp_path, capsys, case):
     data = tmp_path / "data.csv"
     if case == "single_header_only":
         data.write_text("f0,f1,label\n")
+    elif case == "single_negative":
+        data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,-1\n0.5,0.6,1\n")
     elif case == "paired_header_only":
         data.write_text("f0,f1,label_a,label_b\n")
     else:
@@ -319,6 +347,31 @@ def test_sweep_without_rows_or_with_a_negative_grade_is_usage_error(tmp_path, ca
     err = capsys.readouterr().err
     assert "usage error" in err and str(data) in err
     assert not out_dir.exists()
+
+
+def test_train_and_single_sweep_load_no_statistics_synth_or_pool(tmp_path):
+    import ordsoft
+
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "3", "--per-class", "16", "--seed", "1", "--out", str(data)])
+    config, _ = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    script = (
+        "import sys\n"
+        "from ordsoft.cli import main\n"
+        f"assert main(['train', '--data', {str(data)!r}, '--max-epochs', '2',"
+        f" '--patience', '2', '--out', {str(tmp_path / 'runs.jsonl')!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {str(config)!r}]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(ordsoft.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("ORDSOFT_WORKERS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.splitlines()[-1].split())  # after the sweep's summary table
+    assert "ordsoft.trainer" in loaded
+    for module in ("ordsoft.jointanalysis", "ordsoft.synth", "concurrent.futures.process"):
+        assert module not in loaded
 
 
 def test_sweep_paired_writes_tables(tmp_path, capsys):
@@ -392,6 +445,26 @@ def test_analyze_perfect_predictions(tmp_path, capsys):
         residual = np.asarray(report["strategies"][strategy]["residual_of_mean"])
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
     assert report["pairwise"][0]["degenerate"] is True
+
+
+def test_analyze_epsilon_defaults_to_the_kld_default(tmp_path, capsys):
+    from ordsoft.cli import analyse_tables
+    from ordsoft.jointanalysis import DEFAULT_KLD_EPSILON, ContingencyTable
+
+    assert DEFAULT_KLD_EPSILON == 1e-6
+    truth = tmp_path / "truth.csv"
+    _write_table(truth, [[30, 5], [5, 30]])
+    predicted = {}
+    for strategy, counts in (("beta", [[28, 7], [4, 31]]), ("nominal", [[20, 15], [9, 26]])):
+        for seed in range(5):
+            _write_table(tmp_path / f"{strategy}_seed{seed}.csv", counts)
+            predicted.setdefault(strategy, []).append((seed, ContingencyTable(np.asarray(counts))))
+    assert main(["analyze", "--truth", str(truth), "--pred", str(tmp_path / "*_seed*.csv")]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["epsilon"] == DEFAULT_KLD_EPSILON
+    direct = analyse_tables(ContingencyTable.from_csv(str(truth)), predicted)
+    assert direct["epsilon"] == DEFAULT_KLD_EPSILON
+    assert direct["strategies"] == report["strategies"]
 
 
 def test_analyze_separated_strategies(tmp_path, capsys):

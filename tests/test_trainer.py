@@ -9,6 +9,7 @@ from ordsoft.loss import PROB_FLOOR, mean_soft_ce, softmax
 from ordsoft.metrics import amae
 from ordsoft.softlabel import SmoothingParams, build_target_matrix
 from ordsoft.synth import PairedSynthSpec, SynthSpec, generate, generate_paired, paired_features
+from ordsoft import trainer
 from ordsoft.trainer import (
     ProtocolSettings,
     SearchSpace,
@@ -279,6 +280,34 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
             np.testing.assert_array_equal(member.best_weights[key], weights)
         stopped.add(history.stopped_epoch)
     assert len(stopped) >= 2
+
+
+@pytest.mark.parametrize("n_members", [1, 3, 6])
+def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_members):
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    subtrain, val = validation_split(data, 5, ProtocolSettings())
+    # patience 2 stops some members early while others run on to max_epochs
+    configs = [
+        TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
+                    max_epochs=12, patience=2)
+        for lr in (1e-3, 0.3, 3.0, 1e-2, 0.1, 1.0)[:n_members]
+    ]
+    targets = [build_target_matrix(space, "nominal")] * n_members
+    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
+    passes = []
+    mean_soft_ce = trainer._mean_soft_ce
+
+    def spy(weights, x, targets, work):
+        passes.append(len(targets))
+        return mean_soft_ce(weights, x, targets, work)
+
+    monkeypatch.setattr(trainer, "_mean_soft_ce", spy)
+    members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
+
+    epochs = [member.history.stopped_epoch for member in members]
+    assert len(passes) == max(epochs)
+    # each pass covers the members still training in that epoch
+    assert passes == [sum(e >= epoch for e in epochs) for epoch in range(1, max(epochs) + 1)]
 
 
 def _reference_epochs(init_weights, data, val, target, config, n_epochs):
