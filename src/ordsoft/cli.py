@@ -131,7 +131,13 @@ def _write_paired_csv(path: str, features: np.ndarray, labels_a: np.ndarray, lab
 
 
 def _read_paired_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return read_labelled_csv(path, ("label_a", "label_b"))
+    """The features and A and B grades of the paired CSV at ``path``. A file that
+    cannot be read as one, such as one with a non-numeric feature, is a usage
+    error naming the file."""
+    try:
+        return read_labelled_csv(path, ("label_a", "label_b"))
+    except ValueError as exc:
+        raise _file_error(path, exc) from exc
 
 
 def cmd_synth(args) -> int:
@@ -210,16 +216,21 @@ def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelS
     return space
 
 
+def _file_error(path: str, exc: ValueError) -> UsageError:
+    """``exc``, raised reading ``path``, as a usage error naming the file."""
+    message = str(exc)
+    if not message.startswith(f"{path}:"):
+        message = f"{path}: {message}"
+    return UsageError(message)
+
+
 def _read_samples(path: str) -> SampleSet:
     """The single-label CSV at ``path``. A file that makes no sample set, such
     as one with a negative grade, is a usage error naming the file."""
     try:
         return SampleSet.from_csv(path)
     except ValueError as exc:
-        message = str(exc)
-        if not message.startswith(f"{path}:"):
-            message = f"{path}: {message}"
-        raise UsageError(message) from exc
+        raise _file_error(path, exc) from exc
 
 
 def cmd_train(args) -> int:
@@ -227,6 +238,8 @@ def cmd_train(args) -> int:
     space = _label_space(args.classes, dataset.labels, args.data)
     try:
         cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+        if not isinstance(cfg, dict) or not isinstance(cfg.get("params", {}), dict):
+            raise UsageError(f"{args.config}: expected a JSON object, with params an object")
         cfg_params = cfg.get("params", {})
         params = SmoothingParams(
             eta=_given(args.eta, cfg_params.get("eta", 1.0)),
@@ -324,33 +337,37 @@ def render_summary(summary: dict) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
 
 
-def _single_task(payload) -> dict:
-    dataset, space, strategy, seed, search_space, settings, task = payload
-    result = run_single(dataset, space, strategy, seed, search_space, settings)
-    return _run_record(task, result)
+def _single_task(payload) -> list[dict]:
+    """One seed's records, one per strategy in order."""
+    dataset, space, strategies, seed, search_space, settings, task = payload
+    results = run_single(dataset, space, strategies, seed, search_space, settings)
+    return [_run_record(task, result) for result in results]
 
 
-def _paired_task(payload) -> dict:
+def _paired_task(payload) -> list[dict]:
+    """One seed's paired records, one per strategy in order."""
     from .synth import PairedGrades
 
-    features, grades, strategy, seed, search_space, settings, task = payload
-    a, b = run_paired_single(features, grades, strategy, seed, search_space, settings)
-    predicted = PairedGrades(
-        a.predictions.predicted_labels, b.predictions.predicted_labels,
-        grades.n_classes_a, grades.n_classes_b,
-    )
-    return {
-        "schema": "ordsoft.paired_run_record-v1",
-        "task": task,
-        "seed": seed,
-        "strategy": strategy,
-        "config_a": a.chosen_config.to_dict(),
-        "config_b": b.chosen_config.to_dict(),
-        "metrics_a": a.metrics.to_dict(),
-        "metrics_b": b.metrics.to_dict(),
-        "table": predicted.contingency().counts.tolist(),
-        "table_file": f"tables/{strategy}_seed{seed}.csv",
-    }
+    features, grades, strategies, seed, search_space, settings, task = payload
+    records = []
+    for a, b in run_paired_single(features, grades, strategies, seed, search_space, settings):
+        predicted = PairedGrades(
+            a.predictions.predicted_labels, b.predictions.predicted_labels,
+            grades.n_classes_a, grades.n_classes_b,
+        )
+        records.append({
+            "schema": "ordsoft.paired_run_record-v1",
+            "task": task,
+            "seed": seed,
+            "strategy": a.strategy,
+            "config_a": a.chosen_config.to_dict(),
+            "config_b": b.chosen_config.to_dict(),
+            "metrics_a": a.metrics.to_dict(),
+            "metrics_b": b.metrics.to_dict(),
+            "table": predicted.contingency().counts.tolist(),
+            "table_file": f"tables/{a.strategy}_seed{seed}.csv",
+        })
+    return records
 
 
 def _workers() -> int:
@@ -417,11 +434,11 @@ def cmd_sweep(args) -> int:
         task_fn, data = _single_task, (dataset, _label_space(None, dataset.labels, dataset_path))
         scales = [("summary.json", "metrics", "")]
     payloads = [
-        (*data, strategy, settings.root_seed + i, search_space, settings, task)
+        (*data, strategies, settings.root_seed + i, search_space, settings, task)
         for i in range(n_seeds)
-        for strategy in strategies
     ]
-    records = _map_tasks(task_fn, payloads, workers)
+    # one task per seed, its records in strategy order
+    records = [rec for recs in _map_tasks(task_fn, payloads, workers) for rec in recs]
     if paired:
         from .jointanalysis import ContingencyTable
 

@@ -25,39 +25,52 @@ in-place ufuncs per step rather than one allocating pass per layer.
 A step's forward/backward allocates no arrays either, only views. It writes
 into work arrays (``_Work``) that a fit allocates once per batch shape:
 ``(K, B, H)`` hidden activations, ReLU mask and ``d_hidden``; ``(K, B, J)``
-logits, which become probabilities and then ``d_logits`` in place, and
-log-likelihood terms; ``(K, B)`` row max and sum. The short last batch of an
-epoch has its own set, because a matmul writing into part of a larger array may
-leave the BLAS path and round differently. The softmax takes each row's max
-and sum as J-1 ufuncs over the grade columns rather than as reductions over the
-last axis, because numpy reduces a length-5 trailing axis slowly; the max is
-exact and numpy adds a short row in index order, so the probabilities are bit
-for bit those of ``loss.softmax``.
+targets, logits, which become probabilities and then ``d_logits`` in place,
+and log-likelihood terms; ``(K, B)`` row max and sum. The short last batch of
+an epoch has its own set, because a matmul writing into part of a larger array
+may leave the BLAS path and round differently. Each step gathers its batch's
+targets from the members' ``(K, J, J)`` target-matrix rows into the set's
+``targets`` with one ``take``, so no ``(K, N, J)`` array of every row's targets
+is built or reshuffled per epoch; the fit checks the label range once, since
+that ``take`` clips. The softmax takes each row's max and sum as J-1 ufuncs
+over the grade columns rather than as reductions over the last axis, because
+numpy reduces a length-5 trailing axis slowly; the max is exact and numpy adds
+a short row in index order, so the probabilities are bit for bit those of
+``loss.softmax``.
 
-The validation loss of all K members is one forward pass per epoch over the
-V validation rows, through a ``(K, V, ...)`` set of its own, against the
-members' ``(K, V, J)`` validation targets, stacked and checked once per fit.
-That set and inference's one-off ``(1, N, ...)`` set run forward only, so they
-hold no mask or ``d_hidden``: about 1 MB at K=15, V=204. When members leave the
-stack, the fit cuts the validation targets to the members left, frees the work
-sets and allocates fresh ones, since every work array is written before it is
-read. Every ufunc is elementwise or keeps its reduction axis, so none of this
+Each epoch ends with the validation loss of all K members: one forward pass
+over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members,
+against the members' ``(K, V, J)`` validation targets, stacked and checked
+once per fit. A block's weights and targets are slices of the stack's, and its
+work set, shared by the blocks of its size, runs forward only, holding no mask
+or ``d_hidden``, so validation memory stays that of 8 members however large
+the stack. Inference's one-off ``(1, N, ...)`` set is forward-only too. When
+members leave the stack, the fit cuts the target rows and validation targets
+to the members left, frees the work sets and allocates fresh ones, since every
+work array is written before it is read. Every ufunc is elementwise or keeps
+its reduction axis, and every member runs its own gemm, so none of this
 changes a single bit.
 
-``random_search`` samples hyperparameter configurations without replacement
-from the per-strategy grid. The candidates share the seed, so the same initial
-weights, split and shuffle order, and differ only in learning rate and
-targets: they train as one lockstep fit. The search selects by validation
-AMAE and returns the model it trained for the winner.
+``random_search`` searches several strategies on one seed at once. Each
+strategy samples its configurations without replacement from its own grid,
+with a generator of the seed of its own, as a lone search of it would. All
+candidates of all strategies share the seed, hence the split, validation set,
+initial weights and shuffle order, and differ only in learning rate and
+targets, so they train as one lockstep fit: up to 51 members for the five
+paper strategies at the default grid, where five per-strategy fits would each
+pay a step's fixed cost of numpy calls. Each strategy's winner is the lowest
+validation AMAE among its own candidates, and the search returns the model it
+trained for it.
 
-One grading scale's run for one (seed, strategy) takes the train and holdout
-subsets of a given split, searches on the train subset, predicts the holdout
-with the search's model and scores it, giving a ``RunResult``. ``run_single``
-splits stratified on the labels and makes that run once. A paired task is the
-same run made twice, once per scale: ``run_paired_single`` splits stratified
-on the A grades alone, since joint cells can be too sparse to stratify on,
-and both scales' runs share that split, so their holdout predictions pair up
-row by row into the predicted joint table.
+One grading scale's runs for one seed take the train and holdout subsets of a
+given split, search every strategy on the train subset, predict the holdout
+with each strategy's model and score it, giving one ``RunResult`` per
+strategy. ``run_single`` splits stratified on the labels and makes those runs
+once. A paired task is the same runs made twice, once per scale:
+``run_paired_single`` splits stratified on the A grades alone, since joint
+cells can be too sparse to stratify on, and both scales' runs share that
+split, so each strategy's holdout predictions pair up row by row into its
+predicted joint table.
 """
 
 from __future__ import annotations
@@ -81,6 +94,9 @@ _STREAM_SPLIT = 11
 _STREAM_INIT = 12
 _STREAM_SHUFFLE = 13
 _STREAM_SEARCH = 14
+
+# members per validation forward: bounds the forward-only set of a large stack
+_VAL_BLOCK = 8
 
 
 class TrainingDiverged(RuntimeError):
@@ -127,16 +143,16 @@ class _Work:
     ``hidden`` is ``(K, B, H)`` (None for the linear model); ``logits``, which
     become probabilities (and then ``d_logits`` in a backward pass), and
     ``llik`` are ``(K, B, J)``; ``row_max`` and ``row_sum`` are ``(K, B)``;
-    ``total`` is ``(K,)``. A set for a backward pass also holds the MLP's
-    ``(K, B, H)`` ReLU ``mask`` and ``d_hidden``; a forward-only set, as
-    validation and inference use, leaves them None. The J column views of
-    ``logits`` and the ``(K, B, 1)`` broadcast views of the row max and sum are
-    built with the arrays.
+    ``total`` is ``(K,)``. A set for a backward pass also holds the batch's
+    ``(K, B, J)`` ``targets`` and the MLP's ``(K, B, H)`` ReLU ``mask`` and
+    ``d_hidden``; a forward-only set, as validation and inference use, leaves
+    them None. The J column views of ``logits`` and the ``(K, B, 1)`` broadcast
+    views of the row max and sum are built with the arrays.
     """
 
     def __init__(self, layers: dict, n_members: int, n_rows: int, backward: bool = False):
         """Arrays for ``n_members`` models laid out as ``layers`` (one model's)."""
-        self.hidden = self.mask = self.d_hidden = None
+        self.hidden = self.mask = self.d_hidden = self.targets = None
         if "w_in" in layers:
             shape = (n_members, n_rows, layers["b_in"].size)
             self.hidden = np.empty(shape)
@@ -144,6 +160,8 @@ class _Work:
                 self.d_hidden, self.mask = np.empty(shape), np.empty(shape, dtype=bool)
         self.logits = np.empty((n_members, n_rows, layers["b_out"].size))
         self.llik = np.empty_like(self.logits)
+        if backward:
+            self.targets = np.empty_like(self.logits)
         self.row_max, self.row_sum = np.empty((n_members, n_rows)), np.empty((n_members, n_rows))
         self.total = np.empty(n_members)
         self.cols = [self.logits[..., j] for j in range(self.logits.shape[-1])]
@@ -444,6 +462,25 @@ def _batch_work(layers: dict, n_members: int, batch_sizes: list[int]) -> list[_W
     return [sets[n] for n in batch_sizes]
 
 
+def _val_blocks(
+    layers: dict, weights: dict, val_targets: np.ndarray, n_rows: int
+) -> list[tuple[dict, np.ndarray, _Work]]:
+    """The weight views, ``(k, V, J)`` validation targets and forward-only work set
+    of each block of at most ``_VAL_BLOCK`` members of the stack ``weights`` (laid
+    out as ``layers``, one model's), one set per block size; a block's views and
+    targets are slices of the stack's, so each member runs a lone fit's gemms."""
+    n_members = len(val_targets)
+    sets: dict[int, _Work] = {}
+    blocks = []
+    for lo in range(0, n_members, _VAL_BLOCK):
+        hi = min(lo + _VAL_BLOCK, n_members)
+        if hi - lo not in sets:
+            sets[hi - lo] = _Work(layers, hi - lo, n_rows)
+        block = {k: w[lo:hi] for k, w in weights.items()}
+        blocks.append((block, val_targets[lo:hi], sets[hi - lo]))
+    return blocks
+
+
 def _fit_lockstep(
     init_weights: dict,
     data: SampleSet,
@@ -456,14 +493,16 @@ def _fit_lockstep(
     The configs share seed, batch size, epoch limit, patience and optimizer;
     they differ in learning rate and targets. The members' weights are stacked
     on a leading axis, and each step runs one batched forward/backward and
-    update on one mini-batch that all members share; each epoch ends with one
-    batched forward over the validation set. A batched matmul runs one gemm
-    per member and reductions run over the batch axis or within one member's
-    row, so every member's arithmetic is bit for bit that of the member trained
-    alone. The weights and gradients are flat ``(K, P)`` buffers seen through
-    per-layer views. A member that stops early or goes non-finite leaves the
-    stack: one row selection of each buffer and of the stacked targets, after
-    which the views and the work arrays are built afresh.
+    update on one mini-batch that all members share, whose targets are
+    gathered from the members' ``(K, J, J)`` target rows; each epoch ends with
+    a batched forward over the validation set per block of at most
+    ``_VAL_BLOCK`` members. A batched matmul runs one gemm per member and
+    reductions run over the batch axis or within one member's row, so every
+    member's arithmetic is bit for bit that of the member trained alone. The
+    weights and gradients are flat ``(K, P)`` buffers seen through per-layer
+    views. A member that stops early or goes non-finite leaves the stack: one
+    row selection of each buffer and of the stacked targets, after which the
+    views and the work arrays are built afresh.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -475,7 +514,10 @@ def _fit_lockstep(
     params = np.repeat(flat_init[None], len(members), axis=0)
     flat_grads = np.empty_like(params)
     weights, grads = _views(params, layout), _views(flat_grads, layout)
-    train_targets = np.stack([t.for_labels(data.labels) for t in targets])
+    target_rows = np.stack([t.rows for t in targets])
+    # the per-batch gather clips its indices, so a label past the grades must fail here
+    if data.labels.max() >= target_rows.shape[1]:
+        raise ValueError(f"labels must lie below {target_rows.shape[1]} grades")
     val_targets = check_target(np.stack([t.for_labels(validation.labels) for t in targets]))
     learning_rates = np.array([c.learning_rate for c in configs])
     optimizer = _Optimizer(shared.optimizer, learning_rates, flat_init.size)
@@ -483,23 +525,27 @@ def _fit_lockstep(
     starts = range(0, data.n_samples, shared.batch_size)
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
     batch_work = _batch_work(init_weights, len(members), batch_sizes.tolist())
-    val_work = _Work(init_weights, len(members), validation.n_samples)
+    val_blocks = _val_blocks(init_weights, weights, val_targets, validation.n_samples)
 
     for epoch in range(1, shared.max_epochs + 1):
         perm = rng.permutation(data.n_samples)
-        x_epoch, t_epoch = data.features[perm], train_targets[:, perm]
+        x_epoch, labels_epoch = data.features[perm], data.labels[perm]
         log_likelihoods = np.empty((len(alive), len(starts)))
         # divergence surfaces as non-finite losses below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for i, start in enumerate(starts):
-                end = start + shared.batch_size
+                end, work = start + shared.batch_size, batch_work[i]
+                target_rows.take(labels_epoch[start:end], 1, work.targets, "clip")
                 log_likelihoods[:, i] = _batch_gradients(
-                    weights, grads, x_epoch[start:end], t_epoch[:, start:end], batch_work[i]
+                    weights, grads, x_epoch[start:end], work.targets, work
                 )
                 optimizer.update(params, flat_grads)
             # per-batch mean losses, then their mean over the epoch
             epoch_train = (-log_likelihoods / batch_sizes).mean(axis=1)
-            epoch_val = _mean_soft_ce(weights, validation.features, val_targets, val_work)
+            epoch_val = np.concatenate([
+                _mean_soft_ce(block, validation.features, block_targets, work)
+                for block, block_targets, work in val_blocks
+            ])
             rows = []
             for row, member in enumerate(alive):
                 losses = float(epoch_train[row]), float(epoch_val[row])
@@ -511,11 +557,11 @@ def _fit_lockstep(
             alive = [alive[row] for row in rows]
             params, flat_grads = params[rows], flat_grads[rows]
             weights, grads = _views(params, layout), _views(flat_grads, layout)
-            train_targets, val_targets = train_targets[rows], val_targets[rows]
+            target_rows, val_targets = target_rows[rows], val_targets[rows]
             optimizer.keep(rows)
-            batch_work = val_work = None  # free the old sets before allocating the new ones
+            batch_work = val_blocks = None  # free the old sets before allocating the new ones
             batch_work = _batch_work(init_weights, len(rows), batch_sizes.tolist())
-            val_work = _Work(init_weights, len(rows), validation.n_samples)
+            val_blocks = _val_blocks(init_weights, weights, val_targets, validation.n_samples)
     return members
 
 
@@ -628,25 +674,33 @@ def validation_split(
 def random_search(
     space: SearchSpace,
     data: SampleSet,
-    strategy: str,
+    strategies: Sequence[str],
     seed: int,
     label_space: LabelSpace,
     settings: ProtocolSettings = ProtocolSettings(),
-) -> SearchOutcome:
-    """Sample configurations without replacement and pick the lowest validation AMAE.
+) -> list[SearchOutcome]:
+    """Each strategy's search: the lowest validation AMAE among configurations
+    sampled without replacement from its grid, one outcome per strategy in order.
 
     The validation set is carved from ``data`` (the training split) at
-    ``settings.val_fraction``. The candidates share the seed, hence the initial
-    weights and the shuffle order, so they train in one lockstep fit, each
-    exactly as it would train alone; candidates with the same smoothing
-    parameters share one target matrix. Ties break by validation MAE, then
-    lower learning rate, then grid position. A diverged candidate is skipped;
-    ``TrainingDiverged`` is raised only when every candidate diverges.
+    ``settings.val_fraction``. Each strategy draws its candidates from its own
+    generator of the seed, as a search of that strategy alone would. Every
+    candidate of every strategy shares the seed, hence the initial weights and
+    the shuffle order, so all of them train in one lockstep fit, each exactly as
+    it would train alone; candidates of one strategy with the same smoothing
+    parameters share one target matrix. A strategy listed twice is searched
+    once. Ties break by validation MAE, then lower learning rate, then grid
+    position. A diverged candidate is skipped; ``TrainingDiverged`` is raised
+    when every candidate of a strategy diverges.
     """
-    grid = space.grid(strategy)
-    rng = np.random.default_rng([seed, _STREAM_SEARCH])
-    n_sample = min(space.max_configs, len(grid))
-    chosen = [int(g) for g in rng.choice(len(grid), size=n_sample, replace=False)]
+    draws: dict[str, list[tuple[int, float, SmoothingParams]]] = {}
+    for strategy in dict.fromkeys(strategies):
+        grid = space.grid(strategy)
+        rng = np.random.default_rng([seed, _STREAM_SEARCH])
+        n_sample = min(space.max_configs, len(grid))
+        draws[strategy] = [
+            (int(g), *grid[g]) for g in rng.choice(len(grid), size=n_sample, replace=False)
+        ]
     subtrain, val = validation_split(data, seed, settings)
 
     configs = [
@@ -660,12 +714,14 @@ def random_search(
             patience=settings.patience,
             optimizer=settings.optimizer,
         )
-        for lr, params in (grid[g] for g in chosen)
+        for strategy, drawn in draws.items()
+        for _, lr, params in drawn
     ]
-    matrices: dict[SmoothingParams, SoftTargetMatrix] = {}
+    matrices: dict[tuple[str, SmoothingParams], SoftTargetMatrix] = {}
     for config in configs:
-        if config.params not in matrices:
-            matrices[config.params] = build_target_matrix(label_space, strategy, config.params)
+        key = (config.strategy, config.params)
+        if key not in matrices:
+            matrices[key] = build_target_matrix(label_space, config.strategy, config.params)
     init = init_model(
         settings.architecture,
         subtrain.n_features,
@@ -674,28 +730,30 @@ def random_search(
         settings.hidden_width,
     )
     members = _fit_lockstep(
-        init.weights, subtrain, val, [matrices[c.params] for c in configs], configs
+        init.weights, subtrain, val, [matrices[c.strategy, c.params] for c in configs], configs
     )
 
-    best_key = None
-    best: Optional[SearchOutcome] = None
-    for grid_pos, member in zip(chosen, members):
+    grid_positions = [g for drawn in draws.values() for g, _, _ in drawn]
+    best: dict[str, tuple[tuple, SearchOutcome]] = {}
+    for grid_pos, member in zip(grid_positions, members):
         if member.diverged is not None:
             continue
+        strategy = member.config.strategy
         model = ClassifierModel(
             init.architecture, member.best_weights, init.n_classes, init.hidden_width
         )
         confusion = build_confusion(model.predict(val), label_space)
         val_amae, val_mae = amae_metric(confusion), mae_metric(confusion)
         key = (val_amae, val_mae, member.config.learning_rate, grid_pos)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = SearchOutcome(member.config, val_amae, val_mae, n_sample, model)
-    if best is None:
-        raise TrainingDiverged(
-            f"all {n_sample} candidates diverged for strategy={strategy}, seed={seed}"
-        )
-    return best
+        if strategy not in best or key < best[strategy][0]:
+            outcome = SearchOutcome(member.config, val_amae, val_mae, len(draws[strategy]), model)
+            best[strategy] = key, outcome
+    for strategy, drawn in draws.items():
+        if strategy not in best:
+            raise TrainingDiverged(
+                f"all {len(drawn)} candidates diverged for strategy={strategy}, seed={seed}"
+            )
+    return [best[strategy][1] for strategy in strategies]
 
 
 def _run_scale(
@@ -703,60 +761,63 @@ def _run_scale(
     label_space: LabelSpace,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
-    strategy: str,
+    strategies: Sequence[str],
     seed: int,
     search_space: SearchSpace,
     settings: ProtocolSettings,
-) -> RunResult:
-    """One grading scale's run on a given split: search on the train subset,
-    then evaluate the search's model on the holdout subset."""
+) -> list[RunResult]:
+    """One grading scale's runs on a given split, one per strategy: search on the
+    train subset, then evaluate each strategy's model on the holdout subset."""
     train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
-    outcome = random_search(search_space, train_set, strategy, seed, label_space, settings)
-    preds = outcome.model.predict(test_set)
-    metrics = compute_report(build_confusion(preds, label_space))
-    return RunResult(
-        seed=seed,
-        strategy=strategy,
-        chosen_config=outcome.config,
-        metrics=metrics,
-        predictions=preds,
-        validation_amae=outcome.val_amae,
-    )
+    results = []
+    for outcome in random_search(search_space, train_set, strategies, seed, label_space, settings):
+        preds = outcome.model.predict(test_set)
+        results.append(RunResult(
+            seed=seed,
+            strategy=outcome.config.strategy,
+            chosen_config=outcome.config,
+            metrics=compute_report(build_confusion(preds, label_space)),
+            predictions=preds,
+            validation_amae=outcome.val_amae,
+        ))
+    return results
 
 
 def run_single(
     dataset: SampleSet,
     label_space: LabelSpace,
-    strategy: str,
+    strategies: Sequence[str],
     seed: int,
     search_space: SearchSpace,
     settings: ProtocolSettings,
-) -> RunResult:
-    """One (seed, strategy) run: a split stratified on the labels, then the run."""
+) -> list[RunResult]:
+    """One seed's runs, one per strategy: a split stratified on the labels, then
+    the runs."""
     train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, seed)
     return _run_scale(
-        dataset, label_space, train_idx, test_idx, strategy, seed, search_space, settings
+        dataset, label_space, train_idx, test_idx, strategies, seed, search_space, settings
     )
 
 
 def run_paired_single(
     features: np.ndarray,
     grades: PairedGrades,
-    strategy: str,
+    strategies: Sequence[str],
     seed: int,
     search_space: SearchSpace,
     settings: ProtocolSettings,
-) -> tuple[RunResult, RunResult]:
-    """One (seed, strategy) run per grade scale on shared features, on one split
-    stratified on the A grades: the scales' results, A first."""
+) -> list[tuple[RunResult, RunResult]]:
+    """One seed's runs per grade scale on shared features, on one split stratified
+    on the A grades: per strategy, the scales' results, A first."""
     train_idx, test_idx = stratified_split(grades.labels_a, settings.train_fraction, seed)
-    return tuple(
+    results_a, results_b = (
         _run_scale(
             SampleSet(features, labels), LabelSpace(n_classes), train_idx, test_idx,
-            strategy, seed, search_space, settings,
+            strategies, seed, search_space, settings,
         )
         for labels, n_classes in (
             (grades.labels_a, grades.n_classes_a),
             (grades.labels_b, grades.n_classes_b),
         )
     )
+    return list(zip(results_a, results_b))

@@ -162,10 +162,12 @@ def test_train_malformed_config_is_usage_error_naming_it(tmp_path, capsys):
     data = tmp_path / "data.csv"
     main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
     config = tmp_path / "config.json"
-    config.write_text("{bad")
-    assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "usage error" in err and str(config) in err
+    # not JSON, JSON that is no object, and params that are no object
+    for text in ("{bad", "[]", '{"params": [1]}'):
+        config.write_text(text)
+        assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(config) in err
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -329,6 +331,7 @@ def _paired_dataset(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "single_header_only", "single_negative", "paired_header_only", "paired_negative_b",
+    "paired_nonnumeric",
 ])
 def test_sweep_without_rows_or_with_a_negative_grade_is_usage_error(tmp_path, capsys, case):
     data = tmp_path / "data.csv"
@@ -338,9 +341,13 @@ def test_sweep_without_rows_or_with_a_negative_grade_is_usage_error(tmp_path, ca
         data.write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,-1\n0.5,0.6,1\n")
     elif case == "paired_header_only":
         data.write_text("f0,f1,label_a,label_b\n")
-    else:
+    elif case == "paired_negative_b":
         lines = _paired_dataset(tmp_path).read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0] + ",-1"
+        data.write_text("\n".join(lines) + "\n")
+    else:
+        lines = _paired_dataset(tmp_path).read_text().splitlines()
+        lines[1] = "x," + lines[1].split(",", 1)[1]
         data.write_text("\n".join(lines) + "\n")
     config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
     assert main(["sweep", "--config", str(config)]) == EXIT_USAGE

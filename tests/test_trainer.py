@@ -1,6 +1,8 @@
 """Split fidelity against the published class marginals, training/early-stop
 contracts, determinism, and the random-search selection rule."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -200,7 +202,8 @@ def test_search_caps_sampled_configs_at_fifteen():
     data, _ = _small_dataset(n_per_class=20)
     space = SearchSpace(max_configs=15)
     settings = ProtocolSettings(max_epochs=3, patience=3, hidden_width=4)
-    outcome = random_search(space, data, "triangular", seed=0, label_space=LabelSpace(3), settings=settings)
+    (outcome,) = random_search(space, data, ["triangular"], seed=0, label_space=LabelSpace(3),
+                               settings=settings)
     assert outcome.n_evaluated == 15
 
 
@@ -208,7 +211,8 @@ def test_search_single_config_grid_returns_it():
     data, _ = _small_dataset(n_per_class=20)
     space = SearchSpace(learning_rates=(1e-3,), max_configs=5)
     settings = ProtocolSettings(max_epochs=3, patience=3, hidden_width=4)
-    outcome = random_search(space, data, "nominal", seed=1, label_space=LabelSpace(3), settings=settings)
+    (outcome,) = random_search(space, data, ["nominal"], seed=1, label_space=LabelSpace(3),
+                               settings=settings)
     assert outcome.config.learning_rate == 1e-3
     assert outcome.n_evaluated == 1
 
@@ -218,15 +222,15 @@ def test_search_recovers_planted_best_config():
     data, space = _small_dataset(n_per_class=40, noise_sd=0.2, class_separation=2.0)
     grid = SearchSpace(learning_rates=(1e-12, 0.3), max_configs=2)
     settings = ProtocolSettings(max_epochs=30, patience=30, hidden_width=8)
-    outcome = random_search(grid, data, "nominal", seed=3, label_space=space, settings=settings)
+    (outcome,) = random_search(grid, data, ["nominal"], seed=3, label_space=space, settings=settings)
     assert outcome.config.learning_rate == 0.3
 
 
 def test_search_returns_the_model_it_trained_for_the_winner():
     data, space = _small_dataset(n_per_class=20)
     settings = ProtocolSettings(max_epochs=5, patience=5, hidden_width=4)
-    outcome = random_search(SearchSpace(max_configs=4), data, "exponential", seed=2,
-                            label_space=space, settings=settings)
+    (outcome,) = random_search(SearchSpace(max_configs=4), data, ["exponential"], seed=2,
+                               label_space=space, settings=settings)
     subtrain, val = validation_split(data, 2, settings)
     targets = build_target_matrix(space, outcome.config.strategy, outcome.config.params)
     init = init_model(settings.architecture, data.n_features, space.n_classes, 2,
@@ -243,7 +247,31 @@ def test_search_raises_when_every_candidate_diverges():
     settings = ProtocolSettings(batch_size=8, max_epochs=10, patience=10,
                                 architecture="linear", optimizer="sgd")
     with pytest.raises(TrainingDiverged, match="strategy=binomial, seed=4"):
-        random_search(grid, big, "binomial", seed=4, label_space=space, settings=settings)
+        random_search(grid, big, ["binomial"], seed=4, label_space=space, settings=settings)
+
+
+@pytest.mark.parametrize("architecture, optimizer", [("mlp_1_hidden", "adam"), ("linear", "sgd")])
+def test_search_over_strategies_returns_each_strategys_lone_search(architecture, optimizer):
+    data, space = _small_dataset(n_classes=4, n_per_class=25, noise_sd=0.6, adjacent_flip_prob=0.2)
+    settings = ProtocolSettings(batch_size=16, max_epochs=8, patience=3,
+                                architecture=architecture, optimizer=optimizer, hidden_width=8)
+    # a short last batch, so the fit's second set of work arrays runs too
+    subtrain, _ = validation_split(data, 7, settings)
+    assert subtrain.n_samples % settings.batch_size != 0
+    grid = SearchSpace(learning_rates=(1e-3, 0.1, 1.0), max_configs=8)
+    strategies = ["nominal", "binomial", "beta", "triangular", "exponential"]
+    # beta listed twice is searched once
+    outcomes = random_search(grid, data, strategies + ["beta"], seed=7, label_space=space,
+                             settings=settings)
+    assert [o.config.strategy for o in outcomes] == strategies + ["beta"]
+    assert outcomes[-1] is outcomes[2]
+    for strategy, outcome in zip(strategies, outcomes):
+        (lone,) = random_search(grid, data, [strategy], seed=7, label_space=space,
+                                settings=settings)
+        # config, validation AMAE and MAE, and the number of candidates
+        assert outcome == lone
+        for key, weights in lone.model.weights.items():
+            np.testing.assert_array_equal(outcome.model.weights[key], weights)
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
@@ -253,14 +281,18 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
     settings = ProtocolSettings(batch_size=16, max_epochs=30, patience=4,
                                 architecture=architecture, optimizer=optimizer, hidden_width=8)
     subtrain, val = validation_split(data, 6, settings)
+    # 11 members of two strategies validate in a block of 8 and a short one of 3;
     # lr 1e308 diverges; the others stop early at different epochs or run to max_epochs
+    candidates = [("triangular", lr, SmoothingParams(eta=eta, alpha=0.05))
+                  for lr in (1e-3, 0.1, 2.0, 1e308) for eta in (0.8, 1.0)]
+    candidates += [("binomial", lr, SmoothingParams(eta=0.8)) for lr in (1e-3, 0.1, 2.0)]
     configs = [
-        TrainConfig(lr, "triangular", SmoothingParams(eta=eta, alpha=0.05), seed=6,
-                    batch_size=16, max_epochs=30, patience=4, optimizer=optimizer)
-        for lr in (1e-3, 0.1, 2.0, 1e308)
-        for eta in (0.8, 1.0)
+        TrainConfig(lr, strategy, params, seed=6, batch_size=16, max_epochs=30, patience=4,
+                    optimizer=optimizer)
+        for strategy, lr, params in candidates
     ]
-    targets = [build_target_matrix(space, "triangular", c.params) for c in configs]
+    assert len(configs) > trainer._VAL_BLOCK
+    targets = [build_target_matrix(space, c.strategy, c.params) for c in configs]
     init = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
     members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
 
@@ -282,32 +314,55 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
     assert len(stopped) >= 2
 
 
-@pytest.mark.parametrize("n_members", [1, 3, 6])
+def test_lockstep_rejects_labels_past_the_target_grades():
+    data, space = _small_dataset(n_classes=4)
+    config = TrainConfig(0.1, "nominal", SmoothingParams(), seed=0, max_epochs=2, patience=2)
+    init = init_model("linear", data.n_features, 3, seed=0)
+    # the per-batch target gather clips, so it would quietly read grade 2's row for grade 3
+    with pytest.raises(ValueError, match="below 3 grades"):
+        _fit_lockstep(init.weights, data, data, [build_target_matrix(LabelSpace(3), "nominal")],
+                      [config])
+
+
+@pytest.mark.parametrize("n_members", [1, 3, 6, 9, 19])
 def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_members):
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
     subtrain, val = validation_split(data, 5, ProtocolSettings())
     # patience 2 stops some members early while others run on to max_epochs
+    learning_rates = (1e-3, 0.3, 3.0, 1e-2, 0.1, 1.0) + tuple(np.geomspace(2e-3, 2.0, 13))
     configs = [
         TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
                     max_epochs=12, patience=2)
-        for lr in (1e-3, 0.3, 3.0, 1e-2, 0.1, 1.0)[:n_members]
+        for lr in learning_rates[:n_members]
     ]
     targets = [build_target_matrix(space, "nominal")] * n_members
     init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
-    passes = []
+    passes, forward_only = [], []
     mean_soft_ce = trainer._mean_soft_ce
 
     def spy(weights, x, targets, work):
         passes.append(len(targets))
         return mean_soft_ce(weights, x, targets, work)
 
+    class SpyWork(trainer._Work):
+        def __init__(self, layers, n_members, n_rows, backward=False):
+            super().__init__(layers, n_members, n_rows, backward)
+            if not backward:
+                forward_only.append(n_members)
+
     monkeypatch.setattr(trainer, "_mean_soft_ce", spy)
+    monkeypatch.setattr(trainer, "_Work", SpyWork)
     members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
 
     epochs = [member.history.stopped_epoch for member in members]
-    assert len(passes) == max(epochs)
-    # each pass covers the members still training in that epoch
-    assert passes == [sum(e >= epoch for e in epochs) for epoch in range(1, max(epochs) + 1)]
+    alive = [sum(e >= epoch for e in epochs) for epoch in range(1, max(epochs) + 1)]
+    block = trainer._VAL_BLOCK
+    assert block == 8
+    # each epoch validates the members still training in ceil(alive / 8) passes,
+    # blocks of 8 in stack order and then the rest
+    assert len(passes) == sum(math.ceil(n / block) for n in alive)
+    assert passes == [min(block, n - lo) for n in alive for lo in range(0, n, block)]
+    assert forward_only and max(forward_only) <= block
 
 
 def _reference_epochs(init_weights, data, val, target, config, n_epochs):
@@ -470,8 +525,8 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
 def test_search_deterministic():
     data, space = _small_dataset(n_per_class=20)
     settings = ProtocolSettings(max_epochs=3, patience=3, hidden_width=4)
-    a = random_search(SearchSpace(), data, "beta", seed=5, label_space=space, settings=settings)
-    b = random_search(SearchSpace(), data, "beta", seed=5, label_space=space, settings=settings)
+    (a,) = random_search(SearchSpace(), data, ["beta"], seed=5, label_space=space, settings=settings)
+    (b,) = random_search(SearchSpace(), data, ["beta"], seed=5, label_space=space, settings=settings)
     assert a == b
 
 
@@ -481,8 +536,8 @@ def test_search_deterministic():
 def test_run_single_metrics_recomputable():
     data, space = _small_dataset(n_per_class=30, adjacent_flip_prob=0.2)
     settings = ProtocolSettings(max_epochs=10, patience=10, hidden_width=8)
-    result = run_single(data, space, "triangular", seed=0,
-                        search_space=SearchSpace(max_configs=3), settings=settings)
+    (result,) = run_single(data, space, ["triangular"], seed=0,
+                           search_space=SearchSpace(max_configs=3), settings=settings)
     recomputed = amae(build_confusion(result.predictions, space))
     assert recomputed == pytest.approx(result.metrics.amae, abs=1e-12)
     assert result.strategy == "triangular"
@@ -493,7 +548,7 @@ def test_run_single_deterministic():
     data, space = _small_dataset(n_per_class=24, adjacent_flip_prob=0.2)
     settings = ProtocolSettings(max_epochs=5, patience=5, hidden_width=4)
     runs = [
-        run_single(data, space, strategy, seed, SearchSpace(max_configs=2), settings)
+        run_single(data, space, [strategy], seed, SearchSpace(max_configs=2), settings)[0]
         for _ in range(2)
         for seed in (0, 1)
         for strategy in ("nominal", "binomial")
@@ -514,7 +569,8 @@ def test_paired_run_evaluates_both_scales_on_the_split_stratified_on_a():
     # the test would not tell the two splits apart if B's own split were the same
     _, b_test_idx = stratified_split(grades.labels_b, settings.train_fraction, seed=1)
     assert not np.array_equal(test_idx, b_test_idx)
-    a, b = run_paired_single(features, grades, "nominal", 1, SearchSpace(max_configs=2), settings)
+    [(a, b)] = run_paired_single(features, grades, ["nominal"], 1, SearchSpace(max_configs=2),
+                                 settings)
     np.testing.assert_array_equal(a.predictions.true_labels, grades.labels_a[test_idx])
     np.testing.assert_array_equal(b.predictions.true_labels, grades.labels_b[test_idx])
     assert (a.seed, a.strategy, b.seed, b.strategy) == (1, "nominal", 1, "nominal")
