@@ -27,13 +27,13 @@ import re
 import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
-    EmptyFileError,
     LabelSpace,
     RunResult,
     SampleSet,
@@ -130,14 +130,23 @@ def _write_paired_csv(path: str, features: np.ndarray, labels_a: np.ndarray, lab
     write_labelled_csv(path, features, {"label_a": labels_a, "label_b": labels_b})
 
 
-def _read_paired_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The features and A and B grades of the paired CSV at ``path``. A file that
-    cannot be read as one, such as one with a non-numeric feature, is a usage
-    error naming the file."""
+@contextmanager
+def _reading(path: str):
+    """Turn a ``ValueError`` raised while reading ``path``, such as a non-numeric
+    cell, a short row or a negative grade, into a usage error naming the file."""
     try:
-        return read_labelled_csv(path, ("label_a", "label_b"))
+        yield
     except ValueError as exc:
-        raise _file_error(path, exc) from exc
+        message = str(exc)
+        if not message.startswith(f"{path}:"):
+            message = f"{path}: {message}"
+        raise UsageError(message) from exc
+
+
+def _read_paired_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The features and A and B grades of the paired CSV at ``path``."""
+    with _reading(path):
+        return read_labelled_csv(path, ("label_a", "label_b"))
 
 
 def cmd_synth(args) -> int:
@@ -216,25 +225,9 @@ def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelS
     return space
 
 
-def _file_error(path: str, exc: ValueError) -> UsageError:
-    """``exc``, raised reading ``path``, as a usage error naming the file."""
-    message = str(exc)
-    if not message.startswith(f"{path}:"):
-        message = f"{path}: {message}"
-    return UsageError(message)
-
-
-def _read_samples(path: str) -> SampleSet:
-    """The single-label CSV at ``path``. A file that makes no sample set, such
-    as one with a negative grade, is a usage error naming the file."""
-    try:
-        return SampleSet.from_csv(path)
-    except ValueError as exc:
-        raise _file_error(path, exc) from exc
-
-
 def cmd_train(args) -> int:
-    dataset = _read_samples(args.data)
+    with _reading(args.data):
+        dataset = SampleSet.from_csv(args.data)
     space = _label_space(args.classes, dataset.labels, args.data)
     try:
         cfg = json.loads(Path(args.config).read_text()) if args.config else {}
@@ -286,6 +279,11 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------- sweep
 
 
+def _sample_std(values: list[float]) -> float:
+    """Sample standard deviation (ddof=1), 0 for a single value."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 def summarise_records(records: list[dict], task: str, n_seeds: int, metrics_key: str) -> dict:
     """Mean/std per strategy and metric, in the paper's Mean_STD display form.
 
@@ -300,24 +298,19 @@ def summarise_records(records: list[dict], task: str, n_seeds: int, metrics_key:
         for m in METRIC_NAMES:
             bucket[m].append(rec[metrics_key][m])
 
-    def cell(values: list[float]) -> dict:
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    def cell(mean: float, std: float) -> dict:
         return {"mean": mean, "std": std, "display": f"{mean:.3f}_{{{std:.3f}}}"}
 
     strategies = {
-        name: {m: cell(vals[m]) for m in METRIC_NAMES} for name, vals in by_strategy.items()
+        name: {m: cell(float(np.mean(vals[m])), _sample_std(vals[m])) for m in METRIC_NAMES}
+        for name, vals in by_strategy.items()
     }
     average = {}
     for m in METRIC_NAMES:
-        means = [strategies[s][m]["mean"] for s in strategies]
-        stds = [strategies[s][m]["std"] for s in strategies]
-        avg_mean, avg_std = float(np.mean(means)), float(np.mean(stds))
-        average[m] = {
-            "mean": avg_mean,
-            "std": avg_std,
-            "display": f"{avg_mean:.3f}_{{{avg_std:.3f}}}",
-        }
+        cells = [strategies[s][m] for s in strategies]
+        average[m] = cell(
+            float(np.mean([c["mean"] for c in cells])), float(np.mean([c["std"] for c in cells]))
+        )
     return {
         "schema": "ordsoft.sweep_summary-v1",
         "task": task,
@@ -410,7 +403,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad sweep config: {exc}") from exc
     workers = _workers()
 
-    with open(dataset_path, newline="") as fh:
+    with open(dataset_path, newline="") as fh, _reading(dataset_path):
         header = read_header(csv.reader(fh), dataset_path)
     paired = header[-2:] == ["label_a", "label_b"]
 
@@ -430,7 +423,8 @@ def cmd_sweep(args) -> int:
             ("summary_b.json", "metrics_b", "scale B\n"),
         ]
     else:
-        dataset = _read_samples(dataset_path)
+        with _reading(dataset_path):
+            dataset = SampleSet.from_csv(dataset_path)
         task_fn, data = _single_task, (dataset, _label_space(None, dataset.labels, dataset_path))
         scales = [("summary.json", "metrics", "")]
     payloads = [
@@ -467,17 +461,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.predictions, newline="") as fh:
+    path = args.predictions
+    with open(path, newline="") as fh, _reading(path):
         reader = csv.reader(fh)
-        header = read_header(reader, args.predictions)
-        if header[:2] != ["true", "pred"]:
-            raise UsageError(f"{args.predictions}: expected header true,pred")
-        pairs = [(int(r[0]), int(r[1])) for r in reader if r]
-    true_labels = np.asarray([p[0] for p in pairs], dtype=int)
-    pred_labels = np.asarray([p[1] for p in pairs], dtype=int)
-    space = _label_space(
-        args.classes, np.concatenate([true_labels, pred_labels]), args.predictions
-    )
+        if read_header(reader, path)[:2] != ["true", "pred"]:
+            raise ValueError("expected header true,pred")
+        rows = [row for row in reader if row]
+        if any(len(row) < 2 for row in rows):
+            raise ValueError("every row needs a true and a pred cell")
+        pairs = np.array([[int(row[0]), int(row[1])] for row in rows], dtype=int)
+    true_labels, pred_labels = pairs.reshape(-1, 2).T
+    space = _label_space(args.classes, np.concatenate([true_labels, pred_labels]), path)
     confusion = confusion_from_labels(true_labels, pred_labels, space)
     _emit(_dump_json(compute_report(confusion).to_dict()) + "\n", args.out)
     return EXIT_OK
@@ -535,9 +529,9 @@ def analyse_tables(
         strategies_report[strategy] = {
             "runs": entries,
             "kld_mean": float(np.mean(klds)),
-            "kld_std": float(np.std(klds, ddof=1)) if len(klds) > 1 else 0.0,
+            "kld_std": _sample_std(klds),
             "table_mae_mean": float(np.mean(maes)),
-            "table_mae_std": float(np.std(maes, ddof=1)) if len(maes) > 1 else 0.0,
+            "table_mae_std": _sample_std(maes),
             "residual_of_mean": residuals(p, mean_q).residuals.tolist(),
         }
         kld_by_strategy[strategy] = klds
@@ -578,7 +572,8 @@ def analyse_tables(
 def cmd_analyze(args) -> int:
     from .jointanalysis import ContingencyTable
 
-    truth = ContingencyTable.from_csv(args.truth)
+    with _reading(args.truth):
+        truth = ContingencyTable.from_csv(args.truth)
     files = sorted(globmod.glob(args.pred))
     if not files:
         raise UsageError(f"no predicted tables match {args.pred!r}")
@@ -590,9 +585,9 @@ def cmd_analyze(args) -> int:
             raise UsageError(
                 f"{path}: predicted tables must be named <strategy>_seed<N>.csv"
             )
-        predicted.setdefault(match["strategy"], []).append(
-            (int(match["seed"]), ContingencyTable.from_csv(path))
-        )
+        with _reading(path):
+            table = ContingencyTable.from_csv(path)
+        predicted.setdefault(match["strategy"], []).append((int(match["seed"]), table))
     report = analyse_tables(truth, predicted, epsilon=args.epsilon)
     _emit(_dump_json(report) + "\n", args.out)
     return EXIT_OK
@@ -680,7 +675,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, EmptyFileError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

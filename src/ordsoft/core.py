@@ -20,16 +20,12 @@ if TYPE_CHECKING:
 ROW_SUM_TOL = 1e-9
 
 
-class EmptyFileError(ValueError):
-    """A CSV input that is empty: not even a header line."""
-
-
 def read_header(reader, path: str) -> list[str]:
-    """The header row of a CSV ``reader`` over ``path``; an empty file raises
-    ``EmptyFileError`` naming it."""
+    """The header row of a CSV ``reader`` over ``path``; an empty file raises a
+    ``ValueError`` naming it."""
     header = next(reader, None)
     if header is None:
-        raise EmptyFileError(f"{path}: empty file, expected a header line")
+        raise ValueError(f"{path}: empty file, expected a header line")
     return header
 
 
@@ -137,16 +133,6 @@ class ConfusionMatrix:
     def n_classes(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
 
 def predicted_labels_from_probs(probs: np.ndarray) -> np.ndarray:
     """Argmax per row; ties resolve to the lower grade index."""
@@ -183,10 +169,6 @@ class PredictionSet:
     @classmethod
     def from_probs(cls, true_labels: np.ndarray, probs: np.ndarray) -> "PredictionSet":
         return cls(true_labels, predicted_labels_from_probs(probs), probs)
-
-    @property
-    def n_samples(self) -> int:
-        return self.predicted_probs.shape[0]
 
 
 def build_confusion(preds: PredictionSet, space: LabelSpace) -> ConfusionMatrix:

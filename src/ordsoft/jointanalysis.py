@@ -67,8 +67,11 @@ class ContingencyTable:
             if not header or "\\" not in header[0]:
                 raise ValueError(f"{path}: expected a 'row\\col' header cell")
             row_axis, col_axis = header[0].split("\\", 1)
-            rows = [[int(v) for v in row[1:]] for row in reader if row]
-        return cls(np.asarray(rows, dtype=int), row_axis=row_axis, col_axis=col_axis)
+            rows = [row for row in reader if row]
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError(f"{path}: every row must have the header's {len(header)} cells")
+        counts = np.asarray([[int(v) for v in row[1:]] for row in rows], dtype=int)
+        return cls(counts, row_axis=row_axis, col_axis=col_axis)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Softmax output layer, soft-target cross-entropy and its analytic gradient.
+"""Softmax output layer and soft-target cross-entropy.
 
 The loss is -sum_j target[j] * log(probs[j]); with a one-hot target this is
 the ordinary categorical cross-entropy. Probabilities are floored at 1e-12
@@ -6,7 +6,9 @@ before the logarithm since the loss is undefined at exactly zero.
 
 These are the plain, allocating forms. The trainer computes the same softmax
 and loss in place over preallocated work arrays; its tests hold it to these
-functions bit for bit.
+functions bit for bit. The loss's gradient with respect to the logits,
+softmax minus target, lives only in the trainer's backward pass, whose tests
+check it against central differences of ``mean_soft_ce``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,6 @@ def soft_ce(probs: np.ndarray, target: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=float)
     target = check_target(target)
     return float(-(target * np.log(np.maximum(probs, PROB_FLOOR))).sum())
-
-
-def soft_ce_grad(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of soft_ce(softmax(logits), target) with respect to the logits."""
-    target = check_target(target)
-    return softmax(logits) - target
 
 
 def mean_soft_ce(probs: np.ndarray, targets: np.ndarray) -> float:

@@ -9,8 +9,7 @@ in the report, since the per-class formulas divide by the class count.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,33 +119,8 @@ class MetricReport:
     empty_classes: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "ordsoft.metric_report-v1",
-            "qwk": self.qwk,
-            "mae": self.mae,
-            "amae": self.amae,
-            "mmae": self.mmae,
-            "ms": self.ms,
-            "ba": self.ba,
-            "per_class_mae": list(self.per_class_mae),
-            "empty_classes": list(self.empty_classes),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricReport":
-        return cls(
-            qwk=data["qwk"],
-            mae=data["mae"],
-            amae=data["amae"],
-            mmae=data["mmae"],
-            ms=data["ms"],
-            ba=data["ba"],
-            per_class_mae=tuple(data["per_class_mae"]),
-            empty_classes=tuple(data["empty_classes"]),
-        )
+        """Every field under the report schema; the tuples are written as JSON lists."""
+        return {"schema": "ordsoft.metric_report-v1", **asdict(self)}
 
 
 def compute_report(confusion: ConfusionMatrix) -> MetricReport:

@@ -10,7 +10,9 @@ Strategies: ``triangular`` (fixed adjacent-class mass), ``binomial``
 (Binomial(J-1, k/(J-1)) pmf), ``exponential`` (softmax of -|j-k|^p), ``beta``
 (cdf differences of a Beta density over the J equal segments of [0, 1], mode
 at the class-segment midpoint), plus the ``nominal`` one-hot baseline and a
-``nominal_smoothed`` uniform-blend ablation.
+``nominal_smoothed`` uniform-blend ablation. ``STRATEGY_PARAMS`` names the
+smoothing parameters each strategy takes; ``strategy_row`` requires them and
+the search grids cross them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,16 @@ import numpy as np
 from .core import LabelSpace, ROW_SUM_TOL
 from .specfun import reg_inc_beta
 
-ORDINAL_STRATEGIES = ("triangular", "binomial", "beta", "exponential")
-STRATEGIES = ("nominal", "nominal_smoothed") + ORDINAL_STRATEGIES
+# strategy -> the ``SmoothingParams`` fields it reads
+STRATEGY_PARAMS = {
+    "nominal": (),
+    "nominal_smoothed": ("eta",),
+    "triangular": ("eta", "alpha"),
+    "binomial": ("eta",),
+    "beta": ("eta", "concentration"),
+    "exponential": ("eta", "p"),
+}
+STRATEGIES = tuple(STRATEGY_PARAMS)
 
 _UNIMODAL_TOL = 1e-12
 
@@ -183,9 +193,6 @@ class SoftTargetMatrix:
     def n_classes(self) -> int:
         return self.rows.shape[0]
 
-    def row(self, k: int) -> np.ndarray:
-        return self.rows[k]
-
     def for_labels(self, labels: np.ndarray) -> np.ndarray:
         """Per-sample target matrix: row i is the target of label i."""
         return self.rows[np.asarray(labels, dtype=int)]
@@ -193,19 +200,16 @@ class SoftTargetMatrix:
 
 def strategy_row(strategy: str, n_classes: int, k: int, params: SmoothingParams) -> np.ndarray:
     """The unblended unimodal vector for one grade under one strategy."""
+    for name in STRATEGY_PARAMS.get(strategy, ()):
+        if getattr(params, name) is None:
+            raise ValueError(f"{strategy} strategy requires {name}")
     if strategy == "triangular":
-        if params.alpha is None:
-            raise ValueError("triangular strategy requires alpha")
         return triangular_row(n_classes, k, params.alpha)
     if strategy == "binomial":
         return binomial_row(n_classes, k)
     if strategy == "exponential":
-        if params.p is None:
-            raise ValueError("exponential strategy requires p")
         return exponential_row(n_classes, k, params.p)
     if strategy == "beta":
-        if params.concentration is None:
-            raise ValueError("beta strategy requires concentration")
         return beta_row(n_classes, k, params.concentration)
     raise ValueError(f"unknown ordinal strategy {strategy!r}")
 

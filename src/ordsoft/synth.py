@@ -4,12 +4,13 @@
 axis with isotropic Gaussian noise, then corrupts labels by flipping each one
 to a uniformly chosen adjacent grade with a fixed probability — the
 adjacent-confusion regime ordinal soft labels are built for. ``generate_paired``
-draws two grade variables whose joint table is concentrated on B = 0 for low
-A grades and spreads toward uniform for high A grades, reproducing the
-asymmetric association shape the joint analysis targets. Paired data takes
-the same label noise (``adjacent_flip_prob``, applied to each scale) and the
-same feature spec (``n_features``, ``class_separation``, ``noise_sd``) as
-single data, with the same checks, except that it needs at least 2 features.
+draws A uniformly over its grades and B conditionally on A, so that the joint
+table is concentrated on B = 0 for low A grades and spreads toward uniform for
+high A grades, reproducing the asymmetric association shape the joint
+analysis targets. Paired data takes the same label noise
+(``adjacent_flip_prob``, applied to each scale) and the same feature spec
+(``n_features``, ``class_separation``, ``noise_sd``) as single data, with the
+same checks, except that it needs at least 2 features.
 
 All draws come from per-purpose child generators of the spec seed, so e.g.
 changing the flip probability never changes the noise drawn for the features.
@@ -108,7 +109,6 @@ class PairedSynthSpec:
     n_samples: int
     low_grade_concentration: float = 0.85
     high_grade_spread: float = 0.9
-    marginal_a: Union[tuple, None] = None  # None draws A uniformly
     seed: int = 0
     n_features: int = 8
     class_separation: float = 1.0
@@ -124,12 +124,6 @@ class PairedSynthSpec:
             raise ValueError("low_grade_concentration must lie in (0, 1]")
         if not 0.0 < self.high_grade_spread <= 1.0:
             raise ValueError("high_grade_spread must lie in (0, 1]")
-        if self.marginal_a is not None:
-            marginal = np.asarray(self.marginal_a, dtype=float)
-            if marginal.shape != (self.n_classes_a,) or (marginal < 0).any():
-                raise ValueError("marginal_a must be a non-negative vector over the A grades")
-            if abs(marginal.sum() - 1.0) > 1e-9:
-                raise ValueError("marginal_a must sum to 1")
         # axis 0 carries A and axis 1 carries B
         _check_features_and_noise(self, min_features=2)
 
@@ -158,22 +152,18 @@ class PairedGrades:
     n_classes_a: int
     n_classes_b: int
 
-    def contingency(self, row_axis: str = "A", col_axis: str = "B") -> ContingencyTable:
+    def contingency(self) -> ContingencyTable:
+        """Joint counts, A on the rows and B on the columns."""
         counts = np.zeros((self.n_classes_a, self.n_classes_b), dtype=int)
         np.add.at(counts, (self.labels_a, self.labels_b), 1)
-        return ContingencyTable(counts, row_axis=row_axis, col_axis=col_axis)
+        return ContingencyTable(counts)
 
 
 def generate_paired(spec: PairedSynthSpec) -> PairedGrades:
-    """Draw A from its marginal (uniform by default), then B conditionally on A,
-    then flip each scale's grades to an adjacent one at ``adjacent_flip_prob``."""
+    """Draw A uniformly over its grades, then B conditionally on A, then flip
+    each scale's grades to an adjacent one at ``adjacent_flip_prob``."""
     rng = np.random.default_rng([spec.seed, _STREAM_PAIRS])
-    if spec.marginal_a is None:
-        labels_a = rng.integers(0, spec.n_classes_a, size=spec.n_samples)
-    else:
-        labels_a = rng.choice(
-            spec.n_classes_a, size=spec.n_samples, p=np.asarray(spec.marginal_a, dtype=float)
-        )
+    labels_a = rng.integers(0, spec.n_classes_a, size=spec.n_samples)
     labels_b = np.empty(spec.n_samples, dtype=int)
     conditionals = np.stack([paired_conditional(spec, a) for a in range(spec.n_classes_a)])
     for a in range(spec.n_classes_a):

@@ -40,16 +40,16 @@ a short row in index order, so the probabilities are bit for bit those of
 
 Each epoch ends with the validation loss of all K members: one forward pass
 over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members,
-against the members' ``(K, V, J)`` validation targets, stacked and checked
-once per fit. A block's weights and targets are slices of the stack's, and its
-work set, shared by the blocks of its size, runs forward only, holding no mask
-or ``d_hidden``, so validation memory stays that of 8 members however large
-the stack. Inference's one-off ``(1, N, ...)`` set is forward-only too. When
-members leave the stack, the fit cuts the target rows and validation targets
-to the members left, frees the work sets and allocates fresh ones, since every
-work array is written before it is read. Every ufunc is elementwise or keeps
-its reduction axis, and every member runs its own gemm, so none of this
-changes a single bit.
+against the members' ``(K, V, J)`` validation targets, taken once per fit from
+the same target rows as each batch's targets. A block's weights and targets
+are slices of the stack's, and its work set, shared by the blocks of its size,
+runs forward only, holding no mask or ``d_hidden``, so validation memory stays
+that of 8 members however large the stack. Inference's one-off ``(1, N, ...)``
+set is forward-only too. When members leave the stack, the fit cuts the target
+rows and validation targets to the members left, frees the work sets and
+allocates fresh ones, since every work array is written before it is read.
+Every ufunc is elementwise or keeps its reduction axis, and every member runs
+its own gemm, so none of this changes a single bit.
 
 ``random_search`` searches several strategies on one seed at once. Each
 strategy samples its configurations without replacement from its own grid,
@@ -77,15 +77,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion
-from .loss import PROB_FLOOR, check_target
+from .loss import PROB_FLOOR
 from .metrics import amae as amae_metric, mae as mae_metric, compute_report
-from .softlabel import SmoothingParams, SoftTargetMatrix, build_target_matrix
+from .softlabel import STRATEGY_PARAMS, SmoothingParams, SoftTargetMatrix, build_target_matrix
 
 if TYPE_CHECKING:
     from .synth import PairedGrades
@@ -103,6 +103,16 @@ class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+def _check_schedule(batch_size: int, max_epochs: int, patience: int, optimizer: str) -> None:
+    """The batch, patience and optimizer checks of ``TrainConfig`` and ``ProtocolSettings``."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if not 1 <= patience <= max_epochs:
+        raise ValueError("patience must lie in [1, max_epochs]")
+    if optimizer not in ("adam", "sgd"):
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -117,24 +127,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 1 <= self.patience <= self.max_epochs:
-            raise ValueError("patience must lie in [1, max_epochs]")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        _check_schedule(self.batch_size, self.max_epochs, self.patience, self.optimizer)
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "strategy": self.strategy,
-            "params": self.params.to_dict(),
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "optimizer": self.optimizer,
-        }
+        return {**asdict(self), "params": self.params.to_dict()}
 
 
 class _Work:
@@ -217,12 +213,12 @@ def _log_likelihood(probs: np.ndarray, targets: np.ndarray, out: np.ndarray) -> 
 
 @dataclass
 class ClassifierModel:
-    """Linear or one-hidden-layer ReLU classifier with J outputs."""
+    """Linear or one-hidden-layer ReLU classifier with J outputs, held as its
+    layers alone: ``w_out`` (H x J) and ``b_out`` (J), preceded for the MLP by
+    ``w_in`` (d x H) and ``b_in`` (H). The architecture, grade count and hidden
+    width are read off those shapes."""
 
-    architecture: str  # "linear" | "mlp_1_hidden"
     weights: dict
-    n_classes: int
-    hidden_width: int = 0
 
     def _forward(self, features: np.ndarray) -> _Work:
         """One forward pass over ``features`` with a one-off set of work arrays."""
@@ -258,7 +254,7 @@ def init_model(
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
     weights.update(w_out=layer(fan_in, n_classes), b_out=np.zeros(n_classes))
-    return ClassifierModel(architecture, weights, n_classes, hidden_width)
+    return ClassifierModel(weights)
 
 
 def stratified_split(
@@ -518,7 +514,7 @@ def _fit_lockstep(
     # the per-batch gather clips its indices, so a label past the grades must fail here
     if data.labels.max() >= target_rows.shape[1]:
         raise ValueError(f"labels must lie below {target_rows.shape[1]} grades")
-    val_targets = check_target(np.stack([t.for_labels(validation.labels) for t in targets]))
+    val_targets = target_rows.take(validation.labels, 1)
     learning_rates = np.array([c.learning_rate for c in configs])
     optimizer = _Optimizer(shared.optimizer, learning_rates, flat_init.size)
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
@@ -601,39 +597,17 @@ class SearchSpace:
             raise ValueError("max_configs must be >= 1")
 
     def grid(self, strategy: str) -> list[tuple[float, SmoothingParams]]:
-        lrs = self.learning_rates
-        if strategy == "nominal":
-            return [(lr, SmoothingParams()) for lr in lrs]
-        if strategy == "nominal_smoothed":
-            return [(lr, SmoothingParams(eta=e)) for lr, e in itertools.product(lrs, self.etas)]
-        if strategy == "binomial":
-            return [(lr, SmoothingParams(eta=e)) for lr, e in itertools.product(lrs, self.etas)]
-        if strategy == "beta":
-            return [
-                (lr, SmoothingParams(eta=e, concentration=c))
-                for lr, e, c in itertools.product(lrs, self.etas, self.concentrations)
-            ]
-        if strategy == "triangular":
-            return [
-                (lr, SmoothingParams(eta=e, alpha=a))
-                for lr, e, a in itertools.product(lrs, self.etas, self.alphas)
-            ]
-        if strategy == "exponential":
-            return [
-                (lr, SmoothingParams(eta=e, p=p))
-                for lr, e, p in itertools.product(lrs, self.etas, self.ps)
-            ]
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rates": list(self.learning_rates),
-            "etas": list(self.etas),
-            "alphas": list(self.alphas),
-            "ps": list(self.ps),
-            "concentrations": list(self.concentrations),
-            "max_configs": self.max_configs,
-        }
+        """Learning rates crossed with the grid of each parameter the strategy
+        takes (``eta`` -> ``etas``, ``alpha`` -> ``alphas``, ...), learning rate
+        slowest, then the parameters in ``STRATEGY_PARAMS`` order."""
+        if strategy not in STRATEGY_PARAMS:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        names = STRATEGY_PARAMS[strategy]
+        grids = [getattr(self, f"{name}s") for name in names]
+        return [
+            (lr, SmoothingParams(**dict(zip(names, values))))
+            for lr, *values in itertools.product(self.learning_rates, *grids)
+        ]
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpace":
@@ -652,6 +626,16 @@ class ProtocolSettings:
     hidden_width: int = 32
     optimizer: str = "adam"
     root_seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("train_fraction", "val_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie strictly between 0 and 1")
+        _check_schedule(self.batch_size, self.max_epochs, self.patience, self.optimizer)
+        if self.architecture not in ("linear", "mlp_1_hidden"):
+            raise ValueError(f"unknown architecture {self.architecture!r}")
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -739,9 +723,7 @@ def random_search(
         if member.diverged is not None:
             continue
         strategy = member.config.strategy
-        model = ClassifierModel(
-            init.architecture, member.best_weights, init.n_classes, init.hidden_width
-        )
+        model = ClassifierModel(member.best_weights)
         confusion = build_confusion(model.predict(val), label_space)
         val_amae, val_mae = amae_metric(confusion), mae_metric(confusion)
         key = (val_amae, val_mae, member.config.learning_rate, grid_pos)

@@ -237,6 +237,28 @@ def test_empty_csv_is_usage_error(tmp_path, capsys, command):
     assert f"{empty}: empty file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("evaluate", "true,pred\n0,1\n1,x\n"),
+    ("evaluate", "true,pred\n0,1\n1\n"),
+    ("analyze_truth", "A\\B,0,1\n0,5,x\n1,5,5\n"),
+    ("analyze_truth", "A\\B,0,1\n0,5,5\n1,5\n"),
+    ("analyze_pred", "A\\B,0,1\n0,5,5\n1,5,5,5\n"),
+], ids=["evaluate_non_integer", "evaluate_short_row", "analyze_non_integer",
+        "analyze_short_row", "analyze_long_row"])
+def test_malformed_csv_is_usage_error_naming_it(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad_seed0.csv"
+    bad.write_text(text)
+    table = tmp_path / "table.csv"
+    _write_table(table, [[5, 5], [5, 5]])
+    argv = {
+        "evaluate": ["evaluate", "--predictions", str(bad)],
+        "analyze_truth": ["analyze", "--truth", str(bad), "--pred", str(table)],
+        "analyze_pred": ["analyze", "--truth", str(table), "--pred", str(bad)],
+    }[command]
+    assert main(argv) == EXIT_USAGE
+    assert f"usage error: {bad}: " in capsys.readouterr().err
+
+
 def test_evaluate_missing_file_is_runtime_error(tmp_path):
     assert main(["evaluate", "--predictions", str(tmp_path / "nope.csv")]) == EXIT_RUNTIME
 
@@ -414,7 +436,7 @@ def test_paired_sweep_with_one_seed_then_analyze(tmp_path, capsys):
     assert pair["p_value"] == 1.0
 
 
-def test_sweep_bad_config_usage_error(tmp_path):
+def test_sweep_bad_config_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"task": "x"}))
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
@@ -423,6 +445,19 @@ def test_sweep_bad_config_usage_error(tmp_path):
         "n_seeds": 1, "output_dir": str(tmp_path),
     }))
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+    capsys.readouterr()
+    bad_settings = [("patience", 0), ("batch_size", 0), ("train_fraction", 1.0),
+                    ("val_fraction", 0), ("architecture", "cnn"), ("optimizer", "rmsprop"),
+                    ("hidden_width", 0)]
+    for setting, value in bad_settings:
+        # a bad setting fails before the dataset, which does not exist here, is read
+        path.write_text(json.dumps({
+            "task": "x", "dataset": str(tmp_path / "absent.csv"), "strategies": ["nominal"],
+            "n_seeds": 1, "output_dir": str(tmp_path), "settings": {setting: value},
+        }))
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE, setting
+        err = capsys.readouterr().err
+        assert "bad sweep config" in err and setting in err, err
 
 
 # ------------------------------------------------------------------- analyze

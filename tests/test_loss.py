@@ -1,11 +1,12 @@
-"""Softmax/cross-entropy identities and the finite-difference gradient oracle."""
+"""Softmax/cross-entropy identities; the gradient is checked against central
+differences in the trainer's tests, where the backward pass lives."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ordsoft.loss import mean_soft_ce, soft_ce, soft_ce_grad, softmax
+from ordsoft.loss import mean_soft_ce, soft_ce, softmax
 
 
 def test_softmax_uniform_cases():
@@ -77,35 +78,6 @@ def test_gibbs_inequality():
     target = rng.dirichlet(np.ones(4))
     entropy = -(target * np.log(target)).sum()
     assert soft_ce(target, target) == pytest.approx(entropy, abs=1e-12)
-
-
-def test_grad_trivials():
-    np.testing.assert_allclose(soft_ce_grad(np.zeros(4), np.full(4, 0.25)), np.zeros(4), atol=1e-15)
-    rng = np.random.default_rng(59)
-    for _ in range(20):
-        j = int(rng.integers(2, 7))
-        grad = soft_ce_grad(rng.normal(size=j), rng.dirichlet(np.ones(j)))
-        assert grad.sum() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_grad_matches_central_finite_differences():
-    rng = np.random.default_rng(61)
-    step = 1e-5
-    worst = 0.0
-    for _ in range(100):
-        j = int(rng.integers(2, 7))
-        logits = rng.normal(scale=2.0, size=j)
-        target = rng.dirichlet(np.ones(j))
-        grad = soft_ce_grad(logits, target)
-        for i in range(j):
-            up = logits.copy()
-            up[i] += step
-            down = logits.copy()
-            down[i] -= step
-            numeric = (soft_ce(softmax(up), target) - soft_ce(softmax(down), target)) / (2 * step)
-            scale = max(abs(numeric), abs(grad[i]), 1e-8)
-            worst = max(worst, abs(numeric - grad[i]) / scale)
-    assert worst < 1e-5
 
 
 def test_mean_soft_ce_matches_per_row():

@@ -10,7 +10,6 @@ import pytest
 
 from ordsoft.core import ConfusionMatrix
 from ordsoft.metrics import (
-    MetricReport,
     UndefinedMetricError,
     amae,
     balanced_accuracy,
@@ -177,9 +176,3 @@ def test_empty_class_excluded_and_flagged():
     present = [v for v in report.per_class_mae if v is not None]
     assert report.amae == pytest.approx(np.mean(present))
 
-
-def test_report_json_roundtrip():
-    confusion = ConfusionMatrix(np.array([[5, 1], [2, 6]]))
-    report = compute_report(confusion)
-    assert MetricReport.from_dict(report.to_dict()) == report
-    assert '"qwk"' in report.to_json()

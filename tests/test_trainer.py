@@ -9,7 +9,7 @@ import pytest
 from ordsoft.core import LabelSpace, PredictionSet, SampleSet, build_confusion
 from ordsoft.loss import PROB_FLOOR, mean_soft_ce, softmax
 from ordsoft.metrics import amae
-from ordsoft.softlabel import SmoothingParams, build_target_matrix
+from ordsoft.softlabel import STRATEGIES, SmoothingParams, build_target_matrix, strategy_row
 from ordsoft.synth import PairedSynthSpec, SynthSpec, generate, generate_paired, paired_features
 from ordsoft import trainer
 from ordsoft.trainer import (
@@ -18,7 +18,10 @@ from ordsoft.trainer import (
     TrainConfig,
     TrainingDiverged,
     _STREAM_SHUFFLE,
+    _Work,
+    _batch_gradients,
     _fit_lockstep,
+    _layout,
     _Member,
     _views,
     init_model,
@@ -196,6 +199,32 @@ def test_search_grid_sizes_follow_published_table():
     assert len(space.grid("triangular")) == 18  # 3 lr x 3 alpha x 2 eta
     assert len(space.grid("exponential")) == 18
     assert len(space.grid("beta")) == 12
+
+
+def test_search_grid_is_the_learning_rate_major_cross_product():
+    # unsorted grids, so the test pins the order the search draws indices from
+    space = SearchSpace(learning_rates=(0.2, 0.1), etas=(1.0, 0.5), alphas=(0.2, 0.01),
+                        ps=(1.0, 3.0, 2.0), concentrations=(7.0, 4.0))
+    lrs, etas = space.learning_rates, space.etas
+    expected = {
+        "nominal": [(lr, SmoothingParams()) for lr in lrs],
+        "nominal_smoothed": [(lr, SmoothingParams(eta=e)) for lr in lrs for e in etas],
+        "triangular": [(lr, SmoothingParams(eta=e, alpha=a))
+                       for lr in lrs for e in etas for a in space.alphas],
+        "binomial": [(lr, SmoothingParams(eta=e)) for lr in lrs for e in etas],
+        "beta": [(lr, SmoothingParams(eta=e, concentration=c))
+                 for lr in lrs for e in etas for c in space.concentrations],
+        "exponential": [(lr, SmoothingParams(eta=e, p=p))
+                        for lr in lrs for e in etas for p in space.ps],
+    }
+    assert tuple(expected) == STRATEGIES
+    for strategy, grid in expected.items():
+        assert space.grid(strategy) == grid, strategy
+    with pytest.raises(ValueError, match="unknown strategy 'ordinal'"):
+        space.grid("ordinal")
+    for strategy, name in (("triangular", "alpha"), ("beta", "concentration"), ("exponential", "p")):
+        with pytest.raises(ValueError, match=f"^{strategy} strategy requires {name}$"):
+            strategy_row(strategy, 5, 2, SmoothingParams(eta=0.8))
 
 
 def test_search_caps_sampled_configs_at_fifteen():
@@ -493,6 +522,42 @@ def test_predict_proba_is_the_reference_softmax(architecture, n_classes, spread)
     np.testing.assert_array_equal(model.logits(x), logits)
     probs = model.predict_proba(x)
     assert probs.tobytes() == softmax(logits).tobytes()
+
+
+def test_batch_gradients_match_central_differences():
+    """The backward pass against central differences of ``loss.mean_soft_ce`` in
+    every parameter, on the MLP and on the linear model."""
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(7, 3))
+    targets = rng.dirichlet(np.ones(4), size=7)
+    step = 1e-5
+    for architecture in ("mlp_1_hidden", "linear"):
+        init = init_model(architecture, 3, 4, seed=2, hidden_width=5)
+        layout = _layout(init.weights)
+        # random biases too, so no ReLU input sits near its kink
+        flat = np.concatenate([w.ravel() for w in init.weights.values()])
+        flat = flat + rng.normal(scale=0.5, size=flat.size)
+
+        def loss(params):
+            w = _views(params, layout)
+            hidden = x
+            if "w_in" in w:
+                hidden = np.maximum(x @ w["w_in"] + w["b_in"], 0.0)
+            return mean_soft_ce(softmax(hidden @ w["w_out"] + w["b_out"]), targets)
+
+        params, grads = flat[None].copy(), np.empty((1, flat.size))
+        work = _Work(init.weights, 1, len(x), backward=True)
+        work.targets[0] = targets
+        total = _batch_gradients(_views(params, layout), _views(grads, layout), x,
+                                 work.targets, work)
+        assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
+        numeric = np.empty(flat.size)
+        for i in range(flat.size):
+            up, down = flat.copy(), flat.copy()
+            up[i] += step
+            down[i] -= step
+            numeric[i] = (loss(up) - loss(down)) / (2 * step)
+        np.testing.assert_allclose(grads[0], numeric, rtol=1e-5, atol=1e-9)
 
 
 def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
