@@ -28,6 +28,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -532,7 +533,7 @@ def analyse_tables(
             "kld_std": _sample_std(klds),
             "table_mae_mean": float(np.mean(maes)),
             "table_mae_std": _sample_std(maes),
-            "residual_of_mean": residuals(p, mean_q).residuals.tolist(),
+            "residual_of_mean": residuals(p, mean_q).tolist(),
         }
         kld_by_strategy[strategy] = klds
         seeds_by_strategy[strategy] = [e["seed"] for e in entries]
@@ -548,7 +549,7 @@ def analyse_tables(
     if len(kld_by_strategy) < 2:
         raise ValueError("need at least 2 strategies for the global test")
     kw = kruskal_wallis(list(kld_by_strategy.values()))
-    report["kruskal_wallis"] = kw.to_dict()
+    report["kruskal_wallis"] = asdict(kw)
     seed_sets = {tuple(v) for v in seeds_by_strategy.values()}
     if len(seed_sets) != 1:
         raise ValueError("strategies have mismatched seed sets; cannot pair runs")

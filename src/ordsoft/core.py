@@ -2,14 +2,17 @@
 confusion matrices and prediction records.
 
 Grades are 0-indexed internally; reports print whatever clinical labels the
-caller attaches. Argmax ties break toward the lower grade (under-calling
+caller attaches. Each type checks its own fields, once, at construction:
+``LabelSpace`` owns J >= 2 and ``PredictionSet`` that probability rows sum to
+1. ``PredictionSet`` sets its hard predictions to the row argmax itself, so
+they hold by construction; ties break toward the lower grade (under-calling
 severity is the conservative default), which is what ``np.argmax`` does.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -134,41 +137,27 @@ class ConfusionMatrix:
         return self.counts.shape[0]
 
 
-def predicted_labels_from_probs(probs: np.ndarray) -> np.ndarray:
-    """Argmax per row; ties resolve to the lower grade index."""
-    return np.argmax(np.asarray(probs, dtype=float), axis=1)
-
-
 @dataclass(frozen=True)
 class PredictionSet:
-    """True labels, hard predictions and the row-stochastic probabilities behind them."""
+    """True labels, the row-stochastic probabilities predicted for them and the hard
+    predictions, which are set here to the row argmax (ties to the lower grade)."""
 
     true_labels: np.ndarray
-    predicted_labels: np.ndarray
     predicted_probs: np.ndarray
+    predicted_labels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         true_labels = np.asarray(self.true_labels, dtype=int)
-        predicted = np.asarray(self.predicted_labels, dtype=int)
         probs = np.asarray(self.predicted_probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError("predicted_probs must be an N x J matrix")
-        n = probs.shape[0]
-        if true_labels.shape != (n,) or predicted.shape != (n,):
-            raise ValueError("label vectors must match the probability matrix rows")
-        if n:
-            sums = probs.sum(axis=1)
-            if np.abs(sums - 1.0).max() > ROW_SUM_TOL:
-                raise ValueError("probability rows must sum to 1 within 1e-9")
-            if (predicted != predicted_labels_from_probs(probs)).any():
-                raise ValueError("predicted_labels must be the row argmax (ties to lower grade)")
+        if true_labels.shape != (probs.shape[0],):
+            raise ValueError("true_labels must have one entry per probability row")
+        if probs.shape[0] and np.abs(probs.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+            raise ValueError("probability rows must sum to 1 within 1e-9")
         object.__setattr__(self, "true_labels", true_labels)
-        object.__setattr__(self, "predicted_labels", predicted)
         object.__setattr__(self, "predicted_probs", probs)
-
-    @classmethod
-    def from_probs(cls, true_labels: np.ndarray, probs: np.ndarray) -> "PredictionSet":
-        return cls(true_labels, predicted_labels_from_probs(probs), probs)
+        object.__setattr__(self, "predicted_labels", np.argmax(probs, axis=1))
 
 
 def build_confusion(preds: PredictionSet, space: LabelSpace) -> ConfusionMatrix:

@@ -96,19 +96,6 @@ class JointDistribution:
 
 
 @dataclass(frozen=True)
-class ResidualMatrix:
-    """Cell-wise difference P - Q between two joint distributions."""
-
-    residuals: np.ndarray
-
-    def __post_init__(self) -> None:
-        residuals = np.asarray(self.residuals, dtype=float)
-        if abs(residuals.sum()) > 1e-9:
-            raise ValueError("residuals of two distributions must sum to 0 within 1e-9")
-        object.__setattr__(self, "residuals", residuals)
-
-
-@dataclass(frozen=True)
 class TestResult:
     statistic: float
     p_value: float
@@ -117,15 +104,6 @@ class TestResult:
     degenerate: bool = False
 
     __test__ = False  # keep pytest from collecting this as a test class
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-            "n": list(self.n),
-            "degenerate": self.degenerate,
-        }
 
 
 def normalise(table: ContingencyTable) -> JointDistribution:
@@ -162,10 +140,11 @@ def kld(p: JointDistribution, q: JointDistribution, epsilon: float = DEFAULT_KLD
     return float((pp[mask] * np.log(pp[mask] / qq[mask])).sum())
 
 
-def residuals(p: JointDistribution, q: JointDistribution) -> ResidualMatrix:
-    """R = P - Q; positive cells mark mass the predictions under-cover."""
+def residuals(p: JointDistribution, q: JointDistribution) -> np.ndarray:
+    """R = P - Q; positive cells mark mass the predictions under-cover. Both
+    distributions sum to 1, so R sums to 0."""
     _check_shapes(p, q)
-    return ResidualMatrix(p.probs - q.probs)
+    return p.probs - q.probs
 
 
 def table_mae(p: JointDistribution, q: JointDistribution) -> float:
@@ -316,15 +295,6 @@ class AnovaResult:
     f: dict
     p: dict
     zero_variance: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "ss": self.ss,
-            "df": self.df,
-            "f": self.f,
-            "p": self.p,
-            "zero_variance": self.zero_variance,
-        }
 
 
 def two_way_anova(

@@ -11,14 +11,19 @@ Strategies: ``triangular`` (fixed adjacent-class mass), ``binomial``
 (cdf differences of a Beta density over the J equal segments of [0, 1], mode
 at the class-segment midpoint), plus the ``nominal`` one-hot baseline and a
 ``nominal_smoothed`` uniform-blend ablation. ``STRATEGY_PARAMS`` names the
-smoothing parameters each strategy takes; ``strategy_row`` requires them and
-the search grids cross them.
+smoothing parameters each strategy takes, and the search grids cross them.
+
+Each rule has one owner. ``SmoothingParams`` owns the parameter ranges;
+``strategy_row`` owns, through ``STRATEGY_PARAMS``, which parameters a strategy
+requires; ``core.LabelSpace`` owns J >= 2; ``SoftTargetMatrix`` owns row
+validity (non-negative, summing to 1, peaked at its own grade, unimodal). The
+``*_row`` functions are the bare formulas and check nothing themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,26 +69,11 @@ class SmoothingParams:
             raise ValueError(f"concentration must be positive, got {self.concentration}")
 
     def to_dict(self) -> dict:
-        out = {"eta": self.eta}
-        for name in ("alpha", "p", "concentration"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-
-def _check_grade(n_classes: int, k: int) -> None:
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 grades, got {n_classes}")
-    if not 0 <= k < n_classes:
-        raise ValueError(f"grade {k} out of range for {n_classes} classes")
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
 
 def triangular_row(n_classes: int, k: int, alpha: float) -> np.ndarray:
     """Mass 1-2*alpha at k and alpha at each neighbour (1-alpha / alpha at the ends)."""
-    _check_grade(n_classes, k)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
     row = np.zeros(n_classes)
     neighbours = [j for j in (k - 1, k + 1) if 0 <= j < n_classes]
     for j in neighbours:
@@ -94,7 +84,6 @@ def triangular_row(n_classes: int, k: int, alpha: float) -> np.ndarray:
 
 def binomial_row(n_classes: int, k: int) -> np.ndarray:
     """Binomial(J-1, k/(J-1)) pmf; degenerate t in {0, 1} gives a one-hot row."""
-    _check_grade(n_classes, k)
     n = n_classes - 1
     t = k / n
     row = np.zeros(n_classes)
@@ -108,9 +97,6 @@ def binomial_row(n_classes: int, k: int) -> np.ndarray:
 
 def exponential_row(n_classes: int, k: int, p: float) -> np.ndarray:
     """Softmax of -|j - k|^p over the grades."""
-    _check_grade(n_classes, k)
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
     dist = np.abs(np.arange(n_classes) - k).astype(float)
     weights = np.exp(-(dist**p))
     return weights / weights.sum()
@@ -123,9 +109,6 @@ def beta_row(n_classes: int, k: int, concentration: float) -> np.ndarray:
     m_k = (2k+1)/(2J), placing the mode at the midpoint of segment k; entry j
     is the cdf difference over [j/J, (j+1)/J].
     """
-    _check_grade(n_classes, k)
-    if concentration <= 0:
-        raise ValueError(f"concentration must be positive, got {concentration}")
     m = (2 * k + 1) / (2 * n_classes)
     a = 1.0 + concentration * m
     b = 1.0 + concentration * (1.0 - m)
@@ -135,23 +118,13 @@ def beta_row(n_classes: int, k: int, concentration: float) -> np.ndarray:
 
 def nominal_smooth_row(n_classes: int, k: int, lam: float) -> np.ndarray:
     """Uniform label smoothing: (1-lambda) one-hot plus lambda/J everywhere."""
-    _check_grade(n_classes, k)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     row = np.full(n_classes, lam / n_classes)
     row[k] += 1.0 - lam
     return row
 
 
 def blend_ordinal_row(k: int, soft: np.ndarray, eta: float) -> np.ndarray:
-    """(1-eta) * one-hot(k) + eta * soft, validating that soft is a distribution."""
-    soft = np.asarray(soft, dtype=float)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not 0 <= k < soft.shape[0]:
-        raise ValueError(f"grade {k} out of range for {soft.shape[0]} classes")
-    if (soft < -1e-12).any() or abs(soft.sum() - 1.0) > 1e-6:
-        raise ValueError("soft must be a probability vector (sum 1 within 1e-6)")
+    """(1-eta) * one-hot(k) + eta * soft."""
     row = eta * soft
     row[k] += 1.0 - eta
     return row
@@ -192,10 +165,6 @@ class SoftTargetMatrix:
     @property
     def n_classes(self) -> int:
         return self.rows.shape[0]
-
-    def for_labels(self, labels: np.ndarray) -> np.ndarray:
-        """Per-sample target matrix: row i is the target of label i."""
-        return self.rows[np.asarray(labels, dtype=int)]
 
 
 def strategy_row(strategy: str, n_classes: int, k: int, params: SmoothingParams) -> np.ndarray:

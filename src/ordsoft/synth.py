@@ -37,13 +37,15 @@ _STREAM_PAIR_FLIPS_B = 22
 
 
 def _check_features_and_noise(spec, min_features: int) -> None:
-    """The checks shared by both specs of the feature and label-noise fields."""
+    """The checks shared by both specs of the feature, label-noise and seed fields."""
     if spec.n_features < min_features:
         raise ValueError(f"n_features must be at least {min_features}, got {spec.n_features}")
     if spec.class_separation <= 0 or spec.noise_sd <= 0:
         raise ValueError("class_separation and noise_sd must be positive")
     if not 0.0 <= spec.adjacent_flip_prob < 0.5:
         raise ValueError("adjacent_flip_prob must lie in [0, 0.5)")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {spec.seed}")
 
 
 @dataclass(frozen=True)

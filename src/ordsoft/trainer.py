@@ -103,14 +103,17 @@ class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-def _check_schedule(batch_size: int, max_epochs: int, patience: int, optimizer: str) -> None:
-    """The batch, patience and optimizer checks of ``TrainConfig`` and ``ProtocolSettings``."""
-    if batch_size < 1:
+def _check_schedule(config, seed_field: str) -> None:
+    """The batch, patience, optimizer and seed checks of ``TrainConfig`` and
+    ``ProtocolSettings``; ``seed_field`` names the config's seed field."""
+    if config.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if not 1 <= patience <= max_epochs:
+    if not 1 <= config.patience <= config.max_epochs:
         raise ValueError("patience must lie in [1, max_epochs]")
-    if optimizer not in ("adam", "sgd"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if config.optimizer not in ("adam", "sgd"):
+        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    if getattr(config, seed_field) < 0:
+        raise ValueError(f"{seed_field} must be non-negative, got {getattr(config, seed_field)}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        _check_schedule(self.batch_size, self.max_epochs, self.patience, self.optimizer)
+        _check_schedule(self, "seed")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "params": self.params.to_dict()}
@@ -233,7 +236,7 @@ class ClassifierModel:
         return _softmax(self._forward(features))[0]
 
     def predict(self, samples: SampleSet) -> PredictionSet:
-        return PredictionSet.from_probs(samples.labels, self.predict_proba(samples.features))
+        return PredictionSet(samples.labels, self.predict_proba(samples.features))
 
 
 def init_model(
@@ -583,7 +586,11 @@ def train(
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-strategy hyperparameter grids; the search samples at most max_configs."""
+    """Per-strategy hyperparameter grids; the search samples at most max_configs.
+
+    Construction checks every grid and builds every strategy's grid once, so
+    ``SmoothingParams`` checks the smoothing values before any search runs.
+    """
 
     learning_rates: tuple = (1e-4, 1e-3, 1e-2)
     etas: tuple = (0.8, 1.0)
@@ -591,23 +598,34 @@ class SearchSpace:
     ps: tuple = (1.0, 1.5, 2.0)
     concentrations: tuple = (5.0, 10.0)
     max_configs: int = 15
+    # strategy -> its (learning rate, SmoothingParams) grid
+    _grids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_configs < 1:
             raise ValueError("max_configs must be >= 1")
+        for name in ("learning_rates", "etas", "alphas", "ps", "concentrations"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or not values:
+                raise ValueError(f"{name} must be a non-empty list")
+        if min(self.learning_rates) <= 0:
+            raise ValueError(f"learning_rates must be positive, got {list(self.learning_rates)}")
+        grids = {}
+        for strategy, names in STRATEGY_PARAMS.items():
+            values = [getattr(self, f"{name}s") for name in names]
+            grids[strategy] = [
+                (lr, SmoothingParams(**dict(zip(names, params))))
+                for lr, *params in itertools.product(self.learning_rates, *values)
+            ]
+        object.__setattr__(self, "_grids", grids)
 
     def grid(self, strategy: str) -> list[tuple[float, SmoothingParams]]:
         """Learning rates crossed with the grid of each parameter the strategy
         takes (``eta`` -> ``etas``, ``alpha`` -> ``alphas``, ...), learning rate
         slowest, then the parameters in ``STRATEGY_PARAMS`` order."""
-        if strategy not in STRATEGY_PARAMS:
+        if strategy not in self._grids:
             raise ValueError(f"unknown strategy {strategy!r}")
-        names = STRATEGY_PARAMS[strategy]
-        grids = [getattr(self, f"{name}s") for name in names]
-        return [
-            (lr, SmoothingParams(**dict(zip(names, values))))
-            for lr, *values in itertools.product(self.learning_rates, *grids)
-        ]
+        return self._grids[strategy]
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpace":
@@ -631,7 +649,7 @@ class ProtocolSettings:
         for name in ("train_fraction", "val_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1")
-        _check_schedule(self.batch_size, self.max_epochs, self.patience, self.optimizer)
+        _check_schedule(self, "root_seed")
         if self.architecture not in ("linear", "mlp_1_hidden"):
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.hidden_width < 1:

@@ -458,6 +458,38 @@ def test_sweep_bad_config_usage_error(tmp_path, capsys):
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE, setting
         err = capsys.readouterr().err
         assert "bad sweep config" in err and setting in err, err
+    bad_grids = [({"learning_rates": []}, "learning_rates"), ({"etas": []}, "etas"),
+                 ({"ps": [-1.0]}, "p must be positive"),
+                 ({"learning_rates": [-0.1]}, "learning_rates"), ({"etas": 0.8}, "etas")]
+    for search_space, message in bad_grids:
+        # every grid is checked, and its smoothing values too, before the dataset is read
+        path.write_text(json.dumps({
+            "task": "x", "dataset": str(tmp_path / "absent.csv"), "strategies": ["nominal"],
+            "n_seeds": 1, "output_dir": str(tmp_path), "search_space": search_space,
+        }))
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE, search_space
+        err = capsys.readouterr().err
+        assert "bad sweep config" in err and message in err, err
+
+
+@pytest.mark.parametrize("command, field", [
+    ("synth", "seed"), ("train", "seed"), ("sweep", "root_seed"),
+])
+def test_negative_seed_is_usage_error_naming_the_field(tmp_path, capsys, command, field):
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--seed", "-1", "--out", str(out)],
+        "train": ["train", "--data", str(data), "--seed", "-1", "--out", str(out)],
+        "sweep": ["sweep", "--config", str(tmp_path / "sweep.json"), "--out-dir", str(out)],
+    }[command]
+    if command == "train":
+        main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    if command == "sweep":
+        # the dataset does not exist: the seed is checked before it is read
+        _write_sweep_config(tmp_path, data, ["nominal"], extra={"settings": {"root_seed": -1}})
+    assert main(argv) == EXIT_USAGE
+    assert f"{field} must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- analyze

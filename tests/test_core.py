@@ -41,7 +41,7 @@ def test_sample_set_csv_roundtrip(tmp_path):
 
 
 def test_build_confusion_perfect_agreement():
-    preds = PredictionSet.from_probs([0, 1], np.array([[0.9, 0.1], [0.2, 0.8]]))
+    preds = PredictionSet([0, 1], np.array([[0.9, 0.1], [0.2, 0.8]]))
     confusion = build_confusion(preds, LabelSpace(2))
     np.testing.assert_array_equal(confusion.counts, [[1, 0], [0, 1]])
 
@@ -83,15 +83,13 @@ def test_build_confusion_permutation_invariant():
 
 def test_prediction_set_tie_breaks_to_lower_grade():
     probs = np.array([[0.4, 0.4, 0.2]])
-    preds = PredictionSet.from_probs([1], probs)
+    preds = PredictionSet([1], probs)
     assert preds.predicted_labels[0] == 0
 
 
 def test_prediction_set_rejects_bad_rows():
     with pytest.raises(ValueError):
-        PredictionSet.from_probs([0], np.array([[0.5, 0.4]]))  # sums to 0.9
-    with pytest.raises(ValueError):
-        PredictionSet([0], [1], np.array([[0.9, 0.1]]))  # label is not the argmax
+        PredictionSet([0], np.array([[0.5, 0.4]]))  # sums to 0.9
 
 
 def test_confusion_matrix_rejects_negative():

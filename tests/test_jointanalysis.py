@@ -112,9 +112,9 @@ def test_residuals_properties():
     p = JointDistribution(rng.dirichlet(np.ones(12)).reshape(3, 4))
     q = JointDistribution(rng.dirichlet(np.ones(12)).reshape(3, 4))
     r = residuals(p, q)
-    assert abs(r.residuals.sum()) < 1e-12
-    np.testing.assert_allclose(r.residuals, -residuals(q, p).residuals, atol=1e-15)
-    np.testing.assert_allclose(residuals(p, p).residuals, np.zeros((3, 4)), atol=1e-15)
+    assert abs(r.sum()) < 1e-12
+    np.testing.assert_allclose(r, -residuals(q, p), atol=1e-15)
+    np.testing.assert_allclose(residuals(p, p), np.zeros((3, 4)), atol=1e-15)
 
 
 def test_residuals_shape_mismatch():

@@ -11,6 +11,7 @@ from scipy import integrate, stats
 from ordsoft.core import LabelSpace
 from ordsoft.softlabel import (
     SmoothingParams,
+    SoftTargetMatrix,
     beta_row,
     binomial_row,
     blend_ordinal_row,
@@ -31,12 +32,6 @@ def test_triangular_rows():
     np.testing.assert_allclose(triangular_row(4, 1, 0.10), [0.10, 0.80, 0.10, 0.0])
     np.testing.assert_allclose(triangular_row(4, 0, 0.05), [0.95, 0.05, 0.0, 0.0])
     np.testing.assert_allclose(triangular_row(5, 2, 0.01), [0.0, 0.01, 0.98, 0.01, 0.0])
-
-
-def test_triangular_rejects_bad_alpha():
-    for alpha in (0.0, 0.5, -0.1, 0.7):
-        with pytest.raises(ValueError):
-            triangular_row(4, 1, alpha)
 
 
 def test_binomial_rows():
@@ -93,8 +88,6 @@ def test_blend_ordinal_row():
     np.testing.assert_allclose(blend_ordinal_row(1, soft, 1.0), soft)
     np.testing.assert_allclose(blend_ordinal_row(1, soft, 0.8), [0.08, 0.84, 0.08, 0.0], atol=1e-15)
     np.testing.assert_allclose(blend_ordinal_row(1, soft, 0.0), [0, 1, 0, 0])
-    with pytest.raises(ValueError):
-        blend_ordinal_row(1, np.array([0.5, 0.4]), 0.5)  # not normalised
 
 
 def test_blend_is_exactly_linear():
@@ -109,6 +102,18 @@ def test_blend_is_exactly_linear():
         np.testing.assert_array_equal(
             blend_ordinal_row(k, soft, eta), (1 - eta) * onehot + eta * soft
         )
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]], "square"),
+    ([[1.1, -0.1], [0.0, 1.0]], "non-negative"),
+    ([[0.9, 0.2], [0.0, 1.0]], "sum to 1"),
+    ([[0.4, 0.6], [0.0, 1.0]], "row 0 does not peak"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]], "row 2 is not unimodal"),
+])
+def test_soft_target_matrix_rejects_invalid_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        SoftTargetMatrix(np.array(rows), "triangular", SmoothingParams(alpha=0.1))
 
 
 def test_build_nominal_is_identity():
@@ -157,8 +162,9 @@ def test_beta_concentration_widens_with_lower_s():
 def test_smoothing_params_validation():
     with pytest.raises(ValueError):
         SmoothingParams(eta=1.2)
-    with pytest.raises(ValueError):
-        SmoothingParams(alpha=0.6)
+    for alpha in (0.0, 0.5, -0.1, 0.7):
+        with pytest.raises(ValueError):
+            SmoothingParams(alpha=alpha)
     with pytest.raises(ValueError):
         SmoothingParams(p=0.0)
     with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def test_separable_limit_trains_to_zero_amae():
     model, _ = train(
         model, data.subset(train_idx), build_target_matrix(space, "nominal"), config, data.subset(test_idx)
     )
-    preds = PredictionSet.from_probs(
+    preds = PredictionSet(
         data.labels[test_idx], model.predict_proba(data.features[test_idx])
     )
     assert amae(build_confusion(preds, space)) == pytest.approx(0.0, abs=1e-9)

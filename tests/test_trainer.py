@@ -147,7 +147,7 @@ def test_early_stopping_restores_best_epoch_weights():
     )
     model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=16)
     model, history = train(model, data, targets, config, val)
-    final_val = mean_soft_ce(model.predict_proba(val.features), targets.for_labels(val.labels))
+    final_val = mean_soft_ce(model.predict_proba(val.features), targets.rows[val.labels])
     assert final_val == pytest.approx(min(history.val_loss), abs=1e-12)
 
 
@@ -404,7 +404,7 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
     v = {k: np.zeros_like(w) for k, w in weights.items()}
     lr, steps, epochs = config.learning_rate, 0, []
     rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE])
-    t_all = target.for_labels(data.labels)[None]
+    t_all = target.rows[data.labels][None]
 
     def forward(x):
         hidden = x
@@ -438,7 +438,7 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
                 m_hat = m[key] / (1.0 - 0.9**steps)
                 v_hat = v[key] / (1.0 - 0.999**steps)
                 weights[key] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        val_loss = mean_soft_ce(forward(val.features)[1][0], target.for_labels(val.labels))
+        val_loss = mean_soft_ce(forward(val.features)[1][0], target.rows[val.labels])
         epochs.append(({k: w[0].copy() for k, w in weights.items()},
                        float(np.mean(batch_losses)), val_loss))
     return epochs
