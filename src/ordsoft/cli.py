@@ -13,7 +13,14 @@ The ``ORDSOFT_WORKERS`` environment variable bounds the sweep worker pool.
 
 A command imports only what it runs: the joint-table statistics, the synthetic
 generators and the worker pool are imported by the functions that use them,
-so ``train`` and a single-task ``sweep`` load none of them.
+so ``train`` and a ``sweep``, single-task or paired, load none of them: a
+paired sweep counts its joint tables from its label columns with
+``core.ContingencyTable``. A run's record reads its seed, strategy, config and
+validation AMAE from the ``trainer.TrainHistory`` its ``RunResult`` holds.
+
+An unknown key or a wrong-typed value in a config file is a usage error that
+names it. ``train`` merges its flags over its config file and leaves every
+other default to ``TrainConfig`` and ``SmoothingParams``.
 """
 
 from __future__ import annotations
@@ -28,17 +35,18 @@ import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
+    ContingencyTable,
     LabelSpace,
     RunResult,
     SampleSet,
     build_confusion,
+    check_number,
     confusion_from_labels,
     read_header,
     read_labelled_csv,
@@ -58,13 +66,11 @@ from .trainer import (
     validation_split,
 )
 
-if TYPE_CHECKING:
-    from .jointanalysis import ContingencyTable
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 WORKERS_ENV = "ORDSOFT_WORKERS"
+_SWEEP_KEYS = ("task", "dataset", "strategies", "n_seeds", "output_dir", "search_space", "settings")
 
 
 class UsageError(Exception):
@@ -98,6 +104,19 @@ def _emit(text: str, out: str | None) -> None:
         _atomic_write(Path(out), text)
     else:
         sys.stdout.write(text)
+
+
+def _check_keys(obj, known, where: str) -> dict:
+    """``obj`` when it is a JSON object whose keys all lie in ``known``, a list or a
+    dataclass's fields; otherwise a ``ValueError`` naming ``where`` and the keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    if isinstance(known, type):
+        known = [f.name for f in fields(known) if f.init]
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    return obj
 
 
 # ---------------------------------------------------------------- softlabels
@@ -187,23 +206,25 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------- train
 
 
-def _run_record(task: str, result) -> dict:
+def _run_record(task: str, result: RunResult) -> dict:
+    config = result.history.config
     return {
         "schema": "ordsoft.run_record-v1",
         "task": task,
-        "seed": result.seed,
-        "strategy": result.strategy,
-        "config": result.chosen_config.to_dict(),
-        "validation_amae": result.validation_amae,
+        "seed": config.seed,
+        "strategy": config.strategy,
+        "config": config.to_dict(),
+        "validation_amae": result.history.val_amae,
         "metrics": result.metrics.to_dict(),
         "true_labels": [int(v) for v in result.predictions.true_labels],
         "predicted_labels": [int(v) for v in result.predictions.predicted_labels],
     }
 
 
-def _given(value, default):
-    """A flag's value when given (0 included), else ``default``."""
-    return value if value is not None else default
+def _given_flags(args, cls) -> dict:
+    """The flags given (0 included) that are named after a field of ``cls``."""
+    names = [f.name for f in fields(cls)]
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelSpace:
@@ -214,14 +235,15 @@ def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelS
     if labels.size == 0:
         raise UsageError(f"{source}: no rows after the header")
     try:
-        space = LabelSpace(_given(classes, int(labels.max()) + 1))
+        space = LabelSpace(int(labels.max()) + 1 if classes is None else classes)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if not space.contains(labels):
-        outside = np.unique(labels[(labels < 0) | (labels >= space.n_classes)]).tolist()
+    outside = labels[(labels < 0) | (labels >= space.n_classes)]
+    if outside.size:
         given = " of --classes" if classes is not None else ""
         raise UsageError(
-            f"labels {outside} in {source} lie outside the {space.n_classes} grades{given}"
+            f"labels {np.unique(outside).tolist()} in {source} lie outside the"
+            f" {space.n_classes} grades{given}"
         )
     return space
 
@@ -231,26 +253,12 @@ def cmd_train(args) -> int:
         dataset = SampleSet.from_csv(args.data)
     space = _label_space(args.classes, dataset.labels, args.data)
     try:
+        # the flags given override the config file, which overrides the field defaults
         cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-        if not isinstance(cfg, dict) or not isinstance(cfg.get("params", {}), dict):
-            raise UsageError(f"{args.config}: expected a JSON object, with params an object")
-        cfg_params = cfg.get("params", {})
-        params = SmoothingParams(
-            eta=_given(args.eta, cfg_params.get("eta", 1.0)),
-            alpha=_given(args.alpha, cfg_params.get("alpha")),
-            p=_given(args.p, cfg_params.get("p")),
-            concentration=_given(args.concentration, cfg_params.get("concentration")),
-        )
-        config = TrainConfig(
-            learning_rate=_given(args.learning_rate, cfg.get("learning_rate", 1e-3)),
-            strategy=args.strategy or cfg.get("strategy", "nominal"),
-            params=params,
-            seed=_given(args.seed, cfg.get("seed", 0)),
-            batch_size=_given(args.batch_size, cfg.get("batch_size", 32)),
-            max_epochs=_given(args.max_epochs, cfg.get("max_epochs", 100)),
-            patience=_given(args.patience, cfg.get("patience", 40)),
-            optimizer=args.optimizer or cfg.get("optimizer", "adam"),
-        )
+        _check_keys(cfg, TrainConfig, args.config)
+        cfg_params = _check_keys(cfg.get("params", {}), SmoothingParams, f"{args.config} params")
+        params = SmoothingParams(**{**cfg_params, **_given_flags(args, SmoothingParams)})
+        config = TrainConfig(**{**cfg, **_given_flags(args, TrainConfig), "params": params})
         targets = build_target_matrix(space, config.strategy, config.params)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
@@ -264,10 +272,9 @@ def cmd_train(args) -> int:
         settings.architecture, dataset.n_features, space.n_classes, config.seed,
         settings.hidden_width,
     )
-    model, _ = train(model, subtrain, targets, config, val)
+    model, history = train(model, subtrain, targets, config, val)
     preds = model.predict(test_set)
-    metrics = compute_report(build_confusion(preds, space))
-    result = RunResult(config.seed, config.strategy, config, metrics, preds)
+    result = RunResult(history, compute_report(build_confusion(preds, space)), preds)
     line = _dump_json(_run_record(args.task, result))
     if args.out:
         with open(args.out, "a") as fh:
@@ -340,26 +347,23 @@ def _single_task(payload) -> list[dict]:
 
 def _paired_task(payload) -> list[dict]:
     """One seed's paired records, one per strategy in order."""
-    from .synth import PairedGrades
-
-    features, grades, strategies, seed, search_space, settings, task = payload
+    features, scales, strategies, seed, search_space, settings, task = payload
+    shape = tuple(space.n_classes for _, space in scales)
     records = []
-    for a, b in run_paired_single(features, grades, strategies, seed, search_space, settings):
-        predicted = PairedGrades(
-            a.predictions.predicted_labels, b.predictions.predicted_labels,
-            grades.n_classes_a, grades.n_classes_b,
-        )
+    for a, b in run_paired_single(features, scales, strategies, seed, search_space, settings):
+        strategy = a.history.config.strategy
+        predicted = (a.predictions.predicted_labels, b.predictions.predicted_labels)
         records.append({
             "schema": "ordsoft.paired_run_record-v1",
             "task": task,
             "seed": seed,
-            "strategy": a.strategy,
-            "config_a": a.chosen_config.to_dict(),
-            "config_b": b.chosen_config.to_dict(),
+            "strategy": strategy,
+            "config_a": a.history.config.to_dict(),
+            "config_b": b.history.config.to_dict(),
             "metrics_a": a.metrics.to_dict(),
             "metrics_b": b.metrics.to_dict(),
-            "table": predicted.contingency().counts.tolist(),
-            "table_file": f"tables/{a.strategy}_seed{seed}.csv",
+            "table": ContingencyTable.from_labels(*predicted, shape).counts.tolist(),
+            "table_file": f"tables/{strategy}_seed{seed}.csv",
         })
     return records
 
@@ -387,14 +391,17 @@ def _map_tasks(fn, payloads, workers: int):
 
 def cmd_sweep(args) -> int:
     try:
-        config = json.loads(Path(args.config).read_text())
+        config = _check_keys(json.loads(Path(args.config).read_text()), _SWEEP_KEYS, args.config)
         task = config["task"]
         dataset_path = config["dataset"]
         strategies = config["strategies"]
-        n_seeds = int(config["n_seeds"])
+        n_seeds = config["n_seeds"]
+        check_number("n_seeds", n_seeds, integer=True)
         output_dir = Path(args.out_dir or config["output_dir"])
-        search_space = SearchSpace.from_dict(config.get("search_space", {}))
-        settings = ProtocolSettings(**config.get("settings", {}))
+        search_space, settings = (
+            cls(**_check_keys(config.get(key, {}), cls, key))
+            for cls, key in ((SearchSpace, "search_space"), (ProtocolSettings, "settings"))
+        )
         if n_seeds < 1 or not strategies:
             raise ValueError("n_seeds must be >= 1 and strategies non-empty")
         unknown = [s for s in strategies if s not in STRATEGIES]
@@ -409,25 +416,16 @@ def cmd_sweep(args) -> int:
     paired = header[-2:] == ["label_a", "label_b"]
 
     if paired:
-        from .synth import PairedGrades
-
-        features, labels_a, labels_b = _read_paired_csv(dataset_path)
-        grades = PairedGrades(
-            labels_a,
-            labels_b,
-            _label_space(None, labels_a, dataset_path).n_classes,
-            _label_space(None, labels_b, dataset_path).n_classes,
-        )
-        task_fn, data = _paired_task, (features, grades)
-        scales = [
-            ("summary.json", "metrics_a", "scale A\n"),
-            ("summary_b.json", "metrics_b", "scale B\n"),
-        ]
+        features, *labels = _read_paired_csv(dataset_path)
+        spaces = [_label_space(None, column, dataset_path) for column in labels]
+        task_fn, data = _paired_task, (features, list(zip(labels, spaces)))
+        summaries = [("summary.json", "metrics_a", "scale A\n"),
+                     ("summary_b.json", "metrics_b", "scale B\n")]
     else:
         with _reading(dataset_path):
             dataset = SampleSet.from_csv(dataset_path)
         task_fn, data = _single_task, (dataset, _label_space(None, dataset.labels, dataset_path))
-        scales = [("summary.json", "metrics", "")]
+        summaries = [("summary.json", "metrics", "")]
     payloads = [
         (*data, strategies, settings.root_seed + i, search_space, settings, task)
         for i in range(n_seeds)
@@ -435,10 +433,9 @@ def cmd_sweep(args) -> int:
     # one task per seed, its records in strategy order
     records = [rec for recs in _map_tasks(task_fn, payloads, workers) for rec in recs]
     if paired:
-        from .jointanalysis import ContingencyTable
-
         (output_dir / "tables").mkdir(parents=True, exist_ok=True)
-        grades.contingency().to_csv(str(output_dir / "tables" / "truth.csv"))
+        truth = ContingencyTable.from_labels(*labels, tuple(s.n_classes for s in spaces))
+        truth.to_csv(str(output_dir / "tables" / "truth.csv"))
         for rec in records:
             counts = np.asarray(rec["table"], dtype=int)
             ContingencyTable(counts).to_csv(str(output_dir / rec["table_file"]))
@@ -448,7 +445,7 @@ def cmd_sweep(args) -> int:
         output_dir / "results.jsonl", "".join(_dump_json(r) + "\n" for r in records)
     )
     rendered = []
-    for name, metrics_key, heading in scales:
+    for name, metrics_key, heading in summaries:
         summary = summarise_records(records, task, n_seeds, metrics_key)
         _atomic_write(output_dir / name, _dump_json(summary) + "\n")
         rendered.append(heading + render_summary(summary))
@@ -504,7 +501,7 @@ def analyse_tables(
         table_mae,
     )
 
-    epsilon = _given(epsilon, DEFAULT_KLD_EPSILON)
+    epsilon = DEFAULT_KLD_EPSILON if epsilon is None else epsilon
     p = normalise(truth)
     strategies_report = {}
     kld_by_strategy: dict[str, list[float]] = {}
@@ -571,8 +568,6 @@ def analyse_tables(
 
 
 def cmd_analyze(args) -> int:
-    from .jointanalysis import ContingencyTable
-
     with _reading(args.truth):
         truth = ContingencyTable.from_csv(args.truth)
     files = sorted(globmod.glob(args.pred))

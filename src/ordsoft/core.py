@@ -1,5 +1,5 @@
-"""Domain types shared across the package: label spaces, sample sets,
-confusion matrices and prediction records.
+"""Domain types shared across the package: label spaces, sample sets, count
+tables, prediction records and run results.
 
 Grades are 0-indexed internally; reports print whatever clinical labels the
 caller attaches. Each type checks its own fields, once, at construction:
@@ -7,20 +7,35 @@ caller attaches. Each type checks its own fields, once, at construction:
 1. ``PredictionSet`` sets its hard predictions to the row argmax itself, so
 they hold by construction; ties break toward the lower grade (under-calling
 severity is the conservative default), which is what ``np.argmax`` does.
+
+``ContingencyTable.from_labels`` is the one rule for counting label pairs, for
+a joint KL x CPPD table and for its square case, ``ConfusionMatrix``, alike.
+``RunResult`` holds the trainer's record of the candidate a run trained.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .metrics import MetricReport
+    from .trainer import TrainHistory
 
 ROW_SUM_TOL = 1e-9
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a number, or an
+    integer when ``integer``; an integer is a number too, a boolean neither."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def read_header(reader, path: str) -> list[str]:
@@ -72,10 +87,6 @@ class LabelSpace:
         if self.n_classes < 2:
             raise ValueError(f"a label space needs at least 2 grades, got {self.n_classes}")
 
-    def contains(self, labels: np.ndarray) -> bool:
-        labels = np.asarray(labels)
-        return bool(labels.size == 0 or ((labels >= 0) & (labels < self.n_classes)).all())
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -119,18 +130,68 @@ class SampleSet:
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """Observed counts with true grade on rows, predicted grade on columns."""
+class ContingencyTable:
+    """Joint counts of two grade variables (row variable x column variable)."""
 
     counts: np.ndarray
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=int)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise ValueError("confusion matrix must be square")
+        if counts.ndim != 2 or counts.shape[0] < 2 or counts.shape[1] < 2:
+            raise ValueError("contingency table must be at least 2 x 2")
         if (counts < 0).any():
-            raise ValueError("confusion matrix entries must be non-negative")
+            raise ValueError("contingency table entries must be non-negative")
         object.__setattr__(self, "counts", counts)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.counts.shape
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @classmethod
+    def from_labels(cls, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+        """The table of ``shape`` whose cell (i, j) counts the positions where
+        ``rows`` holds i and ``cols`` holds j."""
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        for labels, n in ((rows, shape[0]), (cols, shape[1])):
+            if labels.size and (labels.min() < 0 or labels.max() >= n):
+                raise ValueError(f"labels out of range for a {shape[0]} x {shape[1]} table")
+        counts = np.zeros(shape, dtype=int)
+        np.add.at(counts, (rows, cols), 1)
+        return cls(counts)
+
+    def to_csv(self, path: str) -> None:
+        """Header cell 'A\\B' (rows A, columns B); column grades name the columns."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["A\\B"] + list(range(self.shape[1])))
+            for i, row in enumerate(self.counts):
+                writer.writerow([i] + [int(v) for v in row])
+
+    @classmethod
+    def from_csv(cls, path: str) -> "ContingencyTable":
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = read_header(reader, path)
+            if not header or "\\" not in header[0]:
+                raise ValueError(f"{path}: expected a 'row\\col' header cell")
+            rows = [row for row in reader if row]
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError(f"{path}: every row must have the header's {len(header)} cells")
+        counts = np.asarray([[int(v) for v in row[1:]] for row in rows], dtype=int)
+        return cls(counts)
+
+
+class ConfusionMatrix(ContingencyTable):
+    """Observed counts with true grade on rows, predicted grade on columns."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.shape[0] != self.shape[1]:
+            raise ValueError("confusion matrix must be square")
 
     @property
     def n_classes(self) -> int:
@@ -168,23 +229,15 @@ def build_confusion(preds: PredictionSet, space: LabelSpace) -> ConfusionMatrix:
 def confusion_from_labels(
     true_labels: np.ndarray, predicted_labels: np.ndarray, space: LabelSpace
 ) -> ConfusionMatrix:
-    true_labels = np.asarray(true_labels, dtype=int)
-    predicted_labels = np.asarray(predicted_labels, dtype=int)
-    if not space.contains(true_labels) or not space.contains(predicted_labels):
-        raise ValueError(f"labels out of range for {space.n_classes} grades")
     j = space.n_classes
-    counts = np.zeros((j, j), dtype=int)
-    np.add.at(counts, (true_labels, predicted_labels), 1)
-    return ConfusionMatrix(counts)
+    return ConfusionMatrix.from_labels(true_labels, predicted_labels, (j, j))
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """One (seed, strategy) training run: chosen config, metrics and predictions."""
+    """One (seed, strategy) run: the record of the candidate it trained, whose
+    config names the seed and strategy, and its holdout metrics and predictions."""
 
-    seed: int
-    strategy: str
-    chosen_config: Any
+    history: "TrainHistory"
     metrics: "MetricReport"
     predictions: PredictionSet
-    validation_amae: float | None = None

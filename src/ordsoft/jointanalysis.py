@@ -1,18 +1,17 @@
 """Joint-distribution analysis of two grade variables plus the nonparametric
 test pipeline used to compare labelling strategies.
 
-Covers: contingency tables and their normalised joint distributions, the
-Kullback-Leibler divergence (natural log) of a predicted joint distribution
-from the true one, residual matrices P - Q, the cell-wise MAE between two
-tables, Kruskal-Wallis with tie correction, the Wilcoxon signed-rank test
-(exact by sign-pattern counting up to n = 25, normal approximation with tie
-correction beyond), Holm-corrected pairwise Wilcoxon comparisons, and a
-balanced two-way ANOVA with F-test p-values.
+Covers: the normalised joint distributions of ``core.ContingencyTable``
+counts, the Kullback-Leibler divergence (natural log) of a predicted joint
+distribution from the true one, residual matrices P - Q, the cell-wise MAE
+between two tables, Kruskal-Wallis with tie correction, the Wilcoxon
+signed-rank test (exact by sign-pattern counting up to n = 25, normal
+approximation with tie correction beyond), Holm-corrected pairwise Wilcoxon
+comparisons, and a balanced two-way ANOVA with F-test p-values.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,58 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import read_header
+from .core import ContingencyTable
 from .specfun import chi2_cdf, f_cdf, normal_cdf
 
 DEFAULT_KLD_EPSILON = 1e-6
 EXACT_WILCOXON_LIMIT = 25
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Joint counts of two grade variables (row variable x column variable)."""
-
-    counts: np.ndarray
-    row_axis: str = "A"
-    col_axis: str = "B"
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.ndim != 2 or counts.shape[0] < 2 or counts.shape[1] < 2:
-            raise ValueError("contingency table must be at least 2 x 2")
-        if (counts < 0).any():
-            raise ValueError("contingency table entries must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.counts.shape
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_csv(self, path: str) -> None:
-        """Header cell is 'row_axis\\col_axis'; column grades name the columns."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"{self.row_axis}\\{self.col_axis}"] + list(range(self.shape[1])))
-            for i, row in enumerate(self.counts):
-                writer.writerow([i] + [int(v) for v in row])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "ContingencyTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = read_header(reader, path)
-            if not header or "\\" not in header[0]:
-                raise ValueError(f"{path}: expected a 'row\\col' header cell")
-            row_axis, col_axis = header[0].split("\\", 1)
-            rows = [row for row in reader if row]
-        if any(len(row) != len(header) for row in rows):
-            raise ValueError(f"{path}: every row must have the header's {len(header)} cells")
-        counts = np.asarray([[int(v) for v in row[1:]] for row in rows], dtype=int)
-        return cls(counts, row_axis=row_axis, col_axis=col_axis)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,12 @@ def _counts(confusion: ConfusionMatrix) -> np.ndarray:
     return counts
 
 
-def qwk(confusion: ConfusionMatrix, n: int = 2) -> float:
-    """Weighted kappa with |i-j|^n / (J-1)^n penalties (n=2 is the quadratic form)."""
+def qwk(confusion: ConfusionMatrix) -> float:
+    """Quadratic weighted kappa: |i-j|^2 / (J-1)^2 penalties."""
     counts = _counts(confusion)
     j = confusion.n_classes
     idx = np.arange(j)
-    weights = np.abs(idx[:, None] - idx[None, :]) ** n / (j - 1) ** n
+    weights = np.abs(idx[:, None] - idx[None, :]) ** 2 / (j - 1) ** 2
     total = counts.sum()
     expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / total
     denom = (weights * expected).sum()

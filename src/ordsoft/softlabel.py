@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LabelSpace, ROW_SUM_TOL
+from .core import LabelSpace, ROW_SUM_TOL, check_number
 from .specfun import reg_inc_beta
 
 # strategy -> the ``SmoothingParams`` fields it reads
@@ -59,6 +59,10 @@ class SmoothingParams:
     concentration: Optional[float] = None  # beta concentration
 
     def __post_init__(self) -> None:
+        check_number("eta", self.eta)
+        for name in ("alpha", "p", "concentration"):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name))
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.alpha is not None and not 0.0 < self.alpha < 0.5:

@@ -25,8 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SampleSet
-from .jointanalysis import ContingencyTable
+from .core import ContingencyTable, SampleSet
 
 # substream ids for seeding child generators
 _STREAM_FEATURES = 1
@@ -156,9 +155,8 @@ class PairedGrades:
 
     def contingency(self) -> ContingencyTable:
         """Joint counts, A on the rows and B on the columns."""
-        counts = np.zeros((self.n_classes_a, self.n_classes_b), dtype=int)
-        np.add.at(counts, (self.labels_a, self.labels_b), 1)
-        return ContingencyTable(counts)
+        shape = (self.n_classes_a, self.n_classes_b)
+        return ContingencyTable.from_labels(self.labels_a, self.labels_b, shape)
 
 
 def generate_paired(spec: PairedSynthSpec) -> PairedGrades:

@@ -51,6 +51,10 @@ allocates fresh ones, since every work array is written before it is read.
 Every ufunc is elementwise or keeps its reduction axis, and every member runs
 its own gemm, so none of this changes a single bit.
 
+Each member's ``TrainHistory`` is the one record of its trained candidate:
+``train`` returns it, ``random_search`` returns each strategy's winning one,
+and a ``RunResult`` holds it.
+
 ``random_search`` searches several strategies on one seed at once. Each
 strategy samples its configurations without replacement from its own grid,
 with a generator of the seed of its own, as a lone search of it would. All
@@ -59,18 +63,17 @@ initial weights and shuffle order, and differ only in learning rate and
 targets, so they train as one lockstep fit: up to 51 members for the five
 paper strategies at the default grid, where five per-strategy fits would each
 pay a step's fixed cost of numpy calls. Each strategy's winner is the lowest
-validation AMAE among its own candidates, and the search returns the model it
-trained for it.
+validation AMAE among its own candidates, and the search returns its record,
+which holds the weights it trained.
 
-One grading scale's runs for one seed take the train and holdout subsets of a
-given split, search every strategy on the train subset, predict the holdout
-with each strategy's model and score it, giving one ``RunResult`` per
-strategy. ``run_single`` splits stratified on the labels and makes those runs
-once. A paired task is the same runs made twice, once per scale:
-``run_paired_single`` splits stratified on the A grades alone, since joint
-cells can be too sparse to stratify on, and both scales' runs share that
-split, so each strategy's holdout predictions pair up row by row into its
-predicted joint table.
+One seed's runs for one grading scale search every strategy on the train
+subset of a split and score each strategy's model on the holdout, one
+``RunResult`` per strategy. ``run_single`` makes them on a split stratified on
+the labels. A paired task makes them once per scale, on shared features and
+the scales' label columns: ``run_paired_single`` splits stratified on the A
+grades alone, since joint cells can be too sparse to stratify on, and both
+scales' runs share that split, so each strategy's holdout predictions pair up
+row by row into its predicted joint table.
 """
 
 from __future__ import annotations
@@ -78,17 +81,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion
+from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion, check_number
 from .loss import PROB_FLOOR
 from .metrics import amae as amae_metric, mae as mae_metric, compute_report
 from .softlabel import STRATEGY_PARAMS, SmoothingParams, SoftTargetMatrix, build_target_matrix
-
-if TYPE_CHECKING:
-    from .synth import PairedGrades
 
 _STREAM_SPLIT = 11
 _STREAM_INIT = 12
@@ -104,8 +104,10 @@ class TrainingDiverged(RuntimeError):
 
 
 def _check_schedule(config, seed_field: str) -> None:
-    """The batch, patience, optimizer and seed checks of ``TrainConfig`` and
-    ``ProtocolSettings``; ``seed_field`` names the config's seed field."""
+    """The batch, epoch, patience, optimizer and seed checks of ``TrainConfig``
+    and ``ProtocolSettings``; ``seed_field`` names the config's seed field."""
+    for name in ("batch_size", "max_epochs", "patience", seed_field):
+        check_number(name, getattr(config, name), integer=True)
     if config.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if not 1 <= config.patience <= config.max_epochs:
@@ -118,16 +120,17 @@ def _check_schedule(config, seed_field: str) -> None:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float
-    strategy: str
-    params: SmoothingParams
-    seed: int
+    learning_rate: float = 1e-3
+    strategy: str = "nominal"
+    params: SmoothingParams = SmoothingParams()
+    seed: int = 0
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 40
     optimizer: str = "adam"  # "adam" | "sgd"
 
     def __post_init__(self) -> None:
+        check_number("learning_rate", self.learning_rate)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         _check_schedule(self, "seed")
@@ -300,14 +303,6 @@ def stratified_split(
     return train_idx, holdout_idx
 
 
-@dataclass(frozen=True)
-class TrainHistory:
-    train_loss: tuple
-    val_loss: tuple
-    best_epoch: int  # 1-based epoch whose weights were kept
-    stopped_epoch: int
-
-
 def _layout(weights: dict) -> list[tuple[str, slice, tuple]]:
     """Name, span in the flat buffer and shape of each of one model's layers."""
     layout, offset = [], 0
@@ -412,17 +407,26 @@ class _Optimizer:
 
 
 @dataclass
-class _Member:
-    """Early-stopping state of one member of a lockstep fit."""
+class TrainHistory:
+    """One member of a lockstep fit: its config, epoch losses, best validation
+    loss with its 1-based epoch and weights, the epochs since, and any divergence;
+    ``random_search`` adds the validation AMAE and MAE of each candidate it scores.
+    The weights and the divergence take no part in equality."""
 
     config: TrainConfig
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_val: float = math.inf
     best_epoch: int = 0
-    best_weights: Optional[dict] = None  # layer views of one flat copy
     stale_epochs: int = 0
-    diverged: Optional[TrainingDiverged] = None
+    best_weights: Optional[dict] = field(default=None, compare=False)  # views of one flat copy
+    diverged: Optional[TrainingDiverged] = field(default=None, compare=False)
+    val_amae: Optional[float] = None
+    val_mae: Optional[float] = None
+
+    @property
+    def stopped_epoch(self) -> int:
+        return len(self.val_loss)
 
     def record(
         self, epoch: int, train_loss: float, val_loss: float, params: np.ndarray, layout: list
@@ -445,12 +449,6 @@ class _Member:
         else:
             self.stale_epochs += 1
         return self.stale_epochs < self.config.patience
-
-    @property
-    def history(self) -> TrainHistory:
-        return TrainHistory(
-            tuple(self.train_loss), tuple(self.val_loss), self.best_epoch, len(self.val_loss)
-        )
 
 
 def _batch_work(layers: dict, n_members: int, batch_sizes: list[int]) -> list[_Work]:
@@ -486,7 +484,7 @@ def _fit_lockstep(
     validation: SampleSet,
     targets: Sequence[SoftTargetMatrix],
     configs: Sequence[TrainConfig],
-) -> list[_Member]:
+) -> list[TrainHistory]:
     """Train one member per config in lockstep, every member from ``init_weights``.
 
     The configs share seed, batch size, epoch limit, patience and optimizer;
@@ -506,7 +504,7 @@ def _fit_lockstep(
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
     shared = configs[0]
-    members = [_Member(c) for c in configs]
+    members = [TrainHistory(c) for c in configs]
     alive = list(members)
     layout = _layout(init_weights)
     flat_init = np.concatenate([w.ravel() for w in init_weights.values()])
@@ -577,11 +575,11 @@ def train(
     improvement (or at max_epochs) and restores the best epoch's weights. This
     is the one-member case of the lockstep fit that ``random_search`` runs.
     """
-    (member,) = _fit_lockstep(model.weights, data, validation, [targets], [config])
-    if member.diverged is not None:
-        raise member.diverged
-    model.weights = member.best_weights
-    return model, member.history
+    (history,) = _fit_lockstep(model.weights, data, validation, [targets], [config])
+    if history.diverged is not None:
+        raise history.diverged
+    model.weights = history.best_weights
+    return model, history
 
 
 @dataclass(frozen=True)
@@ -602,12 +600,16 @@ class SearchSpace:
     _grids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_number("max_configs", self.max_configs, integer=True)
         if self.max_configs < 1:
             raise ValueError("max_configs must be >= 1")
         for name in ("learning_rates", "etas", "alphas", "ps", "concentrations"):
             values = getattr(self, name)
             if not isinstance(values, (tuple, list)) or not values:
                 raise ValueError(f"{name} must be a non-empty list")
+            for value in values:
+                check_number(f"each of {name}", value)
+            object.__setattr__(self, name, tuple(values))
         if min(self.learning_rates) <= 0:
             raise ValueError(f"learning_rates must be positive, got {list(self.learning_rates)}")
         grids = {}
@@ -627,11 +629,6 @@ class SearchSpace:
             raise ValueError(f"unknown strategy {strategy!r}")
         return self._grids[strategy]
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchSpace":
-        known = {f: tuple(v) if isinstance(v, (list, tuple)) else v for f, v in data.items()}
-        return cls(**known)
-
 
 @dataclass(frozen=True)
 class ProtocolSettings:
@@ -647,22 +644,15 @@ class ProtocolSettings:
 
     def __post_init__(self) -> None:
         for name in ("train_fraction", "val_fraction"):
+            check_number(name, getattr(self, name))
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1")
         _check_schedule(self, "root_seed")
         if self.architecture not in ("linear", "mlp_1_hidden"):
             raise ValueError(f"unknown architecture {self.architecture!r}")
+        check_number("hidden_width", self.hidden_width, integer=True)
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be >= 1")
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    config: TrainConfig
-    val_amae: float
-    val_mae: float
-    n_evaluated: int
-    model: ClassifierModel = field(compare=False, repr=False)  # trained for ``config``
 
 
 def validation_split(
@@ -680,9 +670,10 @@ def random_search(
     seed: int,
     label_space: LabelSpace,
     settings: ProtocolSettings = ProtocolSettings(),
-) -> list[SearchOutcome]:
-    """Each strategy's search: the lowest validation AMAE among configurations
-    sampled without replacement from its grid, one outcome per strategy in order.
+) -> list[TrainHistory]:
+    """Each strategy's search: the record of the lowest validation AMAE among
+    configurations sampled without replacement from its grid, one per strategy in
+    order, holding the weights it trained.
 
     The validation set is carved from ``data`` (the training split) at
     ``settings.val_fraction``. Each strategy draws its candidates from its own
@@ -705,49 +696,35 @@ def random_search(
         ]
     subtrain, val = validation_split(data, seed, settings)
 
+    shared = ("batch_size", "max_epochs", "patience", "optimizer")  # the settings' schedule
+    schedule = {name: getattr(settings, name) for name in shared}
     configs = [
-        TrainConfig(
-            learning_rate=lr,
-            strategy=strategy,
-            params=params,
-            seed=seed,
-            batch_size=settings.batch_size,
-            max_epochs=settings.max_epochs,
-            patience=settings.patience,
-            optimizer=settings.optimizer,
-        )
+        TrainConfig(learning_rate=lr, strategy=strategy, params=params, seed=seed, **schedule)
         for strategy, drawn in draws.items()
         for _, lr, params in drawn
     ]
-    matrices: dict[tuple[str, SmoothingParams], SoftTargetMatrix] = {}
-    for config in configs:
-        key = (config.strategy, config.params)
-        if key not in matrices:
-            matrices[key] = build_target_matrix(label_space, config.strategy, config.params)
+    # one target matrix per distinct (strategy, params), built in first-use order
+    keys = dict.fromkeys((c.strategy, c.params) for c in configs)
+    matrices = {key: build_target_matrix(label_space, *key) for key in keys}
     init = init_model(
-        settings.architecture,
-        subtrain.n_features,
-        label_space.n_classes,
-        seed,
+        settings.architecture, subtrain.n_features, label_space.n_classes, seed,
         settings.hidden_width,
     )
-    members = _fit_lockstep(
+    histories = _fit_lockstep(
         init.weights, subtrain, val, [matrices[c.strategy, c.params] for c in configs], configs
     )
 
     grid_positions = [g for drawn in draws.values() for g, _, _ in drawn]
-    best: dict[str, tuple[tuple, SearchOutcome]] = {}
-    for grid_pos, member in zip(grid_positions, members):
-        if member.diverged is not None:
+    best: dict[str, tuple[tuple, TrainHistory]] = {}
+    for grid_pos, history in zip(grid_positions, histories):
+        if history.diverged is not None:
             continue
-        strategy = member.config.strategy
-        model = ClassifierModel(member.best_weights)
-        confusion = build_confusion(model.predict(val), label_space)
-        val_amae, val_mae = amae_metric(confusion), mae_metric(confusion)
-        key = (val_amae, val_mae, member.config.learning_rate, grid_pos)
+        strategy = history.config.strategy
+        confusion = build_confusion(ClassifierModel(history.best_weights).predict(val), label_space)
+        history.val_amae, history.val_mae = amae_metric(confusion), mae_metric(confusion)
+        key = (history.val_amae, history.val_mae, history.config.learning_rate, grid_pos)
         if strategy not in best or key < best[strategy][0]:
-            outcome = SearchOutcome(member.config, val_amae, val_mae, len(draws[strategy]), model)
-            best[strategy] = key, outcome
+            best[strategy] = key, history
     for strategy, drawn in draws.items():
         if strategy not in best:
             raise TrainingDiverged(
@@ -756,31 +733,25 @@ def random_search(
     return [best[strategy][1] for strategy in strategies]
 
 
-def _run_scale(
-    dataset: SampleSet,
-    label_space: LabelSpace,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    strategies: Sequence[str],
-    seed: int,
-    search_space: SearchSpace,
-    settings: ProtocolSettings,
-) -> list[RunResult]:
-    """One grading scale's runs on a given split, one per strategy: search on the
-    train subset, then evaluate each strategy's model on the holdout subset."""
-    train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
-    results = []
-    for outcome in random_search(search_space, train_set, strategies, seed, label_space, settings):
-        preds = outcome.model.predict(test_set)
-        results.append(RunResult(
-            seed=seed,
-            strategy=outcome.config.strategy,
-            chosen_config=outcome.config,
-            metrics=compute_report(build_confusion(preds, label_space)),
-            predictions=preds,
-            validation_amae=outcome.val_amae,
-        ))
-    return results
+def _run_scales(
+    features: np.ndarray, scales: Sequence[tuple[np.ndarray, LabelSpace]],
+    strategies: Sequence[str], seed: int, search_space: SearchSpace, settings: ProtocolSettings,
+) -> list[tuple[RunResult, ...]]:
+    """One seed's runs per grade scale on shared ``features``, given each scale's
+    labels and grades as ``[(labels, space), ...]``, on one split stratified on the
+    first scale's labels: per scale, search every strategy on the train subset and
+    score its model on the holdout. Per strategy, the scales' results in order."""
+    train_idx, test_idx = stratified_split(scales[0][0], settings.train_fraction, seed)
+    per_scale = []
+    for labels, space in scales:
+        dataset = SampleSet(features, labels)
+        train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
+        results = []
+        for history in random_search(search_space, train_set, strategies, seed, space, settings):
+            preds = ClassifierModel(history.best_weights).predict(test_set)
+            results.append(RunResult(history, compute_report(build_confusion(preds, space)), preds))
+        per_scale.append(results)
+    return list(zip(*per_scale))
 
 
 def run_single(
@@ -791,33 +762,20 @@ def run_single(
     search_space: SearchSpace,
     settings: ProtocolSettings,
 ) -> list[RunResult]:
-    """One seed's runs, one per strategy: a split stratified on the labels, then
-    the runs."""
-    train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, seed)
-    return _run_scale(
-        dataset, label_space, train_idx, test_idx, strategies, seed, search_space, settings
-    )
+    """One seed's runs, one per strategy, on a split stratified on the labels."""
+    scales = [(dataset.labels, label_space)]
+    runs = _run_scales(dataset.features, scales, strategies, seed, search_space, settings)
+    return [result for (result,) in runs]
 
 
 def run_paired_single(
     features: np.ndarray,
-    grades: PairedGrades,
+    scales: Sequence[tuple[np.ndarray, LabelSpace]],
     strategies: Sequence[str],
     seed: int,
     search_space: SearchSpace,
     settings: ProtocolSettings,
 ) -> list[tuple[RunResult, RunResult]]:
-    """One seed's runs per grade scale on shared features, on one split stratified
-    on the A grades: per strategy, the scales' results, A first."""
-    train_idx, test_idx = stratified_split(grades.labels_a, settings.train_fraction, seed)
-    results_a, results_b = (
-        _run_scale(
-            SampleSet(features, labels), LabelSpace(n_classes), train_idx, test_idx,
-            strategies, seed, search_space, settings,
-        )
-        for labels, n_classes in (
-            (grades.labels_a, grades.n_classes_a),
-            (grades.labels_b, grades.n_classes_b),
-        )
-    )
-    return list(zip(results_a, results_b))
+    """One seed's runs per grade scale, ``[(labels, space), ...]`` A first, on one
+    split stratified on the A labels: per strategy, the scales' results, A first."""
+    return _run_scales(features, scales, strategies, seed, search_space, settings)

@@ -162,12 +162,25 @@ def test_train_malformed_config_is_usage_error_naming_it(tmp_path, capsys):
     data = tmp_path / "data.csv"
     main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
     config = tmp_path / "config.json"
-    # not JSON, JSON that is no object, and params that are no object
-    for text in ("{bad", "[]", '{"params": [1]}'):
+    # not JSON, JSON that is no object, params that are no object, and unknown keys
+    cases = [("{bad", ""), ("[]", ""), ('{"params": [1]}', "params"),
+             ('{"learning_rte": 0.5}', "learning_rte"), ('{"params": {"conc": 3}}', "conc")]
+    for text, key in cases:
         config.write_text(text)
-        assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_USAGE
+        assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_USAGE, text
         err = capsys.readouterr().err
-        assert "usage error" in err and str(config) in err
+        assert "usage error" in err and str(config) in err and key in err, err
+    # wrong-typed values name their key; a boolean is no number, an integer is one
+    for text, key in (('{"learning_rate": "a"}', "learning_rate"), ('{"seed": 1.5}', "seed"),
+                      ('{"max_epochs": true}', "max_epochs"),
+                      ('{"params": {"eta": null}}', "eta"),
+                      ('{"strategy": "beta", "params": {"concentration": "5"}}', "concentration")):
+        config.write_text(text)
+        assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_USAGE, text
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"{key} must be" in err, err
+    config.write_text('{"learning_rate": 1, "params": {"eta": 1}, "max_epochs": 2, "patience": 2}')
+    assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("flags, config", [
@@ -384,12 +397,18 @@ def test_train_and_single_sweep_load_no_statistics_synth_or_pool(tmp_path):
     data = tmp_path / "data.csv"
     main(["synth", "--classes", "3", "--per-class", "16", "--seed", "1", "--out", str(data)])
     config, _ = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    # a paired sweep counts its tables from its label columns, without the generators
+    (tmp_path / "paired").mkdir()
+    paired, paired_out = _write_sweep_config(
+        tmp_path / "paired", _paired_dataset(tmp_path), ["nominal"], n_seeds=1
+    )
     script = (
         "import sys\n"
         "from ordsoft.cli import main\n"
         f"assert main(['train', '--data', {str(data)!r}, '--max-epochs', '2',"
         f" '--patience', '2', '--out', {str(tmp_path / 'runs.jsonl')!r}]) == 0\n"
         f"assert main(['sweep', '--config', {str(config)!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {str(paired)!r}]) == 0\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
     src = str(Path(ordsoft.__file__).resolve().parents[1])
@@ -397,7 +416,8 @@ def test_train_and_single_sweep_load_no_statistics_synth_or_pool(tmp_path):
     env.pop("ORDSOFT_WORKERS", None)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    loaded = set(proc.stdout.splitlines()[-1].split())  # after the sweep's summary table
+    loaded = set(proc.stdout.splitlines()[-1].split())  # after the sweeps' summary tables
+    assert (paired_out / "tables" / "truth.csv").exists()
     assert "ordsoft.trainer" in loaded
     for module in ("ordsoft.jointanalysis", "ordsoft.synth", "concurrent.futures.process"):
         assert module not in loaded
@@ -470,6 +490,27 @@ def test_sweep_bad_config_usage_error(tmp_path, capsys):
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE, search_space
         err = capsys.readouterr().err
         assert "bad sweep config" in err and message in err, err
+    base = {"task": "x", "dataset": str(tmp_path / "absent.csv"), "strategies": ["nominal"],
+            "n_seeds": 1, "output_dir": str(tmp_path)}
+    # misspelt keys and wrong types, at every level, name the key before the dataset is read
+    bad_keys_and_types = [
+        ({"setings": {"max_epochs": 5}}, "setings"), ({"search_spaces": {}}, "search_spaces"),
+        ({"settings": {"patiense": 3}}, "patiense"),
+        ({"search_space": {"learning_rte": [0.1]}}, "learning_rte"),
+        ({"search_space": None}, "search_space"), ({"n_seeds": 1.9}, "n_seeds"),
+        ({"n_seeds": True}, "n_seeds"),
+        ({"search_space": {"learning_rates": ["a"]}}, "learning_rates"),
+        ({"search_space": {"etas": [None]}}, "etas"),
+        ({"search_space": {"max_configs": 2.5}}, "max_configs"),
+        ({"settings": {"root_seed": "1"}}, "root_seed"),
+        ({"settings": {"max_epochs": True}}, "max_epochs"),
+        ({"settings": {"train_fraction": "0.7"}}, "train_fraction"),
+    ]
+    for extra, message in bad_keys_and_types:
+        path.write_text(json.dumps({**base, **extra}))
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE, extra
+        err = capsys.readouterr().err
+        assert "bad sweep config" in err and message in err, err
 
 
 @pytest.mark.parametrize("command, field", [
@@ -495,10 +536,10 @@ def test_negative_seed_is_usage_error_naming_the_field(tmp_path, capsys, command
 # ------------------------------------------------------------------- analyze
 
 
-def _write_table(path, counts, row_axis="A", col_axis="B"):
-    from ordsoft.jointanalysis import ContingencyTable
+def _write_table(path, counts):
+    from ordsoft.core import ContingencyTable
 
-    ContingencyTable(np.asarray(counts), row_axis=row_axis, col_axis=col_axis).to_csv(str(path))
+    ContingencyTable(np.asarray(counts)).to_csv(str(path))
 
 
 def test_analyze_perfect_predictions(tmp_path, capsys):

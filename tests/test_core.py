@@ -5,6 +5,7 @@ import pytest
 
 from ordsoft.core import (
     ConfusionMatrix,
+    ContingencyTable,
     LabelSpace,
     PredictionSet,
     SampleSet,
@@ -95,3 +96,33 @@ def test_prediction_set_rejects_bad_rows():
 def test_confusion_matrix_rejects_negative():
     with pytest.raises(ValueError):
         ConfusionMatrix(np.array([[1, -1], [0, 2]]))
+
+
+def test_confusion_matrix_rejects_a_non_square_table():
+    counts = np.array([[1, 2, 3], [4, 5, 6]])
+    assert ContingencyTable(counts).shape == (2, 3)
+    with pytest.raises(ValueError, match="must be square"):
+        ConfusionMatrix(counts)
+    with pytest.raises(ValueError, match="must be square"):
+        ConfusionMatrix.from_labels([0, 1], [2, 0], (2, 3))
+
+
+def test_contingency_from_labels_counts_each_pair_on_a_rectangular_table():
+    rng = np.random.default_rng(13)
+    rows, cols = rng.integers(0, 5, size=300), rng.integers(0, 4, size=300)
+    expected = np.zeros((5, 4), dtype=int)
+    for i, j in zip(rows, cols):
+        expected[i, j] += 1
+    table = ContingencyTable.from_labels(rows, cols, (5, 4))
+    assert type(table) is ContingencyTable
+    np.testing.assert_array_equal(table.counts, expected)
+    assert table.total == 300
+    # a grade missing from the labels still gets its row and column
+    sparse = ContingencyTable.from_labels([0, 0, 2], [1, 1, 0], (4, 3))
+    np.testing.assert_array_equal(sparse.counts, [[0, 2, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    confusion = ConfusionMatrix.from_labels([0, 1, 1], [1, 1, 0], (2, 2))
+    assert type(confusion) is ConfusionMatrix
+    np.testing.assert_array_equal(confusion.counts, [[0, 1], [1, 1]])
+    for bad_rows, bad_cols in (([0, 5], [0, 1]), ([0, 1], [0, 4]), ([-1, 0], [0, 1])):
+        with pytest.raises(ValueError, match="out of range for a 5 x 4 table"):
+            ContingencyTable.from_labels(bad_rows, bad_cols, (5, 4))

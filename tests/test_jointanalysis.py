@@ -56,13 +56,18 @@ def test_normalise_uniform():
 
 
 def test_contingency_csv_roundtrip(tmp_path):
-    table = ContingencyTable(np.array([[1, 2, 3], [4, 5, 6]]), row_axis="KL", col_axis="CPPD")
+    table = ContingencyTable(np.array([[1, 2, 3], [4, 5, 6]]))
     path = tmp_path / "table.csv"
     table.to_csv(str(path))
-    assert path.read_text().splitlines()[0] == "KL\\CPPD,0,1,2"
+    assert path.read_text().splitlines()[0] == "A\\B,0,1,2"
     loaded = ContingencyTable.from_csv(str(path))
     np.testing.assert_array_equal(loaded.counts, table.counts)
-    assert loaded.row_axis == "KL" and loaded.col_axis == "CPPD"
+    # any 'row\col' header cell reads; one without the backslash does not
+    path.write_text("KL\\CPPD,0,1,2\n0,1,2,3\n1,4,5,6\n")
+    np.testing.assert_array_equal(ContingencyTable.from_csv(str(path)).counts, table.counts)
+    path.write_text("KL,0,1,2\n0,1,2,3\n1,4,5,6\n")
+    with pytest.raises(ValueError, match="row\\\\col"):
+        ContingencyTable.from_csv(str(path))
 
 
 # --------------------------------------------------------------------- KLD

@@ -16,13 +16,13 @@ from ordsoft.trainer import (
     ProtocolSettings,
     SearchSpace,
     TrainConfig,
+    TrainHistory,
     TrainingDiverged,
     _STREAM_SHUFFLE,
     _Work,
     _batch_gradients,
     _fit_lockstep,
     _layout,
-    _Member,
     _views,
     init_model,
     random_search,
@@ -199,6 +199,8 @@ def test_search_grid_sizes_follow_published_table():
     assert len(space.grid("triangular")) == 18  # 3 lr x 3 alpha x 2 eta
     assert len(space.grid("exponential")) == 18
     assert len(space.grid("beta")) == 12
+    # a grid given as a JSON list is held as a tuple, like the defaults
+    assert SearchSpace(learning_rates=[0.1, 0.01]) == SearchSpace(learning_rates=(0.1, 0.01))
 
 
 def test_search_grid_is_the_learning_rate_major_cross_product():
@@ -227,23 +229,41 @@ def test_search_grid_is_the_learning_rate_major_cross_product():
             strategy_row(strategy, 5, 2, SmoothingParams(eta=0.8))
 
 
-def test_search_caps_sampled_configs_at_fifteen():
+def _spy_on_lockstep(monkeypatch):
+    """The configs of each lockstep fit that runs."""
+    fits = []
+    fit = trainer._fit_lockstep
+
+    def spy(init_weights, data, validation, targets, configs):
+        fits.append(list(configs))
+        return fit(init_weights, data, validation, targets, configs)
+
+    monkeypatch.setattr(trainer, "_fit_lockstep", spy)
+    return fits
+
+
+def test_search_caps_sampled_configs_at_fifteen(monkeypatch):
     data, _ = _small_dataset(n_per_class=20)
     space = SearchSpace(max_configs=15)
     settings = ProtocolSettings(max_epochs=3, patience=3, hidden_width=4)
-    (outcome,) = random_search(space, data, ["triangular"], seed=0, label_space=LabelSpace(3),
-                               settings=settings)
-    assert outcome.n_evaluated == 15
+    fits = _spy_on_lockstep(monkeypatch)
+    random_search(space, data, ["triangular"], seed=0, label_space=LabelSpace(3),
+                  settings=settings)
+    # 18 triangular candidates, 15 drawn without replacement
+    assert len(space.grid("triangular")) == 18
+    assert [len(configs) for configs in fits] == [15]
+    assert len(set(fits[0])) == 15
 
 
-def test_search_single_config_grid_returns_it():
+def test_search_single_config_grid_returns_it(monkeypatch):
     data, _ = _small_dataset(n_per_class=20)
     space = SearchSpace(learning_rates=(1e-3,), max_configs=5)
     settings = ProtocolSettings(max_epochs=3, patience=3, hidden_width=4)
+    fits = _spy_on_lockstep(monkeypatch)
     (outcome,) = random_search(space, data, ["nominal"], seed=1, label_space=LabelSpace(3),
                                settings=settings)
     assert outcome.config.learning_rate == 1e-3
-    assert outcome.n_evaluated == 1
+    assert fits == [[outcome.config]]
 
 
 def test_search_recovers_planted_best_config():
@@ -264,9 +284,14 @@ def test_search_returns_the_model_it_trained_for_the_winner():
     targets = build_target_matrix(space, outcome.config.strategy, outcome.config.params)
     init = init_model(settings.architecture, data.n_features, space.n_classes, 2,
                       settings.hidden_width)
-    refit, _ = train(init, subtrain, targets, outcome.config, val)
+    refit, history = train(init, subtrain, targets, outcome.config, val)
     for key, weights in refit.weights.items():
-        np.testing.assert_array_equal(outcome.model.weights[key], weights)
+        np.testing.assert_array_equal(outcome.best_weights[key], weights)
+    # the same record, bar the validation scores that only the search takes
+    assert (history.val_amae, history.val_mae) == (None, None)
+    assert outcome.val_amae is not None and outcome.val_mae is not None
+    history.val_amae, history.val_mae = outcome.val_amae, outcome.val_mae
+    assert outcome == history
 
 
 def test_search_raises_when_every_candidate_diverges():
@@ -297,10 +322,10 @@ def test_search_over_strategies_returns_each_strategys_lone_search(architecture,
     for strategy, outcome in zip(strategies, outcomes):
         (lone,) = random_search(grid, data, [strategy], seed=7, label_space=space,
                                 settings=settings)
-        # config, validation AMAE and MAE, and the number of candidates
+        # config, losses, best epoch, and validation AMAE and MAE
         assert outcome == lone
-        for key, weights in lone.model.weights.items():
-            np.testing.assert_array_equal(outcome.model.weights[key], weights)
+        for key, weights in lone.best_weights.items():
+            np.testing.assert_array_equal(outcome.best_weights[key], weights)
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
@@ -336,7 +361,7 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
         # a diverged member shared the stack with these, so equality shows it touched none
         lone, history = train(lone, subtrain, target, config, val)
         assert member.diverged is None
-        assert member.history == history
+        assert member == history
         for key, weights in lone.weights.items():
             np.testing.assert_array_equal(member.best_weights[key], weights)
         stopped.add(history.stopped_epoch)
@@ -383,7 +408,7 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
     monkeypatch.setattr(trainer, "_Work", SpyWork)
     members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
 
-    epochs = [member.history.stopped_epoch for member in members]
+    epochs = [member.stopped_epoch for member in members]
     alive = [sum(e >= epoch for e in epochs) for epoch in range(1, max(epochs) + 1)]
     block = trainer._VAL_BLOCK
     assert block == 8
@@ -448,13 +473,13 @@ def _spy_on_record(monkeypatch):
     """Record, per member, the parameters it was handed at each epoch: a copy, and
     the live row of the fit's buffer."""
     seen = {}
-    record = _Member.record
+    record = TrainHistory.record
 
     def spy(self, epoch, train_loss, val_loss, params, layout):
         seen.setdefault(id(self), []).append((params.copy(), params, layout))
         return record(self, epoch, train_loss, val_loss, params, layout)
 
-    monkeypatch.setattr(_Member, "record", spy)
+    monkeypatch.setattr(TrainHistory, "record", spy)
     return seen
 
 
@@ -492,8 +517,8 @@ def test_flat_update_matches_per_layer_reference_every_epoch(
                 np.testing.assert_array_equal(got[key], weights)
         # early stopping reads these, so they must be the reference's to the bit
         assert member.diverged is None
-        assert member.history.train_loss == tuple(r[1] for r in reference)
-        assert member.history.val_loss == tuple(r[2] for r in reference)
+        assert member.train_loss == [r[1] for r in reference]
+        assert member.val_loss == [r[2] for r in reference]
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
@@ -605,8 +630,7 @@ def test_run_single_metrics_recomputable():
                            search_space=SearchSpace(max_configs=3), settings=settings)
     recomputed = amae(build_confusion(result.predictions, space))
     assert recomputed == pytest.approx(result.metrics.amae, abs=1e-12)
-    assert result.strategy == "triangular"
-    assert result.seed == 0
+    assert (result.history.config.strategy, result.history.config.seed) == ("triangular", 0)
 
 
 def test_run_single_deterministic():
@@ -619,7 +643,7 @@ def test_run_single_deterministic():
         for strategy in ("nominal", "binomial")
     ]
     for a, b in zip(runs[:4], runs[4:]):
-        assert (a.seed, a.strategy, a.chosen_config) == (b.seed, b.strategy, b.chosen_config)
+        assert a.history == b.history
         assert a.metrics == b.metrics
         np.testing.assert_array_equal(a.predictions.predicted_probs, b.predictions.predicted_probs)
         np.testing.assert_array_equal(a.predictions.predicted_labels, b.predictions.predicted_labels)
@@ -634,8 +658,12 @@ def test_paired_run_evaluates_both_scales_on_the_split_stratified_on_a():
     # the test would not tell the two splits apart if B's own split were the same
     _, b_test_idx = stratified_split(grades.labels_b, settings.train_fraction, seed=1)
     assert not np.array_equal(test_idx, b_test_idx)
-    [(a, b)] = run_paired_single(features, grades, ["nominal"], 1, SearchSpace(max_configs=2),
+    scales = [(grades.labels_a, LabelSpace(4)), (grades.labels_b, LabelSpace(3))]
+    [(a, b)] = run_paired_single(features, scales, ["nominal"], 1, SearchSpace(max_configs=2),
                                  settings)
     np.testing.assert_array_equal(a.predictions.true_labels, grades.labels_a[test_idx])
     np.testing.assert_array_equal(b.predictions.true_labels, grades.labels_b[test_idx])
-    assert (a.seed, a.strategy, b.seed, b.strategy) == (1, "nominal", 1, "nominal")
+    assert a.predictions.predicted_probs.shape[1] == 4
+    assert b.predictions.predicted_probs.shape[1] == 3
+    for result in (a, b):
+        assert (result.history.config.seed, result.history.config.strategy) == (1, "nominal")
