@@ -70,7 +70,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 WORKERS_ENV = "ORDSOFT_WORKERS"
-_SWEEP_KEYS = ("task", "dataset", "strategies", "n_seeds", "output_dir", "search_space", "settings")
+_SWEEP_KEYS = ("task", "dataset", "strategies", "n_seeds", "output_dir", "search_space", "settings",
+               "n_classes", "n_classes_b")
 
 
 class UsageError(Exception):
@@ -227,8 +228,11 @@ def _given_flags(args, cls) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
-def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelSpace:
-    """The grades of ``--classes`` when given (0 included), else 0 .. the largest label.
+def _label_space(
+    classes: int | None, labels: np.ndarray, source: str, name: str = "--classes"
+) -> LabelSpace:
+    """The grades of ``classes``, given as ``name``, when given (0 included), else
+    0 .. the largest label.
 
     No labels, a bad grade count and labels outside the grades are usage errors.
     """
@@ -240,7 +244,7 @@ def _label_space(classes: int | None, labels: np.ndarray, source: str) -> LabelS
         raise UsageError(str(exc)) from exc
     outside = labels[(labels < 0) | (labels >= space.n_classes)]
     if outside.size:
-        given = " of --classes" if classes is not None else ""
+        given = f" of {name}" if classes is not None else ""
         raise UsageError(
             f"labels {np.unique(outside).tolist()} in {source} lie outside the"
             f" {space.n_classes} grades{given}"
@@ -404,6 +408,13 @@ def cmd_sweep(args) -> int:
         )
         if n_seeds < 1 or not strategies:
             raise ValueError("n_seeds must be >= 1 and strategies non-empty")
+        # each scale's grade count, inferred from its labels when not given
+        classes = {name: config.get(name) for name in ("n_classes", "n_classes_b")}
+        for name, value in classes.items():
+            if value is not None:
+                check_number(name, value, integer=True)
+                if value < 2:
+                    raise ValueError(f"{name} must be >= 2, got {value}")
         unknown = [s for s in strategies if s not in STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategies {unknown}")
@@ -417,14 +428,20 @@ def cmd_sweep(args) -> int:
 
     if paired:
         features, *labels = _read_paired_csv(dataset_path)
-        spaces = [_label_space(None, column, dataset_path) for column in labels]
+        spaces = [_label_space(classes[name], column, dataset_path, name)
+                  for name, column in zip(classes, labels)]
         task_fn, data = _paired_task, (features, list(zip(labels, spaces)))
         summaries = [("summary.json", "metrics_a", "scale A\n"),
                      ("summary_b.json", "metrics_b", "scale B\n")]
     else:
         with _reading(dataset_path):
             dataset = SampleSet.from_csv(dataset_path)
-        task_fn, data = _single_task, (dataset, _label_space(None, dataset.labels, dataset_path))
+        if classes["n_classes_b"] is not None:
+            raise UsageError(
+                f"bad sweep config: n_classes_b needs a paired dataset, not {dataset_path}"
+            )
+        space = _label_space(classes["n_classes"], dataset.labels, dataset_path, "n_classes")
+        task_fn, data = _single_task, (dataset, space)
         summaries = [("summary.json", "metrics", "")]
     payloads = [
         (*data, strategies, settings.root_seed + i, search_space, settings, task)

@@ -23,31 +23,38 @@ those buffers. The optimizer updates the whole buffer with one short run of
 in-place ufuncs per step rather than one allocating pass per layer.
 
 A step's forward/backward allocates no arrays either, only views. It writes
-into work arrays (``_Work``) that a fit allocates once per batch shape:
-``(K, B, H)`` hidden activations, ReLU mask and ``d_hidden``; ``(K, B, J)``
-targets, logits, which become probabilities and then ``d_logits`` in place,
-and log-likelihood terms; ``(K, B)`` row max and sum. The short last batch of
-an epoch has its own set, because a matmul writing into part of a larger array
-may leave the BLAS path and round differently. Each step gathers its batch's
-targets from the members' ``(K, J, J)`` target-matrix rows into the set's
-``targets`` with one ``take``, so no ``(K, N, J)`` array of every row's targets
-is built or reshuffled per epoch; the fit checks the label range once, since
-that ``take`` clips. The softmax takes each row's max and sum as J-1 ufuncs
-over the grade columns rather than as reductions over the last axis, because
-numpy reduces a length-5 trailing axis slowly; the max is exact and numpy adds
-a short row in index order, so the probabilities are bit for bit those of
-``loss.softmax``.
+into work arrays (``_Work``): ``(K, B, H)`` hidden activations, ReLU mask and
+``d_hidden``; ``(K, B, J)`` targets, logits, which become probabilities and
+then ``d_logits`` in place, and log-likelihood terms; ``(K, B)`` row max and
+sum. A fit allocates them once, as one arena (``_Arena``) holding a flat
+buffer per work role, sized for the largest pass that uses it: a batch of all
+K members, or a validation block. Every work set, the full batch's, the short
+last batch's and each validation block's, is a contiguous ``[:n].reshape``
+prefix view of those buffers, since every work array is written before it is
+read. A matmul or ufunc writing into such a view rounds bit for bit as into an
+array of its own; this was measured for K of 1, 8, 15 and 51 members over
+batches of 27, 7 and 1 rows, and the tests hold every fit to lone fits and to
+an allocating per-layer reference. Each step gathers its batch's targets from
+the members' ``(K, J, J)`` target-matrix rows into the set's ``targets`` with
+one ``take``, so no ``(K, N, J)`` array of every row's targets is built or
+reshuffled per epoch; the fit checks the label range once, since that
+``take`` clips. The softmax takes each row's max and sum, and validation each
+row's log-likelihood sum, as J-1 ufuncs over the grade columns rather than as
+reductions over the last axis, because numpy reduces a length-5 trailing axis
+slowly; the max is exact and numpy adds a short row in index order, so the
+probabilities are bit for bit those of ``loss.softmax``.
 
 Each epoch ends with the validation loss of all K members: one forward pass
 over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members,
 against the members' ``(K, V, J)`` validation targets, taken once per fit from
 the same target rows as each batch's targets. A block's weights and targets
-are slices of the stack's, and its work set, shared by the blocks of its size,
-runs forward only, holding no mask or ``d_hidden``, so validation memory stays
-that of 8 members however large the stack. Inference's one-off ``(1, N, ...)``
-set is forward-only too. When members leave the stack, the fit cuts the target
-rows and validation targets to the members left, frees the work sets and
-allocates fresh ones, since every work array is written before it is read.
+are slices of the stack's, and its work set runs forward only, so validation
+memory stays that of 8 members however large the stack. Inference's one-off
+``(1, N, ...)`` arena is forward-only too. When members leave the stack, the
+fit compacts the members left into a prefix of the parameter, Adam moment,
+learning-rate, target-row and validation-target buffers, in place; the
+gradient, scratch and work buffers, rewritten every step, shrink to a prefix.
+Members leaving allocate nothing, so they never raise the fit's peak memory.
 Every ufunc is elementwise or keeps its reduction axis, and every member runs
 its own gemm, so none of this changes a single bit.
 
@@ -139,8 +146,32 @@ class TrainConfig:
         return {**asdict(self), "params": self.params.to_dict()}
 
 
+class _Arena:
+    """The work buffers of one fit: one flat buffer per work role, sized once for
+    the largest pass that uses the role, of which every ``_Work`` set is a prefix.
+
+    ``hidden``, ``logits``, ``llik``, ``row_max`` and ``row_sum`` hold ``n_rows``
+    (member, row) pairs, the most that any pass, forward or backward, runs;
+    ``targets``, ``mask`` and ``d_hidden``, which only a backward pass uses, hold
+    ``n_backward_rows``; ``total`` holds one value per member.
+    """
+
+    def __init__(self, layers: dict, n_members: int, n_rows: int, n_backward_rows: int = 0):
+        """Buffers for passes of up to ``n_members`` models laid out as ``layers`` (one model's)."""
+        self.n_hidden = layers["b_in"].size if "w_in" in layers else 0
+        self.n_grades = layers["b_out"].size
+        self.hidden = np.empty(n_rows * self.n_hidden)
+        self.d_hidden = np.empty(n_backward_rows * self.n_hidden)
+        self.mask = np.empty(n_backward_rows * self.n_hidden, dtype=bool)
+        self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
+        self.targets = np.empty(n_backward_rows * self.n_grades)
+        self.row_max, self.row_sum = np.empty(n_rows), np.empty(n_rows)
+        self.total = np.empty(n_members)
+
+
 class _Work:
-    """Work arrays for one pass of K members over a batch of B rows.
+    """Work arrays for one pass of K members over a batch of B rows, each a
+    contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
     ``hidden`` is ``(K, B, H)`` (None for the linear model); ``logits``, which
     become probabilities (and then ``d_logits`` in a backward pass), and
@@ -148,25 +179,30 @@ class _Work:
     ``total`` is ``(K,)``. A set for a backward pass also holds the batch's
     ``(K, B, J)`` ``targets`` and the MLP's ``(K, B, H)`` ReLU ``mask`` and
     ``d_hidden``; a forward-only set, as validation and inference use, leaves
-    them None. The J column views of ``logits`` and the ``(K, B, 1)`` broadcast
-    views of the row max and sum are built with the arrays.
+    them None. The J column views of ``logits`` and ``llik`` and the
+    ``(K, B, 1)`` broadcast views of the row max and sum are built with the set.
     """
 
-    def __init__(self, layers: dict, n_members: int, n_rows: int, backward: bool = False):
-        """Arrays for ``n_members`` models laid out as ``layers`` (one model's)."""
+    def __init__(self, arena: _Arena, n_members: int, n_rows: int, backward: bool = False):
+        def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+            return buffer[: math.prod(shape)].reshape(shape)
+
         self.hidden = self.mask = self.d_hidden = self.targets = None
-        if "w_in" in layers:
-            shape = (n_members, n_rows, layers["b_in"].size)
-            self.hidden = np.empty(shape)
+        hidden_shape = (n_members, n_rows, arena.n_hidden)
+        if arena.n_hidden:
+            self.hidden = view(arena.hidden, *hidden_shape)
             if backward:
-                self.d_hidden, self.mask = np.empty(shape), np.empty(shape, dtype=bool)
-        self.logits = np.empty((n_members, n_rows, layers["b_out"].size))
-        self.llik = np.empty_like(self.logits)
+                self.d_hidden = view(arena.d_hidden, *hidden_shape)
+                self.mask = view(arena.mask, *hidden_shape)
+        grades_shape = (n_members, n_rows, arena.n_grades)
+        self.logits, self.llik = view(arena.logits, *grades_shape), view(arena.llik, *grades_shape)
         if backward:
-            self.targets = np.empty_like(self.logits)
-        self.row_max, self.row_sum = np.empty((n_members, n_rows)), np.empty((n_members, n_rows))
-        self.total = np.empty(n_members)
-        self.cols = [self.logits[..., j] for j in range(self.logits.shape[-1])]
+            self.targets = view(arena.targets, *grades_shape)
+        self.row_max = view(arena.row_max, n_members, n_rows)
+        self.row_sum = view(arena.row_sum, n_members, n_rows)
+        self.total = arena.total[:n_members]
+        self.cols = [self.logits[..., j] for j in range(arena.n_grades)]
+        self.llik_cols = [self.llik[..., j] for j in range(arena.n_grades)]
         self.max_bc, self.sum_bc = self.row_max[..., None], self.row_sum[..., None]
 
 
@@ -185,13 +221,29 @@ def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     return work.logits
 
 
+def _row_sums(values: np.ndarray, cols: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``values``, whose columns are ``cols``, into ``out``.
+
+    A row shorter than 8 is summed as J-1 column adds in grade order, since numpy
+    reduces a short trailing axis slowly and sums such a row in index order, so
+    the result is bit for bit ``values.sum(axis=-1)``; longer rows take numpy's
+    own pairwise reduction.
+    """
+    if len(cols) < 8:
+        np.add(cols[0], cols[1], out=out)
+        for col in cols[2:]:
+            out += col
+    else:
+        values.sum(axis=-1, out=out)
+    return out
+
+
 def _softmax(work: _Work) -> np.ndarray:
     """Turn ``work.logits`` into softmax probabilities in place and return them.
 
-    Each row's max and sum are J-1 ufuncs over the grade columns, in grade
-    order, since numpy reduces a short trailing axis slowly. The max is exact,
-    and numpy sums a row shorter than 8 in index order, so the result is bit
-    for bit ``loss.softmax``; longer rows take numpy's own pairwise reduction.
+    Each row's max is J-1 ufuncs over the grade columns, in grade order, and is
+    exact; its sum is ``_row_sums``'s, so the result is bit for bit
+    ``loss.softmax``.
     """
     probs, cols = work.logits, work.cols
     np.maximum(cols[0], cols[1], out=work.row_max)
@@ -199,12 +251,7 @@ def _softmax(work: _Work) -> np.ndarray:
         np.maximum(work.row_max, col, out=work.row_max)
     probs -= work.max_bc
     np.exp(probs, out=probs)
-    if len(cols) < 8:
-        np.add(cols[0], cols[1], out=work.row_sum)
-        for col in cols[2:]:
-            work.row_sum += col
-    else:
-        probs.sum(axis=-1, out=work.row_sum)
+    _row_sums(probs, cols, work.row_sum)
     probs /= work.sum_bc
     return probs
 
@@ -228,7 +275,7 @@ class ClassifierModel:
 
     def _forward(self, features: np.ndarray) -> _Work:
         """One forward pass over ``features`` with a one-off set of work arrays."""
-        work = _Work(self.weights, 1, len(features))
+        work = _Work(_Arena(self.weights, 1, len(features)), 1, len(features))
         _forward({k: w[None] for k, w in self.weights.items()}, features, work)
         return work
 
@@ -303,6 +350,16 @@ def stratified_split(
     return train_idx, holdout_idx
 
 
+def _compact(stack: np.ndarray, rows: list[int]) -> np.ndarray:
+    """Move the members ``rows`` (ascending) of ``stack`` to its first ``len(rows)``
+    rows in place and return that prefix. A member only moves toward the front,
+    onto a row already moved or left, so no row is overwritten before it moves."""
+    for to, row in enumerate(rows):
+        if to != row:
+            stack[to] = stack[row]
+    return stack[: len(rows)]
+
+
 def _layout(weights: dict) -> list[tuple[str, slice, tuple]]:
     """Name, span in the flat buffer and shape of each of one model's layers."""
     layout, offset = [], 0
@@ -351,8 +408,7 @@ def _mean_soft_ce(weights: dict, x: np.ndarray, targets: np.ndarray, work: _Work
     log-likelihood terms, then their mean over each member's contiguous row."""
     _forward(weights, x, work)
     llik = _log_likelihood(_softmax(work), targets, work.llik)
-    llik.sum(axis=-1, out=work.row_sum)
-    return -work.row_sum.mean(axis=-1)
+    return -_row_sums(llik, work.llik_cols, work.row_sum).mean(axis=-1)
 
 
 class _Optimizer:
@@ -376,11 +432,14 @@ class _Optimizer:
             self.m, self.v, self.denom = np.zeros(shape), np.zeros(shape), np.empty(shape)
 
     def keep(self, rows: list[int]) -> None:
-        """Drop the state of the members not in ``rows``."""
-        self.lr = self.lr[rows]
-        self.scratch = self.scratch[rows]
+        """Keep the state of the members ``rows`` (ascending) alone: the learning
+        rates and moments are compacted into a prefix of their buffers, and the
+        scratch space, rewritten every step, shrinks to one."""
+        self.lr = _compact(self.lr, rows)
+        self.scratch = self.scratch[: len(rows)]
         if self.kind == "adam":
-            self.m, self.v, self.denom = self.m[rows], self.v[rows], self.denom[rows]
+            self.m, self.v = _compact(self.m, rows), _compact(self.v, rows)
+            self.denom = self.denom[: len(rows)]
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         step = self.scratch
@@ -451,28 +510,26 @@ class TrainHistory:
         return self.stale_epochs < self.config.patience
 
 
-def _batch_work(layers: dict, n_members: int, batch_sizes: list[int]) -> list[_Work]:
-    """Work arrays for each batch of an epoch, one set per batch size: the short
-    last batch gets its own, since a matmul writing into part of a larger array
-    may round differently."""
-    sets = {n: _Work(layers, n_members, n, backward=True) for n in set(batch_sizes)}
+def _batch_work(arena: _Arena, n_members: int, batch_sizes: list[int]) -> list[_Work]:
+    """Work arrays in ``arena`` for each batch of an epoch, one set per batch size."""
+    sets = {n: _Work(arena, n_members, n, backward=True) for n in set(batch_sizes)}
     return [sets[n] for n in batch_sizes]
 
 
 def _val_blocks(
-    layers: dict, weights: dict, val_targets: np.ndarray, n_rows: int
+    arena: _Arena, weights: dict, val_targets: np.ndarray, n_rows: int
 ) -> list[tuple[dict, np.ndarray, _Work]]:
     """The weight views, ``(k, V, J)`` validation targets and forward-only work set
-    of each block of at most ``_VAL_BLOCK`` members of the stack ``weights`` (laid
-    out as ``layers``, one model's), one set per block size; a block's views and
-    targets are slices of the stack's, so each member runs a lone fit's gemms."""
+    in ``arena`` of each block of at most ``_VAL_BLOCK`` members of the stack
+    ``weights``, one set per block size; a block's views and targets are slices
+    of the stack's, so each member runs a lone fit's gemms."""
     n_members = len(val_targets)
     sets: dict[int, _Work] = {}
     blocks = []
     for lo in range(0, n_members, _VAL_BLOCK):
         hi = min(lo + _VAL_BLOCK, n_members)
         if hi - lo not in sets:
-            sets[hi - lo] = _Work(layers, hi - lo, n_rows)
+            sets[hi - lo] = _Work(arena, hi - lo, n_rows)
         block = {k: w[lo:hi] for k, w in weights.items()}
         blocks.append((block, val_targets[lo:hi], sets[hi - lo]))
     return blocks
@@ -497,9 +554,11 @@ def _fit_lockstep(
     reductions run over the batch axis or within one member's row, so every
     member's arithmetic is bit for bit that of the member trained alone. The
     weights and gradients are flat ``(K, P)`` buffers seen through per-layer
-    views. A member that stops early or goes non-finite leaves the stack: one
-    row selection of each buffer and of the stacked targets, after which the
-    views and the work arrays are built afresh.
+    views, and every work set is a view of the fit's one ``_Arena``, sized for
+    its largest pass: a batch of all K members, or a validation block. A member
+    that stops early or goes non-finite leaves the stack: the members left are
+    compacted into a prefix of the parameter, moment, learning-rate and target
+    buffers, and the views and work sets are built afresh over the same memory.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -521,8 +580,11 @@ def _fit_lockstep(
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
     starts = range(0, data.n_samples, shared.batch_size)
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
-    batch_work = _batch_work(init_weights, len(members), batch_sizes.tolist())
-    val_blocks = _val_blocks(init_weights, weights, val_targets, validation.n_samples)
+    batch_rows = len(members) * int(batch_sizes[0])
+    val_rows = min(len(members), _VAL_BLOCK) * validation.n_samples
+    arena = _Arena(init_weights, len(members), max(batch_rows, val_rows), batch_rows)
+    batch_work = _batch_work(arena, len(members), batch_sizes.tolist())
+    val_blocks = _val_blocks(arena, weights, val_targets, validation.n_samples)
 
     for epoch in range(1, shared.max_epochs + 1):
         perm = rng.permutation(data.n_samples)
@@ -552,13 +614,14 @@ def _fit_lockstep(
             if not rows:
                 break
             alive = [alive[row] for row in rows]
-            params, flat_grads = params[rows], flat_grads[rows]
+            params, target_rows, val_targets = (
+                _compact(stack, rows) for stack in (params, target_rows, val_targets)
+            )
+            flat_grads = flat_grads[: len(rows)]  # rewritten every step
             weights, grads = _views(params, layout), _views(flat_grads, layout)
-            target_rows, val_targets = target_rows[rows], val_targets[rows]
             optimizer.keep(rows)
-            batch_work = val_blocks = None  # free the old sets before allocating the new ones
-            batch_work = _batch_work(init_weights, len(rows), batch_sizes.tolist())
-            val_blocks = _val_blocks(init_weights, weights, val_targets, validation.n_samples)
+            batch_work = _batch_work(arena, len(rows), batch_sizes.tolist())
+            val_blocks = _val_blocks(arena, weights, val_targets, validation.n_samples)
     return members
 
 

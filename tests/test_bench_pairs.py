@@ -1,7 +1,8 @@
 """The pair summary of ``tools/bench_pairs.py``: medians, quartiles, wins and the
-gain rule, on made-up runs."""
+gain rule, on made-up runs, and its runs, one process per workload, on fake trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,58 @@ def test_gain_rule_fails_when_the_change_fails_more(correct, failed):
     wall = _tool().summarise(runs, METRICS)["w"]["metrics"]["wall_s"]
     assert wall["wins"] == 10
     assert wall["gain_rule_met"] is False
+
+
+FAKE_RUN = '''\
+"""Stands in for perfbench/run.py: logs its arguments, prints one untagged line."""
+import json, sys
+from pathlib import Path
+
+root = Path(__file__).resolve().parents[1]
+args = sys.argv[1:]
+with open(root / "calls.log", "a") as fh:
+    fh.write(" ".join(args) + "\\n")
+workload = args[args.index("--workload") + 1]
+rss = {"parent": 40.0, "change": 39.0}[root.name] + {"a": 0.0, "b": 10.0}[workload]
+print("warming up")
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
+                  "metrics": {"peak_rss_mb": {"value": rss, "unit": "MiB"}}}))
+'''
+
+
+def test_main_runs_each_workload_in_its_own_process(tmp_path):
+    spec = {"workloads": [{"name": "a"}, {"name": "b"}],
+            "end_to_end": [{"name": "peak_rss_mb", "unit": "MiB", "better": "lower",
+                            "bound": 0.1}]}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "src").mkdir()
+        (tmp_path / side / "src" / "module.py").write_text(f"# {side}\n")
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "BENCH_fake.json"
+    assert _tool().main(["--parent", str(tmp_path / "parent"), "--change",
+                         str(tmp_path / "change"), "--pairs", "2", "--seed", "5",
+                         "--seconds", "0", "--tag", "fake", "--out", str(out)]) == 0
+
+    for side in ("parent", "change"):
+        calls = (tmp_path / side / "calls.log").read_text().splitlines()
+        # one process per workload and pair, never --workload all
+        assert calls == [f"--workload {w} --seed 5 --seconds 0.0 --trace 0"
+                         for _ in range(2) for w in ("a", "b")]
+    report = json.loads(out.read_text())
+    assert [(r["pair"], r["workload"], r["side"]) for r in report["runs"]] == [
+        (0, "a", "parent"), (0, "a", "change"), (0, "b", "parent"), (0, "b", "change"),
+        (1, "a", "change"), (1, "a", "parent"), (1, "b", "change"), (1, "b", "parent"),
+    ]
+    for run in report["runs"]:
+        (line,) = run["lines"]
+        assert line["workload"] == run["workload"]
+    assert report["workloads"] == ["a", "b"]
+    assert report["src_sha256"]["parent"] != report["src_sha256"]["change"]
+    for workload, base in (("a", 40.0), ("b", 50.0)):
+        entry = report["summary"][workload]
+        assert entry["parent"] == entry["change"] == {"runs": 2, "correct": 2, "failed_ops": 0}
+        rss = entry["metrics"]["peak_rss_mb"]
+        assert (rss["parent"]["median"], rss["change"]["median"]) == (base, base - 1.0)
+        assert (rss["pairs"], rss["wins"], rss["gain_rule_met"]) == (2, 2, True)

@@ -456,6 +456,69 @@ def test_paired_sweep_with_one_seed_then_analyze(tmp_path, capsys):
     assert pair["p_value"] == 1.0
 
 
+def _records(out_dir):
+    return [json.loads(line) for line in (out_dir / "results.jsonl").read_text().splitlines()]
+
+
+def test_sweep_trains_and_scores_on_the_grades_given(tmp_path):
+    data = tmp_path / "data.csv"
+    # grades 0..3 only: a 5-grade scale whose top grade no row has
+    main(["synth", "--classes", "4", "--per-class", "16", "--flip-prob", "0.2",
+          "--seed", "1", "--out", str(data)])
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal", "beta"], n_seeds=1)
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    inferred = (out_dir / "results.jsonl").read_bytes()
+    assert all(len(r["metrics"]["per_class_mae"]) == 4 for r in _records(out_dir))
+    # the grade count the labels imply, given explicitly, writes the same bytes
+    config, _ = _write_sweep_config(tmp_path, data, ["nominal", "beta"], n_seeds=1,
+                                    extra={"n_classes": 4})
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    assert (out_dir / "results.jsonl").read_bytes() == inferred
+    config, _ = _write_sweep_config(tmp_path, data, ["nominal", "beta"], n_seeds=1,
+                                    extra={"n_classes": 5})
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    for record in _records(out_dir):
+        _validate("ordsoft.run_record-v1", record)
+        assert len(record["metrics"]["per_class_mae"]) == 5
+        assert record["metrics"]["empty_classes"] == [4]
+
+
+def test_paired_sweep_trains_and_scores_on_the_grades_given(tmp_path):
+    config, out_dir = _write_sweep_config(tmp_path, _paired_dataset(tmp_path), ["nominal"],
+                                          n_seeds=1, extra={"n_classes": 4, "n_classes_b": 5})
+    assert main(["sweep", "--config", str(config)]) == EXIT_OK
+    (record,) = _records(out_dir)
+    _validate("ordsoft.paired_run_record-v1", record)
+    assert len(record["metrics_a"]["per_class_mae"]) == 4
+    assert len(record["metrics_b"]["per_class_mae"]) == 5
+    assert np.asarray(record["table"]).shape == (4, 5)
+    truth = (out_dir / "tables" / "truth.csv").read_text().splitlines()
+    assert len(truth) == 5 and len(truth[0].split(",")) == 6
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"n_classes": 4}, "labels [4]"),
+    ({"n_classes_b": 3}, "n_classes_b needs a paired dataset"),
+])
+def test_sweep_labels_past_the_grades_given_are_a_usage_error(tmp_path, capsys, extra, message):
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "5", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1, extra=extra)
+    assert main(["sweep", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and next(iter(extra)) in err, err
+    assert not out_dir.exists()
+
+
+def test_paired_sweep_b_labels_past_n_classes_b_are_a_usage_error(tmp_path, capsys):
+    config, out_dir = _write_sweep_config(tmp_path, _paired_dataset(tmp_path), ["nominal"],
+                                          n_seeds=1, extra={"n_classes_b": 2})
+    assert main(["sweep", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "labels [2]" in err and "2 grades of n_classes_b" in err, err
+    assert not out_dir.exists()
+
+
 def test_sweep_bad_config_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"task": "x"}))
@@ -505,6 +568,8 @@ def test_sweep_bad_config_usage_error(tmp_path, capsys):
         ({"settings": {"root_seed": "1"}}, "root_seed"),
         ({"settings": {"max_epochs": True}}, "max_epochs"),
         ({"settings": {"train_fraction": "0.7"}}, "train_fraction"),
+        ({"n_classes": 1}, "n_classes"), ({"n_classes": 4.0}, "n_classes"),
+        ({"n_classes_b": "4"}, "n_classes_b"), ({"n_classes_b": True}, "n_classes_b"),
     ]
     for extra, message in bad_keys_and_types:
         path.write_text(json.dumps({**base, **extra}))

@@ -19,6 +19,7 @@ from ordsoft.trainer import (
     TrainHistory,
     TrainingDiverged,
     _STREAM_SHUFFLE,
+    _Arena,
     _Work,
     _batch_gradients,
     _fit_lockstep,
@@ -346,6 +347,9 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
         for strategy, lr, params in candidates
     ]
     assert len(configs) > trainer._VAL_BLOCK
+    # a short last batch; a lone fit's validation pass (V rows) outruns its batch (16 rows),
+    # so its arena is sized by validation and each batch runs on a prefix of it
+    assert subtrain.n_samples % 16 != 0 and val.n_samples > 16
     targets = [build_target_matrix(space, c.strategy, c.params) for c in configs]
     init = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
     members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
@@ -399,8 +403,8 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
         return mean_soft_ce(weights, x, targets, work)
 
     class SpyWork(trainer._Work):
-        def __init__(self, layers, n_members, n_rows, backward=False):
-            super().__init__(layers, n_members, n_rows, backward)
+        def __init__(self, arena, n_members, n_rows, backward=False):
+            super().__init__(arena, n_members, n_rows, backward)
             if not backward:
                 forward_only.append(n_members)
 
@@ -483,11 +487,9 @@ def _spy_on_record(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_flat_update_matches_per_layer_reference_every_epoch(
-    monkeypatch, architecture, optimizer
-):
+def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members):
+    """Every epoch's weights and losses of each member of an ``n_members`` fit equal
+    ``_reference_epochs``' to the bit."""
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
     settings = ProtocolSettings(batch_size=16, max_epochs=25, patience=3,
                                 architecture=architecture, optimizer=optimizer, hidden_width=8)
@@ -499,15 +501,16 @@ def test_flat_update_matches_per_layer_reference_every_epoch(
                     batch_size=16, max_epochs=25, patience=3, optimizer=optimizer)
         for lr in (1e-3, 0.1, 2.0)
         for eta in (0.8, 1.0)
-    ]
+    ][:n_members]
     targets = [build_target_matrix(space, "triangular", c.params) for c in configs]
     init = init_model(architecture, data.n_features, space.n_classes, seed=2, hidden_width=8)
     seen = _spy_on_record(monkeypatch)
     members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
 
     epochs_run = [len(seen[id(member)]) for member in members]
-    # members left the stack at different epochs while others trained on
-    assert len(set(epochs_run)) >= 2 and max(epochs_run) > min(epochs_run)
+    if n_members > 1:
+        # members left the stack at different epochs while others trained on
+        assert len(set(epochs_run)) >= 2 and max(epochs_run) > min(epochs_run)
     for config, target, member, n_epochs in zip(configs, targets, members, epochs_run):
         reference = _reference_epochs(init.weights, subtrain, val, target, config, n_epochs)
         for (params, _, layout), (expected, _, _) in zip(seen[id(member)], reference):
@@ -519,6 +522,100 @@ def test_flat_update_matches_per_layer_reference_every_epoch(
         assert member.diverged is None
         assert member.train_loss == [r[1] for r in reference]
         assert member.val_loss == [r[2] for r in reference]
+    return subtrain, val, members
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_flat_update_matches_per_layer_reference_every_epoch(
+    monkeypatch, architecture, optimizer
+):
+    _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members=6)
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_lone_fit_on_an_arena_sized_by_validation_matches_the_reference(
+    monkeypatch, architecture, optimizer
+):
+    subtrain, val, (member,) = _check_fit_against_reference(
+        monkeypatch, architecture, optimizer, n_members=1
+    )
+    # the validation pass (V rows) outruns a batch (16 rows), so it sizes the arena
+    # and every batch, the short last one too, runs on a prefix of its buffers
+    assert val.n_samples > 16 and subtrain.n_samples % 16 != 0
+    assert member.stopped_epoch > 1
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
+    monkeypatch, architecture, optimizer
+):
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    subtrain, val = validation_split(data, 5, ProtocolSettings())
+    # 11 members validate in blocks of 8 and 3; patience 2 stops some early
+    configs = [
+        TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16, max_epochs=12,
+                    patience=2, optimizer=optimizer)
+        for lr in np.geomspace(1e-3, 3.0, 11)
+    ]
+    init = init_model(architecture, data.n_features, space.n_classes, seed=5, hidden_width=8)
+    arenas, sets = [], []
+
+    class SpyArena(trainer._Arena):
+        def __init__(self, *args):
+            super().__init__(*args)
+            arenas.append(self)
+
+    class SpyWork(trainer._Work):
+        def __init__(self, arena, n_members, n_rows, backward=False):
+            super().__init__(arena, n_members, n_rows, backward)
+            sets.append((arena, self, n_members, n_rows, backward))
+
+    monkeypatch.setattr(trainer, "_Arena", SpyArena)
+    monkeypatch.setattr(trainer, "_Work", SpyWork)
+    removals = []  # per removal, the memory owner of each optimizer buffer before and after
+    keep = trainer._Optimizer.keep
+
+    def spy_keep(self, rows):
+        names = ["lr", "scratch"] + (["m", "v", "denom"] if self.kind == "adam" else [])
+        before = [_owner(getattr(self, name)) for name in names]
+        keep(self, rows)
+        removals.append((before, [_owner(getattr(self, name)) for name in names]))
+
+    monkeypatch.setattr(trainer._Optimizer, "keep", spy_keep)
+    seen = _spy_on_record(monkeypatch)
+    members = _fit_lockstep(init.weights, subtrain, val,
+                            [build_target_matrix(space, "nominal")] * len(configs), configs)
+
+    (arena,) = arenas
+    sizes = {(n_members, n_rows, backward) for _, _, n_members, n_rows, backward in sets}
+    # the full and short batch and both validation block sizes, then smaller stacks
+    assert {(11, 16, True), (11, subtrain.n_samples % 16, True), (8, val.n_samples, False),
+            (3, val.n_samples, False)} <= sizes
+    assert any(n_members < 11 for n_members, _, _ in sizes)
+    for owner, work, _, _, backward in sets:
+        assert owner is arena
+        roles = ["logits", "llik", "row_max", "row_sum", "total"]
+        roles += ["targets"] if backward else []
+        if architecture == "mlp_1_hidden":
+            roles += ["hidden", "mask", "d_hidden"] if backward else ["hidden"]
+        for role in roles:
+            assert np.shares_memory(getattr(work, role), getattr(arena, role)), role
+
+    # members left at staggered epochs; every member's parameters, at every epoch,
+    # were a row of the one buffer the fit started with, and so were the optimizer's
+    assert len({member.stopped_epoch for member in members}) >= 3 and removals
+    buffers = {id(_owner(live)) for member in members for _, live, _ in seen[id(member)]}
+    assert len(buffers) == 1
+    for before, after in removals:
+        assert all(b is a for b, a in zip(before, after))
+
+
+def _owner(array):
+    """The array that owns the memory ``array`` views."""
+    return array if array.base is None else array.base
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
@@ -571,7 +668,7 @@ def test_batch_gradients_match_central_differences():
             return mean_soft_ce(softmax(hidden @ w["w_out"] + w["b_out"]), targets)
 
         params, grads = flat[None].copy(), np.empty((1, flat.size))
-        work = _Work(init.weights, 1, len(x), backward=True)
+        work = _Work(_Arena(init.weights, 1, len(x), len(x)), 1, len(x), backward=True)
         work.targets[0] = targets
         total = _batch_gradients(_views(params, layout), _views(grads, layout), x,
                                  work.targets, work)

@@ -3,16 +3,20 @@
     python3 tools/bench_pairs.py --parent TREE --change TREE --pairs 10 \
         --seed 61 --seconds 15 --tag NAME [--out FILE]
 
-Each tree is a checkout of this repository. Pair i runs
-``python3 perfbench/run.py --workload all --seed S --seconds T --trace 0`` once
+Each tree is a checkout of this repository. Pair i runs, for each workload
+that the parent's ``BENCHMARK.json`` names in turn,
+``python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0`` once
 in each tree, the parent first in even pairs and the change first in odd ones,
-one run at a time. The benchmark is only run as a command, never imported or
-changed. ``BENCH_<tag>.json`` (or ``--out``) gets every run's JSON lines and,
-per workload and end-to-end metric of ``BENCHMARK.json``, each side's median
-and quartiles (``statistics.quantiles(n=4)``, as ``perfbench/README.md``
-defines them), the change's win count over all pairs run (a pair where either
-side did not report the metric counts as a loss, a tie counts for neither
-side), and whether the gain rule holds: wins in at least nine tenths of the
+one run at a time. Each workload runs in a process of its own, so no run
+inherits the memory high-water mark of another workload's checks; a
+single-workload run prints its line without a ``workload`` key, so each line is
+tagged with the workload it ran. The benchmark is only run as a command, never
+imported or changed. ``BENCH_<tag>.json`` (or ``--out``) gets every run's JSON
+lines and, per workload and end-to-end metric of ``BENCHMARK.json``, each
+side's median and quartiles (``statistics.quantiles(n=4)``, as
+``perfbench/README.md`` defines them), the change's win count over all pairs
+run (a pair where either side did not report the metric counts as a loss, a
+tie counts for neither side), and whether the gain rule holds: wins in at least nine tenths of the
 pairs run, a median gap wider than the parent's interquartile range, and no
 fewer correct runs and no more failed operations on the change's side. Each
 side is identified by a SHA-256 of its ``src/`` files, so the result can be
@@ -42,17 +46,19 @@ def src_digest(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def benchmark_argv(seed: int, seconds: float) -> list[str]:
-    """The benchmark command of every run: all workloads, untraced."""
-    return ["perfbench/run.py", "--workload", "all", "--seed", str(seed),
+def benchmark_argv(workload: str, seed: int, seconds: float) -> list[str]:
+    """The benchmark command of one run: one workload, untraced."""
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
 
 
-def run_benchmark(tree: Path, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its exit code and the JSON lines it printed."""
-    proc = subprocess.run([sys.executable, *benchmark_argv(seed, seconds)], cwd=tree,
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run of ``workload`` in ``tree``: its exit code and the JSON
+    lines it printed, each tagged with the workload."""
+    proc = subprocess.run([sys.executable, *benchmark_argv(workload, seed, seconds)], cwd=tree,
                           capture_output=True, text=True)
-    lines = [json.loads(text) for text in proc.stdout.splitlines() if text.startswith("{")]
+    lines = [{**json.loads(text), "workload": workload}
+             for text in proc.stdout.splitlines() if text.startswith("{")]
     return {"exit_code": proc.returncode, "lines": lines, "stderr_tail": proc.stderr[-2000:]}
 
 
@@ -142,19 +148,23 @@ def main(argv=None) -> int:
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     out = args.out or Path(f"BENCH_{args.tag}.json")
 
+    workloads = [w["name"] for w in spec["workloads"]]
     runs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            result = run_benchmark(trees[side], args.seed, args.seconds)
-            runs.append({"pair": i, "side": side, **result})
-            brief = {line["workload"]: line.get("metrics", {}).get("wall_s", {}).get("value")
-                     for line in result["lines"]}
-            print(f"pair {i} {side}: exit {result['exit_code']} wall_s {brief}", file=sys.stderr)
+        for workload in workloads:
+            for side in order:
+                result = run_benchmark(trees[side], workload, args.seed, args.seconds)
+                runs.append({"pair": i, "side": side, "workload": workload, **result})
+                wall = [line.get("metrics", {}).get("wall_s", {}).get("value")
+                        for line in result["lines"]]
+                print(f"pair {i} {workload} {side}: exit {result['exit_code']} wall_s {wall}",
+                      file=sys.stderr)
     report = {
         "schema": "bench_pairs-v1",
         "tag": args.tag,
-        "command": ["python3", *benchmark_argv(args.seed, args.seconds)],
+        "command": ["python3", *benchmark_argv("NAME", args.seed, args.seconds)],
+        "workloads": workloads,
         "pairs": args.pairs,
         "order": "parent first in even pairs, change first in odd pairs",
         "src_sha256": {side: src_digest(tree) for side, tree in trees.items()},
