@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism and schema validity."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from ordsoft.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, summarise_records
+from ordsoft.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run, summarise_records
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ordsoft" / "schemas"
 
@@ -256,8 +257,12 @@ def test_empty_csv_is_usage_error(tmp_path, capsys, command):
     ("analyze_truth", "A\\B,0,1\n0,5,x\n1,5,5\n"),
     ("analyze_truth", "A\\B,0,1\n0,5,5\n1,5\n"),
     ("analyze_pred", "A\\B,0,1\n0,5,5\n1,5,5,5\n"),
+    ("train", "f0,f1,label\n0.1,0.2,0\n0.3,0.4,1.5\n"),
+    ("train", "f0,f1,label\n0.1,0.2,0\n0.3,0.4,1e0\n"),
+    ("train", "f0,f1,label\n0.1,0.2,0\n#0.3,0.4,1\n"),
 ], ids=["evaluate_non_integer", "evaluate_short_row", "analyze_non_integer",
-        "analyze_short_row", "analyze_long_row"])
+        "analyze_short_row", "analyze_long_row", "train_fractional_label",
+        "train_exponent_label", "train_comment"])
 def test_malformed_csv_is_usage_error_naming_it(tmp_path, capsys, command, text):
     bad = tmp_path / "bad_seed0.csv"
     bad.write_text(text)
@@ -267,9 +272,56 @@ def test_malformed_csv_is_usage_error_naming_it(tmp_path, capsys, command, text)
         "evaluate": ["evaluate", "--predictions", str(bad)],
         "analyze_truth": ["analyze", "--truth", str(bad), "--pred", str(table)],
         "analyze_pred": ["analyze", "--truth", str(table), "--pred", str(bad)],
+        "train": ["train", "--data", str(bad)],
     }[command]
     assert main(argv) == EXIT_USAGE
     assert f"usage error: {bad}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["short_row", "long_row", "nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "sweep", "paired_sweep"])
+def test_bad_labelled_csv_row_is_usage_error_naming_it(tmp_path, capsys, command, fault):
+    if command == "paired_sweep":
+        lines = _paired_dataset(tmp_path).read_text().splitlines()
+    else:
+        source = tmp_path / "source.csv"
+        main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(source)])
+        lines = source.read_text().splitlines()
+    rest = lines[-1].split(",", 1)[1]
+    lines[-1] = {
+        "short_row": lines[-1].rsplit(",", 1)[0],  # one cell fewer than the header
+        "long_row": lines[-1] + ",0",  # its extra cell used to be dropped
+        "nan": "nan," + rest,
+        "inf": "inf," + rest,  # used to train on, or to score as grade 0
+    }[fault]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "runs.jsonl"
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    argv = (["train", "--data", str(data), "--max-epochs", "2", "--out", str(out)]
+            if command == "train" else ["sweep", "--config", str(config)])
+    assert main(argv) == EXIT_USAGE
+    assert f"usage error: {data}: " in capsys.readouterr().err
+    assert not out.exists() and not out_dir.exists()
+
+
+def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert main(["synth", "--classes", "3", "--per-class", "10", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--max-epochs", "2", "--patience", "2"]) == EXIT_OK
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_run_freezes_the_import_heap_then_runs_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ordsoft", "softlabels", "--classes", "3",
+                                      "--strategy", "nominal"])
+    try:
+        assert run() == EXIT_OK
+        assert gc.get_freeze_count() > 0 and gc.isenabled()
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n"
 
 
 def test_evaluate_missing_file_is_runtime_error(tmp_path):
@@ -570,6 +622,8 @@ def test_sweep_bad_config_usage_error(tmp_path, capsys):
         ({"settings": {"train_fraction": "0.7"}}, "train_fraction"),
         ({"n_classes": 1}, "n_classes"), ({"n_classes": 4.0}, "n_classes"),
         ({"n_classes_b": "4"}, "n_classes_b"), ({"n_classes_b": True}, "n_classes_b"),
+        # each record of a strategy listed twice would enter its summary twice
+        ({"strategies": ["nominal", "beta", "beta"]}, "listed more than once: ['beta']"),
     ]
     for extra, message in bad_keys_and_types:
         path.write_text(json.dumps({**base, **extra}))

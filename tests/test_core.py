@@ -1,5 +1,8 @@
 """Domain type construction, validation and CSV round-trips."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from ordsoft.core import (
     SampleSet,
     build_confusion,
     confusion_from_labels,
+    read_labelled_csv,
 )
 
 
@@ -23,8 +27,9 @@ def test_label_space_requires_two_grades():
 def test_sample_set_validation():
     with pytest.raises(ValueError):
         SampleSet(np.zeros((3, 2)), np.array([0, 1]))  # length mismatch
-    with pytest.raises(ValueError):
-        SampleSet(np.array([[np.nan, 0.0]]), np.array([0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(np.array([[bad, 0.0]]), np.array([0]))
     with pytest.raises(ValueError):
         SampleSet(np.zeros((2, 2)), np.array([0, -1]))
 
@@ -39,6 +44,74 @@ def test_sample_set_csv_roundtrip(tmp_path):
     loaded = SampleSet.from_csv(str(path))
     np.testing.assert_array_equal(loaded.labels, original.labels)
     np.testing.assert_array_equal(loaded.features, original.features)  # repr round-trips
+
+
+def _csv_module_read(path, label_names):
+    """The labelled-CSV reader as the csv module and ``float``/``int`` give it,
+    the oracle for numpy's reader: blank rows skipped, no cell-count check."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        d = len(next(reader)) - len(label_names)
+        rows = [row for row in reader if row]
+    features = np.asarray([[float(v) for v in row[:d]] for row in rows], dtype=float)
+    labels = [np.asarray([int(row[d + i]) for row in rows], dtype=int)
+              for i in range(len(label_names))]
+    return (features.reshape(len(rows), d), *labels)
+
+
+_HEADER = "f0,f1,label\n"
+
+
+@pytest.mark.parametrize("text", [
+    _HEADER + "0.5,-1.25,1\n2.0,3.0,0\n",
+    _HEADER + "\n0.5,-1.25,1\n\n2.0,3.0,0\n\n",
+    (_HEADER + "0.5,-1.25,1\n2.0,3.0,0\n").replace("\n", "\r\n"),
+    _HEADER + "0.5,-1.25,1\n2.0,3.0,0",
+    _HEADER + '"0.5","-1.25","1"\n2.0, 3.0 ,0\n',
+    _HEADER,
+    _HEADER[:-1],
+    _HEADER + "\r\n\r\n",
+], ids=["plain", "blank_lines", "crlf", "no_trailing_newline", "quoted_cells", "header_only",
+        "header_only_no_newline", "header_and_blank_lines"])
+def test_labelled_csv_reader_gives_the_csv_module_arrays(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a body without rows must not warn
+        got = read_labelled_csv(str(path), ("label",))
+    expected = _csv_module_read(str(path), ("label",))
+    for array, reference in zip(got, expected, strict=True):
+        assert array.dtype == reference.dtype and array.shape == reference.shape
+        assert array.flags.c_contiguous and array.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("row", [
+    "#0.5,-1.25,1", "0.5,-1.25,1.5", "0.5,-1.25,1e0", "0.5,-1.25", "0.5,-1.25,1,0", "0.5,,1",
+    "x,-1.25,1", "nan,-1.25,1", "0.5,inf,1", "-inf,-1.25,1",
+], ids=["comment", "fractional_label", "exponent_label", "short_row", "long_row", "empty_cell",
+        "non_numeric", "nan", "inf", "minus_inf"])
+def test_labelled_csv_reader_rejects_a_malformed_row(tmp_path, row):
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER + "2.0,3.0,0\n" + row + "\n")
+    with pytest.raises(ValueError):
+        read_labelled_csv(str(path), ("label",))
+
+
+def test_labelled_csv_reader_parses_floats_to_the_bits_of_float(tmp_path):
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=300) * 10.0 ** rng.integers(-300, 300, size=300)
+    cells = ["0.1", "-0.0", "1e-320", "5e-324", "2.2250738585072014e-308",
+             "1.7976931348623157e+308", "0.30000000000000004"]
+    cells += [repr(float(v)) for v in values] + [format(float(v), ".17g") for v in values]
+    cells += [format(float(v), ".17e") for v in values[:50]]  # 18 digits, rounded on read
+    if len(cells) % 2:
+        cells.append("1")
+    pairs = [cells[i:i + 2] for i in range(0, len(cells), 2)]
+    path = tmp_path / "data.csv"
+    path.write_text(_HEADER + "".join(f"{a},{b},0\n" for a, b in pairs))
+    features, labels = read_labelled_csv(str(path), ("label",))
+    assert features.tobytes() == np.array([float(c) for c in cells]).tobytes()
+    assert labels.tolist() == [0] * len(pairs)
 
 
 def test_build_confusion_perfect_agreement():
