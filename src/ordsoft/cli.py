@@ -20,8 +20,10 @@ validation AMAE from the ``trainer.TrainHistory`` its ``RunResult`` holds.
 
 An unknown key or a wrong-typed value in a config file is a usage error that
 names it, and so is a strategy listed twice in a sweep config. ``train``
-merges its flags over its config file and leaves every other default to
-``TrainConfig`` and ``SmoothingParams``.
+merges its flags over its config file, leaves every other default to
+``TrainConfig`` and ``SmoothingParams`` and runs ``trainer.run_fixed``. The
+smoothing flags of ``softlabels`` and ``train`` are one per ``SmoothingParams``
+field.
 
 The process entry, ``run`` (the ``ordsoft`` script and ``python -m
 ordsoft.cli``), calls ``gc.freeze()`` before ``main``. Importing this module
@@ -57,7 +59,6 @@ from .core import (
     LabelSpace,
     RunResult,
     SampleSet,
-    build_confusion,
     check_number,
     confusion_from_labels,
     read_header,
@@ -70,12 +71,9 @@ from .trainer import (
     ProtocolSettings,
     SearchSpace,
     TrainConfig,
-    init_model,
+    run_fixed,
     run_paired_single,
     run_single,
-    stratified_split,
-    train,
-    validation_split,
 )
 
 EXIT_OK = 0
@@ -132,26 +130,29 @@ def _check_keys(obj, known, where: str) -> dict:
     return obj
 
 
+def _given_flags(args, cls) -> dict:
+    """The flags given (0 included) that are named after a field of ``cls``."""
+    names = [f.name for f in fields(cls)]
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 # ---------------------------------------------------------------- softlabels
 
 
 def cmd_softlabels(args) -> int:
     try:
-        params = SmoothingParams(
-            eta=args.eta, alpha=args.alpha, p=args.p, concentration=args.concentration
-        )
+        params = SmoothingParams(**_given_flags(args, SmoothingParams))
         matrix = build_target_matrix(LabelSpace(args.classes), args.strategy, params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    lines = []
+    rows = matrix.rows.tolist()
     if args.plot_data:
-        lines.append("strategy,true_grade,grade,mass")
-        for k in range(matrix.n_classes):
-            for j in range(matrix.n_classes):
-                lines.append(f"{matrix.strategy},{k},{j},{repr(float(matrix.rows[k, j]))}")
+        lines = ["strategy,true_grade,grade,mass"] + [
+            f"{matrix.strategy},{k},{j},{mass!r}"
+            for k, row in enumerate(rows) for j, mass in enumerate(row)
+        ]
     else:
-        for k in range(matrix.n_classes):
-            lines.append(",".join(repr(float(v)) for v in matrix.rows[k]))
+        lines = [",".join(map(repr, row)) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -207,10 +208,11 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.paired:
-        grades = generate_paired(spec)
-        _write_paired_csv(args.out, paired_features(grades, spec), grades.labels_a, grades.labels_b)
+        labels_a, labels_b = generate_paired(spec)
+        _write_paired_csv(args.out, paired_features(labels_a, labels_b, spec), labels_a, labels_b)
         if args.truth_out:
-            grades.contingency().to_csv(args.truth_out)
+            shape = (spec.n_classes_a, spec.n_classes_b)
+            ContingencyTable.from_labels(labels_a, labels_b, shape).to_csv(args.truth_out)
     else:
         generate(spec).to_csv(args.out)
     return EXIT_OK
@@ -232,12 +234,6 @@ def _run_record(task: str, result: RunResult) -> dict:
         "true_labels": [int(v) for v in result.predictions.true_labels],
         "predicted_labels": [int(v) for v in result.predictions.predicted_labels],
     }
-
-
-def _given_flags(args, cls) -> dict:
-    """The flags given (0 included) that are named after a field of ``cls``."""
-    names = [f.name for f in fields(cls)]
-    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _label_space(
@@ -280,18 +276,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"{args.config}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    settings = ProtocolSettings()
-    train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, config.seed)
-    train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
-    subtrain, val = validation_split(train_set, config.seed, settings)
-    model = init_model(
-        settings.architecture, dataset.n_features, space.n_classes, config.seed,
-        settings.hidden_width,
-    )
-    model, history = train(model, subtrain, targets, config, val)
-    preds = model.predict(test_set)
-    result = RunResult(history, compute_report(build_confusion(preds, space)), preds)
-    line = _dump_json(_run_record(args.task, result))
+    line = _dump_json(_run_record(args.task, run_fixed(dataset, space, targets, config)))
     if args.out:
         with open(args.out, "a") as fh:
             fh.write(line + "\n")
@@ -624,6 +609,12 @@ def cmd_analyze(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
+def _add_smoothing_flags(parser: argparse.ArgumentParser) -> None:
+    """One number flag per ``SmoothingParams`` field; one not given keeps its default."""
+    for f in fields(SmoothingParams):
+        parser.add_argument(f"--{f.name}", type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ordsoft", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -631,10 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("softlabels", help="print a soft-target matrix as CSV")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--concentration", type=float)
+    _add_smoothing_flags(p)
     p.add_argument("--plot-data", action="store_true", help="long-format per-row mass table")
     p.add_argument("--out")
     p.set_defaults(func=cmd_softlabels)
@@ -664,10 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="TrainConfig JSON; flags override")
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--learning-rate", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--concentration", type=float)
+    _add_smoothing_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--max-epochs", type=int)

@@ -3,10 +3,10 @@ tables, prediction records and run results.
 
 Grades are 0-indexed internally; reports print whatever clinical labels the
 caller attaches. Each type checks its own fields, once, at construction:
-``LabelSpace`` owns J >= 2 and ``PredictionSet`` that probability rows sum to
-1. ``PredictionSet`` sets its hard predictions to the row argmax itself, so
-they hold by construction; ties break toward the lower grade (under-calling
-severity is the conservative default), which is what ``np.argmax`` does.
+``LabelSpace`` owns J >= 2 and ``PredictionSet`` finite probability rows that
+sum to 1, and sets its hard predictions to the row argmax itself, so they hold
+by construction; ties break toward the lower grade (under-calling severity is
+the conservative default), which is what ``np.argmax`` does.
 
 ``ContingencyTable.from_labels`` is the one rule for counting label pairs, for
 a joint KL x CPPD table and for its square case, ``ConfusionMatrix``, alike.
@@ -226,6 +226,8 @@ class PredictionSet:
             raise ValueError("predicted_probs must be an N x J matrix")
         if true_labels.shape != (probs.shape[0],):
             raise ValueError("true_labels must have one entry per probability row")
+        if not np.isfinite(probs).all():
+            raise ValueError("predicted_probs must be finite")
         if probs.shape[0] and np.abs(probs.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("probability rows must sum to 1 within 1e-9")
         object.__setattr__(self, "true_labels", true_labels)

@@ -28,7 +28,7 @@ EXACT_WILCOXON_LIMIT = 25
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """A normalised contingency table: non-negative cells summing to 1."""
+    """A normalised contingency table: finite, non-negative cells summing to 1."""
 
     probs: np.ndarray
 
@@ -36,6 +36,8 @@ class JointDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError("joint distribution must be a matrix")
+        if not np.isfinite(probs).all():
+            raise ValueError("joint distribution entries must be finite")
         if (probs < -1e-12).any():
             raise ValueError("joint distribution entries must be non-negative")
         if abs(probs.sum() - 1.0) > 1e-9:

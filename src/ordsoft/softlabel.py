@@ -10,37 +10,32 @@ Strategies: ``triangular`` (fixed adjacent-class mass), ``binomial``
 (Binomial(J-1, k/(J-1)) pmf), ``exponential`` (softmax of -|j-k|^p), ``beta``
 (cdf differences of a Beta density over the J equal segments of [0, 1], mode
 at the class-segment midpoint), plus the ``nominal`` one-hot baseline and a
-``nominal_smoothed`` uniform-blend ablation. ``STRATEGY_PARAMS`` names the
-smoothing parameters each strategy takes, and the search grids cross them.
+``nominal_smoothed`` uniform-blend ablation.
+
+``STRATEGY_RULES`` declares each strategy once: the ``SmoothingParams`` fields
+it reads and its row rule. To add a strategy, add its entry there (through
+``_ordinal`` for one blended at ``eta``). To add a parameter, add a
+``SmoothingParams`` field with its range check and a ``trainer.SearchSpace``
+grid named after it plus ``s``; ``ordsoft softlabels`` and ``train`` make a
+flag per field.
 
 Each rule has one owner. ``SmoothingParams`` owns the parameter ranges;
-``strategy_row`` owns, through ``STRATEGY_PARAMS``, which parameters a strategy
-requires; ``core.LabelSpace`` owns J >= 2; ``SoftTargetMatrix`` owns row
-validity (non-negative, summing to 1, peaked at its own grade, unimodal). The
-``*_row`` functions are the bare formulas and check nothing themselves.
+``STRATEGY_RULES`` which parameters a strategy requires; ``core.LabelSpace``
+J >= 2; ``SoftTargetMatrix`` row validity (finite, non-negative, summing to 1,
+peaked at its own grade, unimodal). The ``*_row`` functions are the bare
+formulas and check nothing themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .core import LabelSpace, ROW_SUM_TOL, check_number
 from .specfun import reg_inc_beta
-
-# strategy -> the ``SmoothingParams`` fields it reads
-STRATEGY_PARAMS = {
-    "nominal": (),
-    "nominal_smoothed": ("eta",),
-    "triangular": ("eta", "alpha"),
-    "binomial": ("eta",),
-    "beta": ("eta", "concentration"),
-    "exponential": ("eta", "p"),
-}
-STRATEGIES = tuple(STRATEGY_PARAMS)
 
 _UNIMODAL_TOL = 1e-12
 
@@ -59,10 +54,10 @@ class SmoothingParams:
     concentration: Optional[float] = None  # beta concentration
 
     def __post_init__(self) -> None:
-        check_number("eta", self.eta)
-        for name in ("alpha", "p", "concentration"):
-            if getattr(self, name) is not None:
-                check_number(name, getattr(self, name))
+        # a field with a number for its default is required, the others optional
+        for f in fields(self):
+            if f.default is not None or getattr(self, f.name) is not None:
+                check_number(f.name, getattr(self, f.name))
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.alpha is not None and not 0.0 < self.alpha < 0.5:
@@ -134,6 +129,31 @@ def blend_ordinal_row(k: int, soft: np.ndarray, eta: float) -> np.ndarray:
     return row
 
 
+def _reads(formula, *names):
+    """The table entry of a strategy whose row for grade k of J is
+    ``formula(J, k, *values)``, the values of its ``SmoothingParams`` fields ``names``."""
+    return names, lambda j, k, params: formula(j, k, *(getattr(params, n) for n in names))
+
+
+def _ordinal(formula, *names):
+    """The table entry of an ordinal strategy: the row ``_reads`` makes of
+    ``formula`` and ``names``, blended with the one-hot label at ``eta``."""
+    _, soft = _reads(formula, *names)
+    return ("eta", *names), lambda j, k, params: blend_ordinal_row(k, soft(j, k, params), params.eta)
+
+
+# strategy -> (the ``SmoothingParams`` fields it reads, its row rule (J, k, params) -> row)
+STRATEGY_RULES = {
+    "nominal": _reads(lambda j, k: np.eye(j)[k]),
+    "nominal_smoothed": _reads(nominal_smooth_row, "eta"),
+    "triangular": _ordinal(triangular_row, "alpha"),
+    "binomial": _ordinal(binomial_row),
+    "beta": _ordinal(beta_row, "concentration"),
+    "exponential": _ordinal(exponential_row, "p"),
+}
+STRATEGIES = tuple(STRATEGY_RULES)
+
+
 def is_unimodal(row: np.ndarray, k: int, tol: float = _UNIMODAL_TOL) -> bool:
     """True when mass weakly decreases moving away from k on both sides."""
     row = np.asarray(row, dtype=float)
@@ -155,6 +175,8 @@ class SoftTargetMatrix:
         j = rows.shape[0]
         if rows.ndim != 2 or rows.shape[1] != j:
             raise ValueError("target matrix must be square")
+        if not np.isfinite(rows).all():
+            raise ValueError("target matrix entries must be finite")
         if (rows < -1e-12).any():
             raise ValueError("target matrix entries must be non-negative")
         if np.abs(rows.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
@@ -166,41 +188,17 @@ class SoftTargetMatrix:
                 raise ValueError(f"row {k} is not unimodal around grade {k}")
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def n_classes(self) -> int:
-        return self.rows.shape[0]
-
-
-def strategy_row(strategy: str, n_classes: int, k: int, params: SmoothingParams) -> np.ndarray:
-    """The unblended unimodal vector for one grade under one strategy."""
-    for name in STRATEGY_PARAMS.get(strategy, ()):
-        if getattr(params, name) is None:
-            raise ValueError(f"{strategy} strategy requires {name}")
-    if strategy == "triangular":
-        return triangular_row(n_classes, k, params.alpha)
-    if strategy == "binomial":
-        return binomial_row(n_classes, k)
-    if strategy == "exponential":
-        return exponential_row(n_classes, k, params.p)
-    if strategy == "beta":
-        return beta_row(n_classes, k, params.concentration)
-    raise ValueError(f"unknown ordinal strategy {strategy!r}")
-
 
 def build_target_matrix(
     space: LabelSpace, strategy: str, params: SmoothingParams | None = None
 ) -> SoftTargetMatrix:
     """Assemble the J x J supervision matrix for one labelling strategy."""
-    if strategy not in STRATEGIES:
+    if strategy not in STRATEGY_RULES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     params = params or SmoothingParams()
+    names, rule = STRATEGY_RULES[strategy]
+    for name in names:
+        if getattr(params, name) is None:
+            raise ValueError(f"{strategy} strategy requires {name}")
     j = space.n_classes
-    if strategy == "nominal":
-        rows = np.eye(j)
-    elif strategy == "nominal_smoothed":
-        rows = np.stack([nominal_smooth_row(j, k, params.eta) for k in range(j)])
-    else:
-        rows = np.stack(
-            [blend_ordinal_row(k, strategy_row(strategy, j, k, params), params.eta) for k in range(j)]
-        )
-    return SoftTargetMatrix(rows, strategy, params)
+    return SoftTargetMatrix(np.stack([rule(j, k, params) for k in range(j)]), strategy, params)

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ContingencyTable, SampleSet
+from .core import SampleSet
 
 # substream ids for seeding child generators
 _STREAM_FEATURES = 1
@@ -144,24 +144,10 @@ def paired_conditional(spec: PairedSynthSpec, grade_a: int) -> np.ndarray:
     return (1.0 - w) * conc + w * uniform
 
 
-@dataclass(frozen=True)
-class PairedGrades:
-    """Paired grade draws for two scales on the same samples."""
-
-    labels_a: np.ndarray
-    labels_b: np.ndarray
-    n_classes_a: int
-    n_classes_b: int
-
-    def contingency(self) -> ContingencyTable:
-        """Joint counts, A on the rows and B on the columns."""
-        shape = (self.n_classes_a, self.n_classes_b)
-        return ContingencyTable.from_labels(self.labels_a, self.labels_b, shape)
-
-
-def generate_paired(spec: PairedSynthSpec) -> PairedGrades:
-    """Draw A uniformly over its grades, then B conditionally on A, then flip
-    each scale's grades to an adjacent one at ``adjacent_flip_prob``."""
+def generate_paired(spec: PairedSynthSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The A and B grades of each sample: A drawn uniformly over its grades, then B
+    conditionally on A, then each scale's grades flipped to an adjacent one at
+    ``adjacent_flip_prob``."""
     rng = np.random.default_rng([spec.seed, _STREAM_PAIRS])
     labels_a = rng.integers(0, spec.n_classes_a, size=spec.n_samples)
     labels_b = np.empty(spec.n_samples, dtype=int)
@@ -177,14 +163,13 @@ def generate_paired(spec: PairedSynthSpec) -> PairedGrades:
         labels_b, spec.n_classes_b, spec.adjacent_flip_prob,
         np.random.default_rng([spec.seed, _STREAM_PAIR_FLIPS_B]),
     )
-    return PairedGrades(labels_a, labels_b, spec.n_classes_a, spec.n_classes_b)
+    return labels_a, labels_b
 
 
-def paired_features(grades: PairedGrades, spec: PairedSynthSpec) -> np.ndarray:
+def paired_features(labels_a: np.ndarray, labels_b: np.ndarray, spec: PairedSynthSpec) -> np.ndarray:
     """Features carrying both grades: axis 0 scales with A, axis 1 with B."""
     rng = np.random.default_rng([spec.seed, _STREAM_FEATURES])
-    n = grades.labels_a.size
-    features = rng.normal(0.0, spec.noise_sd, size=(n, spec.n_features))
-    features[:, 0] += grades.labels_a * spec.class_separation
-    features[:, 1] += grades.labels_b * spec.class_separation
+    features = rng.normal(0.0, spec.noise_sd, size=(labels_a.size, spec.n_features))
+    features[:, 0] += labels_a * spec.class_separation
+    features[:, 1] += labels_b * spec.class_separation
     return features

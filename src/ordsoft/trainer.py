@@ -80,7 +80,9 @@ the labels. A paired task makes them once per scale, on shared features and
 the scales' label columns: ``run_paired_single`` splits stratified on the A
 grades alone, since joint cells can be too sparse to stratify on, and both
 scales' runs share that split, so each strategy's holdout predictions pair up
-row by row into its predicted joint table.
+row by row into its predicted joint table. ``run_fixed``, the run of
+``ordsoft train``, trains one given config on the same split, validation set
+and initial weights as a search and scores it on the holdout alike.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ import numpy as np
 from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion, check_number
 from .loss import PROB_FLOOR
 from .metrics import amae as amae_metric, mae as mae_metric, compute_report
-from .softlabel import STRATEGY_PARAMS, SmoothingParams, SoftTargetMatrix, build_target_matrix
+from .softlabel import STRATEGY_RULES, SmoothingParams, SoftTargetMatrix, build_target_matrix
 
 _STREAM_SPLIT = 11
 _STREAM_INIT = 12
@@ -649,6 +651,7 @@ def train(
 class SearchSpace:
     """Per-strategy hyperparameter grids; the search samples at most max_configs.
 
+    The grid of a ``SmoothingParams`` field is named after it plus ``s``.
     Construction checks every grid and builds every strategy's grid once, so
     ``SmoothingParams`` checks the smoothing values before any search runs.
     """
@@ -666,7 +669,8 @@ class SearchSpace:
         check_number("max_configs", self.max_configs, integer=True)
         if self.max_configs < 1:
             raise ValueError("max_configs must be >= 1")
-        for name in ("learning_rates", "etas", "alphas", "ps", "concentrations"):
+        read = dict.fromkeys(name for names, _ in STRATEGY_RULES.values() for name in names)
+        for name in ("learning_rates", *(f"{param}s" for param in read)):
             values = getattr(self, name)
             if not isinstance(values, (tuple, list)) or not values:
                 raise ValueError(f"{name} must be a non-empty list")
@@ -676,7 +680,7 @@ class SearchSpace:
         if min(self.learning_rates) <= 0:
             raise ValueError(f"learning_rates must be positive, got {list(self.learning_rates)}")
         grids = {}
-        for strategy, names in STRATEGY_PARAMS.items():
+        for strategy, (names, _) in STRATEGY_RULES.items():
             values = [getattr(self, f"{name}s") for name in names]
             grids[strategy] = [
                 (lr, SmoothingParams(**dict(zip(names, params))))
@@ -687,7 +691,7 @@ class SearchSpace:
     def grid(self, strategy: str) -> list[tuple[float, SmoothingParams]]:
         """Learning rates crossed with the grid of each parameter the strategy
         takes (``eta`` -> ``etas``, ``alpha`` -> ``alphas``, ...), learning rate
-        slowest, then the parameters in ``STRATEGY_PARAMS`` order."""
+        slowest, then the parameters in the strategy's ``STRATEGY_RULES`` order."""
         if strategy not in self._grids:
             raise ValueError(f"unknown strategy {strategy!r}")
         return self._grids[strategy]
@@ -796,6 +800,12 @@ def random_search(
     return [best[strategy][1] for strategy in strategies]
 
 
+def _holdout_run(history: TrainHistory, holdout: SampleSet, space: LabelSpace) -> RunResult:
+    """The run of the candidate ``history`` records: its model scored on ``holdout``."""
+    preds = ClassifierModel(history.best_weights).predict(holdout)
+    return RunResult(history, compute_report(build_confusion(preds, space)), preds)
+
+
 def _run_scales(
     features: np.ndarray, scales: Sequence[tuple[np.ndarray, LabelSpace]],
     strategies: Sequence[str], seed: int, search_space: SearchSpace, settings: ProtocolSettings,
@@ -809,12 +819,24 @@ def _run_scales(
     for labels, space in scales:
         dataset = SampleSet(features, labels)
         train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
-        results = []
-        for history in random_search(search_space, train_set, strategies, seed, space, settings):
-            preds = ClassifierModel(history.best_weights).predict(test_set)
-            results.append(RunResult(history, compute_report(build_confusion(preds, space)), preds))
-        per_scale.append(results)
+        histories = random_search(search_space, train_set, strategies, seed, space, settings)
+        per_scale.append([_holdout_run(history, test_set, space) for history in histories])
     return list(zip(*per_scale))
+
+
+def run_fixed(
+    dataset: SampleSet, label_space: LabelSpace, targets: SoftTargetMatrix, config: TrainConfig,
+    settings: ProtocolSettings = ProtocolSettings(),
+) -> RunResult:
+    """The run of one fixed ``config`` on its ``targets``: on the split stratified on
+    the labels at the config's seed, carve the validation set, train from the seed's
+    initial weights and score on the holdout, as a search trains and scores it."""
+    train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, config.seed)
+    subtrain, val = validation_split(dataset.subset(train_idx), config.seed, settings)
+    model = init_model(settings.architecture, dataset.n_features, label_space.n_classes,
+                       config.seed, settings.hidden_width)
+    _, history = train(model, subtrain, targets, config, val)
+    return _holdout_run(history, dataset.subset(test_idx), label_space)
 
 
 def run_single(

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism and schema validity."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -13,6 +14,8 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from ordsoft.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run, summarise_records
+from ordsoft.core import LabelSpace
+from ordsoft.softlabel import STRATEGIES, SmoothingParams, build_target_matrix
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ordsoft" / "schemas"
 
@@ -29,6 +32,15 @@ def _validator(name: str) -> Draft202012Validator:
 
 def _validate(name: str, doc: dict) -> None:
     _validator(name).validate(doc)
+
+
+# a valid value of each ``SmoothingParams`` field, given as its flag
+SMOOTHING = {"eta": 0.8, "alpha": 0.05, "p": 1.5, "concentration": 10.0}
+SMOOTHING_FLAGS = [arg for name, value in SMOOTHING.items() for arg in (f"--{name}", str(value))]
+
+
+def test_smoothing_flags_cover_every_smoothing_field():
+    assert list(SMOOTHING) == [f.name for f in dataclasses.fields(SmoothingParams)]
 
 
 # ---------------------------------------------------------------- softlabels
@@ -59,6 +71,14 @@ def test_softlabels_plot_data(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "strategy,true_grade,grade,mass"
     assert len(lines) == 1 + 9
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_softlabels_takes_every_smoothing_field_as_a_flag(capsys, strategy):
+    assert main(["softlabels", "--classes", "5", "--strategy", strategy, *SMOOTHING_FLAGS]) == EXIT_OK
+    rows = [list(map(float, line.split(","))) for line in capsys.readouterr().out.splitlines()]
+    expected = build_target_matrix(LabelSpace(5), strategy, SmoothingParams(**SMOOTHING)).rows
+    assert np.asarray(rows).tobytes() == expected.tobytes()
 
 
 def test_softlabels_bad_params_is_usage_error(capsys):
@@ -127,6 +147,11 @@ def test_train_appends_valid_record(tmp_path):
     _validate("ordsoft.run_record-v1", record)
     assert record["strategy"] == "triangular"
     assert record["config"]["params"]["alpha"] == 0.05
+    # every smoothing field is a flag of train too, and lands in the record's params
+    assert main(["train", "--data", str(data), "--strategy", "beta", *SMOOTHING_FLAGS,
+                 "--max-epochs", "2", "--patience", "2", "--out", str(out)]) == EXIT_OK
+    record = json.loads(out.read_text().splitlines()[1])
+    assert record["config"]["params"] == SMOOTHING
 
 
 @pytest.mark.parametrize("flag", ["--learning-rate", "--batch-size", "--max-epochs", "--patience"])

@@ -164,6 +164,10 @@ def test_prediction_set_tie_breaks_to_lower_grade():
 def test_prediction_set_rejects_bad_rows():
     with pytest.raises(ValueError):
         PredictionSet([0], np.array([[0.5, 0.4]]))  # sums to 0.9
+    # a NaN row's sum check compares NaN, which is never out of tolerance
+    for row in ([np.nan] * 3, [np.inf, 0.0, 0.0], [0.5, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            PredictionSet([0], np.array([row]))
 
 
 def test_confusion_matrix_rejects_negative():

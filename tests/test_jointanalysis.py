@@ -55,6 +55,19 @@ def test_normalise_uniform():
     np.testing.assert_allclose(dist.probs, np.full((3, 3), 1 / 9))
 
 
+@pytest.mark.parametrize("probs, message", [
+    ([0.5, 0.5], "matrix"),
+    ([[1.2, -0.2], [0.0, 0.0]], "non-negative"),
+    ([[0.5, 0.4], [0.0, 0.0]], "sum to 1"),
+    (np.full((2, 2), np.nan), "finite"),
+    ([[np.inf, 0.0], [0.0, 0.0]], "finite"),
+    ([[0.5, 0.5], [-np.inf, 0.0]], "finite"),
+])
+def test_joint_distribution_rejects_bad_entries(probs, message):
+    with pytest.raises(ValueError, match=message):
+        JointDistribution(np.array(probs))
+
+
 def test_contingency_csv_roundtrip(tmp_path):
     table = ContingencyTable(np.array([[1, 2, 3], [4, 5, 6]]))
     path = tmp_path / "table.csv"

@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 from ordsoft.core import LabelSpace
 from ordsoft.softlabel import (
+    STRATEGIES,
     SmoothingParams,
     SoftTargetMatrix,
     beta_row,
@@ -110,6 +111,8 @@ def test_blend_is_exactly_linear():
     ([[0.9, 0.2], [0.0, 1.0]], "sum to 1"),
     ([[0.4, 0.6], [0.0, 1.0]], "row 0 does not peak"),
     ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]], "row 2 is not unimodal"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+    ([[1.0, 0.0], [np.inf, 1.0]], "finite"),
 ])
 def test_soft_target_matrix_rejects_invalid_rows(rows, message):
     with pytest.raises(ValueError, match=message):
@@ -126,6 +129,36 @@ def test_build_triangular_eta_one_matches_rows():
     matrix = build_target_matrix(LabelSpace(4), "triangular", params)
     for k in range(4):
         np.testing.assert_allclose(matrix.rows[k], triangular_row(4, k, 0.10))
+
+
+# each strategy's row for grade k of J, its formula called directly
+DIRECT_ROWS = {
+    "nominal": lambda j, k, sp: np.eye(j)[k],
+    "nominal_smoothed": lambda j, k, sp: nominal_smooth_row(j, k, sp.eta),
+    "triangular": lambda j, k, sp: blend_ordinal_row(k, triangular_row(j, k, sp.alpha), sp.eta),
+    "binomial": lambda j, k, sp: blend_ordinal_row(k, binomial_row(j, k), sp.eta),
+    "beta": lambda j, k, sp: blend_ordinal_row(k, beta_row(j, k, sp.concentration), sp.eta),
+    "exponential": lambda j, k, sp: blend_ordinal_row(k, exponential_row(j, k, sp.p), sp.eta),
+}
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 5, 9])
+def test_each_strategy_builds_its_formula_rows_bit_for_bit(n_classes):
+    assert tuple(DIRECT_ROWS) == STRATEGIES
+    space = LabelSpace(n_classes)
+    grid = itertools.product((0.0, 0.8, 1.0), (0.05, 0.3), (1.0, 2.5), (5.0, 20.0))
+    for eta, alpha, p, concentration in grid:
+        # every field set, so each strategy must read only its own
+        params = SmoothingParams(eta=eta, alpha=alpha, p=p, concentration=concentration)
+        for strategy, row in DIRECT_ROWS.items():
+            expected = np.stack([row(n_classes, k, params) for k in range(n_classes)])
+            rows = build_target_matrix(space, strategy, params).rows
+            assert np.array_equal(rows, expected), (strategy, params)
+
+
+def test_build_rejects_an_unknown_strategy():
+    with pytest.raises(ValueError, match="^unknown strategy 'ordinal'; expected one of"):
+        build_target_matrix(LabelSpace(3), "ordinal")
 
 
 def _grid_matrices(n_classes):

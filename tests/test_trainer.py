@@ -1,6 +1,7 @@
 """Split fidelity against the published class marginals, training/early-stop
 contracts, determinism, and the random-search selection rule."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from ordsoft.core import LabelSpace, PredictionSet, SampleSet, build_confusion
 from ordsoft.loss import PROB_FLOOR, mean_soft_ce, softmax
 from ordsoft.metrics import amae
-from ordsoft.softlabel import STRATEGIES, SmoothingParams, build_target_matrix, strategy_row
+from ordsoft.softlabel import STRATEGIES, SmoothingParams, build_target_matrix
 from ordsoft.synth import PairedSynthSpec, SynthSpec, generate, generate_paired, paired_features
 from ordsoft import trainer
 from ordsoft.trainer import (
@@ -27,6 +28,7 @@ from ordsoft.trainer import (
     _views,
     init_model,
     random_search,
+    run_fixed,
     run_paired_single,
     run_single,
     stratified_split,
@@ -227,7 +229,7 @@ def test_search_grid_is_the_learning_rate_major_cross_product():
         space.grid("ordinal")
     for strategy, name in (("triangular", "alpha"), ("beta", "concentration"), ("exponential", "p")):
         with pytest.raises(ValueError, match=f"^{strategy} strategy requires {name}$"):
-            strategy_row(strategy, 5, 2, SmoothingParams(eta=0.8))
+            build_target_matrix(LabelSpace(5), strategy, SmoothingParams(eta=0.8))
 
 
 def _spy_on_lockstep(monkeypatch):
@@ -746,20 +748,38 @@ def test_run_single_deterministic():
         np.testing.assert_array_equal(a.predictions.predicted_labels, b.predictions.predicted_labels)
 
 
+def test_fixed_run_of_a_searched_config_is_the_search_runs_result():
+    data, space = _small_dataset(n_per_class=24, adjacent_flip_prob=0.2)
+    # patience below the epoch cap, so members leave the search's stack early
+    settings = ProtocolSettings(max_epochs=8, patience=2, hidden_width=4)
+    for strategy in ("nominal", "beta", "exponential"):
+        (searched,) = run_single(data, space, [strategy], 2, SearchSpace(max_configs=4), settings)
+        config = searched.history.config
+        targets = build_target_matrix(space, config.strategy, config.params)
+        fixed = run_fixed(data, space, targets, config, settings)
+        np.testing.assert_array_equal(fixed.predictions.true_labels, searched.predictions.true_labels)
+        assert fixed.predictions.predicted_probs.tobytes() == searched.predictions.predicted_probs.tobytes()
+        assert fixed.metrics == searched.metrics
+        # the search adds its validation scores to the record; the fit is the same
+        scores = {"val_amae": searched.history.val_amae, "val_mae": searched.history.val_mae}
+        assert dataclasses.replace(fixed.history, **scores) == searched.history
+        assert fixed.history.val_amae is None
+
+
 def test_paired_run_evaluates_both_scales_on_the_split_stratified_on_a():
     spec = PairedSynthSpec(n_classes_a=4, n_classes_b=3, n_samples=120, seed=6)
-    grades = generate_paired(spec)
-    features = paired_features(grades, spec)
+    labels_a, labels_b = generate_paired(spec)
+    features = paired_features(labels_a, labels_b, spec)
     settings = ProtocolSettings(max_epochs=3, patience=3, hidden_width=4)
-    _, test_idx = stratified_split(grades.labels_a, settings.train_fraction, seed=1)
+    _, test_idx = stratified_split(labels_a, settings.train_fraction, seed=1)
     # the test would not tell the two splits apart if B's own split were the same
-    _, b_test_idx = stratified_split(grades.labels_b, settings.train_fraction, seed=1)
+    _, b_test_idx = stratified_split(labels_b, settings.train_fraction, seed=1)
     assert not np.array_equal(test_idx, b_test_idx)
-    scales = [(grades.labels_a, LabelSpace(4)), (grades.labels_b, LabelSpace(3))]
+    scales = [(labels_a, LabelSpace(4)), (labels_b, LabelSpace(3))]
     [(a, b)] = run_paired_single(features, scales, ["nominal"], 1, SearchSpace(max_configs=2),
                                  settings)
-    np.testing.assert_array_equal(a.predictions.true_labels, grades.labels_a[test_idx])
-    np.testing.assert_array_equal(b.predictions.true_labels, grades.labels_b[test_idx])
+    np.testing.assert_array_equal(a.predictions.true_labels, labels_a[test_idx])
+    np.testing.assert_array_equal(b.predictions.true_labels, labels_b[test_idx])
     assert a.predictions.predicted_probs.shape[1] == 4
     assert b.predictions.predicted_probs.shape[1] == 3
     for result in (a, b):
