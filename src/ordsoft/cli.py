@@ -23,7 +23,9 @@ names it, and so is a strategy listed twice in a sweep config. ``train``
 merges its flags over its config file, leaves every other default to
 ``TrainConfig`` and ``SmoothingParams`` and runs ``trainer.run_fixed``. The
 smoothing flags of ``softlabels`` and ``train`` are one per ``SmoothingParams``
-field.
+field; ``train`` rejects a field its strategy does not read (``STRATEGY_RULES``)
+given a value other than its default, so its record's params are those that
+shaped its targets.
 
 The process entry, ``run`` (the ``ordsoft`` script and ``python -m
 ordsoft.cli``), calls ``gc.freeze()`` before ``main``. Importing this module
@@ -66,7 +68,7 @@ from .core import (
     write_labelled_csv,
 )
 from .metrics import METRIC_NAMES, compute_report
-from .softlabel import STRATEGIES, SmoothingParams, build_target_matrix
+from .softlabel import STRATEGIES, STRATEGY_RULES, SmoothingParams, build_target_matrix
 from .trainer import (
     ProtocolSettings,
     SearchSpace,
@@ -272,6 +274,11 @@ def cmd_train(args) -> int:
         params = SmoothingParams(**{**cfg_params, **_given_flags(args, SmoothingParams)})
         config = TrainConfig(**{**cfg, **_given_flags(args, TrainConfig), "params": params})
         targets = build_target_matrix(space, config.strategy, config.params)
+        reads = STRATEGY_RULES[config.strategy][0]  # a record's params shaped its targets
+        for f in fields(SmoothingParams):
+            value = getattr(params, f.name)
+            if f.name not in reads and value != f.default:
+                raise ValueError(f"{config.strategy} strategy does not read {f.name}, given {value}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
     except ValueError as exc:

@@ -19,13 +19,16 @@ label), in about half the time of ``csv.reader`` and ``float()`` and with
 the same float64 bits. Blank lines are skipped and CRLF, CR and LF line ends
 read alike, as with the csv module; a row whose cell count differs from the
 header's, a cell that does not parse (a label must be an integer literal) and
-a NaN or infinite feature raise a ``ValueError``.
+a NaN or infinite feature raise a ``ValueError``. Only then is the file
+rescanned, with the csv module, to name the first such row by its 1-based
+line and its fault; a file read without fault is parsed once.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -81,12 +84,46 @@ def read_labelled_csv(path: str, label_names: tuple) -> tuple:
         if first is None:  # a body without rows, on which numpy would warn
             rows = np.empty(0, dtype=row)
         else:  # line by line from the open file: no copy of the whole body
-            rows = np.loadtxt(itertools.chain([first], fh), dtype=row, delimiter=",",
-                              comments=None, quotechar='"', ndmin=1)
+            try:
+                rows = np.loadtxt(itertools.chain([first], fh), dtype=row, delimiter=",",
+                                  comments=None, quotechar='"', ndmin=1)
+            except ValueError as exc:
+                raise ValueError(_bad_row(path, header, d) or f"{path}: {exc}") from exc
     features = np.ascontiguousarray(rows["features"])
     if not np.isfinite(features).all():
-        raise ValueError(f"{path}: features must be finite, found NaN or inf")
+        fault = _bad_row(path, header, d) or f"{path}: features must be finite, found NaN or inf"
+        raise ValueError(fault)
     return (features, *(np.ascontiguousarray(rows[name]) for name in label_names))
+
+
+def _parses(cell: str, kind: type) -> bool:
+    """Whether numpy's reader takes ``cell`` as a ``kind``, float or int: as Python
+    parses it, less the underscores, non-ASCII digits and int64 overflow Python takes."""
+    try:
+        value = kind(cell)
+    except ValueError:
+        return False
+    return cell.isascii() and "_" not in cell and (kind is float or -(2**63) <= value < 2**63)
+
+
+def _bad_row(path: str, header: list[str], n_features: int) -> str | None:
+    """The first fault of a labelled CSV that ``read_labelled_csv`` rejected, named
+    by its 1-based file line: a cell count unlike the header's, a cell that does not
+    parse or a feature that is not finite; None when this rescan finds none."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for cells in filter(None, reader):  # blank lines are skipped
+            where = f"{path}: line {reader.line_num}"
+            if len(cells) != len(header):
+                return f"{where}: expected {len(header)} cells, found {len(cells)}"
+            for i, (name, cell) in enumerate(zip(header, cells)):
+                kind, noun = (float, "a number") if i < n_features else (int, "an integer")
+                if not _parses(cell, kind):
+                    return f"{where}: {name} {cell!r} is not {noun}"
+                if kind is float and not math.isfinite(float(cell)):
+                    return f"{where}: {name} {cell!r} is not finite"
+    return None
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,17 @@ distance; AMAE/MMAE average/maximise the per-class MAE so minority grades
 count equally; MS and BA are the worst and mean per-class recall. Classes
 with no evaluated samples are excluded from per-class averages and flagged
 in the report, since the per-class formulas divide by the class count.
+
+Each matrix is scored in one pass (``_Scores``): its float counts, ``|i-j|``
+distances, row totals and per-class MAE and recall are computed once, and
+``compute_report`` reads all six measures off that pass. Each public measure
+is a reader of its own pass. The counts are integers, so every sum before a
+division is exact and the pass gives the per-class formulas' values bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,88 +28,74 @@ class UndefinedMetricError(ValueError):
     """A metric is undefined for this matrix (degenerate marginals or empty input)."""
 
 
-def _counts(confusion: ConfusionMatrix) -> np.ndarray:
-    counts = confusion.counts.astype(float)
-    if counts.sum() == 0:
-        raise UndefinedMetricError("metrics are undefined for an empty confusion matrix")
-    return counts
+class _Scores:
+    """One pass over a confusion matrix: its float counts, ``|i-j|`` distances and
+    row totals, MAE, and each class's MAE and recall over the classes with samples,
+    with the mean and extremes of those; QWK, which can be undefined, on demand."""
+
+    def __init__(self, confusion: ConfusionMatrix):
+        self.counts = confusion.counts.astype(float)
+        self.total = self.counts.sum()
+        if self.total == 0:
+            raise UndefinedMetricError("metrics are undefined for an empty confusion matrix")
+        idx = np.arange(confusion.n_classes)
+        self.dist = np.abs(idx[:, None] - idx[None, :])
+        weighted = self.dist * self.counts
+        self.mae = float(weighted.sum() / self.total)
+        self.rows = self.counts.sum(axis=1)
+        self.present = self.rows > 0
+        rows = self.rows[self.present]
+        class_mae = weighted.sum(axis=1)[self.present] / rows
+        recall = self.counts.diagonal()[self.present] / rows
+        self.amae, self.mmae = float(np.mean(class_mae)), float(np.max(class_mae))
+        self.ms, self.ba = float(np.min(recall)), float(np.mean(recall))
+        values = iter(class_mae.tolist())
+        self.per_class_mae = [next(values) if has else None for has in self.present]
+
+    def qwk(self) -> float:
+        weights = self.dist**2 / (len(self.rows) - 1) ** 2
+        expected = np.outer(self.rows, self.counts.sum(axis=0)) / self.total
+        denom = (weights * expected).sum()
+        if denom == 0:
+            raise UndefinedMetricError(
+                "QWK is undefined: expected-agreement weight is zero (degenerate marginals)"
+            )
+        return float(1.0 - (weights * self.counts).sum() / denom)
 
 
 def qwk(confusion: ConfusionMatrix) -> float:
     """Quadratic weighted kappa: |i-j|^2 / (J-1)^2 penalties."""
-    counts = _counts(confusion)
-    j = confusion.n_classes
-    idx = np.arange(j)
-    weights = np.abs(idx[:, None] - idx[None, :]) ** 2 / (j - 1) ** 2
-    total = counts.sum()
-    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / total
-    denom = (weights * expected).sum()
-    if denom == 0:
-        raise UndefinedMetricError(
-            "QWK is undefined: expected-agreement weight is zero (degenerate marginals)"
-        )
-    return float(1.0 - (weights * counts).sum() / denom)
+    return _Scores(confusion).qwk()
 
 
 def mae(confusion: ConfusionMatrix) -> float:
     """Mean absolute rank distance between true and predicted grades."""
-    counts = _counts(confusion)
-    j = confusion.n_classes
-    idx = np.arange(j)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    return float((dist * counts).sum() / counts.sum())
+    return _Scores(confusion).mae
 
 
-def per_class_mae(confusion: ConfusionMatrix) -> list[Optional[float]]:
+def per_class_mae(confusion: ConfusionMatrix) -> list[float | None]:
     """MAE restricted to each true class; None for classes with no samples."""
-    counts = _counts(confusion)
-    j = confusion.n_classes
-    idx = np.arange(j)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    row_totals = counts.sum(axis=1)
-    out: list[Optional[float]] = []
-    for k in range(j):
-        if row_totals[k] == 0:
-            out.append(None)
-        else:
-            out.append(float((dist[k] * counts[k]).sum() / row_totals[k]))
-    return out
-
-
-def _present_class_values(values: Sequence[Optional[float]]) -> list[float]:
-    present = [v for v in values if v is not None]
-    if not present:
-        raise UndefinedMetricError("all classes are empty")
-    return present
+    return _Scores(confusion).per_class_mae
 
 
 def amae(confusion: ConfusionMatrix) -> float:
     """Mean of the per-class MAE over classes with at least one sample."""
-    return float(np.mean(_present_class_values(per_class_mae(confusion))))
+    return _Scores(confusion).amae
 
 
 def mmae(confusion: ConfusionMatrix) -> float:
     """Largest per-class MAE; always >= amae."""
-    return float(np.max(_present_class_values(per_class_mae(confusion))))
-
-
-def _per_class_recall(confusion: ConfusionMatrix) -> list[Optional[float]]:
-    counts = _counts(confusion)
-    row_totals = counts.sum(axis=1)
-    return [
-        None if row_totals[k] == 0 else float(counts[k, k] / row_totals[k])
-        for k in range(confusion.n_classes)
-    ]
+    return _Scores(confusion).mmae
 
 
 def min_sensitivity(confusion: ConfusionMatrix) -> float:
     """Worst per-class recall over classes with at least one sample."""
-    return float(np.min(_present_class_values(_per_class_recall(confusion))))
+    return _Scores(confusion).ms
 
 
 def balanced_accuracy(confusion: ConfusionMatrix) -> float:
     """Mean per-class recall over classes with at least one sample."""
-    return float(np.mean(_present_class_values(_per_class_recall(confusion))))
+    return _Scores(confusion).ba
 
 
 @dataclass(frozen=True)
@@ -124,16 +115,15 @@ class MetricReport:
 
 
 def compute_report(confusion: ConfusionMatrix) -> MetricReport:
-    """All six measures plus the per-class MAE breakdown for one matrix."""
-    pcm = per_class_mae(confusion)
-    empty = tuple(k for k, v in enumerate(pcm) if v is None)
+    """All six measures plus the per-class MAE breakdown for one matrix, off one pass."""
+    scores = _Scores(confusion)
     return MetricReport(
-        qwk=qwk(confusion),
-        mae=mae(confusion),
-        amae=amae(confusion),
-        mmae=mmae(confusion),
-        ms=min_sensitivity(confusion),
-        ba=balanced_accuracy(confusion),
-        per_class_mae=tuple(pcm),
-        empty_classes=empty,
+        qwk=scores.qwk(),
+        mae=scores.mae,
+        amae=scores.amae,
+        mmae=scores.mmae,
+        ms=scores.ms,
+        ba=scores.ba,
+        per_class_mae=tuple(scores.per_class_mae),
+        empty_classes=tuple(np.flatnonzero(~scores.present).tolist()),
     )

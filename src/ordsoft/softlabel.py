@@ -82,13 +82,11 @@ def triangular_row(n_classes: int, k: int, alpha: float) -> np.ndarray:
 
 
 def binomial_row(n_classes: int, k: int) -> np.ndarray:
-    """Binomial(J-1, k/(J-1)) pmf; degenerate t in {0, 1} gives a one-hot row."""
+    """Binomial(J-1, k/(J-1)) pmf; at t = 0 and t = 1 it is exactly one-hot, since
+    ``0.0**0 == 1.0``."""
     n = n_classes - 1
     t = k / n
     row = np.zeros(n_classes)
-    if t == 0.0 or t == 1.0:
-        row[k] = 1.0
-        return row
     for j in range(n_classes):
         row[j] = math.comb(n, j) * t**j * (1.0 - t) ** (n - j)
     return row

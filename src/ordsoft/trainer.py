@@ -16,6 +16,11 @@ step costs Python overhead rather than arithmetic, so K stacked members cost
 little more than one. Each member's arithmetic is bit for bit that of a lone
 fit. ``train`` is the loop's one-member case.
 
+A model is its layer dict: ``w_out`` (H x J) and ``b_out`` (J), preceded for
+the MLP by ``w_in`` (d x H) and ``b_in`` (H); the architecture, grade count and
+hidden width are read off those shapes. ``init_model`` makes one, ``train`` and
+each ``TrainHistory`` hold the best one, and ``predict_proba`` is inference.
+
 The K members' parameters live in one flat ``(K, P)`` buffer, P being the
 parameter count of one model, and their gradients in a second one; the layers
 (``w_in``, ``b_in``, ``w_out``, ``b_out``) are named ``(K, *shape)`` views of
@@ -49,10 +54,10 @@ over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members,
 against the members' ``(K, V, J)`` validation targets, taken once per fit from
 the same target rows as each batch's targets. A block's weights and targets
 are slices of the stack's, and its work set runs forward only, so validation
-memory stays that of 8 members however large the stack. Inference's one-off
-``(1, N, ...)`` arena is forward-only too. When members leave the stack, the
-fit compacts the members left into a prefix of the parameter, Adam moment,
-learning-rate, target-row and validation-target buffers, in place; the
+memory stays that of 8 members however large the stack. ``predict_proba``'s
+one-off ``(1, N, ...)`` arena is forward-only too. When members leave the
+stack, the fit compacts the members left into a prefix of the parameter, Adam
+moment, learning-rate, target-row and validation-target buffers, in place; the
 gradient, scratch and work buffers, rewritten every step, shrink to a prefix.
 Members leaving allocate nothing, so they never raise the fit's peak memory.
 Every ufunc is elementwise or keeps its reduction axis, and every member runs
@@ -266,35 +271,18 @@ def _log_likelihood(probs: np.ndarray, targets: np.ndarray, out: np.ndarray) -> 
     return out
 
 
-@dataclass
-class ClassifierModel:
-    """Linear or one-hidden-layer ReLU classifier with J outputs, held as its
-    layers alone: ``w_out`` (H x J) and ``b_out`` (J), preceded for the MLP by
-    ``w_in`` (d x H) and ``b_in`` (H). The architecture, grade count and hidden
-    width are read off those shapes."""
-
-    weights: dict
-
-    def _forward(self, features: np.ndarray) -> _Work:
-        """One forward pass over ``features`` with a one-off set of work arrays."""
-        work = _Work(_Arena(self.weights, 1, len(features)), 1, len(features))
-        _forward({k: w[None] for k, w in self.weights.items()}, features, work)
-        return work
-
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        return self._forward(features).logits[0]
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return _softmax(self._forward(features))[0]
-
-    def predict(self, samples: SampleSet) -> PredictionSet:
-        return PredictionSet(samples.labels, self.predict_proba(samples.features))
+def predict_proba(weights: dict, features: np.ndarray) -> np.ndarray:
+    """Softmax probabilities of the model ``weights`` on ``features``: one forward
+    pass with a one-off forward-only set of work arrays."""
+    work = _Work(_Arena(weights, 1, len(features)), 1, len(features))
+    _forward({k: w[None] for k, w in weights.items()}, features, work)
+    return _softmax(work)[0]
 
 
 def init_model(
     architecture: str, n_features: int, n_classes: int, seed: int, hidden_width: int = 32
-) -> ClassifierModel:
-    """Fan-in-scaled symmetric uniform initialisation, all layers seeded."""
+) -> dict:
+    """A model's layers, fan-in-scaled symmetric uniform, all seeded."""
     rng = np.random.default_rng([seed, _STREAM_INIT])
 
     def layer(fan_in: int, fan_out: int) -> np.ndarray:
@@ -309,7 +297,7 @@ def init_model(
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
     weights.update(w_out=layer(fan_in, n_classes), b_out=np.zeros(n_classes))
-    return ClassifierModel(weights)
+    return weights
 
 
 def stratified_split(
@@ -628,23 +616,20 @@ def _fit_lockstep(
 
 
 def train(
-    model: ClassifierModel,
-    data: SampleSet,
-    targets: SoftTargetMatrix,
-    config: TrainConfig,
+    model: dict, data: SampleSet, targets: SoftTargetMatrix, config: TrainConfig,
     validation: SampleSet,
-) -> tuple[ClassifierModel, TrainHistory]:
-    """Mini-batch gradient descent with early stopping on validation loss.
+) -> tuple[dict, TrainHistory]:
+    """Mini-batch gradient descent from the layers ``model``, left as they are, with
+    early stopping on validation loss: the best epoch's weights and the history.
 
     Stops after ``patience`` consecutive epochs without strict validation-loss
-    improvement (or at max_epochs) and restores the best epoch's weights. This
-    is the one-member case of the lockstep fit that ``random_search`` runs.
+    improvement (or at max_epochs). This is the one-member case of the lockstep
+    fit that ``random_search`` runs.
     """
-    (history,) = _fit_lockstep(model.weights, data, validation, [targets], [config])
+    (history,) = _fit_lockstep(model, data, validation, [targets], [config])
     if history.diverged is not None:
         raise history.diverged
-    model.weights = history.best_weights
-    return model, history
+    return history.best_weights, history
 
 
 @dataclass(frozen=True)
@@ -773,13 +758,10 @@ def random_search(
     # one target matrix per distinct (strategy, params), built in first-use order
     keys = dict.fromkeys((c.strategy, c.params) for c in configs)
     matrices = {key: build_target_matrix(label_space, *key) for key in keys}
-    init = init_model(
-        settings.architecture, subtrain.n_features, label_space.n_classes, seed,
-        settings.hidden_width,
-    )
-    histories = _fit_lockstep(
-        init.weights, subtrain, val, [matrices[c.strategy, c.params] for c in configs], configs
-    )
+    init = init_model(settings.architecture, subtrain.n_features, label_space.n_classes, seed,
+                      settings.hidden_width)
+    targets = [matrices[c.strategy, c.params] for c in configs]
+    histories = _fit_lockstep(init, subtrain, val, targets, configs)
 
     grid_positions = [g for drawn in draws.values() for g, _, _ in drawn]
     best: dict[str, tuple[tuple, TrainHistory]] = {}
@@ -787,7 +769,8 @@ def random_search(
         if history.diverged is not None:
             continue
         strategy = history.config.strategy
-        confusion = build_confusion(ClassifierModel(history.best_weights).predict(val), label_space)
+        preds = PredictionSet(val.labels, predict_proba(history.best_weights, val.features))
+        confusion = build_confusion(preds, label_space)
         history.val_amae, history.val_mae = amae_metric(confusion), mae_metric(confusion)
         key = (history.val_amae, history.val_mae, history.config.learning_rate, grid_pos)
         if strategy not in best or key < best[strategy][0]:
@@ -802,7 +785,7 @@ def random_search(
 
 def _holdout_run(history: TrainHistory, holdout: SampleSet, space: LabelSpace) -> RunResult:
     """The run of the candidate ``history`` records: its model scored on ``holdout``."""
-    preds = ClassifierModel(history.best_weights).predict(holdout)
+    preds = PredictionSet(holdout.labels, predict_proba(history.best_weights, holdout.features))
     return RunResult(history, compute_report(build_confusion(preds, space)), preds)
 
 

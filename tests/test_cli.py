@@ -15,7 +15,7 @@ from referencing import Registry, Resource
 
 from ordsoft.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run, summarise_records
 from ordsoft.core import LabelSpace
-from ordsoft.softlabel import STRATEGIES, SmoothingParams, build_target_matrix
+from ordsoft.softlabel import STRATEGIES, STRATEGY_RULES, SmoothingParams, build_target_matrix
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ordsoft" / "schemas"
 
@@ -148,10 +148,43 @@ def test_train_appends_valid_record(tmp_path):
     assert record["strategy"] == "triangular"
     assert record["config"]["params"]["alpha"] == 0.05
     # every smoothing field is a flag of train too, and lands in the record's params
-    assert main(["train", "--data", str(data), "--strategy", "beta", *SMOOTHING_FLAGS,
-                 "--max-epochs", "2", "--patience", "2", "--out", str(out)]) == EXIT_OK
-    record = json.loads(out.read_text().splitlines()[1])
-    assert record["config"]["params"] == SMOOTHING
+    # through a strategy that reads it
+    for name in SMOOTHING:
+        strategy = next(s for s, (reads, _) in STRATEGY_RULES.items() if name in reads)
+        given = {n: SMOOTHING[n] for n in STRATEGY_RULES[strategy][0]}
+        flags = [arg for n, value in given.items() for arg in (f"--{n}", str(value))]
+        assert main(["train", "--data", str(data), "--strategy", strategy, *flags,
+                     "--max-epochs", "2", "--patience", "2", "--out", str(out)]) == EXIT_OK
+        record = json.loads(out.read_text().splitlines()[-1])
+        assert (record["strategy"], record["config"]["params"]) == (strategy, {"eta": 1.0, **given})
+
+
+def test_train_rejects_a_smoothing_field_its_strategy_does_not_read(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    out = tmp_path / "runs.jsonl"
+    main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    short = ["--max-epochs", "2", "--patience", "2", "--out", str(out)]
+    cases = [
+        ("beta", SMOOTHING_FLAGS, "alpha"),
+        ("nominal", ["--eta", "0.5"], "eta"),
+        ("binomial", ["--p", "1.5"], "p"),
+        ("triangular", ["--alpha", "0.05", "--concentration", "10"], "concentration"),
+    ]
+    for strategy, flags, field in cases:
+        assert main(["train", "--data", str(data), "--strategy", strategy, *flags,
+                     *short]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{strategy} strategy does not read {field}" in err, err
+    # so does a config file's field
+    config = tmp_path / "config.json"
+    config.write_text('{"strategy": "exponential", "params": {"p": 1.5, "concentration": 5}}')
+    assert main(["train", "--data", str(data), "--config", str(config), *short]) == EXIT_USAGE
+    assert "exponential strategy does not read concentration" in capsys.readouterr().err
+    assert not out.exists()
+    # a field given at its default is what the record holds anyway
+    assert main(["train", "--data", str(data), "--strategy", "nominal", "--eta", "1.0",
+                 *short]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["params"] == {"eta": 1.0}
 
 
 @pytest.mark.parametrize("flag", ["--learning-rate", "--batch-size", "--max-epochs", "--patience"])

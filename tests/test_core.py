@@ -85,16 +85,31 @@ def test_labelled_csv_reader_gives_the_csv_module_arrays(tmp_path, text):
         assert array.flags.c_contiguous and array.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("row", [
-    "#0.5,-1.25,1", "0.5,-1.25,1.5", "0.5,-1.25,1e0", "0.5,-1.25", "0.5,-1.25,1,0", "0.5,,1",
-    "x,-1.25,1", "nan,-1.25,1", "0.5,inf,1", "-inf,-1.25,1",
+@pytest.mark.parametrize("row, fault", [
+    ("#0.5,-1.25,1", "f0 '#0.5' is not a number"),
+    ("0.5,-1.25,1.5", "label '1.5' is not an integer"),
+    ("0.5,-1.25,1e0", "label '1e0' is not an integer"),
+    ("0.5,-1.25", "expected 3 cells, found 2"),
+    ("0.5,-1.25,1,0", "expected 3 cells, found 4"),
+    ("0.5,,1", "f1 '' is not a number"),
+    ("x,-1.25,1", "f0 'x' is not a number"),
+    ("1_0,-1.25,1", "f0 '1_0' is not a number"),
+    ("0.5,-1.25,99999999999999999999", "label '99999999999999999999' is not an integer"),
+    ("nan,-1.25,1", "f0 'nan' is not finite"),
+    ("0.5,inf,1", "f1 'inf' is not finite"),
+    ("-inf,-1.25,1", "f0 '-inf' is not finite"),
 ], ids=["comment", "fractional_label", "exponent_label", "short_row", "long_row", "empty_cell",
-        "non_numeric", "nan", "inf", "minus_inf"])
-def test_labelled_csv_reader_rejects_a_malformed_row(tmp_path, row):
+        "non_numeric", "underscore", "label_overflow", "nan", "inf", "minus_inf"])
+def test_labelled_csv_reader_rejects_a_malformed_row(tmp_path, row, fault):
     path = tmp_path / "data.csv"
-    path.write_text(_HEADER + "2.0,3.0,0\n" + row + "\n")
-    with pytest.raises(ValueError):
-        read_labelled_csv(str(path), ("label",))
+    # the faulty row is the file's fourth line, after a blank one; a good row follows
+    text = _HEADER + "2.0,3.0,0\n\n" + row + "\n4.0,5.0,1\n"
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(text.replace("\n", newline).encode())
+        with pytest.raises(ValueError) as raised:
+            read_labelled_csv(str(path), ("label",))
+        assert str(raised.value) == f"{path}: line 4: {fault}"
+        assert "usecols" not in str(raised.value)
 
 
 def test_labelled_csv_reader_parses_floats_to_the_bits_of_float(tmp_path):

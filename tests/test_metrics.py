@@ -5,6 +5,8 @@ the metric definitions with explicit Python loops, sharing no code with the
 library path.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,49 @@ def test_empty_class_excluded_and_flagged():
     present = [v for v in report.per_class_mae if v is not None]
     assert report.amae == pytest.approx(np.mean(present))
 
+
+
+def _parent_formulas(counts):
+    """Each measure as the per-class formulas give it, class by class in a loop."""
+    counts = counts.astype(float)
+    j = counts.shape[0]
+    idx = np.arange(j)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    rows = counts.sum(axis=1)
+    weights = dist**2 / (j - 1) ** 2
+    expected = np.outer(rows, counts.sum(axis=0)) / counts.sum()
+    pcm = [None if rows[k] == 0 else float((dist[k] * counts[k]).sum() / rows[k])
+           for k in range(j)]
+    recall = [float(counts[k, k] / rows[k]) for k in range(j) if rows[k] != 0]
+    present = [v for v in pcm if v is not None]
+    return {
+        "qwk": float(1.0 - (weights * counts).sum() / (weights * expected).sum()),
+        "mae": float((dist * counts).sum() / counts.sum()),
+        "amae": float(np.mean(present)),
+        "mmae": float(np.max(present)),
+        "ms": float(np.min(recall)),
+        "ba": float(np.mean(recall)),
+        "per_class_mae": tuple(pcm),
+        "empty_classes": tuple(k for k in range(j) if rows[k] == 0),
+    }
+
+
+def test_report_is_each_public_measure_and_the_per_class_formulas_bit_for_bit():
+    rng = np.random.default_rng(83)
+    readers = {"qwk": qwk, "mae": mae, "amae": amae, "mmae": mmae, "ms": min_sensitivity,
+               "ba": balanced_accuracy}
+    n_empty = 0
+    for _ in range(400):
+        j = int(rng.integers(2, 10))
+        counts = rng.integers(0, 30, size=(j, j)) * (rng.random((j, j)) < 0.7)
+        counts[rng.random(j) < 0.25] = 0  # empty classes
+        if counts.sum(axis=0).max() == counts.sum() or counts.sum(axis=1).max() == counts.sum():
+            continue  # degenerate marginals leave QWK undefined
+        confusion = ConfusionMatrix(counts)
+        report = compute_report(confusion)
+        n_empty += bool(report.empty_classes)
+        for name, reader in readers.items():
+            assert getattr(report, name) == reader(confusion), name
+        assert report.per_class_mae == tuple(per_class_mae(confusion))
+        assert dataclasses.asdict(report) == _parent_formulas(counts)
+    assert n_empty > 50

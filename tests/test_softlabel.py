@@ -36,8 +36,11 @@ def test_triangular_rows():
 
 
 def test_binomial_rows():
-    np.testing.assert_allclose(binomial_row(4, 0), [1, 0, 0, 0])
-    np.testing.assert_allclose(binomial_row(2, 1), [0, 1])
+    # the end grades' rows are exactly one-hot, zeros positive, from the pmf itself
+    for j in range(2, 10):
+        for k in (0, j - 1):
+            row = binomial_row(j, k)
+            assert np.array_equal(row, np.eye(j)[k]) and row.tobytes() == np.eye(j)[k].tobytes()
     # exact expansion of Binomial(3, 1/3)
     np.testing.assert_allclose(binomial_row(4, 1), [8 / 27, 12 / 27, 6 / 27, 1 / 27], atol=1e-15)
 

@@ -54,7 +54,7 @@ def test_generate_deterministic_csv(tmp_path):
 
 def test_separable_limit_trains_to_zero_amae():
     from ordsoft.softlabel import build_target_matrix
-    from ordsoft.trainer import ProtocolSettings, TrainConfig, init_model, stratified_split, train
+    from ordsoft.trainer import TrainConfig, init_model, predict_proba, stratified_split, train
     from ordsoft.softlabel import SmoothingParams
 
     spec = SynthSpec(
@@ -70,7 +70,7 @@ def test_separable_limit_trains_to_zero_amae():
         model, data.subset(train_idx), build_target_matrix(space, "nominal"), config, data.subset(test_idx)
     )
     preds = PredictionSet(
-        data.labels[test_idx], model.predict_proba(data.features[test_idx])
+        data.labels[test_idx], predict_proba(model, data.features[test_idx])
     )
     assert amae(build_confusion(preds, space)) == pytest.approx(0.0, abs=1e-9)
 

@@ -27,6 +27,7 @@ from ordsoft.trainer import (
     _layout,
     _views,
     init_model,
+    predict_proba,
     random_search,
     run_fixed,
     run_paired_single,
@@ -150,7 +151,7 @@ def test_early_stopping_restores_best_epoch_weights():
     )
     model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=16)
     model, history = train(model, data, targets, config, val)
-    final_val = mean_soft_ce(model.predict_proba(val.features), targets.rows[val.labels])
+    final_val = mean_soft_ce(predict_proba(model, val.features), targets.rows[val.labels])
     assert final_val == pytest.approx(min(history.val_loss), abs=1e-12)
 
 
@@ -164,7 +165,7 @@ def test_identical_seeds_give_identical_weights():
     for _ in range(2):
         model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=7, hidden_width=8)
         model, _ = train(model, data, targets, config, data)
-        runs.append(model.weights)
+        runs.append(model)
     for key in runs[0]:
         np.testing.assert_array_equal(runs[0][key], runs[1][key])
 
@@ -288,7 +289,7 @@ def test_search_returns_the_model_it_trained_for_the_winner():
     init = init_model(settings.architecture, data.n_features, space.n_classes, 2,
                       settings.hidden_width)
     refit, history = train(init, subtrain, targets, outcome.config, val)
-    for key, weights in refit.weights.items():
+    for key, weights in refit.items():
         np.testing.assert_array_equal(outcome.best_weights[key], weights)
     # the same record, bar the validation scores that only the search takes
     assert (history.val_amae, history.val_mae) == (None, None)
@@ -354,7 +355,7 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
     assert subtrain.n_samples % 16 != 0 and val.n_samples > 16
     targets = [build_target_matrix(space, c.strategy, c.params) for c in configs]
     init = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
-    members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
+    members = _fit_lockstep(init, subtrain, val, targets, configs)
 
     stopped = set()
     for config, target, member in zip(configs, targets, members):
@@ -368,7 +369,7 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
         lone, history = train(lone, subtrain, target, config, val)
         assert member.diverged is None
         assert member == history
-        for key, weights in lone.weights.items():
+        for key, weights in lone.items():
             np.testing.assert_array_equal(member.best_weights[key], weights)
         stopped.add(history.stopped_epoch)
     assert len(stopped) >= 2
@@ -380,7 +381,7 @@ def test_lockstep_rejects_labels_past_the_target_grades():
     init = init_model("linear", data.n_features, 3, seed=0)
     # the per-batch target gather clips, so it would quietly read grade 2's row for grade 3
     with pytest.raises(ValueError, match="below 3 grades"):
-        _fit_lockstep(init.weights, data, data, [build_target_matrix(LabelSpace(3), "nominal")],
+        _fit_lockstep(init, data, data, [build_target_matrix(LabelSpace(3), "nominal")],
                       [config])
 
 
@@ -412,7 +413,7 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
 
     monkeypatch.setattr(trainer, "_mean_soft_ce", spy)
     monkeypatch.setattr(trainer, "_Work", SpyWork)
-    members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
+    members = _fit_lockstep(init, subtrain, val, targets, configs)
 
     epochs = [member.stopped_epoch for member in members]
     alive = [sum(e >= epoch for e in epochs) for epoch in range(1, max(epochs) + 1)]
@@ -507,14 +508,14 @@ def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members
     targets = [build_target_matrix(space, "triangular", c.params) for c in configs]
     init = init_model(architecture, data.n_features, space.n_classes, seed=2, hidden_width=8)
     seen = _spy_on_record(monkeypatch)
-    members = _fit_lockstep(init.weights, subtrain, val, targets, configs)
+    members = _fit_lockstep(init, subtrain, val, targets, configs)
 
     epochs_run = [len(seen[id(member)]) for member in members]
     if n_members > 1:
         # members left the stack at different epochs while others trained on
         assert len(set(epochs_run)) >= 2 and max(epochs_run) > min(epochs_run)
     for config, target, member, n_epochs in zip(configs, targets, members, epochs_run):
-        reference = _reference_epochs(init.weights, subtrain, val, target, config, n_epochs)
+        reference = _reference_epochs(init, subtrain, val, target, config, n_epochs)
         for (params, _, layout), (expected, _, _) in zip(seen[id(member)], reference):
             got = _views(params, layout)
             assert got.keys() == expected.keys()
@@ -588,7 +589,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
 
     monkeypatch.setattr(trainer._Optimizer, "keep", spy_keep)
     seen = _spy_on_record(monkeypatch)
-    members = _fit_lockstep(init.weights, subtrain, val,
+    members = _fit_lockstep(init, subtrain, val,
                             [build_target_matrix(space, "nominal")] * len(configs), configs)
 
     (arena,) = arenas
@@ -626,7 +627,7 @@ def _owner(array):
 def test_predict_proba_is_the_reference_softmax(architecture, n_classes, spread):
     rng = np.random.default_rng(n_classes)
     model = init_model(architecture, 8, n_classes, seed=4, hidden_width=16)
-    weights = {k: w + rng.normal(size=w.shape) for k, w in model.weights.items()}
+    weights = {k: w + rng.normal(size=w.shape) for k, w in model.items()}
     # a row count unlike any batch size
     x = rng.normal(size=(37, 8))
 
@@ -640,11 +641,9 @@ def test_predict_proba_is_the_reference_softmax(architecture, n_classes, spread)
     # probabilities underflow, at 10 every grade adds to each row's sum
     scale = spread / np.ptp(reference_logits())
     weights["w_out"], weights["b_out"] = weights["w_out"] * scale, weights["b_out"] * scale
-    model.weights = weights
     logits = reference_logits()
     assert np.ptp(logits) == pytest.approx(spread)
-    np.testing.assert_array_equal(model.logits(x), logits)
-    probs = model.predict_proba(x)
+    probs = predict_proba(weights, x)
     assert probs.tobytes() == softmax(logits).tobytes()
 
 
@@ -657,9 +656,9 @@ def test_batch_gradients_match_central_differences():
     step = 1e-5
     for architecture in ("mlp_1_hidden", "linear"):
         init = init_model(architecture, 3, 4, seed=2, hidden_width=5)
-        layout = _layout(init.weights)
+        layout = _layout(init)
         # random biases too, so no ReLU input sits near its kink
-        flat = np.concatenate([w.ravel() for w in init.weights.values()])
+        flat = np.concatenate([w.ravel() for w in init.values()])
         flat = flat + rng.normal(scale=0.5, size=flat.size)
 
         def loss(params):
@@ -670,7 +669,7 @@ def test_batch_gradients_match_central_differences():
             return mean_soft_ce(softmax(hidden @ w["w_out"] + w["b_out"]), targets)
 
         params, grads = flat[None].copy(), np.empty((1, flat.size))
-        work = _Work(_Arena(init.weights, 1, len(x), len(x)), 1, len(x), backward=True)
+        work = _Work(_Arena(init, 1, len(x), len(x)), 1, len(x), backward=True)
         work.targets[0] = targets
         total = _batch_gradients(_views(params, layout), _views(grads, layout), x,
                                  work.targets, work)
@@ -691,9 +690,9 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
                          max_epochs=30, patience=5)
     targets = build_target_matrix(space, "nominal")
     init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=8)
-    shapes = {k: w.shape for k, w in init.weights.items()}
+    shapes = {k: w.shape for k, w in init.items()}
     seen = _spy_on_record(monkeypatch)
-    (member,) = _fit_lockstep(init.weights, subtrain, val, [targets], [config])
+    (member,) = _fit_lockstep(init, subtrain, val, [targets], [config])
 
     epochs = seen[id(member)]
     # later steps ran on the buffer after the best epoch was recorded
@@ -706,9 +705,24 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
         assert not np.shares_memory(member.best_weights[key], live_row)
 
     model, _ = train(init, subtrain, targets, config, val)
-    assert {k: w.shape for k, w in model.weights.items()} == shapes
+    assert {k: w.shape for k, w in model.items()} == shapes
     # one flat copy seen through the layer views
-    assert len({id(w.base) for w in model.weights.values()}) == 1
+    assert len({id(w.base) for w in model.values()}) == 1
+
+
+def test_train_returns_the_best_weights_and_leaves_its_model_alone():
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6)
+    subtrain, val = validation_split(data, 4, ProtocolSettings())
+    config = TrainConfig(0.05, "nominal", SmoothingParams(), seed=4, batch_size=16,
+                         max_epochs=12, patience=12)
+    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=4, hidden_width=8)
+    before = {k: w.copy() for k, w in init.items()}
+    model, history = train(init, subtrain, build_target_matrix(space, "nominal"), config, val)
+    assert model is history.best_weights
+    assert init.keys() == before.keys()
+    for key, weights in init.items():
+        assert weights.tobytes() == before[key].tobytes()
+        assert not np.array_equal(model[key], weights)
 
 
 def test_search_deterministic():
