@@ -23,9 +23,9 @@ names it, and so is a strategy listed twice in a sweep config. ``train``
 merges its flags over its config file, leaves every other default to
 ``TrainConfig`` and ``SmoothingParams`` and runs ``trainer.run_fixed``. The
 smoothing flags of ``softlabels`` and ``train`` are one per ``SmoothingParams``
-field; ``train`` rejects a field its strategy does not read (``STRATEGY_RULES``)
-given a value other than its default, so its record's params are those that
-shaped its targets.
+field, and ``train``'s others one per ``TrainConfig`` field. ``TrainConfig``
+checks every value, its strategy's smoothing fields too, so a record's params
+are those that shaped its targets.
 
 The process entry, ``run`` (the ``ordsoft`` script and ``python -m
 ordsoft.cli``), calls ``gc.freeze()`` before ``main``. Importing this module
@@ -51,7 +51,7 @@ import tempfile
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,7 @@ from .core import (
     write_labelled_csv,
 )
 from .metrics import METRIC_NAMES, compute_report
-from .softlabel import STRATEGIES, STRATEGY_RULES, SmoothingParams, build_target_matrix
+from .softlabel import STRATEGIES, SmoothingParams, build_target_matrix
 from .trainer import (
     ProtocolSettings,
     SearchSpace,
@@ -150,7 +150,7 @@ def cmd_softlabels(args) -> int:
     rows = matrix.rows.tolist()
     if args.plot_data:
         lines = ["strategy,true_grade,grade,mass"] + [
-            f"{matrix.strategy},{k},{j},{mass!r}"
+            f"{args.strategy},{k},{j},{mass!r}"
             for k, row in enumerate(rows) for j, mass in enumerate(row)
         ]
     else:
@@ -273,17 +273,11 @@ def cmd_train(args) -> int:
         cfg_params = _check_keys(cfg.get("params", {}), SmoothingParams, f"{args.config} params")
         params = SmoothingParams(**{**cfg_params, **_given_flags(args, SmoothingParams)})
         config = TrainConfig(**{**cfg, **_given_flags(args, TrainConfig), "params": params})
-        targets = build_target_matrix(space, config.strategy, config.params)
-        reads = STRATEGY_RULES[config.strategy][0]  # a record's params shaped its targets
-        for f in fields(SmoothingParams):
-            value = getattr(params, f.name)
-            if f.name not in reads and value != f.default:
-                raise ValueError(f"{config.strategy} strategy does not read {f.name}, given {value}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    line = _dump_json(_run_record(args.task, run_fixed(dataset, space, targets, config)))
+    line = _dump_json(_run_record(args.task, run_fixed(dataset, space, config)))
     if args.out:
         with open(args.out, "a") as fh:
             fh.write(line + "\n")
@@ -616,10 +610,15 @@ def cmd_analyze(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_smoothing_flags(parser: argparse.ArgumentParser) -> None:
-    """One number flag per ``SmoothingParams`` field; one not given keeps its default."""
-    for f in fields(SmoothingParams):
-        parser.add_argument(f"--{f.name}", type=float)
+def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of the dataclass ``cls``, typed as its default (float for
+    None), a dataclass field's flags in its place; one not given keeps its default."""
+    for f in fields(cls):
+        if is_dataclass(f.default):
+            _add_flags(parser, type(f.default))
+        else:
+            kind = float if f.default is None else type(f.default)
+            parser.add_argument(f"--{f.name.replace('_', '-')}", type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("softlabels", help="print a soft-target matrix as CSV")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    _add_smoothing_flags(p)
+    _add_flags(p, SmoothingParams)
     p.add_argument("--plot-data", action="store_true", help="long-format per-row mass table")
     p.add_argument("--out")
     p.set_defaults(func=cmd_softlabels)
@@ -657,14 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="adhoc")
     p.add_argument("--classes", type=int)
     p.add_argument("--config", help="TrainConfig JSON; flags override")
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--learning-rate", type=float)
-    _add_smoothing_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
+    _add_flags(p, TrainConfig)
     p.add_argument("--out", help="JSON-lines file to append the run record to")
     p.set_defaults(func=cmd_train)
 

@@ -50,7 +50,7 @@ class _Scores:
         self.amae, self.mmae = float(np.mean(class_mae)), float(np.max(class_mae))
         self.ms, self.ba = float(np.min(recall)), float(np.mean(recall))
         values = iter(class_mae.tolist())
-        self.per_class_mae = [next(values) if has else None for has in self.present]
+        self.per_class_mae = tuple(next(values) if has else None for has in self.present)
 
     def qwk(self) -> float:
         weights = self.dist**2 / (len(self.rows) - 1) ** 2
@@ -71,11 +71,6 @@ def qwk(confusion: ConfusionMatrix) -> float:
 def mae(confusion: ConfusionMatrix) -> float:
     """Mean absolute rank distance between true and predicted grades."""
     return _Scores(confusion).mae
-
-
-def per_class_mae(confusion: ConfusionMatrix) -> list[float | None]:
-    """MAE restricted to each true class; None for classes with no samples."""
-    return _Scores(confusion).per_class_mae
 
 
 def amae(confusion: ConfusionMatrix) -> float:
@@ -124,6 +119,6 @@ def compute_report(confusion: ConfusionMatrix) -> MetricReport:
         mmae=scores.mmae,
         ms=scores.ms,
         ba=scores.ba,
-        per_class_mae=tuple(scores.per_class_mae),
+        per_class_mae=scores.per_class_mae,
         empty_classes=tuple(np.flatnonzero(~scores.present).tolist()),
     )

@@ -19,11 +19,12 @@ it reads and its row rule. To add a strategy, add its entry there (through
 grid named after it plus ``s``; ``ordsoft softlabels`` and ``train`` make a
 flag per field.
 
-Each rule has one owner. ``SmoothingParams`` owns the parameter ranges;
-``STRATEGY_RULES`` which parameters a strategy requires; ``core.LabelSpace``
-J >= 2; ``SoftTargetMatrix`` row validity (finite, non-negative, summing to 1,
-peaked at its own grade, unimodal). The ``*_row`` functions are the bare
-formulas and check nothing themselves.
+Each rule has one owner: ``SmoothingParams`` the parameter ranges;
+``STRATEGY_RULES`` which fields a strategy reads, as ``strategy_rule`` checks
+for ``build_target_matrix`` and, unread fields too, ``trainer.TrainConfig``;
+``core.LabelSpace`` J >= 2; ``SoftTargetMatrix``, its rows alone, row validity
+(finite, non-negative, summing to 1, peaked at its own grade, unimodal). The
+``*_row`` functions are the bare formulas and check nothing themselves.
 """
 
 from __future__ import annotations
@@ -165,8 +166,6 @@ class SoftTargetMatrix:
     """J x J row-stochastic supervision matrix; row k targets true grade k."""
 
     rows: np.ndarray
-    strategy: str
-    params: SmoothingParams
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=float)
@@ -187,16 +186,26 @@ class SoftTargetMatrix:
         object.__setattr__(self, "rows", rows)
 
 
-def build_target_matrix(
-    space: LabelSpace, strategy: str, params: SmoothingParams | None = None
-) -> SoftTargetMatrix:
-    """Assemble the J x J supervision matrix for one labelling strategy."""
+def strategy_rule(strategy: str, params: SmoothingParams, strict: bool = False):
+    """The row rule of ``strategy``, known and given the fields it reads; when
+    ``strict``, the fields it does not read must be at their defaults."""
     if strategy not in STRATEGY_RULES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    params = params or SmoothingParams()
     names, rule = STRATEGY_RULES[strategy]
     for name in names:
         if getattr(params, name) is None:
             raise ValueError(f"{strategy} strategy requires {name}")
-    j = space.n_classes
-    return SoftTargetMatrix(np.stack([rule(j, k, params) for k in range(j)]), strategy, params)
+    if strict:
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if f.name not in names and value != f.default:
+                raise ValueError(f"{strategy} strategy does not read {f.name}, given {value}")
+    return rule
+
+
+def build_target_matrix(
+    space: LabelSpace, strategy: str, params: SmoothingParams = SmoothingParams()
+) -> SoftTargetMatrix:
+    """Assemble the J x J supervision matrix for one labelling strategy."""
+    rule, j = strategy_rule(strategy, params), space.n_classes
+    return SoftTargetMatrix(np.stack([rule(j, k, params) for k in range(j)]))

@@ -14,7 +14,8 @@ forward/backward and one update on a mini-batch they share, each with its own
 learning rate and targets, and each stops early on its own. A tiny network's
 step costs Python overhead rather than arithmetic, so K stacked members cost
 little more than one. Each member's arithmetic is bit for bit that of a lone
-fit. ``train`` is the loop's one-member case.
+fit. ``train`` is the loop's one-member case. A member's ``TrainConfig`` alone
+names its targets, by its (strategy, params), which the fit builds once per pair.
 
 A model is its layer dict: ``w_out`` (H x J) and ``b_out`` (J), preceded for
 the MLP by ``w_in`` (d x H) and ``b_in`` (H); the architecture, grade count and
@@ -102,7 +103,7 @@ import numpy as np
 from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion, check_number
 from .loss import PROB_FLOOR
 from .metrics import amae as amae_metric, mae as mae_metric, compute_report
-from .softlabel import STRATEGY_RULES, SmoothingParams, SoftTargetMatrix, build_target_matrix
+from .softlabel import STRATEGY_RULES, SmoothingParams, build_target_matrix, strategy_rule
 
 _STREAM_SPLIT = 11
 _STREAM_INIT = 12
@@ -134,6 +135,8 @@ def _check_schedule(config, seed_field: str) -> None:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One fit's settings; its ``strategy`` must read exactly its ``params``."""
+
     learning_rate: float = 1e-3
     strategy: str = "nominal"
     params: SmoothingParams = SmoothingParams()
@@ -148,6 +151,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         _check_schedule(self, "seed")
+        strategy_rule(self.strategy, self.params, strict=True)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "params": self.params.to_dict()}
@@ -529,30 +533,33 @@ def _fit_lockstep(
     init_weights: dict,
     data: SampleSet,
     validation: SampleSet,
-    targets: Sequence[SoftTargetMatrix],
     configs: Sequence[TrainConfig],
 ) -> list[TrainHistory]:
     """Train one member per config in lockstep, every member from ``init_weights``.
 
-    The configs share seed, batch size, epoch limit, patience and optimizer;
-    they differ in learning rate and targets. The members' weights are stacked
-    on a leading axis, and each step runs one batched forward/backward and
-    update on one mini-batch that all members share, whose targets are
-    gathered from the members' ``(K, J, J)`` target rows; each epoch ends with
-    a batched forward over the validation set per block of at most
-    ``_VAL_BLOCK`` members. A batched matmul runs one gemm per member and
+    The configs share seed, batch size, epoch limit and optimizer (a ``ValueError``
+    names the first they do not); each member has its own learning rate, patience
+    and targets, one matrix per distinct (strategy, params) over ``init_weights``'
+    grades. The members' weights are stacked on a leading axis, and each step runs
+    one batched forward/backward and update on one mini-batch that all members
+    share, whose targets are gathered from the members' ``(K, J, J)`` target rows;
+    each epoch ends with a batched forward over the validation set per block of at
+    most ``_VAL_BLOCK`` members. A batched matmul runs one gemm per member and
     reductions run over the batch axis or within one member's row, so every
     member's arithmetic is bit for bit that of the member trained alone. The
-    weights and gradients are flat ``(K, P)`` buffers seen through per-layer
-    views, and every work set is a view of the fit's one ``_Arena``, sized for
-    its largest pass: a batch of all K members, or a validation block. A member
-    that stops early or goes non-finite leaves the stack: the members left are
-    compacted into a prefix of the parameter, moment, learning-rate and target
-    buffers, and the views and work sets are built afresh over the same memory.
+    weights and gradients are flat ``(K, P)`` buffers seen through per-layer views,
+    and every work set is a view of the fit's one ``_Arena``, sized for its largest
+    pass: a batch of all K members, or a validation block. A member that stops
+    early or goes non-finite leaves the stack: the members left are compacted into
+    a prefix of the parameter, moment, learning-rate and target buffers, and the
+    views and work sets are built afresh over the same memory.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
     shared = configs[0]
+    for name in ("seed", "batch_size", "max_epochs", "optimizer"):
+        if any(getattr(c, name) != getattr(shared, name) for c in configs):
+            raise ValueError(f"lockstep configs must share {name}")
     members = [TrainHistory(c) for c in configs]
     alive = list(members)
     layout = _layout(init_weights)
@@ -560,7 +567,10 @@ def _fit_lockstep(
     params = np.repeat(flat_init[None], len(members), axis=0)
     flat_grads = np.empty_like(params)
     weights, grads = _views(params, layout), _views(flat_grads, layout)
-    target_rows = np.stack([t.rows for t in targets])
+    space = LabelSpace(init_weights["b_out"].size)
+    keys = dict.fromkeys((c.strategy, c.params) for c in configs)
+    matrices = {key: build_target_matrix(space, *key).rows for key in keys}
+    target_rows = np.stack([matrices[c.strategy, c.params] for c in configs])
     # the per-batch gather clips its indices, so a label past the grades must fail here
     if data.labels.max() >= target_rows.shape[1]:
         raise ValueError(f"labels must lie below {target_rows.shape[1]} grades")
@@ -616,17 +626,16 @@ def _fit_lockstep(
 
 
 def train(
-    model: dict, data: SampleSet, targets: SoftTargetMatrix, config: TrainConfig,
-    validation: SampleSet,
+    model: dict, data: SampleSet, config: TrainConfig, validation: SampleSet
 ) -> tuple[dict, TrainHistory]:
-    """Mini-batch gradient descent from the layers ``model``, left as they are, with
-    early stopping on validation loss: the best epoch's weights and the history.
+    """Mini-batch gradient descent on ``config``'s targets from the layers ``model``,
+    left as they are, with early stopping on validation loss: the best weights and history.
 
     Stops after ``patience`` consecutive epochs without strict validation-loss
     improvement (or at max_epochs). This is the one-member case of the lockstep
     fit that ``random_search`` runs.
     """
-    (history,) = _fit_lockstep(model, data, validation, [targets], [config])
+    (history,) = _fit_lockstep(model, data, validation, [config])
     if history.diverged is not None:
         raise history.diverged
     return history.best_weights, history
@@ -732,11 +741,10 @@ def random_search(
     generator of the seed, as a search of that strategy alone would. Every
     candidate of every strategy shares the seed, hence the initial weights and
     the shuffle order, so all of them train in one lockstep fit, each exactly as
-    it would train alone; candidates of one strategy with the same smoothing
-    parameters share one target matrix. A strategy listed twice is searched
-    once. Ties break by validation MAE, then lower learning rate, then grid
-    position. A diverged candidate is skipped; ``TrainingDiverged`` is raised
-    when every candidate of a strategy diverges.
+    it would train alone. A strategy listed twice is searched once. Ties break
+    by validation MAE, then lower learning rate, then grid position. A diverged
+    candidate is skipped; ``TrainingDiverged`` is raised when every candidate
+    of a strategy diverges.
     """
     draws: dict[str, list[tuple[int, float, SmoothingParams]]] = {}
     for strategy in dict.fromkeys(strategies):
@@ -755,13 +763,9 @@ def random_search(
         for strategy, drawn in draws.items()
         for _, lr, params in drawn
     ]
-    # one target matrix per distinct (strategy, params), built in first-use order
-    keys = dict.fromkeys((c.strategy, c.params) for c in configs)
-    matrices = {key: build_target_matrix(label_space, *key) for key in keys}
     init = init_model(settings.architecture, subtrain.n_features, label_space.n_classes, seed,
                       settings.hidden_width)
-    targets = [matrices[c.strategy, c.params] for c in configs]
-    histories = _fit_lockstep(init, subtrain, val, targets, configs)
+    histories = _fit_lockstep(init, subtrain, val, configs)
 
     grid_positions = [g for drawn in draws.values() for g, _, _ in drawn]
     best: dict[str, tuple[tuple, TrainHistory]] = {}
@@ -808,17 +812,17 @@ def _run_scales(
 
 
 def run_fixed(
-    dataset: SampleSet, label_space: LabelSpace, targets: SoftTargetMatrix, config: TrainConfig,
+    dataset: SampleSet, label_space: LabelSpace, config: TrainConfig,
     settings: ProtocolSettings = ProtocolSettings(),
 ) -> RunResult:
-    """The run of one fixed ``config`` on its ``targets``: on the split stratified on
-    the labels at the config's seed, carve the validation set, train from the seed's
-    initial weights and score on the holdout, as a search trains and scores it."""
+    """The run of one fixed ``config``: on the split stratified on the labels at the
+    config's seed, carve the validation set, train from the seed's initial weights
+    and score on the holdout, as a search trains and scores it."""
     train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, config.seed)
     subtrain, val = validation_split(dataset.subset(train_idx), config.seed, settings)
     model = init_model(settings.architecture, dataset.n_features, label_space.n_classes,
                        config.seed, settings.hidden_width)
-    _, history = train(model, subtrain, targets, config, val)
+    _, history = train(model, subtrain, config, val)
     return _holdout_run(history, dataset.subset(test_idx), label_space)
 
 

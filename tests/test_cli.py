@@ -13,9 +13,10 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from ordsoft.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run, summarise_records
+from ordsoft.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, main, run, summarise_records
 from ordsoft.core import LabelSpace
 from ordsoft.softlabel import STRATEGIES, STRATEGY_RULES, SmoothingParams, build_target_matrix
+from ordsoft.trainer import TrainConfig
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "ordsoft" / "schemas"
 
@@ -185,6 +186,27 @@ def test_train_rejects_a_smoothing_field_its_strategy_does_not_read(tmp_path, ca
     assert main(["train", "--data", str(data), "--strategy", "nominal", "--eta", "1.0",
                  *short]) == EXIT_OK
     assert json.loads(out.read_text())["config"]["params"] == {"eta": 1.0}
+
+
+def test_train_flags_are_the_train_config_fields():
+    args = vars(build_parser().parse_args(["train", "--data", "data.csv"]))
+    flags = set(args) - {"command", "func", "data", "task", "classes", "config", "out"}
+    names = {f.name for f in dataclasses.fields(TrainConfig)} - {"params"}
+    assert flags == names | {f.name for f in dataclasses.fields(SmoothingParams)}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "bogus"], "unknown strategy 'bogus'"),
+    (["--optimizer", "rmsprop"], "unknown optimizer 'rmsprop'"),
+    (["--strategy", "triangular"], "triangular strategy requires alpha"),
+    (["--seed", "1.5"], "invalid int value: '1.5'"),
+])
+def test_train_bad_run_flag_is_usage_error(tmp_path, capsys, flags, message):
+    data = tmp_path / "data.csv"
+    main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    assert main(["train", "--data", str(data), "--max-epochs", "2", "--patience", "2",
+                 *flags]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--learning-rate", "--batch-size", "--max-epochs", "--patience"])

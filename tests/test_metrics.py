@@ -19,7 +19,6 @@ from ordsoft.metrics import (
     mae,
     min_sensitivity,
     mmae,
-    per_class_mae,
     qwk,
 )
 
@@ -137,7 +136,7 @@ def test_mae_single_one_step_error():
 def test_amae_mmae_hand_example():
     # true=[0,0,1], pred=[0,1,1]: per-class MAE (0.5, 0)
     confusion = ConfusionMatrix(np.array([[1, 1], [0, 1]]))
-    assert per_class_mae(confusion) == [0.5, 0.0]
+    assert compute_report(confusion).per_class_mae == (0.5, 0.0)
     assert amae(confusion) == pytest.approx(0.25)
     assert mmae(confusion) == pytest.approx(0.5)
 
@@ -221,6 +220,5 @@ def test_report_is_each_public_measure_and_the_per_class_formulas_bit_for_bit():
         n_empty += bool(report.empty_classes)
         for name, reader in readers.items():
             assert getattr(report, name) == reader(confusion), name
-        assert report.per_class_mae == tuple(per_class_mae(confusion))
         assert dataclasses.asdict(report) == _parent_formulas(counts)
     assert n_empty > 50

@@ -119,7 +119,7 @@ def test_blend_is_exactly_linear():
 ])
 def test_soft_target_matrix_rejects_invalid_rows(rows, message):
     with pytest.raises(ValueError, match=message):
-        SoftTargetMatrix(np.array(rows), "triangular", SmoothingParams(alpha=0.1))
+        SoftTargetMatrix(np.array(rows))
 
 
 def test_build_nominal_is_identity():

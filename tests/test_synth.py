@@ -53,7 +53,6 @@ def test_generate_deterministic_csv(tmp_path):
 
 
 def test_separable_limit_trains_to_zero_amae():
-    from ordsoft.softlabel import build_target_matrix
     from ordsoft.trainer import TrainConfig, init_model, predict_proba, stratified_split, train
     from ordsoft.softlabel import SmoothingParams
 
@@ -66,9 +65,7 @@ def test_separable_limit_trains_to_zero_amae():
     train_idx, test_idx = stratified_split(data.labels, 0.7, seed=0)
     config = TrainConfig(0.5, "nominal", SmoothingParams(), seed=0, batch_size=256, max_epochs=200, patience=200)
     model = init_model("linear", data.n_features, 3, seed=0)
-    model, _ = train(
-        model, data.subset(train_idx), build_target_matrix(space, "nominal"), config, data.subset(test_idx)
-    )
+    model, _ = train(model, data.subset(train_idx), config, data.subset(test_idx))
     preds = PredictionSet(
         data.labels[test_idx], predict_proba(model, data.features[test_idx])
     )

@@ -40,15 +40,14 @@ def test_train_binds_the_arguments_the_tracer_reads():
 
 
 def test_train_returns_the_history_the_tracer_reads():
-    from ordsoft.core import LabelSpace, SampleSet
-    from ordsoft.softlabel import SmoothingParams, build_target_matrix
+    from ordsoft.core import SampleSet
+    from ordsoft.softlabel import SmoothingParams
     from ordsoft.trainer import TrainConfig, init_model, train
 
     data = SampleSet(np.arange(24.0).reshape(12, 2) / 24, np.array([0, 1, 2] * 4))
     config = TrainConfig(0.01, "nominal", SmoothingParams(), seed=0, batch_size=5,
                          max_epochs=3, patience=3)
-    args = (init_model("linear", 2, 3, seed=0), data,
-            build_target_matrix(LabelSpace(3), "nominal"), config, data)
+    args = (init_model("linear", 2, 3, seed=0), data, config, data)
     fn = _resolve("trainer.train")
     info = _tracer()._info("trainer.train", fn, args, {}, fn(*args))
     assert info == {"epochs": 3, "best_epoch": 3, "steps": 9}

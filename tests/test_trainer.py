@@ -111,13 +111,12 @@ def _small_dataset(seed=31, n_classes=3, n_per_class=30, **kw):
 
 def test_training_loss_decreases_on_separable_data():
     data, space = _small_dataset(noise_sd=0.05, class_separation=1.0)
-    targets = build_target_matrix(space, "nominal")
     config = TrainConfig(
         0.5, "nominal", SmoothingParams(), seed=1, batch_size=10_000,
         max_epochs=2000, patience=2000, optimizer="sgd",
     )
     model = init_model("linear", data.n_features, space.n_classes, seed=1)
-    model, history = train(model, data, targets, config, data)
+    model, history = train(model, data, config, data)
     losses = history.train_loss
     # full-batch plain gradient descent on a convex loss descends monotonically
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -129,13 +128,12 @@ def test_early_stopping_patience_one_constant_loss():
     # the validation loss is constant from epoch 1 on
     space = LabelSpace(3)
     flat = SampleSet(np.zeros((12, 4)), np.array([0, 1, 2] * 4))
-    targets = build_target_matrix(space, "nominal_smoothed", SmoothingParams(eta=1.0))
     config = TrainConfig(
         0.1, "nominal_smoothed", SmoothingParams(eta=1.0),
         seed=2, batch_size=16, max_epochs=50, patience=1,
     )
     model = init_model("linear", 4, space.n_classes, seed=2)
-    _, history = train(model, flat, targets, config, flat)
+    _, history = train(model, flat, config, flat)
     assert history.stopped_epoch == 2
     assert history.best_epoch == 1
     assert history.val_loss[0] == history.val_loss[1]
@@ -150,21 +148,20 @@ def test_early_stopping_restores_best_epoch_weights():
         seed=3, batch_size=8, max_epochs=40, patience=10,
     )
     model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=16)
-    model, history = train(model, data, targets, config, val)
+    model, history = train(model, data, config, val)
     final_val = mean_soft_ce(predict_proba(model, val.features), targets.rows[val.labels])
     assert final_val == pytest.approx(min(history.val_loss), abs=1e-12)
 
 
 def test_identical_seeds_give_identical_weights():
     data, space = _small_dataset()
-    targets = build_target_matrix(space, "binomial", SmoothingParams(eta=0.8))
     config = TrainConfig(
         0.01, "binomial", SmoothingParams(eta=0.8), seed=7, batch_size=8, max_epochs=15, patience=15
     )
     runs = []
     for _ in range(2):
         model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=7, hidden_width=8)
-        model, _ = train(model, data, targets, config, data)
+        model, _ = train(model, data, config, data)
         runs.append(model)
     for key in runs[0]:
         np.testing.assert_array_equal(runs[0][key], runs[1][key])
@@ -174,14 +171,13 @@ def test_divergence_raises():
     data, space = _small_dataset()
     # drive the weights past float range so the loss turns non-finite
     big = SampleSet(data.features * 1e4, data.labels)
-    targets = build_target_matrix(space, "nominal")
     config = TrainConfig(
         1e300, "nominal", SmoothingParams(), seed=4, batch_size=8,
         max_epochs=10, patience=10, optimizer="sgd",
     )
     model = init_model("linear", big.n_features, space.n_classes, seed=4)
     with pytest.raises(TrainingDiverged):
-        train(model, big, targets, config, big)
+        train(model, big, config, big)
 
 
 def test_train_config_validation():
@@ -191,6 +187,82 @@ def test_train_config_validation():
         TrainConfig(0.1, "nominal", SmoothingParams(), seed=0, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(0.1, "nominal", SmoothingParams(), seed=0, patience=200, max_epochs=100)
+
+
+@pytest.mark.parametrize("strategy, params, message", [
+    ("ordinal", SmoothingParams(), "unknown strategy 'ordinal'; expected one of"),
+    ("triangular", SmoothingParams(eta=0.8), "triangular strategy requires alpha$"),
+    ("beta", SmoothingParams(alpha=0.05, concentration=10.0),
+     "beta strategy does not read alpha, given 0.05$"),
+    ("nominal", SmoothingParams(eta=0.5), "nominal strategy does not read eta, given 0.5$"),
+])
+def test_train_config_rejects_a_strategy_fault_with_the_cli_message(strategy, params, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        TrainConfig(0.1, strategy, params)
+
+
+def test_train_config_accepts_every_config_of_every_search_grid():
+    space = SearchSpace()
+    for strategy in STRATEGIES:
+        for lr, params in space.grid(strategy):
+            assert TrainConfig(lr, strategy, params).params == params
+    # a field that the strategy does not read is accepted at its default
+    assert TrainConfig(0.1, "nominal", SmoothingParams(eta=1.0)).params == SmoothingParams()
+
+
+# ------------------------------------------------------------------- fit
+
+
+def test_a_fit_builds_one_target_matrix_per_distinct_strategy_and_params(monkeypatch):
+    data, space = _small_dataset(n_classes=4)
+    subtrain, val = validation_split(data, 1, ProtocolSettings())
+    pairs = [("binomial", SmoothingParams(eta=0.8)), ("nominal", SmoothingParams()),
+             ("binomial", SmoothingParams(eta=0.8)), ("binomial", SmoothingParams(eta=1.0)),
+             ("nominal", SmoothingParams())]
+    configs = [TrainConfig(lr, strategy, params, seed=1, max_epochs=2, patience=2)
+               for lr, (strategy, params) in zip((1e-3, 1e-2, 0.1, 1e-3, 0.3), pairs)]
+    built = []
+    build = trainer.build_target_matrix
+
+    def spy(space, strategy, params=None):
+        built.append((space.n_classes, strategy, params))
+        return build(space, strategy, params)
+
+    monkeypatch.setattr(trainer, "build_target_matrix", spy)
+    init = init_model("linear", data.n_features, space.n_classes, seed=1)
+    _fit_lockstep(init, subtrain, val, configs)
+    # in first-use order, over the grades of the initial weights
+    assert built == [(4, *pairs[0]), (4, *pairs[1]), (4, *pairs[3])]
+
+
+# a value of each field that a lockstep fit's configs share, unlike the base config's
+_SHARED = {"seed": 2, "batch_size": 8, "max_epochs": 3, "optimizer": "sgd"}
+
+
+@pytest.mark.parametrize("field", _SHARED)
+def test_lockstep_rejects_configs_that_disagree_on_a_shared_field(field):
+    data, space = _small_dataset()
+    base = TrainConfig(0.1, "nominal", SmoothingParams(), seed=1, batch_size=16,
+                       max_epochs=4, patience=2)
+    init = init_model("linear", data.n_features, space.n_classes, seed=1)
+    names = list(_SHARED)
+    # the field alone, then with every field after it: the first is the one named
+    for changed in ([field], names[names.index(field):]):
+        other = dataclasses.replace(base, learning_rate=0.01, **{n: _SHARED[n] for n in changed})
+        with pytest.raises(ValueError, match=f"^lockstep configs must share {field}$"):
+            _fit_lockstep(init, data, data, [base, other])
+
+
+def test_lockstep_members_stop_on_their_own_patience():
+    data, space = _small_dataset()
+    base = TrainConfig(0.1, "nominal", SmoothingParams(), seed=1, batch_size=16,
+                       max_epochs=6, patience=1)
+    configs = [base, dataclasses.replace(base, patience=6)]
+    # zero features hold every member at a stationary point: the validation loss never improves
+    flat = SampleSet(np.zeros((12, data.n_features)), np.array([0, 1, 2] * 4))
+    init = init_model("linear", data.n_features, space.n_classes, seed=1)
+    short, long = _fit_lockstep(init, flat, flat, configs)
+    assert (short.stopped_epoch, long.stopped_epoch) == (2, 6)
 
 
 # ------------------------------------------------------------------ search
@@ -238,9 +310,9 @@ def _spy_on_lockstep(monkeypatch):
     fits = []
     fit = trainer._fit_lockstep
 
-    def spy(init_weights, data, validation, targets, configs):
+    def spy(init_weights, data, validation, configs):
         fits.append(list(configs))
-        return fit(init_weights, data, validation, targets, configs)
+        return fit(init_weights, data, validation, configs)
 
     monkeypatch.setattr(trainer, "_fit_lockstep", spy)
     return fits
@@ -285,10 +357,9 @@ def test_search_returns_the_model_it_trained_for_the_winner():
     (outcome,) = random_search(SearchSpace(max_configs=4), data, ["exponential"], seed=2,
                                label_space=space, settings=settings)
     subtrain, val = validation_split(data, 2, settings)
-    targets = build_target_matrix(space, outcome.config.strategy, outcome.config.params)
     init = init_model(settings.architecture, data.n_features, space.n_classes, 2,
                       settings.hidden_width)
-    refit, history = train(init, subtrain, targets, outcome.config, val)
+    refit, history = train(init, subtrain, outcome.config, val)
     for key, weights in refit.items():
         np.testing.assert_array_equal(outcome.best_weights[key], weights)
     # the same record, bar the validation scores that only the search takes
@@ -353,20 +424,19 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
     # a short last batch; a lone fit's validation pass (V rows) outruns its batch (16 rows),
     # so its arena is sized by validation and each batch runs on a prefix of it
     assert subtrain.n_samples % 16 != 0 and val.n_samples > 16
-    targets = [build_target_matrix(space, c.strategy, c.params) for c in configs]
     init = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
-    members = _fit_lockstep(init, subtrain, val, targets, configs)
+    members = _fit_lockstep(init, subtrain, val, configs)
 
     stopped = set()
-    for config, target, member in zip(configs, targets, members):
+    for config, member in zip(configs, members):
         lone = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
         if config.learning_rate == 1e308:
             assert isinstance(member.diverged, TrainingDiverged)
             with pytest.raises(TrainingDiverged):
-                train(lone, subtrain, target, config, val)
+                train(lone, subtrain, config, val)
             continue
         # a diverged member shared the stack with these, so equality shows it touched none
-        lone, history = train(lone, subtrain, target, config, val)
+        lone, history = train(lone, subtrain, config, val)
         assert member.diverged is None
         assert member == history
         for key, weights in lone.items():
@@ -381,8 +451,7 @@ def test_lockstep_rejects_labels_past_the_target_grades():
     init = init_model("linear", data.n_features, 3, seed=0)
     # the per-batch target gather clips, so it would quietly read grade 2's row for grade 3
     with pytest.raises(ValueError, match="below 3 grades"):
-        _fit_lockstep(init, data, data, [build_target_matrix(LabelSpace(3), "nominal")],
-                      [config])
+        _fit_lockstep(init, data, data, [config])
 
 
 @pytest.mark.parametrize("n_members", [1, 3, 6, 9, 19])
@@ -396,7 +465,6 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
                     max_epochs=12, patience=2)
         for lr in learning_rates[:n_members]
     ]
-    targets = [build_target_matrix(space, "nominal")] * n_members
     init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
     passes, forward_only = [], []
     mean_soft_ce = trainer._mean_soft_ce
@@ -413,7 +481,7 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
 
     monkeypatch.setattr(trainer, "_mean_soft_ce", spy)
     monkeypatch.setattr(trainer, "_Work", SpyWork)
-    members = _fit_lockstep(init, subtrain, val, targets, configs)
+    members = _fit_lockstep(init, subtrain, val, configs)
 
     epochs = [member.stopped_epoch for member in members]
     alive = [sum(e >= epoch for e in epochs) for epoch in range(1, max(epochs) + 1)]
@@ -505,16 +573,16 @@ def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members
         for lr in (1e-3, 0.1, 2.0)
         for eta in (0.8, 1.0)
     ][:n_members]
-    targets = [build_target_matrix(space, "triangular", c.params) for c in configs]
     init = init_model(architecture, data.n_features, space.n_classes, seed=2, hidden_width=8)
     seen = _spy_on_record(monkeypatch)
-    members = _fit_lockstep(init, subtrain, val, targets, configs)
+    members = _fit_lockstep(init, subtrain, val, configs)
 
     epochs_run = [len(seen[id(member)]) for member in members]
     if n_members > 1:
         # members left the stack at different epochs while others trained on
         assert len(set(epochs_run)) >= 2 and max(epochs_run) > min(epochs_run)
-    for config, target, member, n_epochs in zip(configs, targets, members, epochs_run):
+    for config, member, n_epochs in zip(configs, members, epochs_run):
+        target = build_target_matrix(space, config.strategy, config.params)
         reference = _reference_epochs(init, subtrain, val, target, config, n_epochs)
         for (params, _, layout), (expected, _, _) in zip(seen[id(member)], reference):
             got = _views(params, layout)
@@ -589,8 +657,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
 
     monkeypatch.setattr(trainer._Optimizer, "keep", spy_keep)
     seen = _spy_on_record(monkeypatch)
-    members = _fit_lockstep(init, subtrain, val,
-                            [build_target_matrix(space, "nominal")] * len(configs), configs)
+    members = _fit_lockstep(init, subtrain, val, configs)
 
     (arena,) = arenas
     sizes = {(n_members, n_rows, backward) for _, _, n_members, n_rows, backward in sets}
@@ -688,11 +755,10 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
     subtrain, val = validation_split(data, 3, ProtocolSettings())
     config = TrainConfig(0.1, "nominal", SmoothingParams(), seed=3, batch_size=16,
                          max_epochs=30, patience=5)
-    targets = build_target_matrix(space, "nominal")
     init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=8)
     shapes = {k: w.shape for k, w in init.items()}
     seen = _spy_on_record(monkeypatch)
-    (member,) = _fit_lockstep(init, subtrain, val, [targets], [config])
+    (member,) = _fit_lockstep(init, subtrain, val, [config])
 
     epochs = seen[id(member)]
     # later steps ran on the buffer after the best epoch was recorded
@@ -704,7 +770,7 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
         np.testing.assert_array_equal(member.best_weights[key], weights)
         assert not np.shares_memory(member.best_weights[key], live_row)
 
-    model, _ = train(init, subtrain, targets, config, val)
+    model, _ = train(init, subtrain, config, val)
     assert {k: w.shape for k, w in model.items()} == shapes
     # one flat copy seen through the layer views
     assert len({id(w.base) for w in model.values()}) == 1
@@ -717,7 +783,7 @@ def test_train_returns_the_best_weights_and_leaves_its_model_alone():
                          max_epochs=12, patience=12)
     init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=4, hidden_width=8)
     before = {k: w.copy() for k, w in init.items()}
-    model, history = train(init, subtrain, build_target_matrix(space, "nominal"), config, val)
+    model, history = train(init, subtrain, config, val)
     assert model is history.best_weights
     assert init.keys() == before.keys()
     for key, weights in init.items():
@@ -768,9 +834,7 @@ def test_fixed_run_of_a_searched_config_is_the_search_runs_result():
     settings = ProtocolSettings(max_epochs=8, patience=2, hidden_width=4)
     for strategy in ("nominal", "beta", "exponential"):
         (searched,) = run_single(data, space, [strategy], 2, SearchSpace(max_configs=4), settings)
-        config = searched.history.config
-        targets = build_target_matrix(space, config.strategy, config.params)
-        fixed = run_fixed(data, space, targets, config, settings)
+        fixed = run_fixed(data, space, searched.history.config, settings)
         np.testing.assert_array_equal(fixed.predictions.true_labels, searched.predictions.true_labels)
         assert fixed.predictions.predicted_probs.tobytes() == searched.predictions.predicted_probs.tobytes()
         assert fixed.metrics == searched.metrics
