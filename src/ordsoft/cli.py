@@ -394,9 +394,12 @@ def _map_tasks(fn, payloads, workers: int):
 def cmd_sweep(args) -> int:
     try:
         config = _check_keys(json.loads(Path(args.config).read_text()), _SWEEP_KEYS, args.config)
-        task = config["task"]
-        dataset_path = config["dataset"]
-        strategies = config["strategies"]
+        for key in ("task", "dataset", "output_dir"):
+            if key in config and not isinstance(config[key], str):
+                raise ValueError(f"{key} must be a string, got {config[key]!r}")
+        task, dataset_path, strategies = config["task"], config["dataset"], config["strategies"]
+        if not isinstance(strategies, list) or {type(s) for s in strategies} != {str}:
+            raise ValueError(f"strategies must be a non-empty list of strings, got {strategies!r}")
         n_seeds = config["n_seeds"]
         check_number("n_seeds", n_seeds, integer=True)
         output_dir = Path(args.out_dir or config["output_dir"])
@@ -404,8 +407,8 @@ def cmd_sweep(args) -> int:
             cls(**_check_keys(config.get(key, {}), cls, key))
             for cls, key in ((SearchSpace, "search_space"), (ProtocolSettings, "settings"))
         )
-        if n_seeds < 1 or not strategies:
-            raise ValueError("n_seeds must be >= 1 and strategies non-empty")
+        if n_seeds < 1:
+            raise ValueError("n_seeds must be >= 1")
         # each scale's grade count, inferred from its labels when not given
         classes = {name: config.get(name) for name in ("n_classes", "n_classes_b")}
         for name, value in classes.items():

@@ -189,6 +189,8 @@ class SoftTargetMatrix:
 def strategy_rule(strategy: str, params: SmoothingParams, strict: bool = False):
     """The row rule of ``strategy``, known and given the fields it reads; when
     ``strict``, the fields it does not read must be at their defaults."""
+    if not isinstance(strategy, str):
+        raise ValueError(f"strategy must be a string, got {strategy!r}")
     if strategy not in STRATEGY_RULES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     names, rule = STRATEGY_RULES[strategy]

@@ -11,11 +11,12 @@ run seed.
 There is one training loop, ``_fit_lockstep``, which trains K models at once:
 their weights are stacked on a leading axis, every step runs one batched
 forward/backward and one update on a mini-batch they share, each with its own
-learning rate and targets, and each stops early on its own. A tiny network's
-step costs Python overhead rather than arithmetic, so K stacked members cost
-little more than one. Each member's arithmetic is bit for bit that of a lone
-fit. ``train`` is the loop's one-member case. A member's ``TrainConfig`` alone
-names its targets, by its (strategy, params), which the fit builds once per pair.
+learning rate and targets, and each stops early on its own. Stacking saves a
+step's fixed cost of numpy calls, not its arithmetic: pinned to one CPU, a
+step with validation is member-linear above K≈8, at 13.7 µs per member for
+K=51. Each member's arithmetic is bit for bit that of a lone fit. ``train`` is
+the loop's one-member case. A member's ``TrainConfig`` alone names its
+targets, by its (strategy, params), which the fit builds once per pair.
 
 A model is its layer dict: ``w_out`` (H x J) and ``b_out`` (J), preceded for
 the MLP by ``w_in`` (d x H) and ``b_in`` (H); the architecture, grade count and
@@ -34,35 +35,36 @@ into work arrays (``_Work``): ``(K, B, H)`` hidden activations, ReLU mask and
 then ``d_logits`` in place, and log-likelihood terms; ``(K, B)`` row max and
 sum. A fit allocates them once, as one arena (``_Arena``) holding a flat
 buffer per work role, sized for the largest pass that uses it: a batch of all
-K members, or a validation block. Every work set, the full batch's, the short
-last batch's and each validation block's, is a contiguous ``[:n].reshape``
-prefix view of those buffers, since every work array is written before it is
-read. A matmul or ufunc writing into such a view rounds bit for bit as into an
-array of its own; this was measured for K of 1, 8, 15 and 51 members over
-batches of 27, 7 and 1 rows, and the tests hold every fit to lone fits and to
-an allocating per-layer reference. Each step gathers its batch's targets from
-the members' ``(K, J, J)`` target-matrix rows into the set's ``targets`` with
-one ``take``, so no ``(K, N, J)`` array of every row's targets is built or
-reshuffled per epoch; the fit checks the label range once, since that
-``take`` clips. The softmax takes each row's max and sum, and validation each
-row's log-likelihood sum, as J-1 ufuncs over the grade columns rather than as
-reductions over the last axis, because numpy reduces a length-5 trailing axis
-slowly; the max is exact and numpy adds a short row in index order, so the
-probabilities are bit for bit those of ``loss.softmax``.
+K members, or a validation block. The arena hands out one set per pass shape,
+built on its first use, each a contiguous ``[:n].reshape`` prefix view of
+those buffers, since every work array is written before it is read. A matmul
+or ufunc writing into such a view rounds bit for bit as into an array of its
+own; this was measured for K of 1, 8, 15 and 51 members over batches of 27, 7
+and 1 rows, and the tests hold every fit to lone fits and to an allocating
+per-layer reference. Every pass, a batch or a validation block, gathers its
+rows' targets from its members' ``(K, J, J)`` target-matrix rows into its
+set's ``targets`` with one ``take``, so no array of every row's targets,
+training or validation, is kept or reshuffled; the fit checks both label
+sets' range once, since that ``take`` clips. The softmax takes each row's max
+and sum, and validation each row's log-likelihood sum, as J-1 ufuncs over the
+grade columns rather than as reductions over the last axis, because numpy
+reduces a length-5 trailing axis slowly; the max is exact and numpy adds a
+short row in index order, so the probabilities are bit for bit those of
+``loss.softmax``.
 
 Each epoch ends with the validation loss of all K members: one forward pass
-over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members,
-against the members' ``(K, V, J)`` validation targets, taken once per fit from
-the same target rows as each batch's targets. A block's weights and targets
-are slices of the stack's, and its work set runs forward only, so validation
-memory stays that of 8 members however large the stack. ``predict_proba``'s
-one-off ``(1, N, ...)`` arena is forward-only too. When members leave the
-stack, the fit compacts the members left into a prefix of the parameter, Adam
-moment, learning-rate, target-row and validation-target buffers, in place; the
-gradient, scratch and work buffers, rewritten every step, shrink to a prefix.
-Members leaving allocate nothing, so they never raise the fit's peak memory.
-Every ufunc is elementwise or keeps its reduction axis, and every member runs
-its own gemm, so none of this changes a single bit.
+over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members, in
+stack order, whose weights and target rows are slices of the stack's, so
+validation memory stays that of 8 members however large the stack.
+``predict_proba``'s one-off ``(1, N, ...)`` set is forward-only too, and holds
+no targets. When members leave the stack, the fit compacts the members left
+into a prefix of the parameter, Adam moment, learning-rate and target-row
+buffers, in place, and the gradient and scratch buffers, rewritten every step,
+shrink to a prefix; no work set is built, and at the smaller stack's first
+batch the arena drops the sets it no longer runs. Members leaving allocate
+nothing, so they never raise the fit's peak memory. Every ufunc is elementwise
+or keeps its reduction axis, and every member runs its own gemm, so none of
+this changes a single bit.
 
 Each member's ``TrainHistory`` is the one record of its trained candidate:
 ``train`` returns it, ``random_search`` returns each strategy's winning one,
@@ -158,13 +160,15 @@ class TrainConfig:
 
 
 class _Arena:
-    """The work buffers of one fit: one flat buffer per work role, sized once for
-    the largest pass that uses the role, of which every ``_Work`` set is a prefix.
+    """The work buffers of one fit, or of one inference pass: one flat buffer per
+    work role, sized for the largest pass that uses it, and one ``_Work`` set of
+    prefix views of them per pass shape.
 
     ``hidden``, ``logits``, ``llik``, ``row_max`` and ``row_sum`` hold ``n_rows``
-    (member, row) pairs, the most that any pass, forward or backward, runs;
-    ``targets``, ``mask`` and ``d_hidden``, which only a backward pass uses, hold
-    ``n_backward_rows``; ``total`` holds one value per member.
+    (member, row) pairs, the most that any pass runs, and so does ``targets`` in a
+    fit's arena (one with backward passes), every pass of which is scored;
+    inference's holds none. ``mask`` and ``d_hidden``, which only a backward pass
+    uses, hold ``n_backward_rows``; ``total`` holds one value per member.
     """
 
     def __init__(self, layers: dict, n_members: int, n_rows: int, n_backward_rows: int = 0):
@@ -175,9 +179,32 @@ class _Arena:
         self.d_hidden = np.empty(n_backward_rows * self.n_hidden)
         self.mask = np.empty(n_backward_rows * self.n_hidden, dtype=bool)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
-        self.targets = np.empty(n_backward_rows * self.n_grades)
+        self.targets = np.empty((n_rows if n_backward_rows else 0) * self.n_grades)
         self.row_max, self.row_sum = np.empty(n_rows), np.empty(n_rows)
         self.total = np.empty(n_members)
+        self.n_stack, self.sets = n_members, {}
+
+    def work(self, n_members: int, n_rows: int, backward: bool = False) -> _Work:
+        """The set for a pass of ``n_members`` over ``n_rows`` rows, built on first use.
+        A fit runs batches of its whole stack and validation blocks of at most
+        ``_VAL_BLOCK``, so a batch of another size means members left: the sets
+        of member counts the smaller stack does not run are dropped."""
+        if backward and n_members != self.n_stack:
+            self.n_stack = n_members
+            counts = {n_members, min(n_members, _VAL_BLOCK), n_members % _VAL_BLOCK}
+            self.sets = {key: s for key, s in self.sets.items() if key[0] in counts}
+        key = (n_members, n_rows, backward)
+        if key not in self.sets:
+            self.sets[key] = _Work(self, *key)
+        return self.sets[key]
+
+    def scored(self, target_rows: np.ndarray, labels: np.ndarray, backward: bool = False) -> _Work:
+        """The set for a pass of the members with ``(k, J, J)`` target rows
+        ``target_rows`` over rows labelled ``labels``, their targets gathered in
+        with a ``take`` that clips."""
+        work = self.work(len(target_rows), len(labels), backward)
+        target_rows.take(labels, 1, work.targets, "clip")
+        return work
 
 
 class _Work:
@@ -187,11 +214,12 @@ class _Work:
     ``hidden`` is ``(K, B, H)`` (None for the linear model); ``logits``, which
     become probabilities (and then ``d_logits`` in a backward pass), and
     ``llik`` are ``(K, B, J)``; ``row_max`` and ``row_sum`` are ``(K, B)``;
-    ``total`` is ``(K,)``. A set for a backward pass also holds the batch's
-    ``(K, B, J)`` ``targets`` and the MLP's ``(K, B, H)`` ReLU ``mask`` and
-    ``d_hidden``; a forward-only set, as validation and inference use, leaves
-    them None. The J column views of ``logits`` and ``llik`` and the
-    ``(K, B, 1)`` broadcast views of the row max and sum are built with the set.
+    ``total`` is ``(K,)``. A set in a fit's arena also holds the rows'
+    ``(K, B, J)`` ``targets``, which inference's leaves None. A set for a backward
+    pass also holds the MLP's ``(K, B, H)`` ReLU ``mask`` and ``d_hidden``; a
+    forward-only set, as validation and inference use, leaves them None. The J
+    column views of ``logits`` and ``llik`` and the ``(K, B, 1)`` broadcast views
+    of the row max and sum are built with the set.
     """
 
     def __init__(self, arena: _Arena, n_members: int, n_rows: int, backward: bool = False):
@@ -207,7 +235,7 @@ class _Work:
                 self.mask = view(arena.mask, *hidden_shape)
         grades_shape = (n_members, n_rows, arena.n_grades)
         self.logits, self.llik = view(arena.logits, *grades_shape), view(arena.llik, *grades_shape)
-        if backward:
+        if arena.targets.size:
             self.targets = view(arena.targets, *grades_shape)
         self.row_max = view(arena.row_max, n_members, n_rows)
         self.row_sum = view(arena.row_sum, n_members, n_rows)
@@ -278,7 +306,7 @@ def _log_likelihood(probs: np.ndarray, targets: np.ndarray, out: np.ndarray) -> 
 def predict_proba(weights: dict, features: np.ndarray) -> np.ndarray:
     """Softmax probabilities of the model ``weights`` on ``features``: one forward
     pass with a one-off forward-only set of work arrays."""
-    work = _Work(_Arena(weights, 1, len(features)), 1, len(features))
+    work = _Arena(weights, 1, len(features)).work(1, len(features))
     _forward({k: w[None] for k, w in weights.items()}, features, work)
     return _softmax(work)[0]
 
@@ -370,18 +398,17 @@ def _views(flat: np.ndarray, layout: list[tuple[str, slice, tuple]]) -> dict:
     return {key: flat[..., span].reshape(lead + shape) for key, span, shape in layout}
 
 
-def _batch_gradients(
-    weights: dict, grads: dict, x: np.ndarray, t: np.ndarray, work: _Work
-) -> np.ndarray:
-    """Per member: write the gradients of one batch's mean soft cross-entropy into
-    ``grads`` (views of the same layout as ``weights``) and return the batch's sum of
-    target-weighted log-probabilities (minus the loss times the batch size), all
-    through the work arrays ``work`` sized for this batch."""
+def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> np.ndarray:
+    """Per member: write the gradients of one batch's mean soft cross-entropy
+    against ``work.targets`` into ``grads`` (views of the same layout as
+    ``weights``) and return the batch's sum of target-weighted log-probabilities
+    (minus the loss times the batch size), all through the work arrays ``work``
+    sized for this batch."""
     _forward(weights, x, work)
     probs = _softmax(work)
-    _log_likelihood(probs, t, work.llik).sum(axis=(-2, -1), out=work.total)
+    _log_likelihood(probs, work.targets, work.llik).sum(axis=(-2, -1), out=work.total)
     d_logits = probs
-    d_logits -= t
+    d_logits -= work.targets
     d_logits /= x.shape[0]
     hidden = x if work.hidden is None else work.hidden
     np.matmul(hidden.swapaxes(-1, -2), d_logits, out=grads["w_out"])
@@ -396,12 +423,12 @@ def _batch_gradients(
     return work.total
 
 
-def _mean_soft_ce(weights: dict, x: np.ndarray, targets: np.ndarray, work: _Work) -> np.ndarray:
+def _mean_soft_ce(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     """Each member's mean soft cross-entropy over ``x`` against its ``(V, J)``
-    slice of ``targets``, as ``loss.mean_soft_ce`` computes it: row sums of the
-    log-likelihood terms, then their mean over each member's contiguous row."""
+    slice of ``work.targets``, as ``loss.mean_soft_ce`` computes it: row sums of
+    the log-likelihood terms, then their mean over each member's contiguous row."""
     _forward(weights, x, work)
-    llik = _log_likelihood(_softmax(work), targets, work.llik)
+    llik = _log_likelihood(_softmax(work), work.targets, work.llik)
     return -_row_sums(llik, work.llik_cols, work.row_sum).mean(axis=-1)
 
 
@@ -504,31 +531,6 @@ class TrainHistory:
         return self.stale_epochs < self.config.patience
 
 
-def _batch_work(arena: _Arena, n_members: int, batch_sizes: list[int]) -> list[_Work]:
-    """Work arrays in ``arena`` for each batch of an epoch, one set per batch size."""
-    sets = {n: _Work(arena, n_members, n, backward=True) for n in set(batch_sizes)}
-    return [sets[n] for n in batch_sizes]
-
-
-def _val_blocks(
-    arena: _Arena, weights: dict, val_targets: np.ndarray, n_rows: int
-) -> list[tuple[dict, np.ndarray, _Work]]:
-    """The weight views, ``(k, V, J)`` validation targets and forward-only work set
-    in ``arena`` of each block of at most ``_VAL_BLOCK`` members of the stack
-    ``weights``, one set per block size; a block's views and targets are slices
-    of the stack's, so each member runs a lone fit's gemms."""
-    n_members = len(val_targets)
-    sets: dict[int, _Work] = {}
-    blocks = []
-    for lo in range(0, n_members, _VAL_BLOCK):
-        hi = min(lo + _VAL_BLOCK, n_members)
-        if hi - lo not in sets:
-            sets[hi - lo] = _Work(arena, hi - lo, n_rows)
-        block = {k: w[lo:hi] for k, w in weights.items()}
-        blocks.append((block, val_targets[lo:hi], sets[hi - lo]))
-    return blocks
-
-
 def _fit_lockstep(
     init_weights: dict,
     data: SampleSet,
@@ -542,17 +544,17 @@ def _fit_lockstep(
     and targets, one matrix per distinct (strategy, params) over ``init_weights``'
     grades. The members' weights are stacked on a leading axis, and each step runs
     one batched forward/backward and update on one mini-batch that all members
-    share, whose targets are gathered from the members' ``(K, J, J)`` target rows;
-    each epoch ends with a batched forward over the validation set per block of at
-    most ``_VAL_BLOCK`` members. A batched matmul runs one gemm per member and
-    reductions run over the batch axis or within one member's row, so every
-    member's arithmetic is bit for bit that of the member trained alone. The
-    weights and gradients are flat ``(K, P)`` buffers seen through per-layer views,
-    and every work set is a view of the fit's one ``_Arena``, sized for its largest
-    pass: a batch of all K members, or a validation block. A member that stops
-    early or goes non-finite leaves the stack: the members left are compacted into
-    a prefix of the parameter, moment, learning-rate and target buffers, and the
-    views and work sets are built afresh over the same memory.
+    share; each epoch ends with a batched forward over the validation set per
+    block of at most ``_VAL_BLOCK`` members, in stack order. Every pass, batch or
+    block, takes its work set from the fit's one ``_Arena`` by shape and gathers
+    its rows' targets into it from its members' ``(k, J, J)`` target rows. A
+    batched matmul runs one gemm per member and reductions run over the batch axis
+    or within one member's row, so every member's arithmetic is bit for bit that
+    of the member trained alone. The weights and gradients are flat ``(K, P)``
+    buffers seen through per-layer views. A member that stops early or goes
+    non-finite leaves the stack: the members left are compacted into a prefix of
+    the parameter, moment, learning-rate and target-row buffers, and the
+    gradient prefix and layer views are taken afresh over the same memory.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -571,10 +573,9 @@ def _fit_lockstep(
     keys = dict.fromkeys((c.strategy, c.params) for c in configs)
     matrices = {key: build_target_matrix(space, *key).rows for key in keys}
     target_rows = np.stack([matrices[c.strategy, c.params] for c in configs])
-    # the per-batch gather clips its indices, so a label past the grades must fail here
-    if data.labels.max() >= target_rows.shape[1]:
+    # each pass's target gather clips its indices, so a label past the grades must fail here
+    if max(data.labels.max(), validation.labels.max()) >= target_rows.shape[1]:
         raise ValueError(f"labels must lie below {target_rows.shape[1]} grades")
-    val_targets = target_rows.take(validation.labels, 1)
     learning_rates = np.array([c.learning_rate for c in configs])
     optimizer = _Optimizer(shared.optimizer, learning_rates, flat_init.size)
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
@@ -583,8 +584,6 @@ def _fit_lockstep(
     batch_rows = len(members) * int(batch_sizes[0])
     val_rows = min(len(members), _VAL_BLOCK) * validation.n_samples
     arena = _Arena(init_weights, len(members), max(batch_rows, val_rows), batch_rows)
-    batch_work = _batch_work(arena, len(members), batch_sizes.tolist())
-    val_blocks = _val_blocks(arena, weights, val_targets, validation.n_samples)
 
     for epoch in range(1, shared.max_epochs + 1):
         perm = rng.permutation(data.n_samples)
@@ -593,17 +592,17 @@ def _fit_lockstep(
         # divergence surfaces as non-finite losses below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for i, start in enumerate(starts):
-                end, work = start + shared.batch_size, batch_work[i]
-                target_rows.take(labels_epoch[start:end], 1, work.targets, "clip")
-                log_likelihoods[:, i] = _batch_gradients(
-                    weights, grads, x_epoch[start:end], work.targets, work
-                )
+                end = start + shared.batch_size
+                work = arena.scored(target_rows, labels_epoch[start:end], backward=True)
+                log_likelihoods[:, i] = _batch_gradients(weights, grads, x_epoch[start:end], work)
                 optimizer.update(params, flat_grads)
             # per-batch mean losses, then their mean over the epoch
             epoch_train = (-log_likelihoods / batch_sizes).mean(axis=1)
+            blocks = [slice(lo, lo + _VAL_BLOCK) for lo in range(0, len(alive), _VAL_BLOCK)]
             epoch_val = np.concatenate([
-                _mean_soft_ce(block, validation.features, block_targets, work)
-                for block, block_targets, work in val_blocks
+                _mean_soft_ce({k: w[block] for k, w in weights.items()}, validation.features,
+                              arena.scored(target_rows[block], validation.labels))
+                for block in blocks
             ])
             rows = []
             for row, member in enumerate(alive):
@@ -614,14 +613,10 @@ def _fit_lockstep(
             if not rows:
                 break
             alive = [alive[row] for row in rows]
-            params, target_rows, val_targets = (
-                _compact(stack, rows) for stack in (params, target_rows, val_targets)
-            )
+            params, target_rows = _compact(params, rows), _compact(target_rows, rows)
             flat_grads = flat_grads[: len(rows)]  # rewritten every step
             weights, grads = _views(params, layout), _views(flat_grads, layout)
             optimizer.keep(rows)
-            batch_work = _batch_work(arena, len(rows), batch_sizes.tolist())
-            val_blocks = _val_blocks(arena, weights, val_targets, validation.n_samples)
     return members
 
 

@@ -254,7 +254,7 @@ def test_train_malformed_config_is_usage_error_naming_it(tmp_path, capsys):
     # wrong-typed values name their key; a boolean is no number, an integer is one
     for text, key in (('{"learning_rate": "a"}', "learning_rate"), ('{"seed": 1.5}', "seed"),
                       ('{"max_epochs": true}', "max_epochs"),
-                      ('{"params": {"eta": null}}', "eta"),
+                      ('{"params": {"eta": null}}', "eta"), ('{"strategy": ["a"]}', "strategy"),
                       ('{"strategy": "beta", "params": {"concentration": "5"}}', "concentration")):
         config.write_text(text)
         assert main(["train", "--data", str(data), "--config", str(config)]) == EXIT_USAGE, text
@@ -704,6 +704,14 @@ def test_sweep_bad_config_usage_error(tmp_path, capsys):
         ({"n_classes_b": "4"}, "n_classes_b"), ({"n_classes_b": True}, "n_classes_b"),
         # each record of a strategy listed twice would enter its summary twice
         ({"strategies": ["nominal", "beta", "beta"]}, "listed more than once: ['beta']"),
+        # a number is no path (open() would take it for a file descriptor), and a
+        # record's task is a string
+        ({"dataset": 5}, "dataset must be a string"), ({"task": ["t"]}, "task must be a string"),
+        ({"output_dir": 3}, "output_dir must be a string"),
+        # a string is no list of strategies, nor is an empty list or one of numbers
+        ({"strategies": "nominal"}, "strategies must be a non-empty list of strings"),
+        ({"strategies": []}, "strategies must be a non-empty list of strings"),
+        ({"strategies": ["nominal", 1]}, "strategies must be a non-empty list of strings"),
     ]
     for extra, message in bad_keys_and_types:
         path.write_text(json.dumps({**base, **extra}))

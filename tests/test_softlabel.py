@@ -162,6 +162,9 @@ def test_each_strategy_builds_its_formula_rows_bit_for_bit(n_classes):
 def test_build_rejects_an_unknown_strategy():
     with pytest.raises(ValueError, match="^unknown strategy 'ordinal'; expected one of"):
         build_target_matrix(LabelSpace(3), "ordinal")
+    # a list is no strategy name, nor a key of the strategy table
+    with pytest.raises(ValueError, match="^strategy must be a string"):
+        build_target_matrix(LabelSpace(3), ["ordinal"])
 
 
 def _grid_matrices(n_classes):

@@ -21,7 +21,6 @@ from ordsoft.trainer import (
     TrainingDiverged,
     _STREAM_SHUFFLE,
     _Arena,
-    _Work,
     _batch_gradients,
     _fit_lockstep,
     _layout,
@@ -195,6 +194,7 @@ def test_train_config_validation():
     ("beta", SmoothingParams(alpha=0.05, concentration=10.0),
      "beta strategy does not read alpha, given 0.05$"),
     ("nominal", SmoothingParams(eta=0.5), "nominal strategy does not read eta, given 0.5$"),
+    (["a"], SmoothingParams(), r"strategy must be a string, got \['a'\]$"),
 ])
 def test_train_config_rejects_a_strategy_fault_with_the_cli_message(strategy, params, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -452,6 +452,11 @@ def test_lockstep_rejects_labels_past_the_target_grades():
     # the per-batch target gather clips, so it would quietly read grade 2's row for grade 3
     with pytest.raises(ValueError, match="below 3 grades"):
         _fit_lockstep(init, data, data, [config])
+    # so does validation's: training labels in range do not let a validation label past
+    init = init_model("linear", data.n_features, 4, seed=0)
+    past = SampleSet(data.features[:3], np.array([0, 4, 1]))
+    with pytest.raises(ValueError, match="below 4 grades"):
+        _fit_lockstep(init, data, past, [config])
 
 
 @pytest.mark.parametrize("n_members", [1, 3, 6, 9, 19])
@@ -469,9 +474,9 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
     passes, forward_only = [], []
     mean_soft_ce = trainer._mean_soft_ce
 
-    def spy(weights, x, targets, work):
-        passes.append(len(targets))
-        return mean_soft_ce(weights, x, targets, work)
+    def spy(weights, x, work):
+        passes.append(len(work.targets))
+        return mean_soft_ce(weights, x, work)
 
     class SpyWork(trainer._Work):
         def __init__(self, arena, n_members, n_rows, backward=False):
@@ -660,19 +665,28 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
     members = _fit_lockstep(init, subtrain, val, configs)
 
     (arena,) = arenas
-    sizes = {(n_members, n_rows, backward) for _, _, n_members, n_rows, backward in sets}
+    built = [(n_members, n_rows, backward) for _, _, n_members, n_rows, backward in sets]
     # the full and short batch and both validation block sizes, then smaller stacks
     assert {(11, 16, True), (11, subtrain.n_samples % 16, True), (8, val.n_samples, False),
-            (3, val.n_samples, False)} <= sizes
-    assert any(n_members < 11 for n_members, _, _ in sizes)
+            (3, val.n_samples, False)} <= set(built)
+    assert any(n_members < 11 for n_members, _, _ in built)
     for owner, work, _, _, backward in sets:
         assert owner is arena
-        roles = ["logits", "llik", "row_max", "row_sum", "total"]
-        roles += ["targets"] if backward else []
+        # batches and validation blocks alike are scored against targets gathered here
+        roles = ["logits", "llik", "row_max", "row_sum", "total", "targets"]
         if architecture == "mlp_1_hidden":
             roles += ["hidden", "mask", "d_hidden"] if backward else ["hidden"]
         for role in roles:
             assert np.shares_memory(getattr(work, role), getattr(arena, role)), role
+    # a set is looked up, not rebuilt when members leave: the stack kept 8 or more
+    # members past a removal, and its blocks of 8 validated on one set throughout
+    epochs = [member.stopped_epoch for member in members]
+    assert any(sum(e > stop for e in epochs) >= 8 for stop in epochs if stop < max(epochs))
+    assert built.count((8, val.n_samples, False)) == 1
+    # and the sets the fit keeps at its end are those its last stack ran
+    last = epochs.count(max(epochs))
+    blocks = {(min(8, last - lo), val.n_samples, False) for lo in range(0, last, 8)}
+    assert set(arena.sets) == {(last, 16, True), (last, subtrain.n_samples % 16, True)} | blocks
 
     # members left at staggered epochs; every member's parameters, at every epoch,
     # were a row of the one buffer the fit started with, and so were the optimizer's
@@ -736,10 +750,9 @@ def test_batch_gradients_match_central_differences():
             return mean_soft_ce(softmax(hidden @ w["w_out"] + w["b_out"]), targets)
 
         params, grads = flat[None].copy(), np.empty((1, flat.size))
-        work = _Work(_Arena(init, 1, len(x), len(x)), 1, len(x), backward=True)
+        work = _Arena(init, 1, len(x), len(x)).work(1, len(x), backward=True)
         work.targets[0] = targets
-        total = _batch_gradients(_views(params, layout), _views(grads, layout), x,
-                                 work.targets, work)
+        total = _batch_gradients(_views(params, layout), _views(grads, layout), x, work)
         assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
         numeric = np.empty(flat.size)
         for i in range(flat.size):
