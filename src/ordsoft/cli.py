@@ -99,8 +99,13 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _make_parent(path: str | Path) -> None:
+    """Create the directory that ``path`` is written into, and its parents."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -209,6 +214,9 @@ def cmd_synth(args) -> int:
             spec = SynthSpec(n_classes=args.classes, n_per_class=args.per_class, **shared)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for path in (args.out, args.truth_out):
+        if path:
+            _make_parent(path)
     if args.paired:
         labels_a, labels_b = generate_paired(spec)
         _write_paired_csv(args.out, paired_features(labels_a, labels_b, spec), labels_a, labels_b)
@@ -277,6 +285,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"{args.config}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.out:
+        _make_parent(args.out)  # before the fit, which a missing directory would waste
     line = _dump_json(_run_record(args.task, run_fixed(dataset, space, config)))
     if args.out:
         with open(args.out, "a") as fh:

@@ -13,41 +13,53 @@ their weights are stacked on a leading axis, every step runs one batched
 forward/backward and one update on a mini-batch they share, each with its own
 learning rate and targets, and each stops early on its own. Stacking saves a
 step's fixed cost of numpy calls, not its arithmetic: pinned to one CPU, a
-step with validation is member-linear above K≈8, at 13.7 µs per member for
-K=51. Each member's arithmetic is bit for bit that of a lone fit. ``train`` is
-the loop's one-member case. A member's ``TrainConfig`` alone names its
-targets, by its (strategy, params), which the fit builds once per pair.
+step is member-linear above K≈8, at 8.6 µs per member for K=51, validation
+aside (``tools/step_bench.py``). Each member's arithmetic is bit for bit that
+of a lone fit. ``train`` is the loop's one-member case. A member's
+``TrainConfig`` alone names its targets, by its (strategy, params), which the
+fit builds once per pair.
 
 A model is its layer dict: ``w_out`` (H x J) and ``b_out`` (J), preceded for
 the MLP by ``w_in`` (d x H) and ``b_in`` (H); the architecture, grade count and
 hidden width are read off those shapes. ``init_model`` makes one, ``train`` and
 each ``TrainHistory`` hold the best one, and ``predict_proba`` is inference.
 
-The K members' parameters live in one flat ``(K, P)`` buffer, P being the
-parameter count of one model, and their gradients in a second one; the layers
-(``w_in``, ``b_in``, ``w_out``, ``b_out``) are named ``(K, *shape)`` views of
-those buffers. The optimizer updates the whole buffer with one short run of
-in-place ufuncs per step rather than one allocating pass per layer.
+The K members' parameters live in one flat buffer laid out role-major,
+``[w_in (K, d, H) | b_in (K, H) | w_out (K, H, J) | b_out (K, J)]``, so each
+layer of every member is one contiguous run and each member's layer one
+contiguous block of it; their gradients and Adam moments live in buffers of the
+same layout, and the layers are named ``(K, *shape)`` views of them. The
+optimizer updates the whole buffer with one short run of in-place ufuncs per
+step, against a learning rate spread to every parameter, and computes the step
+in the gradient buffer, which it has read by then, so it keeps no scratch
+buffer of its own.
 
 A step's forward/backward allocates no arrays either, only views. It writes
-into work arrays (``_Work``): ``(K, B, H)`` hidden activations, ReLU mask and
-``d_hidden``; ``(K, B, J)`` targets, logits, which become probabilities and
-then ``d_logits`` in place, and log-likelihood terms; ``(K, B)`` row max and
-sum. A fit allocates them once, as one arena (``_Arena``) holding a flat
-buffer per work role, sized for the largest pass that uses it: a batch of all
-K members, or a validation block. The arena hands out one set per pass shape,
-built on its first use, each a contiguous ``[:n].reshape`` prefix view of
-those buffers, since every work array is written before it is read. A matmul
-or ufunc writing into such a view rounds bit for bit as into an array of its
-own; this was measured for K of 1, 8, 15 and 51 members over batches of 27, 7
-and 1 rows, and the tests hold every fit to lone fits and to an allocating
-per-layer reference. Every pass, a batch or a validation block, gathers its
-rows' targets from its members' ``(K, J, J)`` target-matrix rows into its
-set's ``targets`` with one ``take``, so no array of every row's targets,
-training or validation, is kept or reshuffled; the fit checks both label
-sets' range once, since that ``take`` clips. The softmax takes each row's max
-and sum, and validation each row's log-likelihood sum, as J-1 ufuncs over the
-grade columns rather than as reductions over the last axis, because numpy
+into work arrays (``_Work``) laid out batch-major: ``(B, K, H)`` hidden
+activations, ReLU mask and ``d_hidden``; ``(B, K, J)`` targets, logits, which
+become probabilities and then ``d_logits`` in place, and log-likelihood terms;
+``(B, K)`` row max and sum. So a bias add is one loop over a row's K·H or K·J
+values, and a bias gradient, a sum over the batch, adds whole rows of K·H or
+K·J values in row order, where the member-major ``(K, B, .)`` layout ran one
+short loop per member and row. Each member's matmuls run on ``(K, B, .)``
+transposed views, whose rows are contiguous, so each is still one gemm. The
+loss sums stay member-major, as a lone member's are: a batch's terms are
+written into a ``(K, B, J)`` array before each member's block is summed, and
+validation's row sums into a ``(K, V)`` one before each member's row is
+averaged. A fit allocates its work arrays once, as one arena (``_Arena``)
+holding a flat buffer per work role, sized for the largest pass that uses it:
+a batch of all K members, or a validation block. The arena hands out one set
+per pass shape, built on its first use, each a contiguous ``[:n].reshape``
+prefix view of those buffers, since every work array is written before it is
+read. A matmul or ufunc writing into such a view rounds bit for bit as into an
+array of its own, and the tests hold every fit to lone fits and to an
+allocating per-layer reference. Every pass, a batch or a validation block,
+gathers its rows' targets from its members' label-major ``(J, K, J)`` target
+rows into its set's ``targets`` with one ``take``, so no array of every row's
+targets, training or validation, is kept or reshuffled; the fit checks both
+label sets' range once, since that ``take`` clips. The softmax takes each row's
+max and sum, and validation each row's log-likelihood sum, as J-1 ufuncs over
+the grade columns rather than as reductions over the last axis, because numpy
 reduces a length-5 trailing axis slowly; the max is exact and numpy adds a
 short row in index order, so the probabilities are bit for bit those of
 ``loss.softmax``.
@@ -56,14 +68,16 @@ Each epoch ends with the validation loss of all K members: one forward pass
 over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members, in
 stack order, whose weights and target rows are slices of the stack's, so
 validation memory stays that of 8 members however large the stack.
-``predict_proba``'s one-off ``(1, N, ...)`` set is forward-only too, and holds
-no targets. When members leave the stack, the fit compacts the members left
-into a prefix of the parameter, Adam moment, learning-rate and target-row
-buffers, in place, and the gradient and scratch buffers, rewritten every step,
+``predict_proba``'s one-off ``(N, 1, ...)`` set is forward-only too, and holds
+no targets. When members leave the stack, the fit compacts the members left in
+place: within each role of the parameter, Adam moment, learning-rate and
+target-row buffers, the rows kept move to the front, and each role's segment
+slides down, so the smaller stack is again role-major in a prefix of each
+buffer. The gradient and Adam denominator buffers, rewritten every step,
 shrink to a prefix; no work set is built, and at the smaller stack's first
 batch the arena drops the sets it no longer runs. Members leaving allocate
 nothing, so they never raise the fit's peak memory. Every ufunc is elementwise
-or keeps its reduction axis, and every member runs its own gemm, so none of
+or keeps its reduction order, and every member runs its own gemm, so none of
 this changes a single bit.
 
 Each member's ``TrainHistory`` is the one record of its trained candidate:
@@ -167,8 +181,9 @@ class _Arena:
     ``hidden``, ``logits``, ``llik``, ``row_max`` and ``row_sum`` hold ``n_rows``
     (member, row) pairs, the most that any pass runs, and so does ``targets`` in a
     fit's arena (one with backward passes), every pass of which is scored;
-    inference's holds none. ``mask`` and ``d_hidden``, which only a backward pass
-    uses, hold ``n_backward_rows``; ``total`` holds one value per member.
+    inference's holds none. ``mask``, ``d_hidden`` and ``member_llik``, which only
+    a backward pass uses, hold ``n_backward_rows``; ``total`` holds one value per
+    member.
     """
 
     def __init__(self, layers: dict, n_members: int, n_rows: int, n_backward_rows: int = 0):
@@ -179,6 +194,7 @@ class _Arena:
         self.d_hidden = np.empty(n_backward_rows * self.n_hidden)
         self.mask = np.empty(n_backward_rows * self.n_hidden, dtype=bool)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
+        self.member_llik = np.empty(n_backward_rows * self.n_grades)
         self.targets = np.empty((n_rows if n_backward_rows else 0) * self.n_grades)
         self.row_max, self.row_sum = np.empty(n_rows), np.empty(n_rows)
         self.total = np.empty(n_members)
@@ -199,11 +215,11 @@ class _Arena:
         return self.sets[key]
 
     def scored(self, target_rows: np.ndarray, labels: np.ndarray, backward: bool = False) -> _Work:
-        """The set for a pass of the members with ``(k, J, J)`` target rows
-        ``target_rows`` over rows labelled ``labels``, their targets gathered in
-        with a ``take`` that clips."""
-        work = self.work(len(target_rows), len(labels), backward)
-        target_rows.take(labels, 1, work.targets, "clip")
+        """The set for a pass of the members whose target rows are the ``(J, k, J)``
+        label-major ``target_rows`` over rows labelled ``labels``, their targets
+        gathered in with one ``take`` that clips."""
+        work = self.work(target_rows.shape[1], len(labels), backward)
+        target_rows.take(labels, 0, work.targets, "clip")
         return work
 
 
@@ -211,15 +227,27 @@ class _Work:
     """Work arrays for one pass of K members over a batch of B rows, each a
     contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
-    ``hidden`` is ``(K, B, H)`` (None for the linear model); ``logits``, which
-    become probabilities (and then ``d_logits`` in a backward pass), and
-    ``llik`` are ``(K, B, J)``; ``row_max`` and ``row_sum`` are ``(K, B)``;
-    ``total`` is ``(K,)``. A set in a fit's arena also holds the rows'
-    ``(K, B, J)`` ``targets``, which inference's leaves None. A set for a backward
-    pass also holds the MLP's ``(K, B, H)`` ReLU ``mask`` and ``d_hidden``; a
-    forward-only set, as validation and inference use, leaves them None. The J
-    column views of ``logits`` and ``llik`` and the ``(K, B, 1)`` broadcast views
-    of the row max and sum are built with the set.
+    The arrays are batch-major, so a bias add or a sum over the batch runs as one
+    loop over all K members' values of a row. ``hidden`` is ``(B, K, H)`` (None
+    for the linear model); ``logits``, which become probabilities (and then
+    ``d_logits`` in a backward pass), and the log-likelihood terms ``llik`` are
+    ``(B, K, J)``; ``row_max`` and ``row_sum`` are ``(B, K)``; ``total`` is
+    ``(K,)``. A set in a fit's arena also holds the rows' ``(B, K, J)``
+    ``targets``, which inference's leaves None. A set for a backward pass also
+    holds the MLP's ``(B, K, H)`` ReLU ``mask`` and ``d_hidden``; a forward-only
+    set, as validation and inference use, leaves them None. Each member's matmuls
+    write and read ``hidden_t``, ``logits_t`` and ``d_hidden_t``, ``(K, B, .)``
+    transposed views of those: a member's ``(B, .)`` matrix has contiguous rows
+    a stack row apart, so each member's product is still one gemm.
+
+    Two member-major arrays keep each member's loss sums in one contiguous run,
+    as a lone member's are: a backward pass's ``member_llik``, ``(K, B, J)``, into
+    which the log-likelihood terms are written through its ``(B, K, J)`` view
+    ``member_llik_t``, and validation's per-row sums ``llik_sums``, ``(K, B)``, a
+    view of the row-sum buffer, which the softmax no longer needs by then,
+    written through ``llik_sums_t``. The J column views of ``logits`` and
+    ``llik`` and the ``(B, K, 1)`` broadcast views of the row max and sum are
+    built with the set.
     """
 
     def __init__(self, arena: _Arena, n_members: int, n_rows: int, backward: bool = False):
@@ -227,18 +255,26 @@ class _Work:
             return buffer[: math.prod(shape)].reshape(shape)
 
         self.hidden = self.mask = self.d_hidden = self.targets = None
-        hidden_shape = (n_members, n_rows, arena.n_hidden)
+        self.hidden_t = self.d_hidden_t = self.member_llik = self.member_llik_t = None
+        batch = (n_rows, n_members)
         if arena.n_hidden:
-            self.hidden = view(arena.hidden, *hidden_shape)
+            self.hidden = view(arena.hidden, *batch, arena.n_hidden)
+            self.hidden_t = self.hidden.swapaxes(0, 1)
             if backward:
-                self.d_hidden = view(arena.d_hidden, *hidden_shape)
-                self.mask = view(arena.mask, *hidden_shape)
-        grades_shape = (n_members, n_rows, arena.n_grades)
-        self.logits, self.llik = view(arena.logits, *grades_shape), view(arena.llik, *grades_shape)
+                self.d_hidden = view(arena.d_hidden, *batch, arena.n_hidden)
+                self.d_hidden_t = self.d_hidden.swapaxes(0, 1)
+                self.mask = view(arena.mask, *batch, arena.n_hidden)
+        self.logits = view(arena.logits, *batch, arena.n_grades)
+        self.logits_t = self.logits.swapaxes(0, 1)
+        self.llik = view(arena.llik, *batch, arena.n_grades)
+        if backward:
+            self.member_llik = view(arena.member_llik, n_members, n_rows, arena.n_grades)
+            self.member_llik_t = self.member_llik.swapaxes(0, 1)
         if arena.targets.size:
-            self.targets = view(arena.targets, *grades_shape)
-        self.row_max = view(arena.row_max, n_members, n_rows)
-        self.row_sum = view(arena.row_sum, n_members, n_rows)
+            self.targets = view(arena.targets, *batch, arena.n_grades)
+        self.row_max, self.row_sum = view(arena.row_max, *batch), view(arena.row_sum, *batch)
+        self.llik_sums = view(arena.row_sum, n_members, n_rows)
+        self.llik_sums_t = self.llik_sums.T
         self.total = arena.total[:n_members]
         self.cols = [self.logits[..., j] for j in range(arena.n_grades)]
         self.llik_cols = [self.llik[..., j] for j in range(arena.n_grades)]
@@ -251,12 +287,12 @@ def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     ReLU hidden layer."""
     inputs = x
     if work.hidden is not None:
-        np.matmul(x, weights["w_in"], out=work.hidden)
-        work.hidden += weights["b_in"][..., None, :]
+        np.matmul(x, weights["w_in"], out=work.hidden_t)
+        work.hidden += weights["b_in"]
         np.maximum(work.hidden, 0.0, out=work.hidden)
-        inputs = work.hidden
-    np.matmul(inputs, weights["w_out"], out=work.logits)
-    work.logits += weights["b_out"][..., None, :]
+        inputs = work.hidden_t
+    np.matmul(inputs, weights["w_out"], out=work.logits_t)
+    work.logits += weights["b_out"]
     return work.logits
 
 
@@ -295,12 +331,12 @@ def _softmax(work: _Work) -> np.ndarray:
     return probs
 
 
-def _log_likelihood(probs: np.ndarray, targets: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Target-weighted log-probabilities, probabilities floored as in ``loss``."""
-    np.maximum(probs, PROB_FLOOR, out=out)
-    np.log(out, out=out)
-    out *= targets
-    return out
+def _log_likelihood(work: _Work, out: np.ndarray) -> np.ndarray:
+    """Write the target-weighted log-probabilities of ``work``'s probabilities, floored
+    as in ``loss``, into ``out``, ``(B, K, J)`` or a view of that shape, and return it."""
+    np.maximum(work.logits, PROB_FLOOR, out=work.llik)
+    np.log(work.llik, out=work.llik)
+    return np.multiply(work.llik, work.targets, out=out)
 
 
 def predict_proba(weights: dict, features: np.ndarray) -> np.ndarray:
@@ -308,7 +344,7 @@ def predict_proba(weights: dict, features: np.ndarray) -> np.ndarray:
     pass with a one-off forward-only set of work arrays."""
     work = _Arena(weights, 1, len(features)).work(1, len(features))
     _forward({k: w[None] for k, w in weights.items()}, features, work)
-    return _softmax(work)[0]
+    return _softmax(work)[:, 0]
 
 
 def init_model(
@@ -372,30 +408,51 @@ def stratified_split(
     return train_idx, holdout_idx
 
 
-def _compact(stack: np.ndarray, rows: list[int]) -> np.ndarray:
-    """Move the members ``rows`` (ascending) of ``stack`` to its first ``len(rows)``
-    rows in place and return that prefix. A member only moves toward the front,
-    onto a row already moved or left, so no row is overwritten before it moves."""
-    for to, row in enumerate(rows):
-        if to != row:
-            stack[to] = stack[row]
-    return stack[: len(rows)]
-
-
-def _layout(weights: dict) -> list[tuple[str, slice, tuple]]:
-    """Name, span in the flat buffer and shape of each of one model's layers."""
+def _layout(weights: dict) -> list[tuple[str, int, int, tuple]]:
+    """Name, offset and size among one model's parameters, and shape, of each of
+    its layers, in order."""
     layout, offset = [], 0
     for key, w in weights.items():
-        layout.append((key, slice(offset, offset + w.size), w.shape))
+        layout.append((key, offset, w.size, w.shape))
         offset += w.size
     return layout
 
 
-def _views(flat: np.ndarray, layout: list[tuple[str, slice, tuple]]) -> dict:
-    """Named layer views of a flat ``(P,)`` buffer, or ``(K, *shape)`` views of a
-    ``(K, P)`` one; writing to a view writes to the buffer."""
-    lead = flat.shape[:-1]
-    return {key: flat[..., span].reshape(lead + shape) for key, span, shape in layout}
+def _views(flat: np.ndarray, layout: list[tuple[str, int, int, tuple]], *lead: int) -> dict:
+    """Named layer views of the role-major buffer ``flat`` of ``prod(lead)`` models:
+    each layer's values of every model are one contiguous ``(*lead, *shape)`` run,
+    the layers in order; with no ``lead``, one model's layers. Writing to a view
+    writes to the buffer."""
+    n = math.prod(lead)
+    return {key: flat[n * offset: n * (offset + size)].reshape(lead + shape)
+            for key, offset, size, shape in layout}
+
+
+def _compact(flat: np.ndarray, sizes: Sequence[int], n_members: int, rows: list[int]) -> np.ndarray:
+    """Keep the members ``rows`` (ascending) of the role-major stack ``flat`` of
+    ``n_members`` members, whose roles hold ``sizes`` values per member, in place:
+    each role's kept rows move to the front of its segment and the segment slides
+    down, so the members kept form the role-major stack of ``len(rows)`` members
+    in the prefix of ``flat`` that is returned.
+
+    Each run of consecutive kept rows moves as one 1-D copy. Every copy moves
+    toward the front and the copies run in address order, so no value is
+    overwritten before it moves, and numpy copies an overlapping 1-D run front
+    to back without a temporary."""
+    runs = []  # [first row, its row once kept, length] of each run of consecutive rows
+    for to, row in enumerate(rows):
+        if runs and row == runs[-1][0] + runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([row, to, 1])
+    n_kept, offset = len(rows), 0
+    for size in sizes:
+        for row, to, length in runs:
+            src, dst = n_members * offset + row * size, n_kept * offset + to * size
+            if src != dst:
+                flat[dst: dst + length * size] = flat[src: src + length * size]
+        offset += size
+    return flat[: n_kept * offset]
 
 
 def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> np.ndarray:
@@ -403,23 +460,25 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     against ``work.targets`` into ``grads`` (views of the same layout as
     ``weights``) and return the batch's sum of target-weighted log-probabilities
     (minus the loss times the batch size), all through the work arrays ``work``
-    sized for this batch."""
+    sized for this batch. The bias gradients are sums over the batch-major
+    arrays' leading axis, which add the batch's rows in order."""
     _forward(weights, x, work)
     probs = _softmax(work)
-    _log_likelihood(probs, work.targets, work.llik).sum(axis=(-2, -1), out=work.total)
+    _log_likelihood(work, work.member_llik_t)
+    work.member_llik.sum(axis=(-2, -1), out=work.total)
     d_logits = probs
     d_logits -= work.targets
     d_logits /= x.shape[0]
-    hidden = x if work.hidden is None else work.hidden
-    np.matmul(hidden.swapaxes(-1, -2), d_logits, out=grads["w_out"])
-    d_logits.sum(axis=-2, out=grads["b_out"])
+    hidden = x if work.hidden is None else work.hidden_t
+    np.matmul(hidden.swapaxes(-1, -2), work.logits_t, out=grads["w_out"])
+    d_logits.sum(axis=0, out=grads["b_out"])
     if work.hidden is not None:
-        np.matmul(d_logits, weights["w_out"].swapaxes(-1, -2), out=work.d_hidden)
+        np.matmul(work.logits_t, weights["w_out"].swapaxes(-1, -2), out=work.d_hidden_t)
         # hidden > 0 exactly where the ReLU's input is positive
-        np.greater(hidden, 0.0, out=work.mask)
+        np.greater(work.hidden, 0.0, out=work.mask)
         work.d_hidden *= work.mask
-        np.matmul(x.T, work.d_hidden, out=grads["w_in"])
-        work.d_hidden.sum(axis=-2, out=grads["b_in"])
+        np.matmul(x.T, work.d_hidden_t, out=grads["w_in"])
+        work.d_hidden.sum(axis=0, out=grads["b_in"])
     return work.total
 
 
@@ -428,60 +487,72 @@ def _mean_soft_ce(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     slice of ``work.targets``, as ``loss.mean_soft_ce`` computes it: row sums of
     the log-likelihood terms, then their mean over each member's contiguous row."""
     _forward(weights, x, work)
-    llik = _log_likelihood(_softmax(work), work.targets, work.llik)
-    return -_row_sums(llik, work.llik_cols, work.row_sum).mean(axis=-1)
+    _softmax(work)
+    _row_sums(_log_likelihood(work, work.llik), work.llik_cols, work.llik_sums_t)
+    return -work.llik_sums.mean(axis=-1)
 
 
 class _Optimizer:
-    """Plain SGD or Adam (bias-corrected moments, betas 0.9/0.999, eps 1e-8) over a
-    flat ``(K, P)`` buffer of K members' parameters, with one learning rate per member.
+    """Plain SGD or Adam (bias-corrected moments, betas 0.9/0.999, eps 1e-8) over
+    the role-major parameter buffer of a stack of members, with one learning rate
+    per member.
 
-    The moments and scratch space are ``(K, P)`` buffers too, so a step is one run
-    of in-place ufuncs over the whole buffer, whatever the layers. The order of
-    operations is that of the textbook per-layer update:
-    ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g**2`` and
+    The learning rates are spread to a vector with one entry per parameter, laid
+    out as the parameters are, and Adam's moments are buffers of that layout too,
+    so a step is one run of in-place ufuncs over the whole buffer, whatever the
+    layers or the stack. The order of operations is that of the textbook
+    per-layer update: ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g**2`` and
     ``w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8)``.
     """
 
-    def __init__(self, kind: str, learning_rates: np.ndarray, n_params: int):
-        self.kind = kind
+    def __init__(self, kind: str, learning_rates: np.ndarray, sizes: Sequence[int]):
+        """``sizes`` holds each layer's parameter count of one member."""
+        self.kind, self.sizes = kind, sizes
         self.steps = 0
-        self.lr = learning_rates.reshape(-1, 1)
-        shape = (len(learning_rates), n_params)
-        self.scratch = np.empty(shape)
+        self.lr = np.concatenate([np.repeat(learning_rates, size) for size in sizes])
         if kind == "adam":
-            self.m, self.v, self.denom = np.zeros(shape), np.zeros(shape), np.empty(shape)
+            self.m, self.v = np.zeros_like(self.lr), np.zeros_like(self.lr)
+            self.denom = np.empty_like(self.lr)
 
     def keep(self, rows: list[int]) -> None:
         """Keep the state of the members ``rows`` (ascending) alone: the learning
         rates and moments are compacted into a prefix of their buffers, and the
-        scratch space, rewritten every step, shrinks to one."""
-        self.lr = _compact(self.lr, rows)
-        self.scratch = self.scratch[: len(rows)]
+        denominator, rewritten every step, shrinks to one."""
+        n_members = self.lr.size // sum(self.sizes)
+        self.lr = _compact(self.lr, self.sizes, n_members, rows)
         if self.kind == "adam":
-            self.m, self.v = _compact(self.m, rows), _compact(self.v, rows)
-            self.denom = self.denom[: len(rows)]
+            self.m = _compact(self.m, self.sizes, n_members, rows)
+            self.v = _compact(self.v, self.sizes, n_members, rows)
+            self.denom = self.denom[: self.lr.size]
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
-        step = self.scratch
+        """One step on ``params`` from ``grads``, whose buffer ends the step
+        overwritten: once the moments have read them, the step is computed there."""
         if self.kind == "sgd":
-            np.multiply(self.lr, grads, out=step)
-            params -= step
+            grads *= self.lr
+            params -= grads
             return
         self.steps += 1
         m, v, denom = self.m, self.v, self.denom
+        # denom is free until v_hat, so it holds the moments' increments
         m *= 0.9
-        np.multiply(grads, 0.1, out=step)
-        m += step
+        np.multiply(grads, 0.1, out=denom)
+        m += denom
         v *= 0.999
-        np.square(grads, out=step)
-        step *= 0.001
-        v += step
+        np.square(grads, out=denom)
+        denom *= 0.001
+        v += denom
         np.divide(v, 1.0 - 0.999**self.steps, out=denom)
         np.sqrt(denom, out=denom)
         denom += 1e-8
-        np.divide(m, 1.0 - 0.9**self.steps, out=step)
-        step *= self.lr
+        step = grads
+        correction = 1.0 - 0.9**self.steps
+        if correction == 1.0:
+            # from step 356 on; m / 1.0 is m to the bit, so the divide is skipped
+            np.multiply(m, self.lr, out=step)
+        else:
+            np.divide(m, correction, out=step)
+            step *= self.lr
         step /= denom
         params -= step
 
@@ -499,7 +570,7 @@ class TrainHistory:
     best_val: float = math.inf
     best_epoch: int = 0
     stale_epochs: int = 0
-    best_weights: Optional[dict] = field(default=None, compare=False)  # views of one flat copy
+    best_weights: Optional[dict] = field(default=None, compare=False)  # views of one owned copy
     diverged: Optional[TrainingDiverged] = field(default=None, compare=False)
     val_amae: Optional[float] = None
     val_mae: Optional[float] = None
@@ -509,9 +580,9 @@ class TrainHistory:
         return len(self.val_loss)
 
     def record(
-        self, epoch: int, train_loss: float, val_loss: float, params: np.ndarray, layout: list
+        self, epoch: int, train_loss: float, val_loss: float, weights: dict, row: int
     ) -> bool:
-        """Book one epoch's losses for the member whose flat parameters are ``params``;
+        """Book one epoch's losses for member ``row`` of the stacked layers ``weights``;
         False once it stops."""
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             self.diverged = TrainingDiverged(
@@ -523,7 +594,10 @@ class TrainHistory:
         self.val_loss.append(val_loss)
         if val_loss < self.best_val:
             self.best_val = val_loss
-            self.best_weights = _views(params.copy(), layout)
+            # one owned flat copy of the member's layers, seen through layer views
+            layers = {key: w[row] for key, w in weights.items()}
+            self.best_weights = _views(np.concatenate([w.ravel() for w in layers.values()]),
+                                       _layout(layers))
             self.best_epoch = epoch
             self.stale_epochs = 0
         else:
@@ -546,15 +620,17 @@ def _fit_lockstep(
     one batched forward/backward and update on one mini-batch that all members
     share; each epoch ends with a batched forward over the validation set per
     block of at most ``_VAL_BLOCK`` members, in stack order. Every pass, batch or
-    block, takes its work set from the fit's one ``_Arena`` by shape and gathers
-    its rows' targets into it from its members' ``(k, J, J)`` target rows. A
-    batched matmul runs one gemm per member and reductions run over the batch axis
-    or within one member's row, so every member's arithmetic is bit for bit that
-    of the member trained alone. The weights and gradients are flat ``(K, P)``
-    buffers seen through per-layer views. A member that stops early or goes
-    non-finite leaves the stack: the members left are compacted into a prefix of
-    the parameter, moment, learning-rate and target-row buffers, and the
-    gradient prefix and layer views are taken afresh over the same memory.
+    block, takes its batch-major work set from the fit's one ``_Arena`` by shape
+    and gathers its rows' targets into it from its members' label-major
+    ``(J, k, J)`` target rows. A batched matmul runs one gemm per member, sums
+    over the batch add its rows in order, and each member's loss sums run over a
+    member-major block, so every member's arithmetic is bit for bit that of the
+    member trained alone. The weights and gradients are role-major flat buffers
+    seen through per-layer ``(K, *shape)`` views. A member that stops early or
+    goes non-finite leaves the stack: the members left are compacted, role by
+    role, into a role-major prefix of the parameter, moment, learning-rate and
+    target-row buffers, and the gradient prefix and layer views are taken afresh
+    over the same memory.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -565,19 +641,20 @@ def _fit_lockstep(
     members = [TrainHistory(c) for c in configs]
     alive = list(members)
     layout = _layout(init_weights)
-    flat_init = np.concatenate([w.ravel() for w in init_weights.values()])
-    params = np.repeat(flat_init[None], len(members), axis=0)
+    sizes = [size for _, _, size, _ in layout]
+    params = np.concatenate([np.tile(w.ravel(), len(members)) for w in init_weights.values()])
     flat_grads = np.empty_like(params)
-    weights, grads = _views(params, layout), _views(flat_grads, layout)
-    space = LabelSpace(init_weights["b_out"].size)
+    weights, grads = _views(params, layout, len(members)), _views(flat_grads, layout, len(members))
+    n_grades = init_weights["b_out"].size
     keys = dict.fromkeys((c.strategy, c.params) for c in configs)
-    matrices = {key: build_target_matrix(space, *key).rows for key in keys}
-    target_rows = np.stack([matrices[c.strategy, c.params] for c in configs])
+    matrices = {key: build_target_matrix(LabelSpace(n_grades), *key).rows for key in keys}
+    # label-major (J, K, J): a label's row of every member is one contiguous run
+    target_rows = np.stack([matrices[c.strategy, c.params] for c in configs], axis=1)
     # each pass's target gather clips its indices, so a label past the grades must fail here
-    if max(data.labels.max(), validation.labels.max()) >= target_rows.shape[1]:
-        raise ValueError(f"labels must lie below {target_rows.shape[1]} grades")
-    learning_rates = np.array([c.learning_rate for c in configs])
-    optimizer = _Optimizer(shared.optimizer, learning_rates, flat_init.size)
+    if max(data.labels.max(), validation.labels.max()) >= n_grades:
+        raise ValueError(f"labels must lie below {n_grades} grades")
+    learning_rates = np.array([c.learning_rate for c in configs], dtype=float)
+    optimizer = _Optimizer(shared.optimizer, learning_rates, sizes)
     rng = np.random.default_rng([shared.seed, _STREAM_SHUFFLE])
     starts = range(0, data.n_samples, shared.batch_size)
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
@@ -601,21 +678,24 @@ def _fit_lockstep(
             blocks = [slice(lo, lo + _VAL_BLOCK) for lo in range(0, len(alive), _VAL_BLOCK)]
             epoch_val = np.concatenate([
                 _mean_soft_ce({k: w[block] for k, w in weights.items()}, validation.features,
-                              arena.scored(target_rows[block], validation.labels))
+                              arena.scored(target_rows[:, block], validation.labels))
                 for block in blocks
             ])
             rows = []
             for row, member in enumerate(alive):
                 losses = float(epoch_train[row]), float(epoch_val[row])
-                if member.record(epoch, *losses, params[row], layout):
+                if member.record(epoch, *losses, weights, row):
                     rows.append(row)
         if len(rows) < len(alive):
             if not rows:
                 break
+            params = _compact(params, sizes, len(alive), rows)
+            target_rows = _compact(target_rows.reshape(-1), [n_grades] * n_grades, len(alive),
+                                   rows).reshape(n_grades, len(rows), n_grades)
             alive = [alive[row] for row in rows]
-            params, target_rows = _compact(params, rows), _compact(target_rows, rows)
-            flat_grads = flat_grads[: len(rows)]  # rewritten every step
-            weights, grads = _views(params, layout), _views(flat_grads, layout)
+            flat_grads = flat_grads[: params.size]  # rewritten every step
+            weights = _views(params, layout, len(rows))
+            grads = _views(flat_grads, layout, len(rows))
             optimizer.keep(rows)
     return members
 

@@ -116,6 +116,16 @@ def test_synth_paired_writes_dataset_and_truth(tmp_path):
     assert counts.sum() == 200
 
 
+@pytest.mark.parametrize("paired", [False, True])
+def test_synth_creates_the_missing_directories_of_its_outputs(tmp_path, paired):
+    out, truth = tmp_path / "data" / "new" / "set.csv", tmp_path / "tables" / "truth.csv"
+    args = ["synth", "--n", "60", "--per-class", "8", "--seed", "3", "--out", str(out)]
+    args += ["--paired", "--truth-out", str(truth)] if paired else []
+    assert main(args) == EXIT_OK
+    assert out.read_text().splitlines()[0].endswith("label_a,label_b" if paired else ",label")
+    assert truth.exists() == paired
+
+
 def test_synth_invalid_spec_usage_error(tmp_path):
     assert main(["synth", "--classes", "1", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
@@ -158,6 +168,25 @@ def test_train_appends_valid_record(tmp_path):
                      "--max-epochs", "2", "--patience", "2", "--out", str(out)]) == EXIT_OK
         record = json.loads(out.read_text().splitlines()[-1])
         assert (record["strategy"], record["config"]["params"]) == (strategy, {"eta": 1.0, **given})
+
+
+def test_train_creates_the_missing_directory_of_its_record_before_the_fit(tmp_path, monkeypatch):
+    import ordsoft.cli as cli
+
+    data, out = tmp_path / "data.csv", tmp_path / "runs" / "new" / "records.jsonl"
+    main(["synth", "--classes", "3", "--per-class", "20", "--seed", "2", "--out", str(data)])
+    run_fixed, made = cli.run_fixed, []
+
+    def spy(*args):
+        made.append(out.parent.is_dir())
+        return run_fixed(*args)
+
+    monkeypatch.setattr(cli, "run_fixed", spy)
+    for _ in range(2):
+        assert main(["train", "--data", str(data), "--max-epochs", "2", "--patience", "2",
+                     "--out", str(out)]) == EXIT_OK
+    assert made == [True, True]
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_train_rejects_a_smoothing_field_its_strategy_does_not_read(tmp_path, capsys):

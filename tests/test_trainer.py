@@ -2,6 +2,7 @@
 contracts, determinism, and the random-search selection rule."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from ordsoft.trainer import (
     _STREAM_SHUFFLE,
     _Arena,
     _batch_gradients,
+    _compact,
     _fit_lockstep,
     _layout,
     _views,
@@ -475,7 +477,7 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
     mean_soft_ce = trainer._mean_soft_ce
 
     def spy(weights, x, work):
-        passes.append(len(work.targets))
+        passes.append(work.targets.shape[1])
         return mean_soft_ce(weights, x, work)
 
     class SpyWork(trainer._Work):
@@ -550,14 +552,15 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
 
 
 def _spy_on_record(monkeypatch):
-    """Record, per member, the parameters it was handed at each epoch: a copy, and
-    the live row of the fit's buffer."""
+    """Record, per member, its layers at each epoch: a copy of each, and the live
+    stacked layer views of the fit's buffer it was handed."""
     seen = {}
     record = TrainHistory.record
 
-    def spy(self, epoch, train_loss, val_loss, params, layout):
-        seen.setdefault(id(self), []).append((params.copy(), params, layout))
-        return record(self, epoch, train_loss, val_loss, params, layout)
+    def spy(self, epoch, train_loss, val_loss, weights, row):
+        copy = {key: w[row].copy() for key, w in weights.items()}
+        seen.setdefault(id(self), []).append((copy, weights))
+        return record(self, epoch, train_loss, val_loss, weights, row)
 
     monkeypatch.setattr(TrainHistory, "record", spy)
     return seen
@@ -567,30 +570,35 @@ def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members
     """Every epoch's weights and losses of each member of an ``n_members`` fit equal
     ``_reference_epochs``' to the bit."""
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
-    settings = ProtocolSettings(batch_size=16, max_epochs=25, patience=3,
+    settings = ProtocolSettings(batch_size=16, max_epochs=60, patience=3,
                                 architecture=architecture, optimizer=optimizer, hidden_width=8)
     subtrain, val = validation_split(data, 2, settings)
     # a short last batch, so the fit's second set of work arrays runs too
     assert subtrain.n_samples % settings.batch_size != 0
+    n_batches = math.ceil(subtrain.n_samples / settings.batch_size)
+    # (learning rate, eta, patience): the first member never stops early, so it runs
+    # past Adam's step 356, from which the first moment's bias correction is 1.0;
+    # the others stop at staggered epochs
+    candidates = [(1e-3, 0.8, 60)] + [(lr, eta, 3) for lr in (1e-3, 0.1, 2.0) for eta in (0.8, 1.0)]
+    candidates += [(0.03, 0.9, 5), (0.3, 0.9, 4), (1.0, 1.0, 6), (3e-3, 1.0, 8)]
     configs = [
         TrainConfig(lr, "triangular", SmoothingParams(eta=eta, alpha=0.05), seed=2,
-                    batch_size=16, max_epochs=25, patience=3, optimizer=optimizer)
-        for lr in (1e-3, 0.1, 2.0)
-        for eta in (0.8, 1.0)
+                    batch_size=16, max_epochs=60, patience=patience, optimizer=optimizer)
+        for lr, eta, patience in candidates
     ][:n_members]
     init = init_model(architecture, data.n_features, space.n_classes, seed=2, hidden_width=8)
     seen = _spy_on_record(monkeypatch)
     members = _fit_lockstep(init, subtrain, val, configs)
 
     epochs_run = [len(seen[id(member)]) for member in members]
+    assert epochs_run[0] * n_batches > 356
     if n_members > 1:
         # members left the stack at different epochs while others trained on
-        assert len(set(epochs_run)) >= 2 and max(epochs_run) > min(epochs_run)
+        assert len(set(epochs_run)) >= 3 and max(epochs_run) > min(epochs_run)
     for config, member, n_epochs in zip(configs, members, epochs_run):
         target = build_target_matrix(space, config.strategy, config.params)
         reference = _reference_epochs(init, subtrain, val, target, config, n_epochs)
-        for (params, _, layout), (expected, _, _) in zip(seen[id(member)], reference):
-            got = _views(params, layout)
+        for (got, _), (expected, _, _) in zip(seen[id(member)], reference):
             assert got.keys() == expected.keys()
             for key, weights in expected.items():
                 np.testing.assert_array_equal(got[key], weights)
@@ -606,7 +614,9 @@ def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members
 def test_flat_update_matches_per_layer_reference_every_epoch(
     monkeypatch, architecture, optimizer
 ):
-    _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members=6)
+    # 11 members validate in a block of 8 and a tail block of 3
+    _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members=11)
+    assert 11 > trainer._VAL_BLOCK
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
@@ -655,7 +665,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
     keep = trainer._Optimizer.keep
 
     def spy_keep(self, rows):
-        names = ["lr", "scratch"] + (["m", "v", "denom"] if self.kind == "adam" else [])
+        names = ["lr"] + (["m", "v", "denom"] if self.kind == "adam" else [])
         before = [_owner(getattr(self, name)) for name in names]
         keep(self, rows)
         removals.append((before, [_owner(getattr(self, name)) for name in names]))
@@ -674,6 +684,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
         assert owner is arena
         # batches and validation blocks alike are scored against targets gathered here
         roles = ["logits", "llik", "row_max", "row_sum", "total", "targets"]
+        roles += ["member_llik"] if backward else []
         if architecture == "mlp_1_hidden":
             roles += ["hidden", "mask", "d_hidden"] if backward else ["hidden"]
         for role in roles:
@@ -691,10 +702,31 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
     # members left at staggered epochs; every member's parameters, at every epoch,
     # were a row of the one buffer the fit started with, and so were the optimizer's
     assert len({member.stopped_epoch for member in members}) >= 3 and removals
-    buffers = {id(_owner(live)) for member in members for _, live, _ in seen[id(member)]}
+    buffers = {id(_owner(w)) for member in members for _, live in seen[id(member)]
+               for w in live.values()}
     assert len(buffers) == 1
     for before, after in removals:
         assert all(b is a for b, a in zip(before, after))
+
+
+@pytest.mark.parametrize("sizes", [[256, 32, 160, 5], [1, 7, 2, 9], [5] * 5])
+def test_compact_keeps_each_roles_rows_as_a_role_major_prefix(sizes):
+    """Against a fancy-index gather per role: every subset of a stack of 6 members,
+    with roles larger than the roles before them, so that a run's source and
+    destination overlap."""
+    n_members = 6
+    flat0 = np.arange(n_members * sum(sizes), dtype=float)
+    bounds = np.cumsum([0] + [n_members * size for size in sizes])
+    for n_kept in range(1, n_members + 1):
+        for rows in itertools.combinations(range(n_members), n_kept):
+            expected = np.concatenate([
+                flat0[lo:hi].reshape(n_members, size)[list(rows)].ravel()
+                for lo, hi, size in zip(bounds, bounds[1:], sizes)
+            ])
+            flat = flat0.copy()
+            kept = _compact(flat, sizes, n_members, list(rows))
+            assert np.shares_memory(kept, flat) and kept.base is flat
+            np.testing.assert_array_equal(kept, expected)
 
 
 def _owner(array):
@@ -749,10 +781,11 @@ def test_batch_gradients_match_central_differences():
                 hidden = np.maximum(x @ w["w_in"] + w["b_in"], 0.0)
             return mean_soft_ce(softmax(hidden @ w["w_out"] + w["b_out"]), targets)
 
-        params, grads = flat[None].copy(), np.empty((1, flat.size))
+        # one member's role-major stack is its flat parameters
+        params, grads = flat.copy(), np.empty(flat.size)
         work = _Arena(init, 1, len(x), len(x)).work(1, len(x), backward=True)
-        work.targets[0] = targets
-        total = _batch_gradients(_views(params, layout), _views(grads, layout), x, work)
+        work.targets[:, 0] = targets
+        total = _batch_gradients(_views(params, layout, 1), _views(grads, layout, 1), x, work)
         assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
         numeric = np.empty(flat.size)
         for i in range(flat.size):
@@ -760,7 +793,7 @@ def test_batch_gradients_match_central_differences():
             up[i] += step
             down[i] -= step
             numeric[i] = (loss(up) - loss(down)) / (2 * step)
-        np.testing.assert_allclose(grads[0], numeric, rtol=1e-5, atol=1e-9)
+        np.testing.assert_allclose(grads, numeric, rtol=1e-5, atol=1e-9)
 
 
 def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
@@ -776,12 +809,12 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
     epochs = seen[id(member)]
     # later steps ran on the buffer after the best epoch was recorded
     assert member.best_epoch < len(epochs)
-    best_params, _, layout = epochs[member.best_epoch - 1]
-    last_params, live_row, _ = epochs[-1]
-    assert not np.array_equal(best_params, last_params)
-    for key, weights in _views(best_params, layout).items():
+    best, _ = epochs[member.best_epoch - 1]
+    last, live = epochs[-1]
+    assert not all(np.array_equal(best[key], last[key]) for key in best)
+    for key, weights in best.items():
         np.testing.assert_array_equal(member.best_weights[key], weights)
-        assert not np.shares_memory(member.best_weights[key], live_row)
+        assert not np.shares_memory(member.best_weights[key], live[key])
 
     model, _ = train(init, subtrain, config, val)
     assert {k: w.shape for k, w in model.items()} == shapes

@@ -1,0 +1,161 @@
+"""Run a fixed set of ``ordsoft`` commands on two source trees and compare their outputs.
+
+    python3 tools/parity.py --parent TREE --change TREE [--work DIR]
+
+Each tree is a checkout of this repository. The commands run once per tree,
+serially (``ORDSOFT_WORKERS=1``), as ``python -m ordsoft.cli`` with
+``PYTHONPATH=TREE/src``, each tree in a directory of its own under ``--work``
+(default: a new temporary directory) with the same relative paths, so any
+difference in an output is a difference of the program. The set covers:
+
+- ``synth``: a 400-row 5-grade set, and a 300-row paired 5x4 set with its truth table;
+- ``sweep``: single-scale with the default search (51 candidates, past Adam's
+  step 356, members leaving at staggered epochs), a short run with patience 3,
+  a linear model under SGD, and a paired sweep followed by ``analyze``;
+- ``train``: one record under Adam and one under SGD;
+- ``histories.json``: the library's ``trainer.run_single`` on the 400-row set,
+  default search, on the MLP under Adam and the linear model under SGD, with
+  each winner's epoch losses, best weights and holdout probabilities written
+  out in full. The commands' outputs hold argmax labels and metrics read off
+  them, which a change in a weight's last bit rarely moves; these do not.
+
+Every file the commands write, and each command's standard output, must be
+identical on both sides. The script prints each differing or one-sided file
+and exits 1 if there is one, or if a command fails on either side; 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+STRATEGIES = ["nominal", "binomial", "beta", "triangular", "exponential"]
+
+CONFIGS = {
+    # 400 rows -> 196 training rows in 7 batches of 32, so 60 epochs run 420 steps
+    "single.json": {"task": "parity", "dataset": "data.csv", "strategies": STRATEGIES,
+                    "n_seeds": 2, "output_dir": "unused",
+                    "settings": {"max_epochs": 60, "patience": 20}},
+    "stagger.json": {"task": "parity_stagger", "dataset": "data.csv",
+                     "strategies": ["nominal", "beta", "triangular"], "n_seeds": 2,
+                     "output_dir": "unused", "search_space": {"max_configs": 6},
+                     "settings": {"max_epochs": 20, "patience": 3}},
+    "linear_sgd.json": {"task": "parity_linear", "dataset": "data.csv", "strategies": STRATEGIES,
+                        "n_seeds": 2, "output_dir": "unused", "search_space": {"max_configs": 4},
+                        "settings": {"max_epochs": 30, "patience": 10, "architecture": "linear",
+                                     "optimizer": "sgd"}},
+    "paired.json": {"task": "parity_paired", "dataset": "paired.csv", "strategies": STRATEGIES,
+                    "n_seeds": 2, "output_dir": "unused", "search_space": {"max_configs": 3},
+                    "settings": {"max_epochs": 20, "patience": 20}},
+}
+
+COMMANDS = [
+    ["synth", "--classes", "5", "--per-class", "80", "--flip-prob", "0.1", "--seed", "7",
+     "--out", "data.csv"],
+    ["synth", "--paired", "--n", "300", "--flip-prob", "0.05", "--seed", "7",
+     "--out", "paired.csv", "--truth-out", "truth.csv"],
+    ["sweep", "--config", "single.json", "--out-dir", "single"],
+    ["sweep", "--config", "stagger.json", "--out-dir", "stagger"],
+    ["sweep", "--config", "linear_sgd.json", "--out-dir", "linear_sgd"],
+    ["sweep", "--config", "paired.json", "--out-dir", "paired"],
+    ["analyze", "--truth", "paired/tables/truth.csv", "--pred", "paired/tables/*_seed*.csv",
+     "--out", "paired/analysis.json"],
+    ["train", "--data", "data.csv", "--strategy", "triangular", "--alpha", "0.05", "--seed", "1",
+     "--max-epochs", "60", "--patience", "60", "--out", "train.jsonl"],
+    ["train", "--data", "data.csv", "--strategy", "beta", "--concentration", "10",
+     "--optimizer", "sgd", "--learning-rate", "0.05", "--seed", "2", "--max-epochs", "30",
+     "--patience", "8", "--out", "train.jsonl"],
+]
+
+
+# run with ``python -c`` in the working directory, after the commands
+HISTORIES = f"""
+import json
+from ordsoft.core import LabelSpace, SampleSet
+from ordsoft.trainer import ProtocolSettings, SearchSpace, run_single
+
+data = SampleSet.from_csv("data.csv")
+runs = []
+for settings in (ProtocolSettings(max_epochs=60, patience=20),
+                 ProtocolSettings(max_epochs=30, patience=10, architecture="linear",
+                                  optimizer="sgd")):
+    for result in run_single(data, LabelSpace(5), {STRATEGIES!r}, 3, SearchSpace(), settings):
+        history = result.history
+        runs.append({{
+            "config": history.config.to_dict(), "train_loss": history.train_loss,
+            "val_loss": history.val_loss, "best_epoch": history.best_epoch,
+            "best_weights": {{k: w.tolist() for k, w in history.best_weights.items()}},
+            "holdout_probs": result.predictions.predicted_probs.tolist(),
+        }})
+with open("histories.json", "w") as fh:
+    json.dump(runs, fh, sort_keys=True)
+"""
+
+
+def run_side(tree: Path, work: Path) -> list[str]:
+    """Run every command on ``tree`` in ``work``; the failures, as messages."""
+    work.mkdir(parents=True)
+    for name, config in CONFIGS.items():
+        (work / name).write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "ORDSOFT_WORKERS": "1"}
+    # an installed ordsoft must not shadow the tree's
+    where = subprocess.run([sys.executable, "-c", "import ordsoft; print(ordsoft.__file__)"],
+                           env=env, capture_output=True, text=True).stdout.strip()
+    if not Path(where).resolve().is_relative_to(tree / "src"):
+        return [f"imports ordsoft from {where or 'nowhere'}, not from {tree / 'src'}"]
+    (work / "stdout").mkdir()
+    failures = []
+    argvs = [["-m", "ordsoft.cli", *args] for args in COMMANDS] + [["-c", HISTORIES]]
+    for i, argv in enumerate(argvs):
+        proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        (work / "stdout" / f"{i}.txt").write_text(proc.stdout)
+        if proc.returncode != 0:
+            failures.append(f"{' '.join(argv[:3])} #{i} exited {proc.returncode}: "
+                            f"{proc.stderr.strip()[-500:]}")
+    return failures
+
+
+def differences(parent: Path, change: Path) -> list[str]:
+    """The relative paths of the files that differ or exist on one side only."""
+    files = {side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+             for side, root in (("parent", parent), ("change", change))}
+    found = [f"only in {side}: {path}" for side, other in (("parent", "change"),
+                                                            ("change", "parent"))
+             for path in sorted(files[side] - files[other])]
+    found += [f"differs: {path}" for path in sorted(files["parent"] & files["change"])
+              if not filecmp.cmp(parent / path, change / path, shallow=False)]
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--work", type=Path, help="directory for both sides' runs (must not exist)")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "src" / "ordsoft" / "cli.py").is_file():
+            parser.error(f"--{side} {tree} has no src/ordsoft/cli.py")
+    work = args.work or Path(tempfile.mkdtemp(prefix="ordsoft-parity-"))
+    failures = []
+    for side, tree in trees.items():
+        failures += [f"{side}: {f}" for f in run_side(tree, work / side)]
+    found = failures + differences(work / "parent", work / "change")
+    n_files = sum(1 for p in (work / "change").rglob("*") if p.is_file())
+    for line in found:
+        print(line)
+    print(f"{len(COMMANDS) + 1} commands per side, {n_files} files compared under {work}: "
+          f"{'no difference' if not found else f'{len(found)} problems'}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
