@@ -6,11 +6,12 @@ count equally; MS and BA are the worst and mean per-class recall. Classes
 with no evaluated samples are excluded from per-class averages and flagged
 in the report, since the per-class formulas divide by the class count.
 
-Each matrix is scored in one pass (``_Scores``): its float counts, ``|i-j|``
+Each matrix is scored in one pass (``Scores``): its float counts, ``|i-j|``
 distances, row totals and per-class MAE and recall are computed once, and
-``compute_report`` reads all six measures off that pass. Each public measure
-is a reader of its own pass. The counts are integers, so every sum before a
-division is exact and the pass gives the per-class formulas' values bit for bit.
+``compute_report`` reads all six measures off that pass, as a caller that
+needs a few of them reads those. Each single measure is a reader of its own
+pass. The counts are integers, so every sum before a division is exact and
+the pass gives the per-class formulas' values bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class UndefinedMetricError(ValueError):
     """A metric is undefined for this matrix (degenerate marginals or empty input)."""
 
 
-class _Scores:
+class Scores:
     """One pass over a confusion matrix: its float counts, ``|i-j|`` distances and
     row totals, MAE, and each class's MAE and recall over the classes with samples,
     with the mean and extremes of those; QWK, which can be undefined, on demand."""
@@ -65,32 +66,32 @@ class _Scores:
 
 def qwk(confusion: ConfusionMatrix) -> float:
     """Quadratic weighted kappa: |i-j|^2 / (J-1)^2 penalties."""
-    return _Scores(confusion).qwk()
+    return Scores(confusion).qwk()
 
 
 def mae(confusion: ConfusionMatrix) -> float:
     """Mean absolute rank distance between true and predicted grades."""
-    return _Scores(confusion).mae
+    return Scores(confusion).mae
 
 
 def amae(confusion: ConfusionMatrix) -> float:
     """Mean of the per-class MAE over classes with at least one sample."""
-    return _Scores(confusion).amae
+    return Scores(confusion).amae
 
 
 def mmae(confusion: ConfusionMatrix) -> float:
     """Largest per-class MAE; always >= amae."""
-    return _Scores(confusion).mmae
+    return Scores(confusion).mmae
 
 
 def min_sensitivity(confusion: ConfusionMatrix) -> float:
     """Worst per-class recall over classes with at least one sample."""
-    return _Scores(confusion).ms
+    return Scores(confusion).ms
 
 
 def balanced_accuracy(confusion: ConfusionMatrix) -> float:
     """Mean per-class recall over classes with at least one sample."""
-    return _Scores(confusion).ba
+    return Scores(confusion).ba
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class MetricReport:
 
 def compute_report(confusion: ConfusionMatrix) -> MetricReport:
     """All six measures plus the per-class MAE breakdown for one matrix, off one pass."""
-    scores = _Scores(confusion)
+    scores = Scores(confusion)
     return MetricReport(
         qwk=scores.qwk(),
         mae=scores.mae,

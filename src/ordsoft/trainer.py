@@ -19,41 +19,53 @@ of a lone fit. ``train`` is the loop's one-member case. A member's
 ``TrainConfig`` alone names its targets, by its (strategy, params), which the
 fit builds once per pair.
 
-A model is its layer dict: ``w_out`` (H x J) and ``b_out`` (J), preceded for
-the MLP by ``w_in`` (d x H) and ``b_in`` (H); the architecture, grade count and
-hidden width are read off those shapes. ``init_model`` makes one, ``train`` and
-each ``TrainHistory`` hold the best one, and ``predict_proba`` is inference.
+A model is two affine blocks, each a weight matrix whose last row is its
+bias: ``w_out`` ((H+1) x J), preceded for the MLP by ``w_in`` ((d+1) x H); the
+linear model is ``w_out`` ((d+1) x J) alone. A block reads its input with a
+ones column appended, so its bias is the last term of its product. The
+architecture, grade count and hidden width are read off those shapes.
+``init_model`` makes one, ``train`` and each ``TrainHistory`` hold the best
+one, and ``predict_proba`` is inference.
 
 The K members' parameters live in one flat buffer laid out role-major,
-``[w_in (K, d, H) | b_in (K, H) | w_out (K, H, J) | b_out (K, J)]``, so each
-layer of every member is one contiguous run and each member's layer one
-contiguous block of it; their gradients and Adam moments live in buffers of the
-same layout, and the layers are named ``(K, *shape)`` views of them. The
-optimizer updates the whole buffer with one short run of in-place ufuncs per
-step, against a learning rate spread to every parameter, and computes the step
-in the gradient buffer, which it has read by then, so it keeps no scratch
-buffer of its own.
+``[w_in (K, d+1, H) | w_out (K, H+1, J)]``, so each block of every member is
+one contiguous run and each member's block one contiguous piece of it; their
+gradients and Adam moments live in buffers of the same layout, and the blocks
+are named ``(K, *shape)`` views of them. The optimizer updates the whole buffer
+with one short run of in-place ufuncs per step, against a learning rate spread
+to every parameter, and computes the step in the gradient buffer, which it has
+read by then, so it keeps no scratch buffer of its own.
+
+Every input carries its ones column: a fit gathers each epoch's shuffled
+training rows into one ``(N, d+1)`` buffer whose last column is ones, and
+gives the validation rows theirs once; ``predict_proba`` gives its rows theirs
+once per call. The hidden activations hold H+1 values per (member, row), the
+last of which is set to 1 when the work buffers are made: the first product
+writes the first H, and the ReLU keeps the ones, since ``max(1, 0) = 1``. So
+the forward pass is two products and a ReLU, and the two weight-gradient
+products return the bias gradients as their last rows: no bias add or bias sum
+is left. On the default 8 -> 32 -> 5 shapes this rounds as the separate adds
+and batch sums did; a product's rounding depends on its shapes, so on some
+others it does not, and the tests hold the fit to a folded reference.
 
 A step's forward/backward allocates no arrays either, only views. It writes
-into work arrays (``_Work``) laid out batch-major: ``(B, K, H)`` hidden
-activations, ReLU mask and ``d_hidden``; ``(B, K, J)`` targets, logits, which
-become probabilities and then ``d_logits`` in place, and log-likelihood terms;
-``(B, K)`` row max and sum. So a bias add is one loop over a row's K·H or K·J
-values, and a bias gradient, a sum over the batch, adds whole rows of K·H or
-K·J values in row order, where the member-major ``(K, B, .)`` layout ran one
-short loop per member and row. Each member's matmuls run on ``(K, B, .)``
-transposed views, whose rows are contiguous, so each is still one gemm. The
-loss sums stay member-major, as a lone member's are: a batch's terms are
-written into a ``(K, B, J)`` array before each member's block is summed, and
-validation's row sums into a ``(K, V)`` one before each member's row is
+into work arrays (``_Work``) laid out batch-major: ``(B, K, H+1)`` hidden
+activations, ``(B, K, H)`` ReLU mask and ``d_hidden``; ``(B, K, J)`` targets,
+logits, which become probabilities and then ``d_logits`` in place, and
+log-likelihood terms; ``(B, K)`` row max and sum. Each member's matmuls run on
+``(K, B, .)`` transposed views, whose rows are contiguous, so each is still one
+gemm. The loss sums stay member-major, as a lone member's are: a batch's terms
+are written into a ``(K, B, J)`` array before each member's block is summed,
+and validation's row sums into a ``(K, V)`` one before each member's row is
 averaged. A fit allocates its work arrays once, as one arena (``_Arena``)
 holding a flat buffer per work role, sized for the largest pass that uses it:
 a batch of all K members, or a validation block. The arena hands out one set
 per pass shape, built on its first use, each a contiguous ``[:n].reshape``
 prefix view of those buffers, since every work array is written before it is
-read. A matmul or ufunc writing into such a view rounds bit for bit as into an
-array of its own, and the tests hold every fit to lone fits and to an
-allocating per-layer reference. Every pass, a batch or a validation block,
+read, bar the hidden ones column, which sits at the same places in every
+prefix. A matmul or ufunc writing into such a view rounds bit for bit as into
+an array of its own, and the tests hold every fit to lone fits and to an
+allocating per-block reference. Every pass, a batch or a validation block,
 gathers its rows' targets from its members' label-major ``(J, K, J)`` target
 rows into its set's ``targets`` with one ``take``, so no array of every row's
 targets, training or validation, is kept or reshuffled; the fit checks both
@@ -118,7 +130,7 @@ import numpy as np
 
 from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion, check_number
 from .loss import PROB_FLOOR
-from .metrics import amae as amae_metric, mae as mae_metric, compute_report
+from .metrics import Scores, compute_report
 from .softlabel import STRATEGY_RULES, SmoothingParams, build_target_matrix, strategy_rule
 
 _STREAM_SPLIT = 11
@@ -181,16 +193,21 @@ class _Arena:
     ``hidden``, ``logits``, ``llik``, ``row_max`` and ``row_sum`` hold ``n_rows``
     (member, row) pairs, the most that any pass runs, and so does ``targets`` in a
     fit's arena (one with backward passes), every pass of which is scored;
-    inference's holds none. ``mask``, ``d_hidden`` and ``member_llik``, which only
-    a backward pass uses, hold ``n_backward_rows``; ``total`` holds one value per
+    inference's holds none. ``hidden`` holds the MLP's H+1 values per pair, the
+    last of them set to 1 here, the ones column that the output block's bias row
+    reads; every set's view puts its pairs' ones at the same places, and no pass
+    writes them. ``mask``, ``d_hidden`` and ``member_llik``, which only a
+    backward pass uses, hold ``n_backward_rows``; ``total`` holds one value per
     member.
     """
 
-    def __init__(self, layers: dict, n_members: int, n_rows: int, n_backward_rows: int = 0):
-        """Buffers for passes of up to ``n_members`` models laid out as ``layers`` (one model's)."""
-        self.n_hidden = layers["b_in"].size if "w_in" in layers else 0
-        self.n_grades = layers["b_out"].size
-        self.hidden = np.empty(n_rows * self.n_hidden)
+    def __init__(self, blocks: dict, n_members: int, n_rows: int, n_backward_rows: int = 0):
+        """Buffers for passes of up to ``n_members`` models laid out as ``blocks`` (one model's)."""
+        self.n_hidden = blocks["w_in"].shape[1] if "w_in" in blocks else 0
+        self.n_grades = blocks["w_out"].shape[1]
+        self.hidden = np.empty(n_rows * (self.n_hidden + 1 if self.n_hidden else 0))
+        if self.n_hidden:
+            self.hidden[self.n_hidden:: self.n_hidden + 1] = 1.0
         self.d_hidden = np.empty(n_backward_rows * self.n_hidden)
         self.mask = np.empty(n_backward_rows * self.n_hidden, dtype=bool)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
@@ -227,18 +244,18 @@ class _Work:
     """Work arrays for one pass of K members over a batch of B rows, each a
     contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
-    The arrays are batch-major, so a bias add or a sum over the batch runs as one
-    loop over all K members' values of a row. ``hidden`` is ``(B, K, H)`` (None
-    for the linear model); ``logits``, which become probabilities (and then
-    ``d_logits`` in a backward pass), and the log-likelihood terms ``llik`` are
-    ``(B, K, J)``; ``row_max`` and ``row_sum`` are ``(B, K)``; ``total`` is
-    ``(K,)``. A set in a fit's arena also holds the rows' ``(B, K, J)``
-    ``targets``, which inference's leaves None. A set for a backward pass also
+    The arrays are batch-major. ``hidden`` is ``(B, K, H+1)``, its last column
+    the ones that the output block's bias row reads, and ``units`` its
+    ``(B, K, H)`` view of the H units alone (both None for the linear model);
+    ``logits``, which become probabilities (and then ``d_logits`` in a backward
+    pass), and the log-likelihood terms ``llik`` are ``(B, K, J)``; ``row_max``
+    and ``row_sum`` are ``(B, K)``; ``total`` is ``(K,)``. A set in a fit's arena
+    also holds the rows' ``(B, K, J)`` ``targets``, which inference's leaves None. A set for a backward pass also
     holds the MLP's ``(B, K, H)`` ReLU ``mask`` and ``d_hidden``; a forward-only
     set, as validation and inference use, leaves them None. Each member's matmuls
-    write and read ``hidden_t``, ``logits_t`` and ``d_hidden_t``, ``(K, B, .)``
-    transposed views of those: a member's ``(B, .)`` matrix has contiguous rows
-    a stack row apart, so each member's product is still one gemm.
+    write and read ``hidden_t``, ``units_t``, ``logits_t`` and ``d_hidden_t``,
+    ``(K, B, .)`` transposed views of those: a member's ``(B, .)`` matrix has
+    contiguous rows a stack row apart, so each member's product is still one gemm.
 
     Two member-major arrays keep each member's loss sums in one contiguous run,
     as a lone member's are: a backward pass's ``member_llik``, ``(K, B, J)``, into
@@ -254,12 +271,14 @@ class _Work:
         def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
             return buffer[: math.prod(shape)].reshape(shape)
 
-        self.hidden = self.mask = self.d_hidden = self.targets = None
-        self.hidden_t = self.d_hidden_t = self.member_llik = self.member_llik_t = None
+        self.hidden = self.units = self.mask = self.d_hidden = self.targets = None
+        self.hidden_t = self.units_t = self.d_hidden_t = None
+        self.member_llik = self.member_llik_t = None
         batch = (n_rows, n_members)
         if arena.n_hidden:
-            self.hidden = view(arena.hidden, *batch, arena.n_hidden)
+            self.hidden = view(arena.hidden, *batch, arena.n_hidden + 1)
             self.hidden_t = self.hidden.swapaxes(0, 1)
+            self.units, self.units_t = self.hidden[..., :-1], self.hidden_t[..., :-1]
             if backward:
                 self.d_hidden = view(arena.d_hidden, *batch, arena.n_hidden)
                 self.d_hidden_t = self.d_hidden.swapaxes(0, 1)
@@ -282,17 +301,15 @@ class _Work:
 
 
 def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
-    """Logits of a ``(K, ...)`` stack of models on the batch ``x`` they share,
-    written into ``work.logits`` and returned; ``work.hidden`` keeps the MLP's
-    ReLU hidden layer."""
+    """Logits of a ``(K, ...)`` stack of models on the batch ``x`` they share, whose
+    last column is ones, written into ``work.logits`` and returned; ``work.hidden``
+    keeps the MLP's ReLU hidden layer, its ones column too (``max(1, 0) = 1``)."""
     inputs = x
     if work.hidden is not None:
-        np.matmul(x, weights["w_in"], out=work.hidden_t)
-        work.hidden += weights["b_in"]
+        np.matmul(x, weights["w_in"], out=work.units_t)
         np.maximum(work.hidden, 0.0, out=work.hidden)
         inputs = work.hidden_t
     np.matmul(inputs, weights["w_out"], out=work.logits_t)
-    work.logits += weights["b_out"]
     return work.logits
 
 
@@ -339,32 +356,42 @@ def _log_likelihood(work: _Work, out: np.ndarray) -> np.ndarray:
     return np.multiply(work.llik, work.targets, out=out)
 
 
+def _with_ones(features: np.ndarray) -> np.ndarray:
+    """A new ``(N, d+1)`` array of the rows ``features`` with a ones column appended."""
+    out = np.ones((len(features), features.shape[1] + 1))
+    out[:, :-1] = features
+    return out
+
+
 def predict_proba(weights: dict, features: np.ndarray) -> np.ndarray:
     """Softmax probabilities of the model ``weights`` on ``features``: one forward
-    pass with a one-off forward-only set of work arrays."""
+    pass over the rows with their ones column, through a one-off forward-only set
+    of work arrays."""
     work = _Arena(weights, 1, len(features)).work(1, len(features))
-    _forward({k: w[None] for k, w in weights.items()}, features, work)
+    _forward({k: w[None] for k, w in weights.items()}, _with_ones(features), work)
     return _softmax(work)[:, 0]
 
 
 def init_model(
     architecture: str, n_features: int, n_classes: int, seed: int, hidden_width: int = 32
 ) -> dict:
-    """A model's layers, fan-in-scaled symmetric uniform, all seeded."""
+    """A model's blocks: weights fan-in-scaled symmetric uniform, all seeded, each
+    over a bias row of zeros."""
     rng = np.random.default_rng([seed, _STREAM_INIT])
 
-    def layer(fan_in: int, fan_out: int) -> np.ndarray:
+    def block(fan_in: int, fan_out: int) -> np.ndarray:
         bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        weights = np.zeros((fan_in + 1, fan_out))
+        weights[:-1] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        return weights
 
     if architecture == "linear":
-        weights, fan_in, hidden_width = {}, n_features, 0
+        weights, fan_in = {}, n_features
     elif architecture == "mlp_1_hidden":
-        weights = {"w_in": layer(n_features, hidden_width), "b_in": np.zeros(hidden_width)}
-        fan_in = hidden_width
+        weights, fan_in = {"w_in": block(n_features, hidden_width)}, hidden_width
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
-    weights.update(w_out=layer(fan_in, n_classes), b_out=np.zeros(n_classes))
+    weights["w_out"] = block(fan_in, n_classes)
     return weights
 
 
@@ -410,7 +437,7 @@ def stratified_split(
 
 def _layout(weights: dict) -> list[tuple[str, int, int, tuple]]:
     """Name, offset and size among one model's parameters, and shape, of each of
-    its layers, in order."""
+    its blocks, in order."""
     layout, offset = [], 0
     for key, w in weights.items():
         layout.append((key, offset, w.size, w.shape))
@@ -419,9 +446,9 @@ def _layout(weights: dict) -> list[tuple[str, int, int, tuple]]:
 
 
 def _views(flat: np.ndarray, layout: list[tuple[str, int, int, tuple]], *lead: int) -> dict:
-    """Named layer views of the role-major buffer ``flat`` of ``prod(lead)`` models:
-    each layer's values of every model are one contiguous ``(*lead, *shape)`` run,
-    the layers in order; with no ``lead``, one model's layers. Writing to a view
+    """Named block views of the role-major buffer ``flat`` of ``prod(lead)`` models:
+    each block's values of every model are one contiguous ``(*lead, *shape)`` run,
+    the blocks in order; with no ``lead``, one model's blocks. Writing to a view
     writes to the buffer."""
     n = math.prod(lead)
     return {key: flat[n * offset: n * (offset + size)].reshape(lead + shape)
@@ -460,8 +487,9 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     against ``work.targets`` into ``grads`` (views of the same layout as
     ``weights``) and return the batch's sum of target-weighted log-probabilities
     (minus the loss times the batch size), all through the work arrays ``work``
-    sized for this batch. The bias gradients are sums over the batch-major
-    arrays' leading axis, which add the batch's rows in order."""
+    sized for this batch; ``x``'s last column is ones. Each block's gradient is
+    one product of its input, ones column included, with the gradient at its
+    output, so its last row, the bias gradient, is the sum over the batch."""
     _forward(weights, x, work)
     probs = _softmax(work)
     _log_likelihood(work, work.member_llik_t)
@@ -471,21 +499,22 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     d_logits /= x.shape[0]
     hidden = x if work.hidden is None else work.hidden_t
     np.matmul(hidden.swapaxes(-1, -2), work.logits_t, out=grads["w_out"])
-    d_logits.sum(axis=0, out=grads["b_out"])
     if work.hidden is not None:
-        np.matmul(work.logits_t, weights["w_out"].swapaxes(-1, -2), out=work.d_hidden_t)
+        # the bias row takes no part: the ones column has no input to pass back to
+        np.matmul(work.logits_t, weights["w_out"][:, :-1].swapaxes(-1, -2),
+                  out=work.d_hidden_t)
         # hidden > 0 exactly where the ReLU's input is positive
-        np.greater(work.hidden, 0.0, out=work.mask)
+        np.greater(work.units, 0.0, out=work.mask)
         work.d_hidden *= work.mask
         np.matmul(x.T, work.d_hidden_t, out=grads["w_in"])
-        work.d_hidden.sum(axis=0, out=grads["b_in"])
     return work.total
 
 
 def _mean_soft_ce(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
-    """Each member's mean soft cross-entropy over ``x`` against its ``(V, J)``
-    slice of ``work.targets``, as ``loss.mean_soft_ce`` computes it: row sums of
-    the log-likelihood terms, then their mean over each member's contiguous row."""
+    """Each member's mean soft cross-entropy over ``x``, whose last column is ones,
+    against its ``(V, J)`` slice of ``work.targets``, as ``loss.mean_soft_ce``
+    computes it: row sums of the log-likelihood terms, then their mean over each
+    member's contiguous row."""
     _forward(weights, x, work)
     _softmax(work)
     _row_sums(_log_likelihood(work, work.llik), work.llik_cols, work.llik_sums_t)
@@ -494,19 +523,20 @@ def _mean_soft_ce(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
 
 class _Optimizer:
     """Plain SGD or Adam (bias-corrected moments, betas 0.9/0.999, eps 1e-8) over
-    the role-major parameter buffer of a stack of members, with one learning rate
-    per member.
+    the role-major parameter buffer of a stack of members, ``[w_in | w_out]`` (or
+    ``[w_out]``), with one learning rate per member.
 
     The learning rates are spread to a vector with one entry per parameter, laid
     out as the parameters are, and Adam's moments are buffers of that layout too,
     so a step is one run of in-place ufuncs over the whole buffer, whatever the
-    layers or the stack. The order of operations is that of the textbook
-    per-layer update: ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g**2`` and
+    blocks or the stack; a block's bias row is updated as its weights are. The
+    order of operations is that of the textbook per-block update:
+    ``m = 0.9 m + 0.1 g``, ``v = 0.999 v + 0.001 g**2`` and
     ``w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8)``.
     """
 
     def __init__(self, kind: str, learning_rates: np.ndarray, sizes: Sequence[int]):
-        """``sizes`` holds each layer's parameter count of one member."""
+        """``sizes`` holds each block's parameter count of one member."""
         self.kind, self.sizes = kind, sizes
         self.steps = 0
         self.lr = np.concatenate([np.repeat(learning_rates, size) for size in sizes])
@@ -570,7 +600,7 @@ class TrainHistory:
     best_val: float = math.inf
     best_epoch: int = 0
     stale_epochs: int = 0
-    best_weights: Optional[dict] = field(default=None, compare=False)  # views of one owned copy
+    best_weights: Optional[dict] = field(default=None, compare=False)  # block views of one copy
     diverged: Optional[TrainingDiverged] = field(default=None, compare=False)
     val_amae: Optional[float] = None
     val_mae: Optional[float] = None
@@ -582,7 +612,7 @@ class TrainHistory:
     def record(
         self, epoch: int, train_loss: float, val_loss: float, weights: dict, row: int
     ) -> bool:
-        """Book one epoch's losses for member ``row`` of the stacked layers ``weights``;
+        """Book one epoch's losses for member ``row`` of the stacked blocks ``weights``;
         False once it stops."""
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             self.diverged = TrainingDiverged(
@@ -594,10 +624,10 @@ class TrainHistory:
         self.val_loss.append(val_loss)
         if val_loss < self.best_val:
             self.best_val = val_loss
-            # one owned flat copy of the member's layers, seen through layer views
-            layers = {key: w[row] for key, w in weights.items()}
-            self.best_weights = _views(np.concatenate([w.ravel() for w in layers.values()]),
-                                       _layout(layers))
+            # one owned flat copy of the member's blocks, seen through block views
+            blocks = {key: w[row] for key, w in weights.items()}
+            self.best_weights = _views(np.concatenate([w.ravel() for w in blocks.values()]),
+                                       _layout(blocks))
             self.best_epoch = epoch
             self.stale_epochs = 0
         else:
@@ -622,14 +652,17 @@ def _fit_lockstep(
     block of at most ``_VAL_BLOCK`` members, in stack order. Every pass, batch or
     block, takes its batch-major work set from the fit's one ``_Arena`` by shape
     and gathers its rows' targets into it from its members' label-major
-    ``(J, k, J)`` target rows. A batched matmul runs one gemm per member, sums
-    over the batch add its rows in order, and each member's loss sums run over a
-    member-major block, so every member's arithmetic is bit for bit that of the
-    member trained alone. The weights and gradients are role-major flat buffers
-    seen through per-layer ``(K, *shape)`` views. A member that stops early or
+    ``(J, k, J)`` target rows. Its input rows carry a ones column: each epoch's
+    shuffled training rows are gathered into one ``(N, d+1)`` buffer made once
+    per fit with its last column ones, and the validation rows get theirs once.
+    A batched matmul runs one gemm per member and each member's loss sums run
+    over a member-major block, so every member's arithmetic is bit for bit that
+    of the member trained alone. The weights and gradients are role-major flat
+    buffers, ``[w_in | w_out]``, seen through per-block ``(K, *shape)`` views,
+    each block's last row its bias. A member that stops early or
     goes non-finite leaves the stack: the members left are compacted, role by
     role, into a role-major prefix of the parameter, moment, learning-rate and
-    target-row buffers, and the gradient prefix and layer views are taken afresh
+    target-row buffers, and the gradient prefix and block views are taken afresh
     over the same memory.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
@@ -645,7 +678,7 @@ def _fit_lockstep(
     params = np.concatenate([np.tile(w.ravel(), len(members)) for w in init_weights.values()])
     flat_grads = np.empty_like(params)
     weights, grads = _views(params, layout, len(members)), _views(flat_grads, layout, len(members))
-    n_grades = init_weights["b_out"].size
+    n_grades = init_weights["w_out"].shape[1]
     keys = dict.fromkeys((c.strategy, c.params) for c in configs)
     matrices = {key: build_target_matrix(LabelSpace(n_grades), *key).rows for key in keys}
     # label-major (J, K, J): a label's row of every member is one contiguous run
@@ -661,10 +694,11 @@ def _fit_lockstep(
     batch_rows = len(members) * int(batch_sizes[0])
     val_rows = min(len(members), _VAL_BLOCK) * validation.n_samples
     arena = _Arena(init_weights, len(members), max(batch_rows, val_rows), batch_rows)
+    x_epoch, x_val = _with_ones(data.features), _with_ones(validation.features)
 
     for epoch in range(1, shared.max_epochs + 1):
         perm = rng.permutation(data.n_samples)
-        x_epoch, labels_epoch = data.features[perm], data.labels[perm]
+        x_epoch[:, :-1], labels_epoch = data.features[perm], data.labels[perm]
         log_likelihoods = np.empty((len(alive), len(starts)))
         # divergence surfaces as non-finite losses below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -677,7 +711,7 @@ def _fit_lockstep(
             epoch_train = (-log_likelihoods / batch_sizes).mean(axis=1)
             blocks = [slice(lo, lo + _VAL_BLOCK) for lo in range(0, len(alive), _VAL_BLOCK)]
             epoch_val = np.concatenate([
-                _mean_soft_ce({k: w[block] for k, w in weights.items()}, validation.features,
+                _mean_soft_ce({k: w[block] for k, w in weights.items()}, x_val,
                               arena.scored(target_rows[:, block], validation.labels))
                 for block in blocks
             ])
@@ -703,7 +737,7 @@ def _fit_lockstep(
 def train(
     model: dict, data: SampleSet, config: TrainConfig, validation: SampleSet
 ) -> tuple[dict, TrainHistory]:
-    """Mini-batch gradient descent on ``config``'s targets from the layers ``model``,
+    """Mini-batch gradient descent on ``config``'s targets from the blocks ``model``,
     left as they are, with early stopping on validation loss: the best weights and history.
 
     Stops after ``patience`` consecutive epochs without strict validation-loss
@@ -849,8 +883,9 @@ def random_search(
             continue
         strategy = history.config.strategy
         preds = PredictionSet(val.labels, predict_proba(history.best_weights, val.features))
-        confusion = build_confusion(preds, label_space)
-        history.val_amae, history.val_mae = amae_metric(confusion), mae_metric(confusion)
+        # one pass for both; QWK, which can be undefined, is not read
+        scores = Scores(build_confusion(preds, label_space))
+        history.val_amae, history.val_mae = scores.amae, scores.mae
         key = (history.val_amae, history.val_mae, history.config.learning_rate, grid_pos)
         if strategy not in best or key < best[strategy][0]:
             best[strategy] = key, history

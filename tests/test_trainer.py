@@ -10,7 +10,7 @@ import pytest
 
 from ordsoft.core import LabelSpace, PredictionSet, SampleSet, build_confusion
 from ordsoft.loss import PROB_FLOOR, mean_soft_ce, softmax
-from ordsoft.metrics import amae
+from ordsoft.metrics import amae, mae
 from ordsoft.softlabel import STRATEGIES, SmoothingParams, build_target_matrix
 from ordsoft.synth import PairedSynthSpec, SynthSpec, generate, generate_paired, paired_features
 from ordsoft import trainer
@@ -364,6 +364,10 @@ def test_search_returns_the_model_it_trained_for_the_winner():
     refit, history = train(init, subtrain, outcome.config, val)
     for key, weights in refit.items():
         np.testing.assert_array_equal(outcome.best_weights[key], weights)
+    # the validation scores are the metrics' own, read off one pass
+    preds = PredictionSet(val.labels, predict_proba(refit, val.features))
+    confusion = build_confusion(preds, space)
+    assert (outcome.val_amae, outcome.val_mae) == (amae(confusion), mae(confusion))
     # the same record, bar the validation scores that only the search takes
     assert (history.val_amae, history.val_mae) == (None, None)
     assert outcome.val_amae is not None and outcome.val_mae is not None
@@ -501,11 +505,18 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
     assert forward_only and max(forward_only) <= block
 
 
+def _ones(a):
+    """A new array of ``a`` with a ones column appended to its last axis."""
+    return np.concatenate([a, np.ones(a.shape[:-1] + (1,))], axis=-1)
+
+
 def _reference_epochs(init_weights, data, val, target, config, n_epochs):
-    """Each epoch's weights, train loss and val loss of a lone fit with per-layer
+    """Each epoch's weights, train loss and val loss of a lone fit with per-block
     dict-of-arrays SGD/Adam: the forward/backward, update and losses written one
-    layer at a time with ``loss.softmax`` and ``loss.mean_soft_ce``, allocating as
-    they go."""
+    block at a time with ``loss.softmax`` and ``loss.mean_soft_ce``, allocating as
+    they go. Each block is a weight matrix over its bias row and reads its input
+    with a ones column appended, so its bias gradient is its gradient product's
+    last row."""
     weights = {k: w[None].copy() for k, w in init_weights.items()}
     m = {k: np.zeros_like(w) for k, w in weights.items()}
     v = {k: np.zeros_like(w) for k, w in weights.items()}
@@ -516,8 +527,8 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
     def forward(x):
         hidden = x
         if "w_in" in weights:
-            hidden = np.maximum(x @ weights["w_in"] + weights["b_in"][..., None, :], 0.0)
-        return hidden, softmax(hidden @ weights["w_out"] + weights["b_out"][..., None, :])
+            hidden = np.maximum(_ones(x) @ weights["w_in"], 0.0)
+        return hidden, softmax(_ones(hidden) @ weights["w_out"])
 
     for _ in range(n_epochs):
         perm = rng.permutation(data.n_samples)
@@ -529,11 +540,12 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
             # one sum over all the batch's rows and grades, then per row, as the trainer reduces it
             batch_losses.append(-(t * np.log(np.maximum(probs, PROB_FLOOR))).sum() / x.shape[0])
             d_logits = (probs - t) / x.shape[0]
-            grads = {"w_out": hidden.swapaxes(-1, -2) @ d_logits, "b_out": d_logits.sum(axis=-2)}
+            grads = {"w_out": _ones(hidden).swapaxes(-1, -2) @ d_logits}
             if "w_in" in weights:
-                d_hidden = (d_logits @ weights["w_out"].swapaxes(-1, -2)) * (hidden > 0.0)
-                grads["w_in"] = x.T @ d_hidden
-                grads["b_in"] = d_hidden.sum(axis=-2)
+                # the bias row has no input to pass a gradient back to
+                d_hidden = d_logits @ weights["w_out"][:, :-1].swapaxes(-1, -2)
+                d_hidden *= hidden > 0.0
+                grads["w_in"] = _ones(x).T @ d_hidden
             if config.optimizer == "sgd":
                 for key, grad in grads.items():
                     weights[key] -= lr * grad
@@ -566,6 +578,27 @@ def _spy_on_record(monkeypatch):
     return seen
 
 
+def _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs):
+    """Fit ``configs`` from ``init``: every epoch's weights and losses of each member
+    equal ``_reference_epochs``' to the bit. The members and their epoch counts."""
+    seen = _spy_on_record(monkeypatch)
+    members = _fit_lockstep(init, subtrain, val, configs)
+    space = LabelSpace(init["w_out"].shape[1])
+    epochs_run = [len(seen[id(member)]) for member in members]
+    for config, member, n_epochs in zip(configs, members, epochs_run):
+        target = build_target_matrix(space, config.strategy, config.params)
+        reference = _reference_epochs(init, subtrain, val, target, config, n_epochs)
+        for (got, _), (expected, _, _) in zip(seen[id(member)], reference):
+            assert got.keys() == expected.keys()
+            for key, weights in expected.items():
+                np.testing.assert_array_equal(got[key], weights)
+        # early stopping reads these, so they must be the reference's to the bit
+        assert member.diverged is None
+        assert member.train_loss == [r[1] for r in reference]
+        assert member.val_loss == [r[2] for r in reference]
+    return members, epochs_run
+
+
 def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members):
     """Every epoch's weights and losses of each member of an ``n_members`` fit equal
     ``_reference_epochs``' to the bit."""
@@ -587,26 +620,41 @@ def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members
         for lr, eta, patience in candidates
     ][:n_members]
     init = init_model(architecture, data.n_features, space.n_classes, seed=2, hidden_width=8)
-    seen = _spy_on_record(monkeypatch)
-    members = _fit_lockstep(init, subtrain, val, configs)
-
-    epochs_run = [len(seen[id(member)]) for member in members]
+    members, epochs_run = _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs)
     assert epochs_run[0] * n_batches > 356
     if n_members > 1:
         # members left the stack at different epochs while others trained on
         assert len(set(epochs_run)) >= 3 and max(epochs_run) > min(epochs_run)
-    for config, member, n_epochs in zip(configs, members, epochs_run):
-        target = build_target_matrix(space, config.strategy, config.params)
-        reference = _reference_epochs(init, subtrain, val, target, config, n_epochs)
-        for (got, _), (expected, _, _) in zip(seen[id(member)], reference):
-            assert got.keys() == expected.keys()
-            for key, weights in expected.items():
-                np.testing.assert_array_equal(got[key], weights)
-        # early stopping reads these, so they must be the reference's to the bit
-        assert member.diverged is None
-        assert member.train_loss == [r[1] for r in reference]
-        assert member.val_loss == [r[2] for r in reference]
     return subtrain, val, members
+
+
+# per grade count, a class size whose validation split leaves 16k + 1 training rows
+_ONE_ROW_TAIL = {2: 35, 4: 29, 5: 14, 9: 18}
+
+
+@pytest.mark.parametrize("n_classes", sorted(_ONE_ROW_TAIL))
+@pytest.mark.parametrize("architecture, hidden_width",
+                         [("mlp_1_hidden", 1), ("mlp_1_hidden", 16), ("mlp_1_hidden", 32),
+                          ("linear", 32)])
+def test_folded_fit_matches_the_reference_on_every_shape(
+    monkeypatch, architecture, hidden_width, n_classes
+):
+    """A product's rounding depends on its shapes, so the folded blocks are held to
+    the folded reference over hidden widths and grade counts, with a last batch
+    of one row, where numpy's matmul takes its matrix-vector path."""
+    data, space = _small_dataset(n_classes=n_classes, n_per_class=_ONE_ROW_TAIL[n_classes],
+                                 noise_sd=0.6, adjacent_flip_prob=0.2)
+    settings = ProtocolSettings(batch_size=16)
+    subtrain, val = validation_split(data, 8, settings)
+    assert subtrain.n_samples % settings.batch_size == 1
+    configs = [
+        TrainConfig(lr, "triangular", SmoothingParams(eta=0.8, alpha=0.05), seed=8,
+                    batch_size=16, max_epochs=12, patience=patience)
+        for lr, patience in ((1e-3, 12), (0.1, 3), (1.0, 2))
+    ]
+    init = init_model(architecture, data.n_features, n_classes, seed=8,
+                      hidden_width=hidden_width)
+    _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs)
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
@@ -734,12 +782,18 @@ def _owner(array):
     return array if array.base is None else array.base
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
-@pytest.mark.parametrize("n_classes", [2, 5, 9])
+@pytest.mark.parametrize("architecture, hidden_width", [
+    pytest.param("mlp_1_hidden", 16, id="mlp_1_hidden"),
+    pytest.param("mlp_1_hidden", 1, id="mlp_1_hidden-width1"),
+    pytest.param("mlp_1_hidden", 32, id="mlp_1_hidden-width32"),
+    pytest.param("linear", 16, id="linear"),
+])
+@pytest.mark.parametrize("n_classes", [2, 4, 5, 9])
 @pytest.mark.parametrize("spread", [1e3, 10.0])
-def test_predict_proba_is_the_reference_softmax(architecture, n_classes, spread):
+def test_predict_proba_is_the_reference_softmax(architecture, hidden_width, n_classes, spread):
     rng = np.random.default_rng(n_classes)
-    model = init_model(architecture, 8, n_classes, seed=4, hidden_width=16)
+    model = init_model(architecture, 8, n_classes, seed=4, hidden_width=hidden_width)
+    # random bias rows too
     weights = {k: w + rng.normal(size=w.shape) for k, w in model.items()}
     # a row count unlike any batch size
     x = rng.normal(size=(37, 8))
@@ -747,17 +801,76 @@ def test_predict_proba_is_the_reference_softmax(architecture, n_classes, spread)
     def reference_logits():
         hidden = x
         if "w_in" in weights:
-            hidden = np.maximum(x @ weights["w_in"] + weights["b_in"], 0.0)
-        return hidden @ weights["w_out"] + weights["b_out"]
+            hidden = np.maximum(_ones(x) @ weights["w_in"], 0.0)
+        return _ones(hidden) @ weights["w_out"]
 
-    # scale the output layer so the logits spread over ``spread``: at 1e3 most
+    # scale the output block so the logits spread over ``spread``: at 1e3 most
     # probabilities underflow, at 10 every grade adds to each row's sum
-    scale = spread / np.ptp(reference_logits())
-    weights["w_out"], weights["b_out"] = weights["w_out"] * scale, weights["b_out"] * scale
+    weights["w_out"] = weights["w_out"] * (spread / np.ptp(reference_logits()))
     logits = reference_logits()
     assert np.ptp(logits) == pytest.approx(spread)
     probs = predict_proba(weights, x)
     assert probs.tobytes() == softmax(logits).tobytes()
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+def test_init_model_draws_each_blocks_weights_over_a_zero_bias_row(architecture):
+    # the blocks' weight rows are the draws a model of separate biases made, in order
+    n_features, n_classes, hidden_width, seed = 6, 4, 7, 11
+    rng = np.random.default_rng([seed, trainer._STREAM_INIT])
+    fans = [(n_features, hidden_width), (hidden_width, n_classes)]
+    if architecture == "linear":
+        fans = [(n_features, n_classes)]
+    draws = [rng.uniform(-1 / math.sqrt(i), 1 / math.sqrt(i), size=(i, o)) for i, o in fans]
+    model = init_model(architecture, n_features, n_classes, seed, hidden_width)
+    assert list(model) == ["w_in", "w_out"][-len(fans):]
+    for block, draw in zip(model.values(), draws):
+        assert block.shape == (draw.shape[0] + 1, draw.shape[1])
+        assert block[:-1].tobytes() == draw.tobytes()
+        assert block[-1].tobytes() == np.zeros(draw.shape[1]).tobytes()
+
+
+def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
+    """Every pass shape that shares an arena's ``hidden`` buffer, a full and a short
+    batch, a full and a short validation block, and inference, leaves each (member,
+    row)'s ones column, which the output block's bias row reads, at 1.0."""
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    subtrain, val = validation_split(data, 5, ProtocolSettings())
+    configs = [TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
+                           max_epochs=4, patience=4) for lr in np.geomspace(1e-3, 1.0, 11)]
+    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
+    arenas, passes = [], []
+
+    class SpyArena(trainer._Arena):
+        def __init__(self, *args):
+            super().__init__(*args)
+            arenas.append(self)
+
+    def checked(name, fn):
+        def spy(*args):
+            out = fn(*args)
+            work = args[-1]
+            passes.append((name, work.hidden.shape[:2]))
+            # the pass's own rows, and every row of the arena's buffer
+            assert (work.hidden[..., -1] == 1.0).all()
+            assert (arenas[-1].hidden[8::9] == 1.0).all()
+            return out
+        return spy
+
+    monkeypatch.setattr(trainer, "_Arena", SpyArena)
+    monkeypatch.setattr(trainer, "_batch_gradients",
+                        checked("batch", trainer._batch_gradients))
+    monkeypatch.setattr(trainer, "_mean_soft_ce", checked("validation", trainer._mean_soft_ce))
+    monkeypatch.setattr(trainer, "_forward", checked("forward", trainer._forward))
+    (member, *_) = _fit_lockstep(init, subtrain, val, configs)
+    tail = subtrain.n_samples % 16
+    shapes = {("batch", (16, 11)), ("batch", (tail, 11)), ("validation", (val.n_samples, 8)),
+              ("validation", (val.n_samples, 3))}
+    assert tail and shapes <= set(passes)
+    passes.clear()
+    predict_proba(member.best_weights, data.features)
+    assert passes == [("forward", (data.n_samples, 1))]
+    assert len(arenas) == 2 and arenas[-1].hidden.size == 9 * data.n_samples
 
 
 def test_batch_gradients_match_central_differences():
@@ -770,22 +883,27 @@ def test_batch_gradients_match_central_differences():
     for architecture in ("mlp_1_hidden", "linear"):
         init = init_model(architecture, 3, 4, seed=2, hidden_width=5)
         layout = _layout(init)
-        # random biases too, so no ReLU input sits near its kink
+        assert [shape for _, _, _, shape in layout] == (
+            [(4, 5), (6, 4)] if architecture == "mlp_1_hidden" else [(4, 4)])
+        # random bias rows too, so no ReLU input sits near its kink
         flat = np.concatenate([w.ravel() for w in init.values()])
         flat = flat + rng.normal(scale=0.5, size=flat.size)
 
         def loss(params):
+            # the blocks' weights and biases apart, as an affine layer is written
             w = _views(params, layout)
             hidden = x
             if "w_in" in w:
-                hidden = np.maximum(x @ w["w_in"] + w["b_in"], 0.0)
-            return mean_soft_ce(softmax(hidden @ w["w_out"] + w["b_out"]), targets)
+                hidden = np.maximum(x @ w["w_in"][:-1] + w["w_in"][-1], 0.0)
+            logits = hidden @ w["w_out"][:-1] + w["w_out"][-1]
+            return mean_soft_ce(softmax(logits), targets)
 
         # one member's role-major stack is its flat parameters
         params, grads = flat.copy(), np.empty(flat.size)
         work = _Arena(init, 1, len(x), len(x)).work(1, len(x), backward=True)
         work.targets[:, 0] = targets
-        total = _batch_gradients(_views(params, layout, 1), _views(grads, layout, 1), x, work)
+        total = _batch_gradients(_views(params, layout, 1), _views(grads, layout, 1), _ones(x),
+                                 work)
         assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
         numeric = np.empty(flat.size)
         for i in range(flat.size):

@@ -17,7 +17,11 @@ difference in an output is a difference of the program. The set covers:
   default search, on the MLP under Adam and the linear model under SGD, with
   each winner's epoch losses, best weights and holdout probabilities written
   out in full. The commands' outputs hold argmax labels and metrics read off
-  them, which a change in a weight's last bit rarely moves; these do not.
+  them, which a change in a weight's last bit rarely moves; these do not. The
+  best weights are written as one flat vector, the model's arrays concatenated
+  in dict order, so a change of how a model splits its parameters into named
+  arrays that keeps their order and values, such as biases kept apart or held
+  as the last row of their weight matrix, leaves the file as it was.
 
 Every file the commands write, and each command's standard output, must be
 identical on both sides. The script prints each differing or one-sided file
@@ -77,6 +81,7 @@ COMMANDS = [
 # run with ``python -c`` in the working directory, after the commands
 HISTORIES = f"""
 import json
+import numpy as np
 from ordsoft.core import LabelSpace, SampleSet
 from ordsoft.trainer import ProtocolSettings, SearchSpace, run_single
 
@@ -90,7 +95,8 @@ for settings in (ProtocolSettings(max_epochs=60, patience=20),
         runs.append({{
             "config": history.config.to_dict(), "train_loss": history.train_loss,
             "val_loss": history.val_loss, "best_epoch": history.best_epoch,
-            "best_weights": {{k: w.tolist() for k, w in history.best_weights.items()}},
+            "best_weights": np.concatenate([w.ravel() for w in history.best_weights.values()]
+                                           ).tolist(),
             "holdout_probs": result.predictions.predicted_probs.tolist(),
         }})
 with open("histories.json", "w") as fh:
