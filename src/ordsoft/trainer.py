@@ -13,7 +13,7 @@ their weights are stacked on a leading axis, every step runs one batched
 forward/backward and one update on a mini-batch they share, each with its own
 learning rate and targets, and each stops early on its own. Stacking saves a
 step's fixed cost of numpy calls, not its arithmetic: pinned to one CPU, a
-step is member-linear above K≈8, at 8.6 µs per member for K=51, validation
+step is member-linear above K≈8, at 8.2 µs per member for K=51, validation
 aside (``tools/step_bench.py``). Each member's arithmetic is bit for bit that
 of a lone fit. ``train`` is the loop's one-member case. A member's
 ``TrainConfig`` alone names its targets, by its (strategy, params), which the
@@ -50,31 +50,36 @@ others it does not, and the tests hold the fit to a folded reference.
 
 A step's forward/backward allocates no arrays either, only views. It writes
 into work arrays (``_Work``) laid out batch-major: ``(B, K, H+1)`` hidden
-activations, ``(B, K, H)`` ReLU mask and ``d_hidden``; ``(B, K, J)`` targets,
-logits, which become probabilities and then ``d_logits`` in place, and
-log-likelihood terms; ``(B, K)`` row max and sum. Each member's matmuls run on
-``(K, B, .)`` transposed views, whose rows are contiguous, so each is still one
-gemm. The loss sums stay member-major, as a lone member's are: a batch's terms
-are written into a ``(K, B, J)`` array before each member's block is summed,
-and validation's row sums into a ``(K, V)`` one before each member's row is
+activations, ReLU mask and ``d_hidden``, the last two laid out as the first so
+that each runs as one contiguous pass, with ``d_hidden`` 0 under the ones
+column; ``(B, K, J)`` targets, logits, which become probabilities and then
+``d_logits`` in place, and log-likelihood terms; ``(B, K)`` row max and sum.
+Each member's matmuls run on ``(K, B, .)`` transposed views, whose rows are
+contiguous, so each is still one gemm. The backward product into ``d_hidden``
+reads ``w_out``'s weight rows transposed: for a batch of two or more rows from
+a ``(K, J, H)`` contiguous copy, an NN gemm, and for a 1-row batch, where numpy
+takes gemv and the two forms round apart, from the strided (NT) view. The loss
+sums stay member-major, as a lone member's are: a batch's terms are written
+into a ``(K, B, J)`` array before each member's block is summed, and
+validation's row sums into a ``(K, V)`` one before each member's row is
 averaged. A fit allocates its work arrays once, as one arena (``_Arena``)
 holding a flat buffer per work role, sized for the largest pass that uses it:
 a batch of all K members, or a validation block. The arena hands out one set
 per pass shape, built on its first use, each a contiguous ``[:n].reshape``
 prefix view of those buffers, since every work array is written before it is
-read, bar the hidden ones column, which sits at the same places in every
-prefix. A matmul or ufunc writing into such a view rounds bit for bit as into
-an array of its own, and the tests hold every fit to lone fits and to an
-allocating per-block reference. Every pass, a batch or a validation block,
-gathers its rows' targets from its members' label-major ``(J, K, J)`` target
-rows into its set's ``targets`` with one ``take``, so no array of every row's
-targets, training or validation, is kept or reshuffled; the fit checks both
-label sets' range once, since that ``take`` clips. The softmax takes each row's
-max and sum, and validation each row's log-likelihood sum, as J-1 ufuncs over
-the grade columns rather than as reductions over the last axis, because numpy
-reduces a length-5 trailing axis slowly; the max is exact and numpy adds a
-short row in index order, so the probabilities are bit for bit those of
-``loss.softmax``.
+read, bar the hidden ones column and the zeros of ``d_hidden`` under it, which
+sit at the same places in every prefix. A matmul or ufunc writing into such a
+view rounds bit for bit as into an array of its own, and the tests hold every
+fit to lone fits and to an allocating per-block reference. Every pass, a batch
+or a validation block, gathers its rows' targets from its members' label-major
+``(J, K, J)`` target rows into its set's ``targets`` with one ``take``, so no
+array of every row's targets, training or validation, is kept or reshuffled;
+the fit checks both label sets' range once, since that ``take`` clips. The
+softmax takes each row's max and sum, and validation each row's log-likelihood
+sum, as J-1 ufuncs over the grade columns rather than as reductions over the
+last axis, because numpy reduces a length-5 trailing axis slowly; the max is
+exact and numpy adds a short row in index order, so the probabilities are bit
+for bit those of ``loss.softmax``.
 
 Each epoch ends with the validation loss of all K members: one forward pass
 over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members, in
@@ -82,19 +87,24 @@ stack order, whose weights and target rows are slices of the stack's, so
 validation memory stays that of 8 members however large the stack.
 ``predict_proba``'s one-off ``(N, 1, ...)`` set is forward-only too, and holds
 no targets. When members leave the stack, the fit compacts the members left in
-place: within each role of the parameter, Adam moment, learning-rate and
-target-row buffers, the rows kept move to the front, and each role's segment
-slides down, so the smaller stack is again role-major in a prefix of each
-buffer. The gradient and Adam denominator buffers, rewritten every step,
-shrink to a prefix; no work set is built, and at the smaller stack's first
-batch the arena drops the sets it no longer runs. Members leaving allocate
-nothing, so they never raise the fit's peak memory. Every ufunc is elementwise
+place: within each role of the parameter, best-parameter, Adam moment,
+learning-rate and target-row buffers, the rows kept move to the front, and
+each role's segment slides down, so the smaller stack is again role-major in a
+prefix of each buffer. The gradient and Adam denominator buffers, rewritten
+every step, shrink to a prefix; no work set is built, and at the smaller
+stack's first batch the arena drops the sets it no longer runs. A member
+leaving allocates only its own copy of its best weights. Every ufunc is elementwise
 or keeps its reduction order, and every member runs its own gemm, so none of
 this changes a single bit.
 
 Each member's ``TrainHistory`` is the one record of its trained candidate:
 ``train`` returns it, ``random_search`` returns each strategy's winning one,
-and a ``RunResult`` holds it.
+and a ``RunResult`` holds it. It books the member's losses; the fit keeps the
+weights. Each member's best epoch's parameters live in a role-major ``best``
+buffer beside the parameters, into which, after each epoch's validation, the
+members that improved copy their rows with one indexed assignment per block;
+a member's own ``best_weights``, one flat copy seen through block views, is
+cut from it once, when the member leaves the stack or the fit ends.
 
 ``random_search`` searches several strategies on one seed at once. Each
 strategy samples its configurations without replacement from its own grid,
@@ -197,8 +207,11 @@ class _Arena:
     last of them set to 1 here, the ones column that the output block's bias row
     reads; every set's view puts its pairs' ones at the same places, and no pass
     writes them. ``mask``, ``d_hidden`` and ``member_llik``, which only a
-    backward pass uses, hold ``n_backward_rows``; ``total`` holds one value per
-    member.
+    backward pass uses, hold ``n_backward_rows`` pairs, the first two H+1 values
+    per pair, as ``hidden`` does: ``d_hidden``'s value under the ones column is
+    set to 0 here, and every backward pass leaves it 0. ``w_out_t``, which a
+    backward pass over two or more rows uses, holds each member's
+    ``w_out`` weight rows transposed, J x H; ``total`` holds one value per member.
     """
 
     def __init__(self, blocks: dict, n_members: int, n_rows: int, n_backward_rows: int = 0):
@@ -208,8 +221,10 @@ class _Arena:
         self.hidden = np.empty(n_rows * (self.n_hidden + 1 if self.n_hidden else 0))
         if self.n_hidden:
             self.hidden[self.n_hidden:: self.n_hidden + 1] = 1.0
-        self.d_hidden = np.empty(n_backward_rows * self.n_hidden)
-        self.mask = np.empty(n_backward_rows * self.n_hidden, dtype=bool)
+        self.d_hidden = np.zeros(n_backward_rows * (self.n_hidden + 1 if self.n_hidden else 0))
+        self.mask = np.empty(self.d_hidden.size, dtype=bool)
+        self.w_out_t = np.empty((n_members if n_backward_rows else 0) * self.n_hidden
+                                * self.n_grades)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
         self.member_llik = np.empty(n_backward_rows * self.n_grades)
         self.targets = np.empty((n_rows if n_backward_rows else 0) * self.n_grades)
@@ -245,17 +260,21 @@ class _Work:
     contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
     The arrays are batch-major. ``hidden`` is ``(B, K, H+1)``, its last column
-    the ones that the output block's bias row reads, and ``units`` its
-    ``(B, K, H)`` view of the H units alone (both None for the linear model);
-    ``logits``, which become probabilities (and then ``d_logits`` in a backward
-    pass), and the log-likelihood terms ``llik`` are ``(B, K, J)``; ``row_max``
-    and ``row_sum`` are ``(B, K)``; ``total`` is ``(K,)``. A set in a fit's arena
-    also holds the rows' ``(B, K, J)`` ``targets``, which inference's leaves None. A set for a backward pass also
-    holds the MLP's ``(B, K, H)`` ReLU ``mask`` and ``d_hidden``; a forward-only
-    set, as validation and inference use, leaves them None. Each member's matmuls
-    write and read ``hidden_t``, ``units_t``, ``logits_t`` and ``d_hidden_t``,
-    ``(K, B, .)`` transposed views of those: a member's ``(B, .)`` matrix has
-    contiguous rows a stack row apart, so each member's product is still one gemm.
+    the ones that the output block's bias row reads (None for the linear
+    model); ``logits``, which become probabilities (and then ``d_logits`` in a
+    backward pass), and the log-likelihood terms ``llik`` are ``(B, K, J)``;
+    ``row_max`` and ``row_sum`` are ``(B, K)``; ``total`` is ``(K,)``. A set in a
+    fit's arena also holds the rows' ``(B, K, J)`` ``targets``, which inference's
+    leaves None. A set for a backward pass also holds the MLP's ``(B, K, H+1)``
+    ReLU ``mask`` and ``d_hidden``, laid out as ``hidden``, with ``d_hidden`` 0
+    under the ones column, so the mask and its product each run as one
+    contiguous pass, and the ``(K, J, H)`` ``w_out_t``, into which the members'
+    ``w_out`` weight rows are copied transposed for the backward product; a
+    forward-only set, as validation and inference use, leaves them None. Each
+    member's matmuls write and read ``hidden_t``, ``logits_t``, and ``units_t``
+    and ``d_units_t``, the H units alone, ``(K, B, .)`` transposed views of
+    those: a member's ``(B, .)`` matrix has contiguous rows a stack row apart, so
+    each member's product is still one gemm.
 
     Two member-major arrays keep each member's loss sums in one contiguous run,
     as a lone member's are: a backward pass's ``member_llik``, ``(K, B, J)``, into
@@ -271,18 +290,19 @@ class _Work:
         def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
             return buffer[: math.prod(shape)].reshape(shape)
 
-        self.hidden = self.units = self.mask = self.d_hidden = self.targets = None
-        self.hidden_t = self.units_t = self.d_hidden_t = None
+        self.hidden = self.mask = self.d_hidden = self.targets = None
+        self.hidden_t = self.units_t = self.d_units_t = self.w_out_t = None
         self.member_llik = self.member_llik_t = None
         batch = (n_rows, n_members)
         if arena.n_hidden:
             self.hidden = view(arena.hidden, *batch, arena.n_hidden + 1)
             self.hidden_t = self.hidden.swapaxes(0, 1)
-            self.units, self.units_t = self.hidden[..., :-1], self.hidden_t[..., :-1]
+            self.units_t = self.hidden_t[..., :-1]
             if backward:
-                self.d_hidden = view(arena.d_hidden, *batch, arena.n_hidden)
-                self.d_hidden_t = self.d_hidden.swapaxes(0, 1)
-                self.mask = view(arena.mask, *batch, arena.n_hidden)
+                self.d_hidden = view(arena.d_hidden, *batch, arena.n_hidden + 1)
+                self.d_units_t = self.d_hidden.swapaxes(0, 1)[..., :-1]
+                self.mask = view(arena.mask, *batch, arena.n_hidden + 1)
+                self.w_out_t = view(arena.w_out_t, n_members, arena.n_grades, arena.n_hidden)
         self.logits = view(arena.logits, *batch, arena.n_grades)
         self.logits_t = self.logits.swapaxes(0, 1)
         self.llik = view(arena.llik, *batch, arena.n_grades)
@@ -501,12 +521,18 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     np.matmul(hidden.swapaxes(-1, -2), work.logits_t, out=grads["w_out"])
     if work.hidden is not None:
         # the bias row takes no part: the ones column has no input to pass back to
-        np.matmul(work.logits_t, weights["w_out"][:, :-1].swapaxes(-1, -2),
-                  out=work.d_hidden_t)
-        # hidden > 0 exactly where the ReLU's input is positive
-        np.greater(work.units, 0.0, out=work.mask)
+        w_out_t = weights["w_out"][:, :-1].swapaxes(-1, -2)
+        if x.shape[0] > 1:
+            # an NN gemm on a contiguous copy; a 1-row batch keeps the strided (NT)
+            # form, since numpy takes gemv there and the two forms round apart
+            np.copyto(work.w_out_t, w_out_t)
+            w_out_t = work.w_out_t
+        np.matmul(work.logits_t, w_out_t, out=work.d_units_t)
+        # hidden > 0 exactly where the ReLU's input is positive; under the ones
+        # column the mask is True and d_hidden 0, so the product keeps that slot 0
+        np.greater(work.hidden, 0.0, out=work.mask)
         work.d_hidden *= work.mask
-        np.matmul(x.T, work.d_hidden_t, out=grads["w_in"])
+        np.matmul(x.T, work.d_units_t, out=grads["w_in"])
     return work.total
 
 
@@ -592,7 +618,12 @@ class TrainHistory:
     """One member of a lockstep fit: its config, epoch losses, best validation
     loss with its 1-based epoch and weights, the epochs since, and any divergence;
     ``random_search`` adds the validation AMAE and MAE of each candidate it scores.
-    The weights and the divergence take no part in equality."""
+    The weights and the divergence take no part in equality.
+
+    ``record`` books the losses alone. The fit snapshots the weights of each epoch
+    that improves and sets ``best_weights`` once the member leaves its stack or
+    the fit ends; it stays None for a member that never improved (one that went
+    non-finite at epoch 1)."""
 
     config: TrainConfig
     train_loss: list = field(default_factory=list)
@@ -609,11 +640,9 @@ class TrainHistory:
     def stopped_epoch(self) -> int:
         return len(self.val_loss)
 
-    def record(
-        self, epoch: int, train_loss: float, val_loss: float, weights: dict, row: int
-    ) -> bool:
-        """Book one epoch's losses for member ``row`` of the stacked blocks ``weights``;
-        False once it stops."""
+    def record(self, epoch: int, train_loss: float, val_loss: float) -> bool:
+        """Book one epoch's losses; False once it stops. An epoch that improves
+        becomes ``best_epoch``, whose weights the fit snapshots."""
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             self.diverged = TrainingDiverged(
                 f"non-finite loss at epoch {epoch} (train={train_loss}, val={val_loss}) "
@@ -624,15 +653,20 @@ class TrainHistory:
         self.val_loss.append(val_loss)
         if val_loss < self.best_val:
             self.best_val = val_loss
-            # one owned flat copy of the member's blocks, seen through block views
-            blocks = {key: w[row] for key, w in weights.items()}
-            self.best_weights = _views(np.concatenate([w.ravel() for w in blocks.values()]),
-                                       _layout(blocks))
             self.best_epoch = epoch
             self.stale_epochs = 0
         else:
             self.stale_epochs += 1
         return self.stale_epochs < self.config.patience
+
+
+def _keep_best(member: TrainHistory, snapshot: dict, row: int, layout: list) -> None:
+    """Give a member leaving the stack, or left in it when the fit ends, its best
+    weights, unless it never improved: an owned flat copy of its row ``row`` of
+    the stacked blocks ``snapshot``, seen through block views."""
+    if member.best_epoch:
+        blocks = np.concatenate([w[row].ravel() for w in snapshot.values()])
+        member.best_weights = _views(blocks, layout)
 
 
 def _fit_lockstep(
@@ -659,11 +693,14 @@ def _fit_lockstep(
     over a member-major block, so every member's arithmetic is bit for bit that
     of the member trained alone. The weights and gradients are role-major flat
     buffers, ``[w_in | w_out]``, seen through per-block ``(K, *shape)`` views,
-    each block's last row its bias. A member that stops early or
-    goes non-finite leaves the stack: the members left are compacted, role by
-    role, into a role-major prefix of the parameter, moment, learning-rate and
-    target-row buffers, and the gradient prefix and block views are taken afresh
-    over the same memory.
+    each block's last row its bias. After each epoch's validation, the members
+    whose loss improved copy their parameters into a ``best`` buffer of the same
+    layout. A member that stops early or goes non-finite leaves the stack: it
+    takes its own copy of its ``best`` rows, the members left are compacted, role
+    by role, into a role-major prefix of the parameter, best-parameter, moment,
+    learning-rate and target-row buffers, and the gradient prefix and block views
+    are taken afresh over the same memory. The members left when the fit ends
+    take their copies then.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -676,8 +713,10 @@ def _fit_lockstep(
     layout = _layout(init_weights)
     sizes = [size for _, _, size, _ in layout]
     params = np.concatenate([np.tile(w.ravel(), len(members)) for w in init_weights.values()])
-    flat_grads = np.empty_like(params)
-    weights, grads = _views(params, layout, len(members)), _views(flat_grads, layout, len(members))
+    # the gradients, and each member's best epoch's parameters, in the same layout
+    flat_grads, best = np.empty_like(params), np.empty_like(params)
+    weights, grads, snapshot = (_views(flat, layout, len(members))
+                                for flat in (params, flat_grads, best))
     n_grades = init_weights["w_out"].shape[1]
     keys = dict.fromkeys((c.strategy, c.params) for c in configs)
     matrices = {key: build_target_matrix(LabelSpace(n_grades), *key).rows for key in keys}
@@ -715,22 +754,31 @@ def _fit_lockstep(
                               arena.scored(target_rows[:, block], validation.labels))
                 for block in blocks
             ])
-            rows = []
+            rows, improved = [], []
             for row, member in enumerate(alive):
-                losses = float(epoch_train[row]), float(epoch_val[row])
-                if member.record(epoch, *losses, weights, row):
+                if member.record(epoch, float(epoch_train[row]), float(epoch_val[row])):
                     rows.append(row)
+                if member.best_epoch == epoch:
+                    improved.append(row)
+        for key, w in weights.items():
+            snapshot[key][improved] = w[improved]
         if len(rows) < len(alive):
             if not rows:
                 break
+            for row, member in enumerate(alive):
+                if row not in rows:
+                    _keep_best(member, snapshot, row, layout)
             params = _compact(params, sizes, len(alive), rows)
+            best = _compact(best, sizes, len(alive), rows)
             target_rows = _compact(target_rows.reshape(-1), [n_grades] * n_grades, len(alive),
                                    rows).reshape(n_grades, len(rows), n_grades)
             alive = [alive[row] for row in rows]
             flat_grads = flat_grads[: params.size]  # rewritten every step
-            weights = _views(params, layout, len(rows))
-            grads = _views(flat_grads, layout, len(rows))
+            weights, grads, snapshot = (_views(flat, layout, len(rows))
+                                        for flat in (params, flat_grads, best))
             optimizer.keep(rows)
+    for row, member in enumerate(alive):
+        _keep_best(member, snapshot, row, layout)
     return members
 
 

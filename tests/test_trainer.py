@@ -542,10 +542,20 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
             d_logits = (probs - t) / x.shape[0]
             grads = {"w_out": _ones(hidden).swapaxes(-1, -2) @ d_logits}
             if "w_in" in weights:
-                # the bias row has no input to pass a gradient back to
-                d_hidden = d_logits @ weights["w_out"][:, :-1].swapaxes(-1, -2)
+                # the bias row has no input to pass a gradient back to; the product
+                # takes the fit's form: an NN gemm on a contiguous transposed copy for
+                # two or more rows, the strided (NT) transpose for one, where numpy
+                # takes gemv. At hidden width 2, 3, 4 or 12 with 16 or more grades
+                # the two forms round apart at every batch size
+                w_out_t = weights["w_out"][:, :-1].swapaxes(-1, -2)
+                if len(idx) > 1:
+                    w_out_t = np.ascontiguousarray(w_out_t)
+                d_hidden = d_logits @ w_out_t
                 d_hidden *= hidden > 0.0
-                grads["w_in"] = _ones(x).T @ d_hidden
+                # and the fit's operand: its d_hidden rows are H+1 apart, the last slot
+                # under the hidden ones column, and at hidden width 1 a product over
+                # 2 or 3 rows rounds by that stride
+                grads["w_in"] = _ones(x).T @ _ones(d_hidden)[..., :-1]
             if config.optimizer == "sgd":
                 for key, grad in grads.items():
                     weights[key] -= lr * grad
@@ -564,16 +574,23 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
 
 
 def _spy_on_record(monkeypatch):
-    """Record, per member, its layers at each epoch: a copy of each, and the live
-    stacked layer views of the fit's buffer it was handed."""
-    seen = {}
-    record = TrainHistory.record
+    """Record, per member, its blocks at each epoch: a copy of each, and the live
+    stacked block views of the fit's buffer it was validated on. An epoch
+    validates its members in stack order and then books them in that order, so
+    the n-th member booked is the n-th row validated."""
+    seen, validated = {}, []
+    record, mean_soft_ce = TrainHistory.record, trainer._mean_soft_ce
 
-    def spy(self, epoch, train_loss, val_loss, weights, row):
-        copy = {key: w[row].copy() for key, w in weights.items()}
-        seen.setdefault(id(self), []).append((copy, weights))
-        return record(self, epoch, train_loss, val_loss, weights, row)
+    def spy_validation(weights, x, work):
+        for row in range(len(weights["w_out"])):
+            validated.append(({key: w[row].copy() for key, w in weights.items()}, weights))
+        return mean_soft_ce(weights, x, work)
 
+    def spy(self, epoch, train_loss, val_loss):
+        seen.setdefault(id(self), []).append(validated.pop(0))
+        return record(self, epoch, train_loss, val_loss)
+
+    monkeypatch.setattr(trainer, "_mean_soft_ce", spy_validation)
     monkeypatch.setattr(TrainHistory, "record", spy)
     return seen
 
@@ -628,25 +645,37 @@ def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members
     return subtrain, val, members
 
 
-# per grade count, a class size whose validation split leaves 16k + 1 training rows
-_ONE_ROW_TAIL = {2: 35, 4: 29, 5: 14, 9: 18}
+# per grade count and last-batch size, class sizes whose validation split leaves
+# 16k + that many training rows (20 equal classes leave an even count)
+_TAIL_CLASS_SIZES = {
+    (2, 1): 35, (4, 1): 29, (5, 1): 14, (9, 1): 18, (20, 1): (9,) + (8,) * 19,
+    (2, 2): 36, (4, 2): 18, (5, 2): 28, (9, 2): 13, (20, 2): 7,
+}
 
 
-@pytest.mark.parametrize("n_classes", sorted(_ONE_ROW_TAIL))
-@pytest.mark.parametrize("architecture, hidden_width",
-                         [("mlp_1_hidden", 1), ("mlp_1_hidden", 16), ("mlp_1_hidden", 32),
-                          ("linear", 32)])
+@pytest.mark.parametrize("architecture, hidden_width, n_classes, tail", [
+    # the 1-row cases keep the ids they had before the 2-row ones were added
+    pytest.param(architecture, hidden_width, n_classes, tail,
+                 id=f"{architecture}-{hidden_width}-{n_classes}" + ("-tail2" if tail == 2 else ""))
+    for tail in (1, 2)
+    for architecture, hidden_width in [("mlp_1_hidden", 1), ("mlp_1_hidden", 4),
+                                       ("mlp_1_hidden", 16), ("mlp_1_hidden", 32), ("linear", 32)]
+    for n_classes in (2, 4, 5, 9, 20)
+])
 def test_folded_fit_matches_the_reference_on_every_shape(
-    monkeypatch, architecture, hidden_width, n_classes
+    monkeypatch, architecture, hidden_width, n_classes, tail
 ):
     """A product's rounding depends on its shapes, so the folded blocks are held to
     the folded reference over hidden widths and grade counts, with a last batch
-    of one row, where numpy's matmul takes its matrix-vector path."""
-    data, space = _small_dataset(n_classes=n_classes, n_per_class=_ONE_ROW_TAIL[n_classes],
+    of one row, where numpy's matmul takes its matrix-vector path, or of two. At
+    hidden width 4 and 20 grades the backward pass's NN and NT products round
+    apart, so the reference pins which one each batch size takes."""
+    data, space = _small_dataset(n_classes=n_classes,
+                                 n_per_class=_TAIL_CLASS_SIZES[n_classes, tail],
                                  noise_sd=0.6, adjacent_flip_prob=0.2)
     settings = ProtocolSettings(batch_size=16)
     subtrain, val = validation_split(data, 8, settings)
-    assert subtrain.n_samples % settings.batch_size == 1
+    assert subtrain.n_samples % settings.batch_size == tail
     configs = [
         TrainConfig(lr, "triangular", SmoothingParams(eta=0.8, alpha=0.05), seed=8,
                     batch_size=16, max_epochs=12, patience=patience)
@@ -654,7 +683,13 @@ def test_folded_fit_matches_the_reference_on_every_shape(
     ]
     init = init_model(architecture, data.n_features, n_classes, seed=8,
                       hidden_width=hidden_width)
-    _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs)
+    members, _ = _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs)
+    # and each member is its lone fit, whose work arrays are laid out for one member
+    for config, member in zip(configs, members):
+        (lone,) = _fit_lockstep(init, subtrain, val, [config])
+        assert lone == member
+        for key, weights in lone.best_weights.items():
+            assert member.best_weights[key].tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
@@ -734,7 +769,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
         roles = ["logits", "llik", "row_max", "row_sum", "total", "targets"]
         roles += ["member_llik"] if backward else []
         if architecture == "mlp_1_hidden":
-            roles += ["hidden", "mask", "d_hidden"] if backward else ["hidden"]
+            roles += ["hidden", "mask", "d_hidden", "w_out_t"] if backward else ["hidden"]
         for role in roles:
             assert np.shares_memory(getattr(work, role), getattr(arena, role)), role
     # a set is looked up, not rebuilt when members leave: the stack kept 8 or more
@@ -938,6 +973,75 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
     assert {k: w.shape for k, w in model.items()} == shapes
     # one flat copy seen through the layer views
     assert len({id(w.base) for w in model.values()}) == 1
+
+
+def test_each_leaving_member_keeps_an_owned_copy_of_its_best_epochs_weights(monkeypatch):
+    """The fit snapshots the members that improved into a buffer beside the
+    parameters once per epoch, and cuts each member's own copy from it when it
+    leaves the stack or the fit ends: a member that goes non-finite after
+    improving keeps its last best weights, and one that does so at epoch 1 has none."""
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    subtrain, val = validation_split(data, 5, ProtocolSettings())
+    # under SGD, lr 1e5 improves to epoch 4 and goes non-finite at epoch 6, and lr
+    # 1e308 at epoch 1; patience 2 stops the others at staggered epochs
+    configs = [
+        TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16, max_epochs=12,
+                    patience=2, optimizer="sgd")
+        for lr in (1e-3, 0.3, 1.0, 3.0, 3e4, 1e5, 1e308)
+    ]
+    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
+    stacks = []  # the owner of every buffer the fit compacts, parameters and snapshot among them
+    compact = trainer._compact
+
+    def spy_compact(flat, *args):
+        stacks.append(_owner(flat))
+        return compact(flat, *args)
+
+    monkeypatch.setattr(trainer, "_compact", spy_compact)
+    seen = _spy_on_record(monkeypatch)
+    members = _fit_lockstep(init, subtrain, val, configs)
+
+    *trained, late, early = members
+    assert early.diverged is not None and early.best_epoch == 0 and early.best_weights is None
+    assert late.diverged is not None and 1 < late.best_epoch < late.stopped_epoch
+    assert len({member.stopped_epoch for member in members}) >= 4 and stacks
+    n_params = sum(w.size for w in init.values())
+    for member in trained + [late]:
+        best, _ = seen[id(member)][member.best_epoch - 1]
+        last, live = seen[id(member)][-1]
+        if member.best_epoch < len(seen[id(member)]):
+            # later steps moved the member's parameters on from its best epoch's
+            assert not all(np.array_equal(best[key], last[key]) for key in best)
+        # one owned flat copy of one member's parameters, seen through block views
+        owner = _owner(member.best_weights["w_out"])
+        assert owner.size == n_params
+        for key, weights in best.items():
+            assert member.best_weights[key].tobytes() == weights.tobytes()
+            assert _owner(member.best_weights[key]) is owner
+            assert not np.shares_memory(owner, live[key])
+            assert not any(np.shares_memory(owner, stack) for stack in stacks)
+
+
+def test_search_skips_a_candidate_that_diverged_at_epoch_one(monkeypatch):
+    data, space = _small_dataset()
+    fits = []
+    fit = trainer._fit_lockstep
+
+    def spy(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(trainer, "_fit_lockstep", spy)
+    grid = SearchSpace(learning_rates=(1e-2, 1e308), max_configs=2)
+    settings = ProtocolSettings(batch_size=16, max_epochs=5, patience=5, hidden_width=8)
+    (outcome,) = random_search(grid, data, ["nominal"], seed=5, label_space=space,
+                               settings=settings)
+    ((first, second),) = fits
+    diverged = first if first.config.learning_rate == 1e308 else second
+    assert diverged.diverged is not None and diverged.best_epoch == 0
+    # never scored: it has no weights to score
+    assert diverged.best_weights is None and diverged.val_amae is None
+    assert outcome.diverged is None and outcome.config.learning_rate == 1e-2
 
 
 def test_train_returns_the_best_weights_and_leaves_its_model_alone():

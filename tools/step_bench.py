@@ -1,7 +1,8 @@
 """Time one lockstep training step and one validation block per stack size, on one CPU.
 
     python3 tools/step_bench.py --tree parent=TREE --tree change=TREE \
-        [--members 1,8,15,40,51] [--epochs 15] [--repeats 3] [--cpu N] [--out FILE]
+        [--members 1,8,15,40,51] [--epochs 15] [--repeats 3] [--cpu N] \
+        [--dim 8] [--hidden-width 32] [--out FILE]
 
 Each tree is a checkout of this repository. For each repeat, and each tree in
 turn (the order alternating between repeats), a worker process imports
@@ -9,9 +10,10 @@ turn (the order alternating between repeats), a worker process imports
 this process may run on) and, per stack size K, trains K members in one
 ``trainer._fit_lockstep`` fit for ``--epochs`` epochs with early stopping off,
 so no member leaves. The data are ``ordsoft synth``'s 5-grade set of 970 rows
-(flip probability 0.1, seed 1), split as a search splits it: 475 training rows
-in batches of 32 and 204 validation rows, on the default 8 -> 32 -> 5 MLP with
-Adam. The K members differ in learning rate and strategy.
+(flip probability 0.1, seed 1) with ``--dim`` features (default 8), split as a
+search splits it: 475 training rows in batches of 32 and 204 validation rows,
+on an MLP of ``--hidden-width`` units (default 32; so 8 -> 32 -> 5, the
+default model) with Adam. The K members differ in learning rate and strategy.
 
 The worker times, with ``time.perf_counter`` wrappers around the trainer's own
 functions, every full batch's ``_batch_gradients`` plus ``_Optimizer.update``
@@ -44,7 +46,8 @@ def src_digest(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def worker(src: Path, members: list[int], epochs: int, cpu: int) -> dict:
+def worker(src: Path, members: list[int], epochs: int, cpu: int, dim: int,
+           hidden_width: int) -> dict:
     """Per K in ``members``: the step and validation-block samples, in µs, of one fit."""
     os.sched_setaffinity(0, {cpu})
     sys.path.insert(0, str(src))
@@ -53,11 +56,12 @@ def worker(src: Path, members: list[int], epochs: int, cpu: int) -> dict:
     from ordsoft.softlabel import SmoothingParams
     from ordsoft.synth import SynthSpec, generate
 
-    dataset = generate(SynthSpec(n_classes=5, n_per_class=194, adjacent_flip_prob=0.1, seed=1))
+    dataset = generate(SynthSpec(n_classes=5, n_per_class=194, n_features=dim,
+                                 adjacent_flip_prob=0.1, seed=1))
     settings = trainer.ProtocolSettings()
     train_idx, _ = trainer.stratified_split(dataset.labels, settings.train_fraction, 0)
     subtrain, val = trainer.validation_split(dataset.subset(train_idx), 0, settings)
-    init = trainer.init_model(settings.architecture, dataset.n_features, 5, 0)
+    init = trainer.init_model(settings.architecture, dataset.n_features, 5, 0, hidden_width)
     strategies = [("nominal", SmoothingParams()), ("triangular", SmoothingParams(alpha=0.05)),
                   ("binomial", SmoothingParams()), ("beta", SmoothingParams(concentration=10.0)),
                   ("exponential", SmoothingParams(p=1.5))]
@@ -108,12 +112,15 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=15)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)))
+    parser.add_argument("--dim", type=int, default=8, help="features per row")
+    parser.add_argument("--hidden-width", type=int, default=32, help="the MLP's hidden units")
     parser.add_argument("--out", type=Path, help="output file (default: stdout)")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     members = [int(k) for k in args.members.split(",")]
     if args.worker:
-        json.dump(worker(args.worker, members, args.epochs, args.cpu), sys.stdout)
+        json.dump(worker(args.worker, members, args.epochs, args.cpu, args.dim,
+                         args.hidden_width), sys.stdout)
         return 0
     trees = {}
     for spec in args.tree:
@@ -121,8 +128,9 @@ def main(argv=None) -> int:
         trees[name] = Path(tree).resolve()
         if not (trees[name] / "src" / "ordsoft" / "trainer.py").is_file():
             parser.error(f"--tree {spec}: no src/ordsoft/trainer.py")
-    if not trees or args.epochs < 1 or args.repeats < 1:
-        parser.error("give at least one --tree, and --epochs and --repeats of at least 1")
+    if not trees or min(args.epochs, args.repeats, args.dim, args.hidden_width) < 1:
+        parser.error("give at least one --tree, and --epochs, --repeats, --dim and "
+                     "--hidden-width of at least 1")
 
     runs = {name: [] for name in trees}
     for repeat in range(args.repeats):
@@ -130,13 +138,15 @@ def main(argv=None) -> int:
         for name in order:
             proc = subprocess.run(
                 [sys.executable, __file__, "--worker", str(trees[name] / "src"), "--members",
-                 args.members, "--epochs", str(args.epochs), "--cpu", str(args.cpu)],
+                 args.members, "--epochs", str(args.epochs), "--cpu", str(args.cpu),
+                 "--dim", str(args.dim), "--hidden-width", str(args.hidden_width)],
                 capture_output=True, text=True, check=True)
             runs[name].append(json.loads(proc.stdout))
             print(f"repeat {repeat} {name} done", file=sys.stderr)
 
     report = {"schema": "step_bench-v1", "cpu": args.cpu, "epochs": args.epochs,
-              "repeats": args.repeats, "trees": {}}
+              "repeats": args.repeats, "dim": args.dim, "hidden_width": args.hidden_width,
+              "trees": {}}
     for name, results in runs.items():
         table = []
         for i, n in enumerate(members):
