@@ -96,7 +96,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    """``obj`` as JSON; a NaN or infinity, which JSON has no number for, raises ``ValueError``."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _make_parent(path: str | Path) -> None:
@@ -520,6 +521,8 @@ def analyse_tables(
     """KLD/MAE per run, residuals of mean predicted tables, and the test pipeline.
 
     ``epsilon`` smooths the KLD; None means ``jointanalysis.DEFAULT_KLD_EPSILON``.
+    A run whose KLD is infinite, as at epsilon 0 when its table has 0 in a cell
+    the truth fills, is a ``UsageError`` naming its strategy and seed.
     """
     from .jointanalysis import (
         DEFAULT_KLD_EPSILON,
@@ -549,9 +552,13 @@ def analyse_tables(
                 )
             q = normalise(table)
             dists.append(q.probs)
-            entries.append(
-                {"seed": seed, "kld": kld(p, q, epsilon), "table_mae": table_mae(p, q)}
-            )
+            divergence = kld(p, q, epsilon)
+            if divergence == np.inf:
+                raise UsageError(
+                    f"the KLD of {strategy} seed {seed} is infinite at epsilon {epsilon}: "
+                    f"its table has 0 in a cell the truth fills; use an epsilon above 0"
+                )
+            entries.append({"seed": seed, "kld": divergence, "table_mae": table_mae(p, q)})
         mean_q = JointDistribution(np.mean(dists, axis=0))
         klds = [e["kld"] for e in entries]
         maes = [e["table_mae"] for e in entries]
@@ -599,6 +606,8 @@ def analyse_tables(
 
 
 def cmd_analyze(args) -> int:
+    if args.epsilon is not None and not (np.isfinite(args.epsilon) and args.epsilon >= 0):
+        raise UsageError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
     with _reading(args.truth):
         truth = ContingencyTable.from_csv(args.truth)
     files = sorted(globmod.glob(args.pred))

@@ -4,8 +4,9 @@ The loss is -sum_j target[j] * log(probs[j]); with a one-hot target this is
 the ordinary categorical cross-entropy. Probabilities are floored at 1e-12
 before the logarithm since the loss is undefined at exactly zero.
 
-These are the plain, allocating forms. The trainer computes the same softmax
-and loss in place over preallocated work arrays; its tests hold it to these
+These are the plain, allocating forms. The trainer's inference,
+``predict_proba``, calls ``softmax``; its fit computes the same softmax and loss
+in place over preallocated work arrays, and its tests hold the fit to these
 functions bit for bit. The loss's gradient with respect to the logits,
 softmax minus target, lives only in the trainer's backward pass, whose tests
 check it against central differences of ``mean_soft_ce``.

@@ -25,7 +25,9 @@ linear model is ``w_out`` ((d+1) x J) alone. A block reads its input with a
 ones column appended, so its bias is the last term of its product. The
 architecture, grade count and hidden width are read off those shapes.
 ``init_model`` makes one, ``train`` and each ``TrainHistory`` hold the best
-one, and ``predict_proba`` is inference.
+one, and ``predict_proba`` is inference: the plain, allocating forward pass,
+two products and a ReLU over inputs with their ones columns appended, then
+``loss.softmax``.
 
 The K members' parameters live in one flat buffer laid out role-major,
 ``[w_in (K, d+1, H) | w_out (K, H+1, J)]``, so each block of every member is
@@ -36,13 +38,12 @@ with one short run of in-place ufuncs per step, against a learning rate spread
 to every parameter, and computes the step in the gradient buffer, which it has
 read by then, so it keeps no scratch buffer of its own.
 
-Every input carries its ones column: a fit gathers each epoch's shuffled
-training rows into one ``(N, d+1)`` buffer whose last column is ones, and
-gives the validation rows theirs once; ``predict_proba`` gives its rows theirs
-once per call. The hidden activations hold H+1 values per (member, row), the
-last of which is set to 1 when the work buffers are made: the first product
-writes the first H, and the ReLU keeps the ones, since ``max(1, 0) = 1``. So
-the forward pass is two products and a ReLU, and the two weight-gradient
+Every input of a fit carries its ones column: a fit gathers each epoch's
+shuffled training rows into one ``(N, d+1)`` buffer whose last column is ones,
+and gives the validation rows theirs once. The hidden activations hold H+1
+values per (member, row), the last of which is set to 1 when the work buffers
+are made: the first product writes the first H, and the ReLU keeps the ones,
+since ``max(1, 0) = 1``. So the forward pass is two products and a ReLU, and the two weight-gradient
 products return the bias gradients as their last rows: no bias add or bias sum
 is left. On the default 8 -> 32 -> 5 shapes this rounds as the separate adds
 and batch sums did; a product's rounding depends on its shapes, so on some
@@ -63,48 +64,49 @@ sums stay member-major, as a lone member's are: a batch's terms are written
 into a ``(K, B, J)`` array before each member's block is summed, and
 validation's row sums into a ``(K, V)`` one before each member's row is
 averaged. A fit allocates its work arrays once, as one arena (``_Arena``)
-holding a flat buffer per work role, sized for the largest pass that uses it:
-a batch of all K members, or a validation block. The arena hands out one set
-per pass shape, built on its first use, each a contiguous ``[:n].reshape``
-prefix view of those buffers, since every work array is written before it is
-read, bar the hidden ones column and the zeros of ``d_hidden`` under it, which
-sit at the same places in every prefix. A matmul or ufunc writing into such a
-view rounds bit for bit as into an array of its own, and the tests hold every
-fit to lone fits and to an allocating per-block reference. Every pass, a batch
-or a validation block, gathers its rows' targets from its members' label-major
-``(J, K, J)`` target rows into its set's ``targets`` with one ``take``, so no
-array of every row's targets, training or validation, is kept or reshuffled;
-the fit checks both label sets' range once, since that ``take`` clips. The
-softmax takes each row's max and sum, and validation each row's log-likelihood
-sum, as J-1 ufuncs over the grade columns rather than as reductions over the
-last axis, because numpy reduces a length-5 trailing axis slowly; the max is
-exact and numpy adds a short row in index order, so the probabilities are bit
-for bit those of ``loss.softmax``.
+holding a flat buffer per work role, every role sized for the largest pass: a
+batch of all K members, or a validation block. The arena hands out one set per
+pass shape, of every role, built on its first use, each a contiguous
+``[:n].reshape`` prefix view of those buffers, since every work array is
+written before it is read, bar the hidden ones column and the zeros of
+``d_hidden`` under it, which sit at the same places in every prefix. A matmul
+or ufunc writing into such a view rounds bit for bit as into an array of its
+own, and the tests hold every fit to lone fits and to an allocating per-block
+reference. Every pass, a batch or a validation block, gathers its rows'
+targets from its members' label-major ``(J, K, J)`` target rows into its set's
+``targets`` with one ``take``, so no array of every row's targets, training or
+validation, is kept or reshuffled; the fit checks both label sets' range once,
+since that ``take`` clips. The softmax takes each row's max and sum, and
+validation each row's log-likelihood sum, as J-1 ufuncs over the grade columns
+rather than as reductions over the last axis, because numpy reduces a length-5
+trailing axis slowly; the max is exact and numpy adds a short row in index
+order, so the probabilities are bit for bit those of ``loss.softmax``, and
+``predict_proba`` of a member's best weights is bit for bit its validation at
+its best epoch.
 
 Each epoch ends with the validation loss of all K members: one forward pass
 over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members, in
 stack order, whose weights and target rows are slices of the stack's, so
-validation memory stays that of 8 members however large the stack.
-``predict_proba``'s one-off ``(N, 1, ...)`` set is forward-only too, and holds
-no targets. When members leave the stack, the fit compacts the members left in
-place: within each role of the parameter, best-parameter, Adam moment,
-learning-rate and target-row buffers, the rows kept move to the front, and
-each role's segment slides down, so the smaller stack is again role-major in a
-prefix of each buffer. The gradient and Adam denominator buffers, rewritten
-every step, shrink to a prefix; no work set is built, and at the smaller
-stack's first batch the arena drops the sets it no longer runs. A member
-leaving allocates only its own copy of its best weights. Every ufunc is elementwise
-or keeps its reduction order, and every member runs its own gemm, so none of
-this changes a single bit.
+validation memory stays that of 8 members however large the stack. When
+members leave the stack, the fit compacts the members left in place: within
+each role of the parameter, Adam moment, learning-rate and target-row buffers,
+the rows kept move to the front, and each role's segment slides down, so the
+smaller stack is again role-major in a prefix of each buffer. The gradient and
+Adam denominator buffers, rewritten every step, shrink to a prefix, and the
+arena drops every set, so the smaller stack builds the sets it runs on their
+first use. A member leaving allocates nothing. Every ufunc is elementwise or
+keeps its reduction order, and every member runs its own gemm, so none of this
+changes a single bit.
 
 Each member's ``TrainHistory`` is the one record of its trained candidate:
 ``train`` returns it, ``random_search`` returns each strategy's winning one,
 and a ``RunResult`` holds it. It books the member's losses; the fit keeps the
 weights. Each member's best epoch's parameters live in a role-major ``best``
-buffer beside the parameters, into which, after each epoch's validation, the
-members that improved copy their rows with one indexed assignment per block;
-a member's own ``best_weights``, one flat copy seen through block views, is
-cut from it once, when the member leaves the stack or the fit ends.
+buffer beside the parameters, laid out as the first stack, into which, after
+each epoch's validation, the members that improved copy their rows with one
+indexed assignment per block. A member keeps its row of ``best`` for the whole
+fit, so ``best`` never moves; each member's own ``best_weights``, one flat copy
+seen through block views, is cut from it once, when the fit ends.
 
 ``random_search`` searches several strategies on one seed at once. Each
 strategy samples its configurations without replacement from its own grid,
@@ -139,7 +141,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import LabelSpace, PredictionSet, RunResult, SampleSet, build_confusion, check_number
-from .loss import PROB_FLOOR
+from .loss import PROB_FLOOR, softmax
 from .metrics import Scores, compute_report
 from .softlabel import STRATEGY_RULES, SmoothingParams, build_target_matrix, strategy_rule
 
@@ -148,7 +150,7 @@ _STREAM_INIT = 12
 _STREAM_SHUFFLE = 13
 _STREAM_SEARCH = 14
 
-# members per validation forward: bounds the forward-only set of a large stack
+# members per validation pass: bounds the work arrays a large stack's validation needs
 _VAL_BLOCK = 8
 
 
@@ -196,61 +198,47 @@ class TrainConfig:
 
 
 class _Arena:
-    """The work buffers of one fit, or of one inference pass: one flat buffer per
-    work role, sized for the largest pass that uses it, and one ``_Work`` set of
-    prefix views of them per pass shape.
+    """The work buffers of one fit: one flat buffer per work role, each sized for
+    the largest pass, and one ``_Work`` set of prefix views of them per pass shape.
 
-    ``hidden``, ``logits``, ``llik``, ``row_max`` and ``row_sum`` hold ``n_rows``
-    (member, row) pairs, the most that any pass runs, and so does ``targets`` in a
-    fit's arena (one with backward passes), every pass of which is scored;
-    inference's holds none. ``hidden`` holds the MLP's H+1 values per pair, the
-    last of them set to 1 here, the ones column that the output block's bias row
-    reads; every set's view puts its pairs' ones at the same places, and no pass
-    writes them. ``mask``, ``d_hidden`` and ``member_llik``, which only a
-    backward pass uses, hold ``n_backward_rows`` pairs, the first two H+1 values
-    per pair, as ``hidden`` does: ``d_hidden``'s value under the ones column is
-    set to 0 here, and every backward pass leaves it 0. ``w_out_t``, which a
-    backward pass over two or more rows uses, holds each member's
-    ``w_out`` weight rows transposed, J x H; ``total`` holds one value per member.
+    ``hidden``, ``mask``, ``d_hidden``, ``logits``, ``llik``, ``member_llik``,
+    ``targets``, ``row_max`` and ``row_sum`` hold ``n_rows`` (member, row) pairs,
+    the most that any pass runs; only a batch writes ``mask``, ``d_hidden`` and
+    ``member_llik``, so their pages past its pairs stay unwritten. ``hidden``
+    holds the MLP's H+1 values per pair, the last of them set to 1 here, the ones
+    column that the output block's bias row reads, and ``mask`` and ``d_hidden``
+    are laid out alike, with ``d_hidden``'s value under the ones column set to 0
+    here; every set's view puts its pairs' ones and zeros at the same places, and
+    every pass leaves them as they are. ``w_out_t``, which a backward pass over
+    two or more rows uses, holds each member's ``w_out`` weight rows transposed,
+    J x H; ``total`` holds one value per member. The fit clears ``sets`` when
+    members leave, as the smaller stack runs other shapes.
     """
 
-    def __init__(self, blocks: dict, n_members: int, n_rows: int, n_backward_rows: int = 0):
+    def __init__(self, blocks: dict, n_members: int, n_rows: int):
         """Buffers for passes of up to ``n_members`` models laid out as ``blocks`` (one model's)."""
         self.n_hidden = blocks["w_in"].shape[1] if "w_in" in blocks else 0
         self.n_grades = blocks["w_out"].shape[1]
         self.hidden = np.empty(n_rows * (self.n_hidden + 1 if self.n_hidden else 0))
         if self.n_hidden:
             self.hidden[self.n_hidden:: self.n_hidden + 1] = 1.0
-        self.d_hidden = np.zeros(n_backward_rows * (self.n_hidden + 1 if self.n_hidden else 0))
-        self.mask = np.empty(self.d_hidden.size, dtype=bool)
-        self.w_out_t = np.empty((n_members if n_backward_rows else 0) * self.n_hidden
-                                * self.n_grades)
+        self.d_hidden = np.zeros(self.hidden.size)
+        self.mask = np.empty(self.hidden.size, dtype=bool)
+        self.w_out_t = np.empty(n_members * self.n_hidden * self.n_grades)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
-        self.member_llik = np.empty(n_backward_rows * self.n_grades)
-        self.targets = np.empty((n_rows if n_backward_rows else 0) * self.n_grades)
+        self.member_llik, self.targets = np.empty(self.logits.size), np.empty(self.logits.size)
         self.row_max, self.row_sum = np.empty(n_rows), np.empty(n_rows)
         self.total = np.empty(n_members)
-        self.n_stack, self.sets = n_members, {}
+        self.sets = {}
 
-    def work(self, n_members: int, n_rows: int, backward: bool = False) -> _Work:
-        """The set for a pass of ``n_members`` over ``n_rows`` rows, built on first use.
-        A fit runs batches of its whole stack and validation blocks of at most
-        ``_VAL_BLOCK``, so a batch of another size means members left: the sets
-        of member counts the smaller stack does not run are dropped."""
-        if backward and n_members != self.n_stack:
-            self.n_stack = n_members
-            counts = {n_members, min(n_members, _VAL_BLOCK), n_members % _VAL_BLOCK}
-            self.sets = {key: s for key, s in self.sets.items() if key[0] in counts}
-        key = (n_members, n_rows, backward)
+    def scored(self, target_rows: np.ndarray, labels: np.ndarray) -> _Work:
+        """The set for a pass of the members whose target rows are the ``(J, k, J)``
+        label-major ``target_rows`` over rows labelled ``labels``, built on first
+        use, their targets gathered in with one ``take`` that clips."""
+        key = (target_rows.shape[1], len(labels))
         if key not in self.sets:
             self.sets[key] = _Work(self, *key)
-        return self.sets[key]
-
-    def scored(self, target_rows: np.ndarray, labels: np.ndarray, backward: bool = False) -> _Work:
-        """The set for a pass of the members whose target rows are the ``(J, k, J)``
-        label-major ``target_rows`` over rows labelled ``labels``, their targets
-        gathered in with one ``take`` that clips."""
-        work = self.work(target_rows.shape[1], len(labels), backward)
+        work = self.sets[key]
         target_rows.take(labels, 0, work.targets, "clip")
         return work
 
@@ -260,21 +248,18 @@ class _Work:
     contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
     The arrays are batch-major. ``hidden`` is ``(B, K, H+1)``, its last column
-    the ones that the output block's bias row reads (None for the linear
-    model); ``logits``, which become probabilities (and then ``d_logits`` in a
-    backward pass), and the log-likelihood terms ``llik`` are ``(B, K, J)``;
-    ``row_max`` and ``row_sum`` are ``(B, K)``; ``total`` is ``(K,)``. A set in a
-    fit's arena also holds the rows' ``(B, K, J)`` ``targets``, which inference's
-    leaves None. A set for a backward pass also holds the MLP's ``(B, K, H+1)``
-    ReLU ``mask`` and ``d_hidden``, laid out as ``hidden``, with ``d_hidden`` 0
-    under the ones column, so the mask and its product each run as one
-    contiguous pass, and the ``(K, J, H)`` ``w_out_t``, into which the members'
-    ``w_out`` weight rows are copied transposed for the backward product; a
-    forward-only set, as validation and inference use, leaves them None. Each
-    member's matmuls write and read ``hidden_t``, ``logits_t``, and ``units_t``
-    and ``d_units_t``, the H units alone, ``(K, B, .)`` transposed views of
-    those: a member's ``(B, .)`` matrix has contiguous rows a stack row apart, so
-    each member's product is still one gemm.
+    the ones that the output block's bias row reads, and the ReLU ``mask`` and
+    ``d_hidden`` are laid out alike, with ``d_hidden`` 0 under the ones column, so
+    the mask and its product each run as one contiguous pass (all three None for
+    the linear model); ``targets``, ``logits``, which become probabilities (and
+    then ``d_logits`` in a backward pass), and the log-likelihood terms ``llik``
+    are ``(B, K, J)``; ``row_max`` and ``row_sum`` are ``(B, K)``; ``total`` is
+    ``(K,)``; ``w_out_t``, into which the members' ``w_out`` weight rows are copied
+    transposed for the backward product, is ``(K, J, H)``. Each member's matmuls
+    write and read ``hidden_t``, ``logits_t``, and ``units_t`` and ``d_units_t``,
+    the H units alone, ``(K, B, .)`` transposed views of those: a member's
+    ``(B, .)`` matrix has contiguous rows a stack row apart, so each member's
+    product is still one gemm.
 
     Two member-major arrays keep each member's loss sums in one contiguous run,
     as a lone member's are: a backward pass's ``member_llik``, ``(K, B, J)``, into
@@ -286,31 +271,26 @@ class _Work:
     built with the set.
     """
 
-    def __init__(self, arena: _Arena, n_members: int, n_rows: int, backward: bool = False):
+    def __init__(self, arena: _Arena, n_members: int, n_rows: int):
         def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
             return buffer[: math.prod(shape)].reshape(shape)
 
-        self.hidden = self.mask = self.d_hidden = self.targets = None
-        self.hidden_t = self.units_t = self.d_units_t = self.w_out_t = None
-        self.member_llik = self.member_llik_t = None
+        self.hidden = self.mask = self.d_hidden = None
         batch = (n_rows, n_members)
         if arena.n_hidden:
             self.hidden = view(arena.hidden, *batch, arena.n_hidden + 1)
             self.hidden_t = self.hidden.swapaxes(0, 1)
             self.units_t = self.hidden_t[..., :-1]
-            if backward:
-                self.d_hidden = view(arena.d_hidden, *batch, arena.n_hidden + 1)
-                self.d_units_t = self.d_hidden.swapaxes(0, 1)[..., :-1]
-                self.mask = view(arena.mask, *batch, arena.n_hidden + 1)
-                self.w_out_t = view(arena.w_out_t, n_members, arena.n_grades, arena.n_hidden)
+            self.d_hidden = view(arena.d_hidden, *batch, arena.n_hidden + 1)
+            self.d_units_t = self.d_hidden.swapaxes(0, 1)[..., :-1]
+            self.mask = view(arena.mask, *batch, arena.n_hidden + 1)
+        self.w_out_t = view(arena.w_out_t, n_members, arena.n_grades, arena.n_hidden)
         self.logits = view(arena.logits, *batch, arena.n_grades)
         self.logits_t = self.logits.swapaxes(0, 1)
         self.llik = view(arena.llik, *batch, arena.n_grades)
-        if backward:
-            self.member_llik = view(arena.member_llik, n_members, n_rows, arena.n_grades)
-            self.member_llik_t = self.member_llik.swapaxes(0, 1)
-        if arena.targets.size:
-            self.targets = view(arena.targets, *batch, arena.n_grades)
+        self.member_llik = view(arena.member_llik, n_members, n_rows, arena.n_grades)
+        self.member_llik_t = self.member_llik.swapaxes(0, 1)
+        self.targets = view(arena.targets, *batch, arena.n_grades)
         self.row_max, self.row_sum = view(arena.row_max, *batch), view(arena.row_sum, *batch)
         self.llik_sums = view(arena.row_sum, n_members, n_rows)
         self.llik_sums_t = self.llik_sums.T
@@ -384,12 +364,12 @@ def _with_ones(features: np.ndarray) -> np.ndarray:
 
 
 def predict_proba(weights: dict, features: np.ndarray) -> np.ndarray:
-    """Softmax probabilities of the model ``weights`` on ``features``: one forward
-    pass over the rows with their ones column, through a one-off forward-only set
-    of work arrays."""
-    work = _Arena(weights, 1, len(features)).work(1, len(features))
-    _forward({k: w[None] for k, w in weights.items()}, _with_ones(features), work)
-    return _softmax(work)[:, 0]
+    """Softmax probabilities of the model ``weights`` on ``features``: the plain,
+    allocating forward pass, bit for bit the fit's."""
+    inputs = _with_ones(features)
+    if "w_in" in weights:
+        inputs = _with_ones(np.maximum(inputs @ weights["w_in"], 0.0))
+    return softmax(inputs @ weights["w_out"])
 
 
 def init_model(
@@ -616,21 +596,19 @@ class _Optimizer:
 @dataclass
 class TrainHistory:
     """One member of a lockstep fit: its config, epoch losses, best validation
-    loss with its 1-based epoch and weights, the epochs since, and any divergence;
+    loss with its 1-based epoch and weights, and any divergence;
     ``random_search`` adds the validation AMAE and MAE of each candidate it scores.
     The weights and the divergence take no part in equality.
 
     ``record`` books the losses alone. The fit snapshots the weights of each epoch
-    that improves and sets ``best_weights`` once the member leaves its stack or
-    the fit ends; it stays None for a member that never improved (one that went
-    non-finite at epoch 1)."""
+    that improves and sets ``best_weights`` when it ends; it stays None for a
+    member that never improved (one that went non-finite at epoch 1)."""
 
     config: TrainConfig
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_val: float = math.inf
     best_epoch: int = 0
-    stale_epochs: int = 0
     best_weights: Optional[dict] = field(default=None, compare=False)  # block views of one copy
     diverged: Optional[TrainingDiverged] = field(default=None, compare=False)
     val_amae: Optional[float] = None
@@ -639,6 +617,11 @@ class TrainHistory:
     @property
     def stopped_epoch(self) -> int:
         return len(self.val_loss)
+
+    @property
+    def stale_epochs(self) -> int:
+        """The epochs booked since the best one."""
+        return len(self.val_loss) - self.best_epoch
 
     def record(self, epoch: int, train_loss: float, val_loss: float) -> bool:
         """Book one epoch's losses; False once it stops. An epoch that improves
@@ -654,16 +637,13 @@ class TrainHistory:
         if val_loss < self.best_val:
             self.best_val = val_loss
             self.best_epoch = epoch
-            self.stale_epochs = 0
-        else:
-            self.stale_epochs += 1
         return self.stale_epochs < self.config.patience
 
 
 def _keep_best(member: TrainHistory, snapshot: dict, row: int, layout: list) -> None:
-    """Give a member leaving the stack, or left in it when the fit ends, its best
-    weights, unless it never improved: an owned flat copy of its row ``row`` of
-    the stacked blocks ``snapshot``, seen through block views."""
+    """Give a member of a fit that has ended its best weights, unless it never
+    improved: an owned flat copy of its row ``row`` of the stacked blocks
+    ``snapshot``, seen through block views."""
     if member.best_epoch:
         blocks = np.concatenate([w[row].ravel() for w in snapshot.values()])
         member.best_weights = _views(blocks, layout)
@@ -694,13 +674,13 @@ def _fit_lockstep(
     of the member trained alone. The weights and gradients are role-major flat
     buffers, ``[w_in | w_out]``, seen through per-block ``(K, *shape)`` views,
     each block's last row its bias. After each epoch's validation, the members
-    whose loss improved copy their parameters into a ``best`` buffer of the same
-    layout. A member that stops early or goes non-finite leaves the stack: it
-    takes its own copy of its ``best`` rows, the members left are compacted, role
-    by role, into a role-major prefix of the parameter, best-parameter, moment,
-    learning-rate and target-row buffers, and the gradient prefix and block views
-    are taken afresh over the same memory. The members left when the fit ends
-    take their copies then.
+    whose loss improved copy their parameters into their rows of a ``best``
+    buffer of the first stack's layout, which never moves. A member that stops
+    early or goes non-finite leaves the stack: the members left are compacted,
+    role by role, into a role-major prefix of the parameter, moment,
+    learning-rate and target-row buffers, the gradient prefix and block views are
+    taken afresh over the same memory, and the arena drops its work sets. When
+    the fit ends, every member takes its own copy of its ``best`` rows.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -713,10 +693,11 @@ def _fit_lockstep(
     layout = _layout(init_weights)
     sizes = [size for _, _, size, _ in layout]
     params = np.concatenate([np.tile(w.ravel(), len(members)) for w in init_weights.values()])
-    # the gradients, and each member's best epoch's parameters, in the same layout
-    flat_grads, best = np.empty_like(params), np.empty_like(params)
+    # the gradients, and each member's best epoch's parameters in its row of the first stack
+    flat_grads = np.empty_like(params)
     weights, grads, snapshot = (_views(flat, layout, len(members))
-                                for flat in (params, flat_grads, best))
+                                for flat in (params, flat_grads, np.empty_like(params)))
+    ids = np.arange(len(members))  # each live member's row of the first stack
     n_grades = init_weights["w_out"].shape[1]
     keys = dict.fromkeys((c.strategy, c.params) for c in configs)
     matrices = {key: build_target_matrix(LabelSpace(n_grades), *key).rows for key in keys}
@@ -732,7 +713,7 @@ def _fit_lockstep(
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
     batch_rows = len(members) * int(batch_sizes[0])
     val_rows = min(len(members), _VAL_BLOCK) * validation.n_samples
-    arena = _Arena(init_weights, len(members), max(batch_rows, val_rows), batch_rows)
+    arena = _Arena(init_weights, len(members), max(batch_rows, val_rows))
     x_epoch, x_val = _with_ones(data.features), _with_ones(validation.features)
 
     for epoch in range(1, shared.max_epochs + 1):
@@ -743,7 +724,7 @@ def _fit_lockstep(
         with np.errstate(over="ignore", invalid="ignore"):
             for i, start in enumerate(starts):
                 end = start + shared.batch_size
-                work = arena.scored(target_rows, labels_epoch[start:end], backward=True)
+                work = arena.scored(target_rows, labels_epoch[start:end])
                 log_likelihoods[:, i] = _batch_gradients(weights, grads, x_epoch[start:end], work)
                 optimizer.update(params, flat_grads)
             # per-batch mean losses, then their mean over the epoch
@@ -761,23 +742,19 @@ def _fit_lockstep(
                 if member.best_epoch == epoch:
                     improved.append(row)
         for key, w in weights.items():
-            snapshot[key][improved] = w[improved]
+            snapshot[key][ids[improved]] = w[improved]
         if len(rows) < len(alive):
             if not rows:
                 break
-            for row, member in enumerate(alive):
-                if row not in rows:
-                    _keep_best(member, snapshot, row, layout)
             params = _compact(params, sizes, len(alive), rows)
-            best = _compact(best, sizes, len(alive), rows)
             target_rows = _compact(target_rows.reshape(-1), [n_grades] * n_grades, len(alive),
                                    rows).reshape(n_grades, len(rows), n_grades)
-            alive = [alive[row] for row in rows]
+            alive, ids = [alive[row] for row in rows], ids[rows]
             flat_grads = flat_grads[: params.size]  # rewritten every step
-            weights, grads, snapshot = (_views(flat, layout, len(rows))
-                                        for flat in (params, flat_grads, best))
+            weights, grads = (_views(flat, layout, len(rows)) for flat in (params, flat_grads))
             optimizer.keep(rows)
-    for row, member in enumerate(alive):
+            arena.sets.clear()
+    for row, member in enumerate(members):
         _keep_best(member, snapshot, row, layout)
     return members
 

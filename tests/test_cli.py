@@ -859,3 +859,51 @@ def test_analyze_bad_glob_usage_error(tmp_path):
     _write_table(truth, [[5, 5], [5, 5]])
     assert main(["analyze", "--truth", str(truth),
                  "--pred", str(tmp_path / "missing*.csv")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-1", "inf"])
+def test_analyze_rejects_a_bad_epsilon_before_reading_any_table(tmp_path, capsys, epsilon):
+    # neither the truth nor any predicted table exists: the epsilon is checked first
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--truth", str(tmp_path / "truth.csv"), "--pred",
+                 str(tmp_path / "*_seed*.csv"), "--epsilon", epsilon, "--out", str(out)]
+                ) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--epsilon must be a finite number >= 0, got {float(epsilon)}" in err
+    assert not out.exists()
+
+
+def test_analyze_an_infinite_kld_is_a_usage_error_naming_its_run(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    _write_table(truth, [[30, 5], [5, 30]])
+    for seed in range(3):
+        _write_table(tmp_path / f"beta_seed{seed}.csv", [[28, 7], [4, 31]])
+        # seed 1 predicts no (1, 0) pair, which the truth holds 5 of
+        _write_table(tmp_path / f"nominal_seed{seed}.csv",
+                     [[20, 15], [0 if seed == 1 else 9, 26]])
+    argv = ["analyze", "--truth", str(truth), "--pred", str(tmp_path / "*_seed*.csv")]
+    out = tmp_path / "analysis.json"
+    assert main(argv + ["--epsilon", "0", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "the KLD of nominal seed 1 is infinite at epsilon 0.0" in err
+    assert not out.exists()
+    # smoothed, the same tables have a finite KLD
+    assert main(argv + ["--epsilon", "1e-6", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    _validate("ordsoft.analysis_report-v1", report)
+    assert report["epsilon"] == 1e-6
+    # and at epsilon 0 tables with no zero cell under truth mass analyse as ever
+    _write_table(tmp_path / "nominal_seed1.csv", [[20, 15], [9, 26]])
+    assert main(argv + ["--epsilon", "0", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    _validate("ordsoft.analysis_report-v1", report)
+    assert report["epsilon"] == 0 and report["strategies"]["nominal"]["kld_mean"] > 0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_no_command_writes_a_nan_or_infinity(value):
+    from ordsoft.cli import _dump_json
+
+    assert _dump_json({"x": 1.5}) == '{"x": 1.5}'
+    with pytest.raises(ValueError):
+        _dump_json({"nested": [0.0, value]})

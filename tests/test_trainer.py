@@ -466,7 +466,7 @@ def test_lockstep_rejects_labels_past_the_target_grades():
 
 
 @pytest.mark.parametrize("n_members", [1, 3, 6, 9, 19])
-def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_members):
+def test_lockstep_validates_every_member_in_blocks_of_eight(monkeypatch, n_members):
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
     subtrain, val = validation_split(data, 5, ProtocolSettings())
     # patience 2 stops some members early while others run on to max_epochs
@@ -477,21 +477,16 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
         for lr in learning_rates[:n_members]
     ]
     init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
-    passes, forward_only = [], []
+    passes = []
     mean_soft_ce = trainer._mean_soft_ce
 
     def spy(weights, x, work):
+        # every validation row of each member of the block, in one pass
+        assert work.targets.shape[0] == len(x) == val.n_samples
         passes.append(work.targets.shape[1])
         return mean_soft_ce(weights, x, work)
 
-    class SpyWork(trainer._Work):
-        def __init__(self, arena, n_members, n_rows, backward=False):
-            super().__init__(arena, n_members, n_rows, backward)
-            if not backward:
-                forward_only.append(n_members)
-
     monkeypatch.setattr(trainer, "_mean_soft_ce", spy)
-    monkeypatch.setattr(trainer, "_Work", SpyWork)
     members = _fit_lockstep(init, subtrain, val, configs)
 
     epochs = [member.stopped_epoch for member in members]
@@ -502,7 +497,6 @@ def test_lockstep_validates_every_member_in_one_pass_per_epoch(monkeypatch, n_me
     # blocks of 8 in stack order and then the rest
     assert len(passes) == sum(math.ceil(n / block) for n in alive)
     assert passes == [min(block, n - lo) for n in alive for lo in range(0, n, block)]
-    assert forward_only and max(forward_only) <= block
 
 
 def _ones(a):
@@ -730,7 +724,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
         for lr in np.geomspace(1e-3, 3.0, 11)
     ]
     init = init_model(architecture, data.n_features, space.n_classes, seed=5, hidden_width=8)
-    arenas, sets = [], []
+    arenas, events = [], []  # events: each set built, and "exit" as members leave
 
     class SpyArena(trainer._Arena):
         def __init__(self, *args):
@@ -738,9 +732,9 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
             arenas.append(self)
 
     class SpyWork(trainer._Work):
-        def __init__(self, arena, n_members, n_rows, backward=False):
-            super().__init__(arena, n_members, n_rows, backward)
-            sets.append((arena, self, n_members, n_rows, backward))
+        def __init__(self, arena, n_members, n_rows):
+            super().__init__(arena, n_members, n_rows)
+            events.append((arena, self, n_members, n_rows))
 
     monkeypatch.setattr(trainer, "_Arena", SpyArena)
     monkeypatch.setattr(trainer, "_Work", SpyWork)
@@ -752,35 +746,54 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
         before = [_owner(getattr(self, name)) for name in names]
         keep(self, rows)
         removals.append((before, [_owner(getattr(self, name)) for name in names]))
+        events.append("exit")
+
+    def live_sets(n_stack):
+        """The sets a stack of ``n_stack`` members runs: its batches, full and
+        short, and its validation blocks."""
+        blocks = {(min(8, n_stack - lo), val.n_samples) for lo in range(0, n_stack, 8)}
+        return {(n_stack, 16), (n_stack, subtrain.n_samples % 16)} | blocks
+
+    batch_gradients = trainer._batch_gradients
+
+    def spy_gradients(weights, grads, x, work):
+        # after an exit the arena holds only sets of the stack that is training
+        (arena,) = arenas
+        assert set(arena.sets) <= live_sets(work.targets.shape[1])
+        return batch_gradients(weights, grads, x, work)
 
     monkeypatch.setattr(trainer._Optimizer, "keep", spy_keep)
+    monkeypatch.setattr(trainer, "_batch_gradients", spy_gradients)
     seen = _spy_on_record(monkeypatch)
     members = _fit_lockstep(init, subtrain, val, configs)
 
     (arena,) = arenas
-    built = [(n_members, n_rows, backward) for _, _, n_members, n_rows, backward in sets]
+    sets = [event for event in events if event != "exit"]
+    built = [(n_members, n_rows) for _, _, n_members, n_rows in sets]
     # the full and short batch and both validation block sizes, then smaller stacks
-    assert {(11, 16, True), (11, subtrain.n_samples % 16, True), (8, val.n_samples, False),
-            (3, val.n_samples, False)} <= set(built)
-    assert any(n_members < 11 for n_members, _, _ in built)
-    for owner, work, _, _, backward in sets:
+    assert live_sets(11) <= set(built)
+    assert any(n_members < 11 for n_members, _ in built)
+    for owner, work, _, _ in sets:
         assert owner is arena
-        # batches and validation blocks alike are scored against targets gathered here
-        roles = ["logits", "llik", "row_max", "row_sum", "total", "targets"]
-        roles += ["member_llik"] if backward else []
+        # every set, batch or validation block, is prefix views of the arena's buffers
+        roles = ["logits", "llik", "member_llik", "targets", "row_max", "row_sum", "total"]
         if architecture == "mlp_1_hidden":
-            roles += ["hidden", "mask", "d_hidden", "w_out_t"] if backward else ["hidden"]
+            roles += ["hidden", "mask", "d_hidden", "w_out_t"]
         for role in roles:
             assert np.shares_memory(getattr(work, role), getattr(arena, role)), role
-    # a set is looked up, not rebuilt when members leave: the stack kept 8 or more
-    # members past a removal, and its blocks of 8 validated on one set throughout
-    epochs = [member.stopped_epoch for member in members]
-    assert any(sum(e > stop for e in epochs) >= 8 for stop in epochs if stop < max(epochs))
-    assert built.count((8, val.n_samples, False)) == 1
+    # each stack builds each of its sets once, on its first use
+    stacks = [[]]
+    for event in events:
+        if event == "exit":
+            stacks.append([])
+        else:
+            stacks[-1].append(event)
+    for stack in stacks:
+        keys = [(n_members, n_rows) for _, _, n_members, n_rows in stack]
+        assert len(keys) == len(set(keys))
     # and the sets the fit keeps at its end are those its last stack ran
-    last = epochs.count(max(epochs))
-    blocks = {(min(8, last - lo), val.n_samples, False) for lo in range(0, last, 8)}
-    assert set(arena.sets) == {(last, 16, True), (last, subtrain.n_samples % 16, True)} | blocks
+    epochs = [member.stopped_epoch for member in members]
+    assert set(arena.sets) == live_sets(epochs.count(max(epochs)))
 
     # members left at staggered epochs; every member's parameters, at every epoch,
     # were a row of the one buffer the fit started with, and so were the optimizer's
@@ -849,6 +862,46 @@ def test_predict_proba_is_the_reference_softmax(architecture, hidden_width, n_cl
 
 
 @pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+def test_predict_proba_is_the_fits_validation_at_each_members_best_epoch(
+    monkeypatch, architecture
+):
+    """``random_search`` scores each candidate on ``predict_proba`` of its best
+    weights over the validation rows: those are, bit for bit, the probabilities
+    the fit's validation pass computed at the member's best epoch, in a block of
+    the stack that epoch ran."""
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    subtrain, val = validation_split(data, 5, ProtocolSettings())
+    # 11 members validate in blocks of 8 and 3; patience 2 stops some early
+    configs = [
+        TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16, max_epochs=12,
+                    patience=2)
+        for lr in np.geomspace(1e-3, 3.0, 11)
+    ]
+    init = init_model(architecture, data.n_features, space.n_classes, seed=5, hidden_width=8)
+    probs, validated = {}, []
+    mean_soft_ce, record = trainer._mean_soft_ce, TrainHistory.record
+
+    def spy_validation(weights, x, work):
+        out = mean_soft_ce(weights, x, work)
+        # the softmax leaves each member's probabilities in its column of the logits
+        validated.extend(work.logits[:, row].copy() for row in range(work.logits.shape[1]))
+        return out
+
+    def spy_record(self, epoch, train_loss, val_loss):
+        probs.setdefault(id(self), []).append(validated.pop(0))
+        return record(self, epoch, train_loss, val_loss)
+
+    monkeypatch.setattr(trainer, "_mean_soft_ce", spy_validation)
+    monkeypatch.setattr(TrainHistory, "record", spy_record)
+    members = _fit_lockstep(init, subtrain, val, configs)
+
+    assert len({member.stopped_epoch for member in members}) >= 3
+    for member in members:
+        expected = probs[id(member)][member.best_epoch - 1]
+        assert predict_proba(member.best_weights, val.features).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
 def test_init_model_draws_each_blocks_weights_over_a_zero_bias_row(architecture):
     # the blocks' weight rows are the draws a model of separate biases made, in order
     n_features, n_classes, hidden_width, seed = 6, 4, 7, 11
@@ -866,9 +919,10 @@ def test_init_model_draws_each_blocks_weights_over_a_zero_bias_row(architecture)
 
 
 def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
-    """Every pass shape that shares an arena's ``hidden`` buffer, a full and a short
-    batch, a full and a short validation block, and inference, leaves each (member,
-    row)'s ones column, which the output block's bias row reads, at 1.0."""
+    """Every pass shape that shares the fit's arena's ``hidden`` and ``d_hidden``
+    buffers, a full and a short batch and a full and a short validation block,
+    leaves each (member, row)'s ones column, which the output block's bias row
+    reads, at 1.0, and ``d_hidden`` under it at 0.0. Inference builds no arena."""
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
     subtrain, val = validation_split(data, 5, ProtocolSettings())
     configs = [TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
@@ -886,9 +940,10 @@ def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
             out = fn(*args)
             work = args[-1]
             passes.append((name, work.hidden.shape[:2]))
-            # the pass's own rows, and every row of the arena's buffer
-            assert (work.hidden[..., -1] == 1.0).all()
+            # the pass's own rows, and every row of the arena's buffers
+            assert (work.hidden[..., -1] == 1.0).all() and (work.d_hidden[..., -1] == 0.0).all()
             assert (arenas[-1].hidden[8::9] == 1.0).all()
+            assert (arenas[-1].d_hidden[8::9] == 0.0).all()
             return out
         return spy
 
@@ -904,8 +959,7 @@ def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
     assert tail and shapes <= set(passes)
     passes.clear()
     predict_proba(member.best_weights, data.features)
-    assert passes == [("forward", (data.n_samples, 1))]
-    assert len(arenas) == 2 and arenas[-1].hidden.size == 9 * data.n_samples
+    assert passes == [] and len(arenas) == 1
 
 
 def test_batch_gradients_match_central_differences():
@@ -935,8 +989,8 @@ def test_batch_gradients_match_central_differences():
 
         # one member's role-major stack is its flat parameters
         params, grads = flat.copy(), np.empty(flat.size)
-        work = _Arena(init, 1, len(x), len(x)).work(1, len(x), backward=True)
-        work.targets[:, 0] = targets
+        # each row its own label, so the target gather puts each row's target in place
+        work = _Arena(init, 1, len(x)).scored(targets[:, None], np.arange(len(x)))
         total = _batch_gradients(_views(params, layout, 1), _views(grads, layout, 1), _ones(x),
                                  work)
         assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
@@ -977,9 +1031,10 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
 
 def test_each_leaving_member_keeps_an_owned_copy_of_its_best_epochs_weights(monkeypatch):
     """The fit snapshots the members that improved into a buffer beside the
-    parameters once per epoch, and cuts each member's own copy from it when it
-    leaves the stack or the fit ends: a member that goes non-finite after
-    improving keeps its last best weights, and one that does so at epoch 1 has none."""
+    parameters once per epoch, each member in its row of the first stack, and
+    cuts each member's own copy from it when the fit ends: a member that goes
+    non-finite after improving keeps its last best weights, and one that does so
+    at epoch 1 has none."""
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
     subtrain, val = validation_split(data, 5, ProtocolSettings())
     # under SGD, lr 1e5 improves to epoch 4 and goes non-finite at epoch 6, and lr
@@ -990,7 +1045,7 @@ def test_each_leaving_member_keeps_an_owned_copy_of_its_best_epochs_weights(monk
         for lr in (1e-3, 0.3, 1.0, 3.0, 3e4, 1e5, 1e308)
     ]
     init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
-    stacks = []  # the owner of every buffer the fit compacts, parameters and snapshot among them
+    stacks = []  # the owner of every buffer the fit compacts, the parameters among them
     compact = trainer._compact
 
     def spy_compact(flat, *args):

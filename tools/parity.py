@@ -8,20 +8,27 @@ serially (``ORDSOFT_WORKERS=1``), as ``python -m ordsoft.cli`` with
 (default: a new temporary directory) with the same relative paths, so any
 difference in an output is a difference of the program. The set covers:
 
-- ``synth``: a 400-row 5-grade set, and a 300-row paired 5x4 set with its truth table;
+- ``synth``: a 400-row 5-grade set, a 460-row 20-grade set, and a 300-row paired
+  5x4 set with its truth table;
 - ``sweep``: single-scale with the default search (51 candidates, past Adam's
   step 356, members leaving at staggered epochs), a short run with patience 3,
   a linear model under SGD, and a paired sweep followed by ``analyze``;
 - ``train``: one record under Adam and one under SGD;
-- ``histories.json``: the library's ``trainer.run_single`` on the 400-row set,
-  default search, on the MLP under Adam and the linear model under SGD, with
-  each winner's epoch losses, best weights and holdout probabilities written
-  out in full. The commands' outputs hold argmax labels and metrics read off
-  them, which a change in a weight's last bit rarely moves; these do not. The
-  best weights are written as one flat vector, the model's arrays concatenated
-  in dict order, so a change of how a model splits its parameters into named
-  arrays that keeps their order and values, such as biases kept apart or held
-  as the last row of their weight matrix, leaves the file as it was.
+- ``histories.json``: the library's ``trainer.run_single``, default search, on
+  the 400-row set with the MLP under Adam and the linear model under SGD, and
+  on the 20-grade set with an MLP of hidden width 4, with each winner's epoch
+  losses, best weights and holdout probabilities written out in full. The
+  commands' outputs hold argmax labels and metrics read off them, which a
+  change in a weight's last bit rarely moves; these do not. A product's
+  rounding depends on its shapes, and the 20-grade set's 225-row search
+  subtrain leaves a 1-row last batch, so its fit shows drift that the default
+  8 -> 32 -> 5 shapes hide: in the 1-row backward product into the hidden
+  layer, in the backward products at width 4 with 20 grades, and in numpy's
+  pairwise row sums over 8 or more grades. The best weights are written as one
+  flat vector, the model's arrays concatenated in dict order, so a change of
+  how a model splits its parameters into named arrays that keeps their order
+  and values, such as biases kept apart or held as the last row of their
+  weight matrix, leaves the file as it was.
 
 Every file the commands write, and each command's standard output, must be
 identical on both sides. The script prints each differing or one-sided file
@@ -62,6 +69,8 @@ CONFIGS = {
 COMMANDS = [
     ["synth", "--classes", "5", "--per-class", "80", "--flip-prob", "0.1", "--seed", "7",
      "--out", "data.csv"],
+    ["synth", "--classes", "20", "--per-class", "23", "--flip-prob", "0.1", "--seed", "7",
+     "--out", "grades20.csv"],
     ["synth", "--paired", "--n", "300", "--flip-prob", "0.05", "--seed", "7",
      "--out", "paired.csv", "--truth-out", "truth.csv"],
     ["sweep", "--config", "single.json", "--out-dir", "single"],
@@ -85,12 +94,16 @@ import numpy as np
 from ordsoft.core import LabelSpace, SampleSet
 from ordsoft.trainer import ProtocolSettings, SearchSpace, run_single
 
-data = SampleSet.from_csv("data.csv")
 runs = []
-for settings in (ProtocolSettings(max_epochs=60, patience=20),
-                 ProtocolSettings(max_epochs=30, patience=10, architecture="linear",
-                                  optimizer="sgd")):
-    for result in run_single(data, LabelSpace(5), {STRATEGIES!r}, 3, SearchSpace(), settings):
+for path, n_classes, settings in (
+    ("data.csv", 5, ProtocolSettings(max_epochs=60, patience=20)),
+    ("data.csv", 5, ProtocolSettings(max_epochs=30, patience=10, architecture="linear",
+                                     optimizer="sgd")),
+    ("grades20.csv", 20, ProtocolSettings(hidden_width=4, max_epochs=30, patience=10)),
+):
+    data = SampleSet.from_csv(path)
+    for result in run_single(data, LabelSpace(n_classes), {STRATEGIES!r}, 3, SearchSpace(),
+                             settings):
         history = result.history
         runs.append({{
             "config": history.config.to_dict(), "train_loss": history.train_loss,
