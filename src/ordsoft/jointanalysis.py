@@ -79,11 +79,12 @@ def kld(p: JointDistribution, q: JointDistribution, epsilon: float = DEFAULT_KLD
     Q is replaced by (Q + epsilon) / (1 + epsilon * n_cells) so that zero
     predicted cells cannot blow up the sum; with epsilon = 0 a zero Q cell
     under positive P mass yields +inf rather than an exception. Cells with
-    P = 0 contribute nothing.
+    P = 0 contribute nothing. An epsilon that is negative, NaN or infinite is a
+    ``ValueError`` naming it.
     """
     _check_shapes(p, q)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     pp = p.probs
     qq = q.probs
     if epsilon > 0:

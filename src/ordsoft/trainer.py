@@ -51,38 +51,41 @@ others it does not, and the tests hold the fit to a folded reference.
 
 A step's forward/backward allocates no arrays either, only views. It writes
 into work arrays (``_Work``) laid out batch-major: ``(B, K, H+1)`` hidden
-activations, ReLU mask and ``d_hidden``, the last two laid out as the first so
-that each runs as one contiguous pass, with ``d_hidden`` 0 under the ones
-column; ``(B, K, J)`` targets, logits, which become probabilities and then
-``d_logits`` in place, and log-likelihood terms; ``(B, K)`` row max and sum.
-Each member's matmuls run on ``(K, B, .)`` transposed views, whose rows are
-contiguous, so each is still one gemm. The backward product into ``d_hidden``
-reads ``w_out``'s weight rows transposed: for a batch of two or more rows from
-a ``(K, J, H)`` contiguous copy, an NN gemm, and for a 1-row batch, where numpy
-takes gemv and the two forms round apart, from the strided (NT) view. The loss
-sums stay member-major, as a lone member's are: a batch's terms are written
-into a ``(K, B, J)`` array before each member's block is summed, and
-validation's row sums into a ``(K, V)`` one before each member's row is
-averaged. A fit allocates its work arrays once, as one arena (``_Arena``)
-holding a flat buffer per work role, every role sized for the largest pass: a
-batch of all K members, or a validation block. The arena hands out one set per
-pass shape, of every role, built on its first use, each a contiguous
-``[:n].reshape`` prefix view of those buffers, since every work array is
-written before it is read, bar the hidden ones column and the zeros of
-``d_hidden`` under it, which sit at the same places in every prefix. A matmul
-or ufunc writing into such a view rounds bit for bit as into an array of its
-own, and the tests hold every fit to lone fits and to an allocating per-block
-reference. Every pass, a batch or a validation block, gathers its rows'
-targets from its members' label-major ``(J, K, J)`` target rows into its set's
-``targets`` with one ``take``, so no array of every row's targets, training or
-validation, is kept or reshuffled; the fit checks both label sets' range once,
-since that ``take`` clips. The softmax takes each row's max and sum, and
-validation each row's log-likelihood sum, as J-1 ufuncs over the grade columns
-rather than as reductions over the last axis, because numpy reduces a length-5
-trailing axis slowly; the max is exact and numpy adds a short row in index
-order, so the probabilities are bit for bit those of ``loss.softmax``, and
-``predict_proba`` of a member's best weights is bit for bit its validation at
-its best epoch.
+activations and ReLU mask, laid out alike so that the mask's product runs as
+one contiguous pass; ``(B, K, J)`` targets, logits, which become probabilities
+and then ``d_logits`` in place, and log-likelihood terms; ``(B, K)`` row
+values, each row's max and then its sum. The backward pass writes the hidden
+units' gradient over their activations once the ``w_out`` gradient product and
+the mask have read them, so one buffer serves both (memory shared by liveness,
+as in Chen, Xu, Zhang & Guestrin, 2016); the mask is True under the ones
+column, so the ones stay for the next pass. Each member's matmuls run on
+``(K, B, .)`` transposed views, whose rows are contiguous, so each is still one
+gemm. The backward product into the hidden units reads ``w_out``'s weight rows
+transposed: for a batch of two or more rows from a ``(K, J, H)`` contiguous
+copy, an NN gemm, and for a 1-row batch, where numpy takes gemv and the two
+forms round apart, from the strided (NT) view. The loss sums stay
+member-major, as a lone member's are: a batch's terms are written into a
+``(K, B, J)`` array before each member's block is summed, and validation's row
+sums into a ``(K, V)`` one before each member's row is averaged. A fit
+allocates its work arrays once, as one arena (``_Arena``) holding a flat
+buffer per work role, every role sized for the largest pass: a batch of all K
+members, or a validation block. The arena hands out one set per pass shape, of
+every role, built on its first use, each a contiguous ``[:n].reshape`` prefix
+view of those buffers, since every work array is written before it is read,
+bar the hidden ones column, which sits at the same places in every prefix. A
+matmul or ufunc writing into such a view rounds bit for bit as into an array
+of its own, and the tests hold every fit to lone fits and to an allocating
+per-block reference. Every pass, a batch or a validation block, gathers its
+rows' targets from its members' label-major ``(J, K, J)`` target rows into its
+set's ``targets`` with one ``take``, so no array of every row's targets,
+training or validation, is kept or reshuffled; the fit checks both label sets'
+range once, since that ``take`` clips. The softmax takes each row's max and
+sum, and validation each row's log-likelihood sum, as J-1 ufuncs over the
+grade columns rather than as reductions over the last axis, because numpy
+reduces a length-5 trailing axis slowly; the max is exact and numpy adds a
+short row in index order, so the probabilities are bit for bit those of
+``loss.softmax``, and ``predict_proba`` of a member's best weights is bit for
+bit its validation at its best epoch.
 
 Each epoch ends with the validation loss of all K members: one forward pass
 over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members, in
@@ -201,15 +204,15 @@ class _Arena:
     """The work buffers of one fit: one flat buffer per work role, each sized for
     the largest pass, and one ``_Work`` set of prefix views of them per pass shape.
 
-    ``hidden``, ``mask``, ``d_hidden``, ``logits``, ``llik``, ``member_llik``,
-    ``targets``, ``row_max`` and ``row_sum`` hold ``n_rows`` (member, row) pairs,
-    the most that any pass runs; only a batch writes ``mask``, ``d_hidden`` and
-    ``member_llik``, so their pages past its pairs stay unwritten. ``hidden``
-    holds the MLP's H+1 values per pair, the last of them set to 1 here, the ones
-    column that the output block's bias row reads, and ``mask`` and ``d_hidden``
-    are laid out alike, with ``d_hidden``'s value under the ones column set to 0
-    here; every set's view puts its pairs' ones and zeros at the same places, and
-    every pass leaves them as they are. ``w_out_t``, which a backward pass over
+    ``hidden``, ``mask``, ``logits``, ``llik``, ``member_llik``, ``targets`` and
+    ``row_sum`` hold ``n_rows`` (member, row) pairs, the most that any pass runs;
+    only a batch writes ``mask`` and ``member_llik``, so their pages past its
+    pairs stay unwritten. ``hidden`` holds the MLP's H+1 values per pair, the
+    activations and then, in a backward pass, their gradient, the last of them
+    set to 1 here, the ones column that the output block's bias row reads, and
+    ``mask`` is laid out alike; every set's view puts its pairs' ones at the same
+    places, and every pass leaves them as they are. ``row_sum`` holds each row's
+    softmax max and then its sum. ``w_out_t``, which a backward pass over
     two or more rows uses, holds each member's ``w_out`` weight rows transposed,
     J x H; ``total`` holds one value per member. The fit clears ``sets`` when
     members leave, as the smaller stack runs other shapes.
@@ -222,12 +225,11 @@ class _Arena:
         self.hidden = np.empty(n_rows * (self.n_hidden + 1 if self.n_hidden else 0))
         if self.n_hidden:
             self.hidden[self.n_hidden:: self.n_hidden + 1] = 1.0
-        self.d_hidden = np.zeros(self.hidden.size)
         self.mask = np.empty(self.hidden.size, dtype=bool)
         self.w_out_t = np.empty(n_members * self.n_hidden * self.n_grades)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
         self.member_llik, self.targets = np.empty(self.logits.size), np.empty(self.logits.size)
-        self.row_max, self.row_sum = np.empty(n_rows), np.empty(n_rows)
+        self.row_sum = np.empty(n_rows)
         self.total = np.empty(n_members)
         self.sets = {}
 
@@ -247,19 +249,19 @@ class _Work:
     """Work arrays for one pass of K members over a batch of B rows, each a
     contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
-    The arrays are batch-major. ``hidden`` is ``(B, K, H+1)``, its last column
-    the ones that the output block's bias row reads, and the ReLU ``mask`` and
-    ``d_hidden`` are laid out alike, with ``d_hidden`` 0 under the ones column, so
-    the mask and its product each run as one contiguous pass (all three None for
+    The arrays are batch-major. ``hidden`` is ``(B, K, H+1)``, the activations
+    and then, in a backward pass, their gradient, its last column the ones that
+    the output block's bias row reads, and the ReLU ``mask`` is laid out alike,
+    so the mask and its product each run as one contiguous pass (both None for
     the linear model); ``targets``, ``logits``, which become probabilities (and
     then ``d_logits`` in a backward pass), and the log-likelihood terms ``llik``
-    are ``(B, K, J)``; ``row_max`` and ``row_sum`` are ``(B, K)``; ``total`` is
-    ``(K,)``; ``w_out_t``, into which the members' ``w_out`` weight rows are copied
-    transposed for the backward product, is ``(K, J, H)``. Each member's matmuls
-    write and read ``hidden_t``, ``logits_t``, and ``units_t`` and ``d_units_t``,
-    the H units alone, ``(K, B, .)`` transposed views of those: a member's
-    ``(B, .)`` matrix has contiguous rows a stack row apart, so each member's
-    product is still one gemm.
+    are ``(B, K, J)``; ``row_sum``, each row's max and then its sum, is
+    ``(B, K)``; ``total`` is ``(K,)``; ``w_out_t``, into which the members'
+    ``w_out`` weight rows are copied transposed for the backward product, is
+    ``(K, J, H)``. Each member's matmuls write and read ``hidden_t``,
+    ``logits_t`` and ``units_t``, the H units alone, ``(K, B, .)`` transposed
+    views of those: a member's ``(B, .)`` matrix has contiguous rows a stack row
+    apart, so each member's product is still one gemm.
 
     Two member-major arrays keep each member's loss sums in one contiguous run,
     as a lone member's are: a backward pass's ``member_llik``, ``(K, B, J)``, into
@@ -267,22 +269,20 @@ class _Work:
     ``member_llik_t``, and validation's per-row sums ``llik_sums``, ``(K, B)``, a
     view of the row-sum buffer, which the softmax no longer needs by then,
     written through ``llik_sums_t``. The J column views of ``logits`` and
-    ``llik`` and the ``(B, K, 1)`` broadcast views of the row max and sum are
-    built with the set.
+    ``llik`` and the ``(B, K, 1)`` broadcast view of ``row_sum`` are built with
+    the set.
     """
 
     def __init__(self, arena: _Arena, n_members: int, n_rows: int):
         def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
             return buffer[: math.prod(shape)].reshape(shape)
 
-        self.hidden = self.mask = self.d_hidden = None
+        self.hidden = self.mask = None
         batch = (n_rows, n_members)
         if arena.n_hidden:
             self.hidden = view(arena.hidden, *batch, arena.n_hidden + 1)
             self.hidden_t = self.hidden.swapaxes(0, 1)
             self.units_t = self.hidden_t[..., :-1]
-            self.d_hidden = view(arena.d_hidden, *batch, arena.n_hidden + 1)
-            self.d_units_t = self.d_hidden.swapaxes(0, 1)[..., :-1]
             self.mask = view(arena.mask, *batch, arena.n_hidden + 1)
         self.w_out_t = view(arena.w_out_t, n_members, arena.n_grades, arena.n_hidden)
         self.logits = view(arena.logits, *batch, arena.n_grades)
@@ -291,13 +291,13 @@ class _Work:
         self.member_llik = view(arena.member_llik, n_members, n_rows, arena.n_grades)
         self.member_llik_t = self.member_llik.swapaxes(0, 1)
         self.targets = view(arena.targets, *batch, arena.n_grades)
-        self.row_max, self.row_sum = view(arena.row_max, *batch), view(arena.row_sum, *batch)
+        self.row_sum = view(arena.row_sum, *batch)
         self.llik_sums = view(arena.row_sum, n_members, n_rows)
         self.llik_sums_t = self.llik_sums.T
         self.total = arena.total[:n_members]
         self.cols = [self.logits[..., j] for j in range(arena.n_grades)]
         self.llik_cols = [self.llik[..., j] for j in range(arena.n_grades)]
-        self.max_bc, self.sum_bc = self.row_max[..., None], self.row_sum[..., None]
+        self.row_bc = self.row_sum[..., None]
 
 
 def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
@@ -335,16 +335,17 @@ def _softmax(work: _Work) -> np.ndarray:
 
     Each row's max is J-1 ufuncs over the grade columns, in grade order, and is
     exact; its sum is ``_row_sums``'s, so the result is bit for bit
-    ``loss.softmax``.
+    ``loss.softmax``. One row buffer, ``work.row_sum``, holds the max until it
+    is subtracted, then the sum.
     """
-    probs, cols = work.logits, work.cols
-    np.maximum(cols[0], cols[1], out=work.row_max)
+    probs, cols, row = work.logits, work.cols, work.row_sum
+    np.maximum(cols[0], cols[1], out=row)
     for col in cols[2:]:
-        np.maximum(work.row_max, col, out=work.row_max)
-    probs -= work.max_bc
+        np.maximum(row, col, out=row)
+    probs -= work.row_bc
     np.exp(probs, out=probs)
-    _row_sums(probs, cols, work.row_sum)
-    probs /= work.sum_bc
+    _row_sums(probs, cols, row)
+    probs /= work.row_bc
     return probs
 
 
@@ -489,7 +490,10 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     (minus the loss times the batch size), all through the work arrays ``work``
     sized for this batch; ``x``'s last column is ones. Each block's gradient is
     one product of its input, ones column included, with the gradient at its
-    output, so its last row, the bias gradient, is the sum over the batch."""
+    output, so its last row, the bias gradient, is the sum over the batch. The
+    hidden units' gradient is written over their activations in ``work.hidden``
+    once the ``w_out`` gradient product and the ReLU mask have read them; the
+    ones column stays 1 for the next forward pass."""
     _forward(weights, x, work)
     probs = _softmax(work)
     _log_likelihood(work, work.member_llik_t)
@@ -500,6 +504,8 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     hidden = x if work.hidden is None else work.hidden_t
     np.matmul(hidden.swapaxes(-1, -2), work.logits_t, out=grads["w_out"])
     if work.hidden is not None:
+        # hidden > 0 exactly where the ReLU's input is positive
+        np.greater(work.hidden, 0.0, out=work.mask)
         # the bias row takes no part: the ones column has no input to pass back to
         w_out_t = weights["w_out"][:, :-1].swapaxes(-1, -2)
         if x.shape[0] > 1:
@@ -507,12 +513,10 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
             # form, since numpy takes gemv there and the two forms round apart
             np.copyto(work.w_out_t, w_out_t)
             w_out_t = work.w_out_t
-        np.matmul(work.logits_t, w_out_t, out=work.d_units_t)
-        # hidden > 0 exactly where the ReLU's input is positive; under the ones
-        # column the mask is True and d_hidden 0, so the product keeps that slot 0
-        np.greater(work.hidden, 0.0, out=work.mask)
-        work.d_hidden *= work.mask
-        np.matmul(x.T, work.d_units_t, out=grads["w_in"])
+        np.matmul(work.logits_t, w_out_t, out=work.units_t)
+        # the mask is True under the ones column, so that slot stays 1
+        work.hidden *= work.mask
+        np.matmul(x.T, work.units_t, out=grads["w_in"])
     return work.total
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -816,6 +817,18 @@ def test_analyze_epsilon_defaults_to_the_kld_default(tmp_path, capsys):
     direct = analyse_tables(ContingencyTable.from_csv(str(truth)), predicted)
     assert direct["epsilon"] == DEFAULT_KLD_EPSILON
     assert direct["strategies"] == report["strategies"]
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_analyse_tables_rejects_a_non_finite_epsilon_naming_it(epsilon):
+    from ordsoft.cli import analyse_tables
+    from ordsoft.jointanalysis import ContingencyTable
+
+    truth = ContingencyTable(np.array([[30, 5], [5, 30]]))
+    predicted = {strategy: [(seed, ContingencyTable(np.array([[20, 15], [0, 26]])))
+                            for seed in range(5)] for strategy in ("beta", "nominal")}
+    with pytest.raises(ValueError, match=f"epsilon must be a finite number >= 0, got {epsilon}"):
+        analyse_tables(truth, predicted, epsilon=epsilon)
 
 
 def test_analyze_separated_strategies(tmp_path, capsys):

@@ -116,6 +116,16 @@ def test_kld_zero_cell_infinite_when_unsmoothed():
     assert math.isfinite(kld(p, q, epsilon=1e-6))
 
 
+@pytest.mark.parametrize("epsilon", [-1e-6, math.nan, math.inf])
+def test_kld_rejects_an_epsilon_that_is_not_a_finite_number_at_least_0(epsilon):
+    # a zero predicted cell under truth mass: NaN once read as 0 and gave inf,
+    # and inf gave NaN
+    p = normalise(ContingencyTable(np.array([[30, 5], [5, 30]])))
+    q = normalise(ContingencyTable(np.array([[20, 15], [0, 26]])))
+    with pytest.raises(ValueError, match=f"epsilon must be a finite number >= 0, got {epsilon}"):
+        kld(p, q, epsilon)
+
+
 def test_kld_zero_p_cells_contribute_nothing():
     p = JointDistribution(np.array([[1.0, 0.0]]))
     q = JointDistribution(np.array([[0.5, 0.5]]))

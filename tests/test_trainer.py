@@ -776,9 +776,9 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
     for owner, work, _, _ in sets:
         assert owner is arena
         # every set, batch or validation block, is prefix views of the arena's buffers
-        roles = ["logits", "llik", "member_llik", "targets", "row_max", "row_sum", "total"]
+        roles = ["logits", "llik", "member_llik", "targets", "row_sum", "total"]
         if architecture == "mlp_1_hidden":
-            roles += ["hidden", "mask", "d_hidden", "w_out_t"]
+            roles += ["hidden", "mask", "w_out_t"]
         for role in roles:
             assert np.shares_memory(getattr(work, role), getattr(arena, role)), role
     # each stack builds each of its sets once, on its first use
@@ -919,10 +919,10 @@ def test_init_model_draws_each_blocks_weights_over_a_zero_bias_row(architecture)
 
 
 def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
-    """Every pass shape that shares the fit's arena's ``hidden`` and ``d_hidden``
-    buffers, a full and a short batch and a full and a short validation block,
-    leaves each (member, row)'s ones column, which the output block's bias row
-    reads, at 1.0, and ``d_hidden`` under it at 0.0. Inference builds no arena."""
+    """Every pass shape that shares the fit's arena's ``hidden`` buffer, a full and
+    a short batch, whose backward pass writes the hidden gradient over it, and a
+    full and a short validation block, leaves each (member, row)'s ones column,
+    which the output block's bias row reads, at 1.0. Inference builds no arena."""
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
     subtrain, val = validation_split(data, 5, ProtocolSettings())
     configs = [TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
@@ -941,9 +941,8 @@ def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
             work = args[-1]
             passes.append((name, work.hidden.shape[:2]))
             # the pass's own rows, and every row of the arena's buffers
-            assert (work.hidden[..., -1] == 1.0).all() and (work.d_hidden[..., -1] == 0.0).all()
+            assert (work.hidden[..., -1] == 1.0).all()
             assert (arenas[-1].hidden[8::9] == 1.0).all()
-            assert (arenas[-1].d_hidden[8::9] == 0.0).all()
             return out
         return spy
 
@@ -960,6 +959,40 @@ def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
     passes.clear()
     predict_proba(member.best_weights, data.features)
     assert passes == [] and len(arenas) == 1
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 16])
+def test_the_backward_pass_leaves_the_hidden_gradient_in_the_hidden_buffer(n_rows):
+    """After ``_batch_gradients``, ``work.hidden`` holds, bit for bit, an allocating
+    reference's gradient at the hidden units, ``(d_logits @ w_out[:, :-1].T) *
+    (h > 0)`` per member, over the activations ``h`` it held, and its ones
+    column is 1.0, as the next forward pass reads it."""
+    rng = np.random.default_rng(n_rows)
+    n_members, n_features, n_classes = 3, 6, 4
+    init = init_model("mlp_1_hidden", n_features, n_classes, seed=3, hidden_width=8)
+    layout = _layout(init)
+    # each member its own weights, random bias rows included, stacked role-major
+    stacked = {k: w + rng.normal(scale=0.5, size=(n_members, *w.shape)) for k, w in init.items()}
+    params = np.concatenate([w.ravel() for w in stacked.values()])
+    x = _ones(rng.normal(size=(n_rows, n_features)))
+    labels = rng.integers(n_classes, size=n_rows)
+    target_rows = rng.dirichlet(np.ones(n_classes), size=(n_classes, n_members))
+    arena = _Arena(init, n_members, n_members * 16)
+    work = arena.scored(target_rows, labels)
+    _batch_gradients(_views(params, layout, n_members),
+                     _views(np.empty(params.size), layout, n_members), x, work)
+
+    hidden = np.maximum(x @ stacked["w_in"], 0.0)  # (K, B, H)
+    probs = softmax(_ones(hidden) @ stacked["w_out"])
+    d_logits = (probs - target_rows[labels].swapaxes(0, 1)) / n_rows
+    # the fit's product form: an NN gemm on a contiguous transposed copy for two
+    # or more rows, the strided (NT) transpose for one
+    w_out_t = stacked["w_out"][:, :-1].swapaxes(-1, -2)
+    if n_rows > 1:
+        w_out_t = np.ascontiguousarray(w_out_t)
+    expected = (d_logits @ w_out_t) * (hidden > 0.0)
+    assert work.hidden[..., :-1].tobytes() == expected.swapaxes(0, 1).tobytes()
+    assert (work.hidden[..., -1] == 1.0).all()
 
 
 def test_batch_gradients_match_central_differences():

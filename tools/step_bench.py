@@ -20,7 +20,9 @@ functions, every full batch's ``_batch_gradients`` plus ``_Optimizer.update``
 (one step) and every ``_mean_soft_ce`` call (one validation block of at most 8
 members). A wrapper adds under a microsecond per call, on both trees alike.
 The output JSON holds, per tree and K, the minimum and median over every
-sample of every repeat, in microseconds, and the step minimum per member.
+sample of every repeat, in microseconds, the step minimum per member, and
+``arena_bytes``, the sum of ``nbytes`` over the buffers of the fit's one
+``trainer._Arena``, its work memory.
 """
 
 from __future__ import annotations
@@ -87,8 +89,16 @@ def worker(src: Path, members: list[int], epochs: int, cpu: int, dim: int,
         samples["val"].append((weights["w_out"].shape[0], time.perf_counter() - start))
         return out
 
+    arenas = []
+
+    class CountedArena(trainer._Arena):
+        def __init__(self, *args):
+            super().__init__(*args)
+            arenas.append(self)
+
     trainer._batch_gradients, trainer._mean_soft_ce = timed_gradients, timed_validation
     trainer._Optimizer.update = timed_update
+    trainer._Arena = CountedArena
     rows = []
     for n in members:
         configs = [
@@ -98,7 +108,11 @@ def worker(src: Path, members: list[int], epochs: int, cpu: int, dim: int,
         ]
         samples["step"], samples["val"] = [], []
         trainer._fit_lockstep(init, subtrain, val, configs)
+        (arena,) = arenas
+        arenas.clear()
         rows.append({"members": n, "step_us": [1e6 * s for s in samples["step"]],
+                     "arena_bytes": sum(buffer.nbytes for buffer in vars(arena).values()
+                                        if isinstance(buffer, np.ndarray)),
                      # full blocks only: min(K, 8) members
                      "val_block_us": [1e6 * s for k, s in samples["val"] if k == min(n, 8)]})
     return {"numpy": np.__version__, "rows": rows}
@@ -153,7 +167,8 @@ def main(argv=None) -> int:
             step = [s for r in results for s in r["rows"][i]["step_us"]]
             val = [s for r in results for s in r["rows"][i]["val_block_us"]]
             table.append({
-                "members": n, "step_samples": len(step), "val_block_samples": len(val),
+                "members": n, "arena_bytes": results[0]["rows"][i]["arena_bytes"],
+                "step_samples": len(step), "val_block_samples": len(val),
                 "step_us_min": round(min(step), 1),
                 "step_us_median": round(statistics.median(step), 1),
                 "step_us_min_per_member": round(min(step) / n, 2),
