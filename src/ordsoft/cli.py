@@ -605,11 +605,20 @@ def analyse_tables(
     return report
 
 
+def _read_table(path: str) -> ContingencyTable:
+    """The contingency table at ``path``; one whose counts are all 0, which has no
+    joint distribution, is a usage error naming the file."""
+    with _reading(path):
+        table = ContingencyTable.from_csv(path)
+        if table.total == 0:
+            raise ValueError("every count is 0, so the table has no joint distribution")
+    return table
+
+
 def cmd_analyze(args) -> int:
     if args.epsilon is not None and not (np.isfinite(args.epsilon) and args.epsilon >= 0):
         raise UsageError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
-    with _reading(args.truth):
-        truth = ContingencyTable.from_csv(args.truth)
+    truth = _read_table(args.truth)
     files = sorted(globmod.glob(args.pred))
     if not files:
         raise UsageError(f"no predicted tables match {args.pred!r}")
@@ -621,9 +630,7 @@ def cmd_analyze(args) -> int:
             raise UsageError(
                 f"{path}: predicted tables must be named <strategy>_seed<N>.csv"
             )
-        with _reading(path):
-            table = ContingencyTable.from_csv(path)
-        predicted.setdefault(match["strategy"], []).append((int(match["seed"]), table))
+        predicted.setdefault(match["strategy"], []).append((int(match["seed"]), _read_table(path)))
     report = analyse_tables(truth, predicted, epsilon=args.epsilon)
     _emit(_dump_json(report) + "\n", args.out)
     return EXIT_OK

@@ -13,15 +13,16 @@ a joint KL x CPPD table and for its square case, ``ConfusionMatrix``, alike.
 ``RunResult`` holds the trainer's record of the candidate a run trained.
 
 ``read_labelled_csv`` reads the header with the csv module and checks its
-trailing label columns, then parses the rows in one pass with numpy's C reader
-(``np.loadtxt`` into one record per row: d float64 features and an int64 per
-label), in about half the time of ``csv.reader`` and ``float()`` and with
-the same float64 bits. Blank lines are skipped and CRLF, CR and LF line ends
-read alike, as with the csv module; a row whose cell count differs from the
-header's, a cell that does not parse (a label must be an integer literal) and
-a NaN or infinite feature raise a ``ValueError``. Only then is the file
-rescanned, with the csv module, to name the first such row by its 1-based
-line and its fault; a file read without fault is parsed once.
+trailing label columns and at least one feature column before them, then
+parses the rows in one pass with numpy's C reader (``np.loadtxt`` into one
+record per row: d float64 features and an int64 per label), in about half
+the time of ``csv.reader`` and ``float()`` and with the same float64 bits.
+Blank lines are skipped and CRLF, CR and LF line ends read alike, as with the
+csv module; a row whose cell count differs from the header's, a cell that does
+not parse (a label must be an integer literal) and a NaN or infinite feature
+raise a ``ValueError``. Only then is the file rescanned, with the csv module,
+to name the first such row by its 1-based line and its fault; a file read
+without fault is parsed once.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ def read_labelled_csv(path: str, label_names: tuple) -> tuple:
         d = len(header) - len(label_names)
         if d < 0 or header[d:] != list(label_names):
             raise ValueError(f"{path}: expected trailing columns {','.join(label_names)}")
+        if d == 0:
+            raise ValueError(
+                f"{path}: expected at least one feature column before {','.join(label_names)}"
+            )
         row = np.dtype([("features", float, (d,)), *((name, int) for name in label_names)])
         first = next((line for line in fh if line != "\n"), None)
         if first is None:  # a body without rows, on which numpy would warn

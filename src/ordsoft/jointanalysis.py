@@ -8,6 +8,12 @@ between two tables, Kruskal-Wallis with tie correction, the Wilcoxon
 signed-rank test (exact by sign-pattern counting up to n = 25, normal
 approximation with tie correction beyond), Holm-corrected pairwise Wilcoxon
 comparisons, and a balanced two-way ANOVA with F-test p-values.
+
+A rank test sorts its values once: ``_ranks`` returns the midranks and the
+tie group sizes together. Every p-value is an upper tail computed directly by
+``specfun`` (``chi2_sf``, ``f_sf``, ``normal_sf``), never ``1 - cdf``: the
+subtraction rounds a p below about 1e-16 to 0, so separated strategies, or
+the paper's model F of 58 on (4, 190), would read p = 0.0.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ContingencyTable
-from .specfun import chi2_cdf, f_cdf, normal_cdf
+from .specfun import chi2_sf, f_sf, normal_sf
 
 DEFAULT_KLD_EPSILON = 1e-6
 EXACT_WILCOXON_LIMIT = 25
@@ -108,28 +114,17 @@ def table_mae(p: JointDistribution, q: JointDistribution) -> float:
     return float(np.abs(p.probs - q.probs).mean())
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the average of their rank range."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.shape[0], dtype=float)
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def _tie_counts(values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return counts
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n with tied values sharing the average of their rank range, and
+    the size of each group of tied values, both from one sort."""
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True, return_counts=True
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
 
 
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
-    """Kruskal-Wallis H test with tie correction; p from the chi-squared CDF."""
+    """Kruskal-Wallis H test with tie correction; p is the chi-squared upper tail."""
     groups = [np.asarray(g, dtype=float) for g in groups]
     if len(groups) < 2:
         raise ValueError("kruskal_wallis needs at least 2 groups")
@@ -138,7 +133,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
     sizes = tuple(int(g.size) for g in groups)
     pooled = np.concatenate(groups)
     n = pooled.size
-    ranks = _midranks(pooled)
+    ranks, ties = _ranks(pooled)
     h = 0.0
     start = 0
     for g in groups:
@@ -146,32 +141,21 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> TestResult:
         h += r.sum() ** 2 / g.size
         start += g.size
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
-    ties = _tie_counts(pooled)
     correction = 1.0 - float(((ties**3 - ties).sum()) / (n**3 - n))
     if correction <= 0:  # every observation identical
         return TestResult(0.0, 1.0, "kruskal_wallis", sizes, degenerate=True)
-    h /= correction
-    p = 1.0 - chi2_cdf(h, len(groups) - 1)
-    return TestResult(float(h), float(min(max(p, 0.0), 1.0)), "kruskal_wallis", sizes)
-
-
-def _signed_rank_statistic(diffs: np.ndarray) -> tuple[float, np.ndarray]:
-    ranks = _midranks(np.abs(diffs))
-    w_pos = float(ranks[diffs > 0].sum())
-    return w_pos, ranks
+    h = float(h / correction)
+    return TestResult(h, chi2_sf(h, len(groups) - 1), "kruskal_wallis", sizes)
 
 
 def _exact_signed_rank_p(w_pos: float, ranks: np.ndarray) -> float:
     """Two-sided p by counting sign assignments; midranks doubled to integers."""
     doubled = np.rint(2.0 * ranks).astype(int)
-    total = int(doubled.sum())
     # counts[s] = number of sign patterns with doubled positive-rank sum s
-    counts = np.zeros(total + 1)
+    counts = np.zeros(int(doubled.sum()) + 1)
     counts[0] = 1.0
-    for r in doubled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: counts.size - r]
-        counts = counts + shifted
+    for r in doubled:  # numpy reads an overlapping operand as a copy
+        counts[r:] += counts[: counts.size - r]
     w2 = int(round(2.0 * w_pos))
     n_patterns = 2.0 ** len(ranks)
     p_le = counts[: w2 + 1].sum() / n_patterns
@@ -179,15 +163,12 @@ def _exact_signed_rank_p(w_pos: float, ranks: np.ndarray) -> float:
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
-def _normal_signed_rank_p(w_pos: float, ranks: np.ndarray, diffs: np.ndarray) -> float:
-    n = len(ranks)
+def _normal_signed_rank_p(w_pos: float, n: int, ties: np.ndarray) -> float:
     mu = n * (n + 1) / 4.0
-    ties = _tie_counts(np.abs(diffs))
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float((ties**3 - ties).sum()) / 48.0
     if var <= 0:
         return 1.0
-    z = (w_pos - mu) / math.sqrt(var)
-    return min(1.0, 2.0 * (1.0 - normal_cdf(abs(z))))
+    return 2.0 * normal_sf(abs(w_pos - mu) / math.sqrt(var))
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> TestResult:
@@ -207,12 +188,13 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> TestResult:
     if n == 0:
         warnings.warn("all paired differences are zero; Wilcoxon test is degenerate")
         return TestResult(0.0, 1.0, "wilcoxon_exact", (0,), degenerate=True)
-    w_pos, ranks = _signed_rank_statistic(diffs)
+    ranks, ties = _ranks(np.abs(diffs))
+    w_pos = float(ranks[diffs > 0].sum())
     if n <= EXACT_WILCOXON_LIMIT:
         p = _exact_signed_rank_p(w_pos, ranks)
         method = "wilcoxon_exact"
     else:
-        p = _normal_signed_rank_p(w_pos, ranks, diffs)
+        p = _normal_signed_rank_p(w_pos, n, ties)
         method = "wilcoxon_normal"
     return TestResult(w_pos, float(p), method, (int(n),))
 
@@ -260,63 +242,45 @@ def two_way_anova(
     Factor A is the model/strategy factor, factor B the task factor. The
     design must be balanced (equal replicates per cell, at least 2). When all
     values are identical the F statistics are undefined and flagged instead
-    of being reported as numbers.
+    of being reported as numbers. The values are sorted into one
+    (a, b, replicates) array, so every mean is an axis mean of it.
     """
     values = np.asarray(values, dtype=float)
-    factor_a = np.asarray(factor_a)
-    factor_b = np.asarray(factor_b)
-    if not (values.shape == factor_a.shape == factor_b.shape) or values.ndim != 1:
+    if not (values.shape == np.shape(factor_a) == np.shape(factor_b)) or values.ndim != 1:
         raise ValueError("values and factor labels must be equal-length vectors")
-    levels_a = np.unique(factor_a)
-    levels_b = np.unique(factor_b)
-    a, b = len(levels_a), len(levels_b)
+    levels_a, index_a = np.unique(factor_a, return_inverse=True)
+    levels_b, index_b = np.unique(factor_b, return_inverse=True)
+    a, b = levels_a.size, levels_b.size
     if a < 2 or b < 2:
         raise ValueError("each factor needs at least 2 levels")
-    cells = {}
-    for la in levels_a:
-        for lb in levels_b:
-            cell = values[(factor_a == la) & (factor_b == lb)]
-            cells[(la, lb)] = cell
-    sizes = {key: len(v) for key, v in cells.items()}
-    r = next(iter(sizes.values()))
-    if any(s != r for s in sizes.values()):
-        raise ValueError(f"unbalanced design: cell sizes {sorted(set(sizes.values()))}")
+    cell = index_a * b + index_b
+    sizes = np.bincount(cell, minlength=a * b)
+    r = int(sizes[0])
+    if (sizes != r).any():
+        raise ValueError(f"unbalanced design: cell sizes {sorted(set(sizes.tolist()))}")
     if r < 2:
         raise ValueError("balanced two-way ANOVA needs at least 2 replicates per cell")
 
+    cells = values[np.argsort(cell, kind="stable")].reshape(a, b, r)
     grand = values.mean()
-    mean_a = {la: values[factor_a == la].mean() for la in levels_a}
-    mean_b = {lb: values[factor_b == lb].mean() for lb in levels_b}
-    mean_ab = {key: cell.mean() for key, cell in cells.items()}
-
-    ss_a = r * b * sum((mean_a[la] - grand) ** 2 for la in levels_a)
-    ss_b = r * a * sum((mean_b[lb] - grand) ** 2 for lb in levels_b)
-    ss_ab = r * sum(
-        (mean_ab[(la, lb)] - mean_a[la] - mean_b[lb] + grand) ** 2
-        for la in levels_a
-        for lb in levels_b
-    )
-    ss_res = sum(
-        float(((cells[(la, lb)] - mean_ab[(la, lb)]) ** 2).sum())
-        for la in levels_a
-        for lb in levels_b
-    )
+    mean_ab = cells.mean(axis=2)
+    mean_a = mean_ab.mean(axis=1)
+    mean_b = mean_ab.mean(axis=0)
+    ss = {
+        "model": float(r * b * ((mean_a - grand) ** 2).sum()),
+        "task": float(r * a * ((mean_b - grand) ** 2).sum()),
+        "interaction": float(r * ((mean_ab - mean_a[:, None] - mean_b + grand) ** 2).sum()),
+        "residual": float(((cells - mean_ab[..., None]) ** 2).sum()),
+    }
     df = {
         "model": a - 1,
         "task": b - 1,
         "interaction": (a - 1) * (b - 1),
         "residual": a * b * (r - 1),
     }
-    ss = {"model": float(ss_a), "task": float(ss_b), "interaction": float(ss_ab), "residual": float(ss_res)}
-
-    ms_res = ss_res / df["residual"]
+    ms_res = ss["residual"] / df["residual"]
     if ms_res == 0:
         return AnovaResult(ss, df, {}, {}, zero_variance=True)
-
-    f_stats, p_vals = {}, {}
-    for factor in ("model", "task", "interaction"):
-        f_val = (ss[factor] / df[factor]) / ms_res
-        p_val = 1.0 - f_cdf(f_val, df[factor], df["residual"])
-        f_stats[factor] = float(f_val)
-        p_vals[factor] = float(min(max(p_val, 0.0), 1.0))
-    return AnovaResult(ss, df, f_stats, p_vals)
+    f = {k: (ss[k] / df[k]) / ms_res for k in ("model", "task", "interaction")}
+    p = {k: f_sf(f_k, df[k], df["residual"]) for k, f_k in f.items()}
+    return AnovaResult(ss, df, f, p)

@@ -5,6 +5,12 @@ fractions / power series) so their numerical behaviour is pinned by this
 module rather than by an external library version: target absolute accuracy
 1e-12, iteration cap 300, and non-convergence raised as ``ConvergenceError``
 instead of silently returning a stale iterate.
+
+The distribution functions are upper tails, ``chi2_sf``, ``f_sf`` and
+``normal_sf``, each computed directly rather than as ``1 - cdf``: a p-value
+is an upper tail, and near 0 the subtraction cancels every digit, so an F of
+58 on (4, 190) gave p = 0.0 against a true 6.4e-32. A tail keeps its relative
+accuracy there, and lies in [0, 1] without a clamp.
 """
 
 from __future__ import annotations
@@ -126,38 +132,37 @@ def _gamma_cont_frac(s: float, x: float) -> float:
     )
 
 
-def reg_inc_gamma_lower(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(s, x)."""
+def reg_inc_gamma_upper(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(s, x) = 1 - P(s, x)."""
     if s <= 0:
-        raise ValueError(f"reg_inc_gamma_lower requires s > 0, got s={s}")
+        raise ValueError(f"reg_inc_gamma_upper requires s > 0, got s={s}")
     if x < 0:
-        raise ValueError(f"reg_inc_gamma_lower requires x >= 0, got x={x}")
+        raise ValueError(f"reg_inc_gamma_upper requires x >= 0, got x={x}")
     if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _gamma_series(s, x)
-    return 1.0 - _gamma_cont_frac(s, x)
+        return 1.0
+    if x < s + 1.0:  # Q stays far from 0 here, so 1 - P keeps its relative accuracy
+        return 1.0 - _gamma_series(s, x)
+    return _gamma_cont_frac(s, x)
 
 
-def chi2_cdf(x: float, df: float) -> float:
-    """CDF of the chi-squared distribution with ``df`` degrees of freedom."""
+def chi2_sf(x: float, df: float) -> float:
+    """Upper tail P(X > x) of the chi-squared distribution with ``df`` degrees of freedom."""
     if df <= 0:
-        raise ValueError(f"chi2_cdf requires df > 0, got df={df}")
+        raise ValueError(f"chi2_sf requires df > 0, got df={df}")
     if x <= 0:
-        return 0.0
-    return reg_inc_gamma_lower(df / 2.0, x / 2.0)
+        return 1.0
+    return reg_inc_gamma_upper(df / 2.0, x / 2.0)
 
 
-def f_cdf(f: float, df1: float, df2: float) -> float:
-    """CDF of the F distribution, expressed through the incomplete beta."""
+def f_sf(f: float, df1: float, df2: float) -> float:
+    """Upper tail P(F > f) of the F distribution, I_{d2/(d2 + d1 f)}(d2/2, d1/2)."""
     if df1 <= 0 or df2 <= 0:
-        raise ValueError(f"f_cdf requires positive degrees of freedom, got {df1}, {df2}")
+        raise ValueError(f"f_sf requires positive degrees of freedom, got {df1}, {df2}")
     if f <= 0:
-        return 0.0
-    x = df1 * f / (df1 * f + df2)
-    return reg_inc_beta(x, df1 / 2.0, df2 / 2.0)
+        return 1.0
+    return reg_inc_beta(df2 / (df2 + df1 * f), df2 / 2.0, df1 / 2.0)
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def normal_sf(z: float) -> float:
+    """Upper tail P(Z > z) of the standard normal, via the complementary error function."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))

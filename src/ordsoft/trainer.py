@@ -13,9 +13,10 @@ their weights are stacked on a leading axis, every step runs one batched
 forward/backward and one update on a mini-batch they share, each with its own
 learning rate and targets, and each stops early on its own. Stacking saves a
 step's fixed cost of numpy calls, not its arithmetic: pinned to one CPU, a
-step is member-linear above K≈8, at 8.2 µs per member for K=51, validation
-aside (``tools/step_bench.py``). Each member's arithmetic is bit for bit that
-of a lone fit. ``train`` is the loop's one-member case. A member's
+step is member-linear above K≈8, at 7.85 µs per member for K=51 (400.5 µs
+a step in ``BENCH_shared_hidden_steps.json``), validation aside
+(``tools/step_bench.py``). Each member's arithmetic is bit for bit that of a
+lone fit. ``train`` is the loop's one-member case. A member's
 ``TrainConfig`` alone names its targets, by its (strategy, params), which the
 fit builds once per pair.
 

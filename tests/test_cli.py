@@ -415,6 +415,24 @@ def test_bad_labelled_csv_row_is_usage_error_naming_it(tmp_path, capsys, command
     assert not out.exists() and not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "paired_sweep"])
+def test_labelled_csv_without_a_feature_column_is_usage_error_naming_it(tmp_path, capsys, command):
+    # d = 0 features used to reach init_model and exit 2 on a division by zero
+    paired = command == "paired_sweep"
+    labels = "label_a,label_b" if paired else "label"
+    rows = ["0,1", "1,2", "2,0"] if paired else ["0", "1", "2"]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([labels, *rows * 10]) + "\n")
+    out = tmp_path / "runs.jsonl"
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    argv = (["train", "--data", str(data), "--max-epochs", "2", "--patience", "2", "--out", str(out)]
+            if command == "train" else ["sweep", "--config", str(config)])
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: {data}: expected at least one feature column before {labels}" in err
+    assert not out.exists() and not out_dir.exists()
+
+
 def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path, capsys):
     data = tmp_path / "data.csv"
     before = (gc.get_freeze_count(), gc.isenabled())
@@ -911,6 +929,23 @@ def test_analyze_an_infinite_kld_is_a_usage_error_naming_its_run(tmp_path, capsy
     report = json.loads(out.read_text())
     _validate("ordsoft.analysis_report-v1", report)
     assert report["epsilon"] == 0 and report["strategies"]["nominal"]["kld_mean"] > 0
+
+
+@pytest.mark.parametrize("which", ["truth", "pred"])
+def test_analyze_an_all_zero_table_is_a_usage_error_naming_it(tmp_path, capsys, which):
+    # it has no joint distribution; normalise's ValueError used to exit 2 naming no file
+    truth = tmp_path / "truth.csv"
+    _write_table(truth, [[30, 5], [5, 30]])
+    for strategy in ("beta", "nominal"):
+        for seed in range(2):
+            _write_table(tmp_path / f"{strategy}_seed{seed}.csv", [[28, 7], [4, 31]])
+    zero = truth if which == "truth" else tmp_path / "nominal_seed1.csv"
+    _write_table(zero, [[0, 0], [0, 0]])
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--truth", str(truth), "--pred", str(tmp_path / "*_seed*.csv"),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert f"usage error: {zero}: every count is 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -28,8 +28,9 @@ from ordsoft.jointanalysis import (
     table_mae,
     two_way_anova,
     wilcoxon_signed_rank,
-    _midranks,
+    _ranks,
 )
+from ordsoft.specfun import f_sf
 
 
 # ------------------------------------------------------------- contingency
@@ -166,9 +167,14 @@ def test_table_mae():
 # ---------------------------------------------------------- kruskal-wallis
 
 
-def test_midranks():
-    np.testing.assert_allclose(_midranks(np.array([3.0, 1.0, 2.0])), [3, 1, 2])
-    np.testing.assert_allclose(_midranks(np.array([1.0, 1.0, 2.0])), [1.5, 1.5, 3])
+def test_ranks_match_scipy_on_random_tie_patterns():
+    rng = np.random.default_rng(97)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        values = rng.integers(0, int(rng.integers(1, n + 2)), size=n) * 0.25 - 1.0
+        ranks, counts = _ranks(values)
+        assert ranks.tobytes() == stats.rankdata(values, method="average").tobytes()
+        np.testing.assert_array_equal(counts, np.unique(values, return_counts=True)[1])
 
 
 def test_kruskal_identical_groups():
@@ -198,6 +204,16 @@ def test_kruskal_matches_scipy():
         ref = stats.kruskal(*groups)
         assert ours.statistic == pytest.approx(ref.statistic, abs=1e-10)
         assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-10)
+
+
+def test_kruskal_far_tail_of_separated_groups_matches_scipy():
+    # 5 strategies x 20 seeds with no overlap: 1 - cdf rounded this p to 0.0
+    groups = [np.arange(20.0) + 100.0 * k for k in range(5)]
+    ours = kruskal_wallis(groups)
+    ref = stats.kruskal(*groups)
+    assert ours.statistic == pytest.approx(ref.statistic, rel=1e-12)
+    assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+    assert 0.0 < ours.p_value < 1e-18
 
 
 def test_kruskal_monotone_transform_invariance():
@@ -233,7 +249,7 @@ def oracle_wilcoxon_exact(x, y):
     """Brute-force: every sign pattern of the absolute-difference ranks."""
     diffs = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     diffs = diffs[diffs != 0]
-    ranks = _midranks(np.abs(diffs))
+    ranks = stats.rankdata(np.abs(diffs), method="average")
     n = diffs.size
     w_obs = ranks[diffs > 0].sum()
     w_values = [
@@ -430,9 +446,13 @@ def test_anova_reproduces_published_f_from_ss():
     assert (2.367 / 4) / ms_resid == pytest.approx(57.961, abs=0.2)
     assert (0.197 / 1) / ms_resid == pytest.approx(19.252, abs=0.2)
     assert (0.053 / 4) / ms_resid == pytest.approx(1.289, abs=0.05)
-    # and the implied p-values match the reported significance pattern
-    from ordsoft.specfun import f_cdf
-
-    assert 1 - f_cdf((2.367 / 4) / ms_resid, 4, 190) < 0.001
-    assert 1 - f_cdf((0.197 / 1) / ms_resid, 1, 190) < 0.001
-    assert 1 - f_cdf((0.053 / 4) / ms_resid, 4, 190) > 0.05
+    # the implied p-values, far tail included, and the reported significance pattern
+    p = {}
+    for name, ss, df in (("model", 2.367, 4), ("task", 0.197, 1), ("interaction", 0.053, 4)):
+        f = (ss / df) / ms_resid
+        p[name] = f_sf(f, df, 190)
+        assert p[name] == pytest.approx(stats.f.sf(f, df, 190), rel=1e-9), name
+    assert 0.0 < p["model"] < 1e-30
+    assert p["task"] < 0.001
+    assert p["interaction"] > 0.05
+    assert f_sf(57.96, 4, 190) == pytest.approx(stats.f.sf(57.96, 4, 190), rel=1e-9)
