@@ -72,6 +72,7 @@ from .softlabel import STRATEGIES, SmoothingParams, build_target_matrix
 from .trainer import (
     ProtocolSettings,
     SearchSpace,
+    TooFewToSplit,
     TrainConfig,
     run_fixed,
     run_paired_single,
@@ -173,12 +174,13 @@ def _write_paired_csv(path: str, features: np.ndarray, labels_a: np.ndarray, lab
 
 
 @contextmanager
-def _reading(path: str):
-    """Turn a ``ValueError`` raised while reading ``path``, such as a non-numeric
-    cell, a short row or a negative grade, into a usage error naming the file."""
+def _reading(path: str, errors: type = ValueError):
+    """Turn an ``errors`` exception raised while reading ``path``, by default any
+    ``ValueError``, such as a non-numeric cell, a short row or a negative grade,
+    into a usage error naming the file."""
     try:
         yield
-    except ValueError as exc:
+    except errors as exc:
         message = str(exc)
         if not message.startswith(f"{path}:"):
             message = f"{path}: {message}"
@@ -288,7 +290,10 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
     if args.out:
         _make_parent(args.out)  # before the fit, which a missing directory would waste
-    line = _dump_json(_run_record(args.task, run_fixed(dataset, space, config)))
+    # a grade too small to split is the file's fault, though the fit finds it
+    with _reading(args.data, TooFewToSplit):
+        result = run_fixed(dataset, space, config)
+    line = _dump_json(_run_record(args.task, result))
     if args.out:
         with open(args.out, "a") as fh:
             fh.write(line + "\n")
@@ -463,7 +468,9 @@ def cmd_sweep(args) -> int:
         for i in range(n_seeds)
     ]
     # one task per seed, its records in strategy order
-    records = [rec for recs in _map_tasks(task_fn, payloads, workers) for rec in recs]
+    with _reading(dataset_path, TooFewToSplit):
+        per_seed = _map_tasks(task_fn, payloads, workers)
+    records = [rec for recs in per_seed for rec in recs]
     if paired:
         (output_dir / "tables").mkdir(parents=True, exist_ok=True)
         truth = ContingencyTable.from_labels(*labels, tuple(s.n_classes for s in spaces))

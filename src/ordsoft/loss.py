@@ -7,9 +7,12 @@ before the logarithm since the loss is undefined at exactly zero.
 These are the plain, allocating forms. The trainer's inference,
 ``predict_proba``, calls ``softmax``; its fit computes the same softmax and loss
 in place over preallocated work arrays, and its tests hold the fit to these
-functions bit for bit. The loss's gradient with respect to the logits,
-softmax minus target, lives only in the trainer's backward pass, whose tests
-check it against central differences of ``mean_soft_ce``.
+functions bit for bit: every pass of the fit, a training batch or a validation
+block, sums each member's terms in one block and divides by its row count, as
+``mean_soft_ce`` does, so both its losses equal ``mean_soft_ce`` bit for bit.
+The loss's gradient with respect to the logits, softmax minus target, lives
+only in the trainer's backward pass, whose tests check it against central
+differences of ``mean_soft_ce``.
 """
 
 from __future__ import annotations
@@ -38,15 +41,15 @@ def check_target(target: np.ndarray) -> np.ndarray:
 
 
 def soft_ce(probs: np.ndarray, target: np.ndarray) -> float:
-    """Cross-entropy of a predicted distribution against a soft target."""
-    probs = np.asarray(probs, dtype=float)
-    target = check_target(target)
-    return float(-(target * np.log(np.maximum(probs, PROB_FLOOR))).sum())
+    """Cross-entropy of a predicted distribution against a soft target:
+    ``mean_soft_ce``'s one-row case."""
+    return mean_soft_ce(probs, target)
 
 
 def mean_soft_ce(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Batch reduction of soft_ce: arithmetic mean over the rows."""
+    """Mean of soft_ce over the rows: every row's terms summed at once, then
+    divided by the row count; a 1-D input is one row."""
     probs = np.asarray(probs, dtype=float)
     targets = check_target(targets)
-    per_sample = -(targets * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=-1)
-    return float(per_sample.mean())
+    terms = targets * np.log(np.maximum(probs, PROB_FLOOR))
+    return float(-terms.sum() / (terms.size // terms.shape[-1]))

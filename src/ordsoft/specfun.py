@@ -26,6 +26,20 @@ class ConvergenceError(ArithmeticError):
     """Continued fraction or series failed to converge within the iteration cap."""
 
 
+def _lentz_step(a: float, b: float, c: float, d: float) -> tuple[float, float, float]:
+    """One modified-Lentz step of a continued fraction by its next term a / b:
+    the new ``c`` and ``d``, each kept off 0 by ``_FPMIN``, and the factor
+    ``d * c`` by which the step multiplies the convergent."""
+    d = b + a * d
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = b + a / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Lentz evaluation of the continued fraction for I_x(a, b)."""
     qab = a + b
@@ -39,26 +53,11 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        c, d, delta = _lentz_step(even, 1.0, c, d)
+        h *= delta
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        c, d, delta = _lentz_step(odd, 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
@@ -114,16 +113,8 @@ def _gamma_cont_frac(s: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(-i * (i - s), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))

@@ -54,7 +54,7 @@ A step's forward/backward allocates no arrays either, only views. It writes
 into work arrays (``_Work``) laid out batch-major: ``(B, K, H+1)`` hidden
 activations and ReLU mask, laid out alike so that the mask's product runs as
 one contiguous pass; ``(B, K, J)`` targets, logits, which become probabilities
-and then ``d_logits`` in place, and log-likelihood terms; ``(B, K)`` row
+and then ``d_logits`` in place, and their floored logarithms; ``(B, K)`` row
 values, each row's max and then its sum. The backward pass writes the hidden
 units' gradient over their activations once the ``w_out`` gradient product and
 the mask have read them, so one buffer serves both (memory shared by liveness,
@@ -64,29 +64,29 @@ column, so the ones stay for the next pass. Each member's matmuls run on
 gemm. The backward product into the hidden units reads ``w_out``'s weight rows
 transposed: for a batch of two or more rows from a ``(K, J, H)`` contiguous
 copy, an NN gemm, and for a 1-row batch, where numpy takes gemv and the two
-forms round apart, from the strided (NT) view. The loss sums stay
-member-major, as a lone member's are: a batch's terms are written into a
-``(K, B, J)`` array before each member's block is summed, and validation's row
-sums into a ``(K, V)`` one before each member's row is averaged. A fit
-allocates its work arrays once, as one arena (``_Arena``) holding a flat
-buffer per work role, every role sized for the largest pass: a batch of all K
-members, or a validation block. The arena hands out one set per pass shape, of
-every role, built on its first use, each a contiguous ``[:n].reshape`` prefix
-view of those buffers, since every work array is written before it is read,
-bar the hidden ones column, which sits at the same places in every prefix. A
-matmul or ufunc writing into such a view rounds bit for bit as into an array
-of its own, and the tests hold every fit to lone fits and to an allocating
-per-block reference. Every pass, a batch or a validation block, gathers its
-rows' targets from its members' label-major ``(J, K, J)`` target rows into its
-set's ``targets`` with one ``take``, so no array of every row's targets,
-training or validation, is kept or reshuffled; the fit checks both label sets'
-range once, since that ``take`` clips. The softmax takes each row's max and
-sum, and validation each row's log-likelihood sum, as J-1 ufuncs over the
-grade columns rather than as reductions over the last axis, because numpy
-reduces a length-5 trailing axis slowly; the max is exact and numpy adds a
-short row in index order, so the probabilities are bit for bit those of
-``loss.softmax``, and ``predict_proba`` of a member's best weights is bit for
-bit its validation at its best epoch.
+forms round apart, from the strided (NT) view. Every pass, a batch or a
+validation block, runs one forward-and-loss head, ``_log_likelihood``, which
+writes its target-weighted terms member-major, into a ``(K, B, J)`` array, and
+sums each member's block at once, as ``loss.mean_soft_ce`` sums a lone member's
+rows; a batch goes on to the backward pass, and a validation block divides by
+its row count. A fit allocates its work arrays once, as one arena (``_Arena``)
+holding a flat buffer per work role, every role sized for the largest pass: a
+batch of all K members, or a validation block. The arena hands out one set per
+pass shape, of every role, built on its first use, each a contiguous
+``[:n].reshape`` prefix view of those buffers, since every work array is
+written before it is read, bar the hidden ones column, which sits at the same
+places in every prefix. A matmul or ufunc writing into such a view rounds bit
+for bit as into an array of its own, and the tests hold every fit to lone fits
+and to an allocating per-block reference. Every pass, a batch or a validation
+block, gathers its rows' targets from its members' label-major ``(J, K, J)``
+target rows into its set's ``targets`` with one ``take``, so no array of every
+row's targets, training or validation, is kept or reshuffled; the fit checks
+both label sets' range once, since that ``take`` clips. The softmax takes each
+row's max and sum as J-1 ufuncs over the grade columns rather than as
+reductions over the last axis, because numpy reduces a length-5 trailing axis
+slowly; the max is exact and numpy adds a short row in index order, so the
+probabilities are bit for bit those of ``loss.softmax``, and ``predict_proba``
+of a member's best weights is bit for bit its validation at its best epoch.
 
 Each epoch ends with the validation loss of all K members: one forward pass
 over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members, in
@@ -162,6 +162,10 @@ class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+class TooFewToSplit(ValueError):
+    """A grade has fewer than 2 rows, so a stratified split cannot put it on both sides."""
+
+
 def _check_schedule(config, seed_field: str) -> None:
     """The batch, epoch, patience, optimizer and seed checks of ``TrainConfig``
     and ``ProtocolSettings``; ``seed_field`` names the config's seed field."""
@@ -205,18 +209,19 @@ class _Arena:
     """The work buffers of one fit: one flat buffer per work role, each sized for
     the largest pass, and one ``_Work`` set of prefix views of them per pass shape.
 
-    ``hidden``, ``mask``, ``logits``, ``llik``, ``member_llik``, ``targets`` and
-    ``row_sum`` hold ``n_rows`` (member, row) pairs, the most that any pass runs;
-    only a batch writes ``mask`` and ``member_llik``, so their pages past its
-    pairs stay unwritten. ``hidden`` holds the MLP's H+1 values per pair, the
-    activations and then, in a backward pass, their gradient, the last of them
-    set to 1 here, the ones column that the output block's bias row reads, and
-    ``mask`` is laid out alike; every set's view puts its pairs' ones at the same
-    places, and every pass leaves them as they are. ``row_sum`` holds each row's
-    softmax max and then its sum. ``w_out_t``, which a backward pass over
-    two or more rows uses, holds each member's ``w_out`` weight rows transposed,
-    J x H; ``total`` holds one value per member. The fit clears ``sets`` when
-    members leave, as the smaller stack runs other shapes.
+    ``hidden``, ``mask``, ``logits``, ``llik``, ``member_llik``, ``targets``
+    and ``row_sum`` hold ``n_rows`` (member, row) pairs, the most that any pass
+    runs; every pass writes them all but ``mask``, which only a batch writes,
+    so its pages past a batch's pairs stay unwritten. ``hidden`` holds the
+    MLP's H+1 values per pair, the activations and then, in a backward pass,
+    their gradient, the last of them set to 1 here, the ones column that the
+    output block's bias row reads, and ``mask`` is laid out alike; every set's
+    view puts its pairs' ones at the same places, and every pass leaves them as
+    they are. ``row_sum`` holds each row's softmax max and then its sum.
+    ``w_out_t``, which a backward pass over two or more rows uses, holds each
+    member's ``w_out`` weight rows transposed, J x H; ``total`` holds one value
+    per member. The fit clears ``sets`` when members leave, as the smaller
+    stack runs other shapes.
     """
 
     def __init__(self, blocks: dict, n_members: int, n_rows: int):
@@ -255,7 +260,7 @@ class _Work:
     the output block's bias row reads, and the ReLU ``mask`` is laid out alike,
     so the mask and its product each run as one contiguous pass (both None for
     the linear model); ``targets``, ``logits``, which become probabilities (and
-    then ``d_logits`` in a backward pass), and the log-likelihood terms ``llik``
+    then ``d_logits`` in a backward pass), and their floored logarithms ``llik``
     are ``(B, K, J)``; ``row_sum``, each row's max and then its sum, is
     ``(B, K)``; ``total`` is ``(K,)``; ``w_out_t``, into which the members'
     ``w_out`` weight rows are copied transposed for the backward product, is
@@ -264,14 +269,11 @@ class _Work:
     views of those: a member's ``(B, .)`` matrix has contiguous rows a stack row
     apart, so each member's product is still one gemm.
 
-    Two member-major arrays keep each member's loss sums in one contiguous run,
-    as a lone member's are: a backward pass's ``member_llik``, ``(K, B, J)``, into
-    which the log-likelihood terms are written through its ``(B, K, J)`` view
-    ``member_llik_t``, and validation's per-row sums ``llik_sums``, ``(K, B)``, a
-    view of the row-sum buffer, which the softmax no longer needs by then,
-    written through ``llik_sums_t``. The J column views of ``logits`` and
-    ``llik`` and the ``(B, K, 1)`` broadcast view of ``row_sum`` are built with
-    the set.
+    One member-major array keeps each member's loss terms in one contiguous
+    block, as a lone member's are: ``member_llik``, ``(K, B, J)``, into which
+    every pass writes the target-weighted log-probabilities through its
+    ``(B, K, J)`` view ``member_llik_t``. The J column views of ``logits`` and
+    the ``(B, K, 1)`` broadcast view of ``row_sum`` are built with the set.
     """
 
     def __init__(self, arena: _Arena, n_members: int, n_rows: int):
@@ -293,11 +295,8 @@ class _Work:
         self.member_llik_t = self.member_llik.swapaxes(0, 1)
         self.targets = view(arena.targets, *batch, arena.n_grades)
         self.row_sum = view(arena.row_sum, *batch)
-        self.llik_sums = view(arena.row_sum, n_members, n_rows)
-        self.llik_sums_t = self.llik_sums.T
         self.total = arena.total[:n_members]
         self.cols = [self.logits[..., j] for j in range(arena.n_grades)]
-        self.llik_cols = [self.llik[..., j] for j in range(arena.n_grades)]
         self.row_bc = self.row_sum[..., None]
 
 
@@ -314,30 +313,15 @@ def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     return work.logits
 
 
-def _row_sums(values: np.ndarray, cols: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Sums over the last axis of ``values``, whose columns are ``cols``, into ``out``.
-
-    A row shorter than 8 is summed as J-1 column adds in grade order, since numpy
-    reduces a short trailing axis slowly and sums such a row in index order, so
-    the result is bit for bit ``values.sum(axis=-1)``; longer rows take numpy's
-    own pairwise reduction.
-    """
-    if len(cols) < 8:
-        np.add(cols[0], cols[1], out=out)
-        for col in cols[2:]:
-            out += col
-    else:
-        values.sum(axis=-1, out=out)
-    return out
-
-
 def _softmax(work: _Work) -> np.ndarray:
     """Turn ``work.logits`` into softmax probabilities in place and return them.
 
     Each row's max is J-1 ufuncs over the grade columns, in grade order, and is
-    exact; its sum is ``_row_sums``'s, so the result is bit for bit
-    ``loss.softmax``. One row buffer, ``work.row_sum``, holds the max until it
-    is subtracted, then the sum.
+    exact. A row shorter than 8 is summed likewise, as J-1 column adds in grade
+    order, since numpy reduces a short trailing axis slowly and sums such a row
+    in index order; longer rows take numpy's own pairwise reduction. So the
+    result is bit for bit ``loss.softmax``. One row buffer, ``work.row_sum``,
+    holds the max until it is subtracted, then the sum.
     """
     probs, cols, row = work.logits, work.cols, work.row_sum
     np.maximum(cols[0], cols[1], out=row)
@@ -345,17 +329,32 @@ def _softmax(work: _Work) -> np.ndarray:
         np.maximum(row, col, out=row)
     probs -= work.row_bc
     np.exp(probs, out=probs)
-    _row_sums(probs, cols, row)
+    if len(cols) < 8:
+        np.add(cols[0], cols[1], out=row)
+        for col in cols[2:]:
+            row += col
+    else:
+        probs.sum(axis=-1, out=row)
     probs /= work.row_bc
     return probs
 
 
-def _log_likelihood(work: _Work, out: np.ndarray) -> np.ndarray:
-    """Write the target-weighted log-probabilities of ``work``'s probabilities, floored
-    as in ``loss``, into ``out``, ``(B, K, J)`` or a view of that shape, and return it."""
+def _log_likelihood(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
+    """Each member's sum of target-weighted log-probabilities over the rows ``x``,
+    whose last column is ones, against its slice of ``work.targets``: minus its
+    loss times the row count, written into ``work.total`` and returned.
+
+    The forward pass and the softmax leave the probabilities in ``work.logits``;
+    their logarithms, floored as in ``loss``, go to ``work.llik``, and the
+    target-weighted terms to the member-major ``work.member_llik``, so each
+    member's ``(n, J)`` terms are one contiguous block summed at once, as
+    ``loss.mean_soft_ce`` sums a lone member's."""
+    _forward(weights, x, work)
+    _softmax(work)
     np.maximum(work.logits, PROB_FLOOR, out=work.llik)
     np.log(work.llik, out=work.llik)
-    return np.multiply(work.llik, work.targets, out=out)
+    np.multiply(work.llik, work.targets, out=work.member_llik_t)
+    return work.member_llik.sum(axis=(-2, -1), out=work.total)
 
 
 def _with_ones(features: np.ndarray) -> np.ndarray:
@@ -413,7 +412,7 @@ def stratified_split(
     classes, class_counts = np.unique(labels, return_counts=True)
     if (class_counts < 2).any():
         small = classes[class_counts < 2].tolist()
-        raise ValueError(f"classes {small} have fewer than 2 samples and cannot be split")
+        raise TooFewToSplit(f"classes {small} have fewer than 2 samples and cannot be split")
     total_train = int(math.floor(labels.size * train_fraction + 0.5))
     quotas = class_counts * train_fraction
     train_counts = np.floor(quotas).astype(int)
@@ -495,11 +494,8 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     hidden units' gradient is written over their activations in ``work.hidden``
     once the ``w_out`` gradient product and the ReLU mask have read them; the
     ones column stays 1 for the next forward pass."""
-    _forward(weights, x, work)
-    probs = _softmax(work)
-    _log_likelihood(work, work.member_llik_t)
-    work.member_llik.sum(axis=(-2, -1), out=work.total)
-    d_logits = probs
+    _log_likelihood(weights, x, work)
+    d_logits = work.logits
     d_logits -= work.targets
     d_logits /= x.shape[0]
     hidden = x if work.hidden is None else work.hidden_t
@@ -523,13 +519,9 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
 
 def _mean_soft_ce(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     """Each member's mean soft cross-entropy over ``x``, whose last column is ones,
-    against its ``(V, J)`` slice of ``work.targets``, as ``loss.mean_soft_ce``
-    computes it: row sums of the log-likelihood terms, then their mean over each
-    member's contiguous row."""
-    _forward(weights, x, work)
-    _softmax(work)
-    _row_sums(_log_likelihood(work, work.llik), work.llik_cols, work.llik_sums_t)
-    return -work.llik_sums.mean(axis=-1)
+    against its ``(V, J)`` slice of ``work.targets``, bit for bit
+    ``loss.mean_soft_ce``: its summed terms, negated, over the row count."""
+    return -_log_likelihood(weights, x, work) / len(x)
 
 
 class _Optimizer:

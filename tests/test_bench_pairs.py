@@ -10,8 +10,8 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+def _tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -151,3 +151,14 @@ def test_main_runs_each_workload_in_its_own_process(tmp_path):
         rss = entry["metrics"]["peak_rss_mb"]
         assert (rss["parent"]["median"], rss["change"]["median"]) == (base, base - 1.0)
         assert (rss["pairs"], rss["wins"], rss["gain_rule_met"]) == (2, 2, True)
+
+
+def test_both_bench_tools_give_one_digest_for_one_tree(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "schemas").mkdir(parents=True)
+    (package / "__pycache__").mkdir()
+    (package / "module.py").write_text("x = 1\n")
+    (package / "schemas" / "record.json").write_text("{}\n")
+    (package / "__pycache__" / "module.cpython-311.pyc").write_bytes(b"\0")
+    step_bench = _tool(TOOL.with_name("step_bench.py"))
+    assert step_bench.src_digest(tmp_path) == _tool().src_digest(tmp_path)

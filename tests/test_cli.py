@@ -433,6 +433,23 @@ def test_labelled_csv_without_a_feature_column_is_usage_error_naming_it(tmp_path
     assert not out.exists() and not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_grade_too_small_to_split_is_usage_error_naming_the_file(tmp_path, capsys, command):
+    # 10/10/2 rows: the holdout split keeps one grade-2 row for training, where the
+    # validation split inside the fit finds it alone
+    data = tmp_path / "data.csv"
+    rows = [f"{0.1 * k},{grade}" for grade, n in enumerate((10, 10, 2)) for k in range(n)]
+    data.write_text("\n".join(["f0,label", *rows]) + "\n")
+    out = tmp_path / "runs.jsonl"
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    argv = (["train", "--data", str(data), "--max-epochs", "2", "--patience", "2", "--out", str(out)]
+            if command == "train" else ["sweep", "--config", str(config)])
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: {data}: classes [2] have fewer than 2 samples" in err
+    assert not out.exists() and not out_dir.exists()
+
+
 def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path, capsys):
     data = tmp_path / "data.csv"
     before = (gc.get_freeze_count(), gc.isenabled())

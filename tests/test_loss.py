@@ -86,3 +86,13 @@ def test_mean_soft_ce_matches_per_row():
     targets = rng.dirichlet(np.ones(5), size=8)
     expected = np.mean([soft_ce(p, t) for p, t in zip(probs, targets)])
     assert mean_soft_ce(probs, targets) == pytest.approx(expected, abs=1e-12)
+
+
+def test_mean_soft_ce_of_one_row_is_its_soft_ce():
+    rng = np.random.default_rng(71)
+    for j in (2, 5, 9):
+        probs, target = rng.dirichlet(np.ones(j)), rng.dirichlet(np.ones(j))
+        expected = float(-(target * np.log(probs)).sum())
+        # a 1-D input is one row, as is a (1, J) batch
+        assert mean_soft_ce(probs, target) == soft_ce(probs, target) == expected
+        assert mean_soft_ce(probs[None], target[None]) == expected

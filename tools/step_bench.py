@@ -22,13 +22,14 @@ members). A wrapper adds under a microsecond per call, on both trees alike.
 The output JSON holds, per tree and K, the minimum and median over every
 sample of every repeat, in microseconds, the step minimum per member, and
 ``arena_bytes``, the sum of ``nbytes`` over the buffers of the fit's one
-``trainer._Arena``, its work memory.
+``trainer._Arena``, its work memory. Each tree's ``src_sha256`` is
+``tools/bench_pairs.py``'s digest of its ``src/``, so a step file and a
+benchmark file of one tree carry one digest.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
@@ -37,15 +38,11 @@ import sys
 import time
 from pathlib import Path
 
+# the digest both bench tools record, from bench_pairs.py beside this file
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import src_digest  # noqa: E402
+
 MEMBERS = (1, 8, 15, 40, 51)
-
-
-def src_digest(tree: Path) -> str:
-    """SHA-256 over the relative paths and bytes of the Python files under ``tree/src``."""
-    digest = hashlib.sha256()
-    for path in sorted((tree / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
 
 
 def worker(src: Path, members: list[int], epochs: int, cpu: int, dim: int,
