@@ -83,6 +83,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 WORKERS_ENV = "ORDSOFT_WORKERS"
+PAIRED_LABELS = ("label_a", "label_b")  # a paired CSV's last two columns, scale A first
 _SWEEP_KEYS = ("task", "dataset", "strategies", "n_seeds", "output_dir", "search_space", "settings",
                "n_classes", "n_classes_b")
 
@@ -170,7 +171,7 @@ def cmd_softlabels(args) -> int:
 
 
 def _write_paired_csv(path: str, features: np.ndarray, labels_a: np.ndarray, labels_b: np.ndarray) -> None:
-    write_labelled_csv(path, features, {"label_a": labels_a, "label_b": labels_b})
+    write_labelled_csv(path, features, dict(zip(PAIRED_LABELS, (labels_a, labels_b))))
 
 
 @contextmanager
@@ -190,7 +191,7 @@ def _reading(path: str, errors: type = ValueError):
 def _read_paired_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The features and A and B grades of the paired CSV at ``path``."""
     with _reading(path):
-        return read_labelled_csv(path, ("label_a", "label_b"))
+        return read_labelled_csv(path, PAIRED_LABELS)
 
 
 def cmd_synth(args) -> int:
@@ -367,8 +368,12 @@ def _paired_task(payload) -> list[dict]:
     """One seed's paired records, one per strategy in order."""
     features, scales, strategies, seed, search_space, settings, task = payload
     shape = tuple(space.n_classes for _, space in scales)
+    try:
+        runs = run_paired_single(features, scales, strategies, seed, search_space, settings)
+    except TooFewToSplit as exc:
+        raise TooFewToSplit(f"{PAIRED_LABELS[exc.scale]}: {exc}") from exc
     records = []
-    for a, b in run_paired_single(features, scales, strategies, seed, search_space, settings):
+    for a, b in runs:
         strategy = a.history.config.strategy
         predicted = (a.predictions.predicted_labels, b.predictions.predicted_labels)
         records.append({
@@ -444,7 +449,7 @@ def cmd_sweep(args) -> int:
 
     with open(dataset_path, newline="") as fh, _reading(dataset_path):
         header = read_header(csv.reader(fh), dataset_path)
-    paired = header[-2:] == ["label_a", "label_b"]
+    paired = tuple(header[-2:]) == PAIRED_LABELS
 
     if paired:
         features, *labels = _read_paired_csv(dataset_path)
@@ -528,8 +533,10 @@ def analyse_tables(
     """KLD/MAE per run, residuals of mean predicted tables, and the test pipeline.
 
     ``epsilon`` smooths the KLD; None means ``jointanalysis.DEFAULT_KLD_EPSILON``.
-    A run whose KLD is infinite, as at epsilon 0 when its table has 0 in a cell
-    the truth fills, is a ``UsageError`` naming its strategy and seed.
+    Fewer than 2 strategies, or strategies whose seed sets differ, so that their
+    runs cannot pair, raise ``ValueError`` before any KLD is taken. A run whose
+    KLD is infinite, as at epsilon 0 when its table has 0 in a cell the truth
+    fills, is a ``UsageError`` naming its strategy and seed.
     """
     from .jointanalysis import (
         DEFAULT_KLD_EPSILON,
@@ -542,11 +549,14 @@ def analyse_tables(
         table_mae,
     )
 
+    if len(predicted) < 2:
+        raise ValueError("need at least 2 strategies for the global test")
+    if len({tuple(sorted(seed for seed, _ in runs)) for runs in predicted.values()}) != 1:
+        raise ValueError("strategies have mismatched seed sets; cannot pair runs")
     epsilon = DEFAULT_KLD_EPSILON if epsilon is None else epsilon
     p = normalise(truth)
     strategies_report = {}
     kld_by_strategy: dict[str, list[float]] = {}
-    seeds_by_strategy: dict[str, list[int]] = {}
     for strategy, runs in sorted(predicted.items()):
         runs = sorted(runs, key=lambda sr: sr[0])
         entries = []
@@ -578,38 +588,29 @@ def analyse_tables(
             "residual_of_mean": residuals(p, mean_q).tolist(),
         }
         kld_by_strategy[strategy] = klds
-        seeds_by_strategy[strategy] = [e["seed"] for e in entries]
 
-    report = {
+    kw = kruskal_wallis(list(kld_by_strategy.values()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate pairs are flagged in the result
+        pairwise = pairwise_wilcoxon_holm(kld_by_strategy)
+    return {
         "schema": "ordsoft.analysis_report-v1",
         "epsilon": epsilon,
         "truth_total": truth.total,
         "strategies": strategies_report,
-        "kruskal_wallis": None,
-        "pairwise": [],
+        "kruskal_wallis": asdict(kw),
+        "pairwise": [
+            {
+                "pair": list(entry["pair"]),
+                "statistic": entry["test"].statistic,
+                "p_value": entry["test"].p_value,
+                "method": entry["test"].method,
+                "degenerate": entry["test"].degenerate,
+                "p_holm": entry["p_holm"],
+            }
+            for entry in pairwise
+        ],
     }
-    if len(kld_by_strategy) < 2:
-        raise ValueError("need at least 2 strategies for the global test")
-    kw = kruskal_wallis(list(kld_by_strategy.values()))
-    report["kruskal_wallis"] = asdict(kw)
-    seed_sets = {tuple(v) for v in seeds_by_strategy.values()}
-    if len(seed_sets) != 1:
-        raise ValueError("strategies have mismatched seed sets; cannot pair runs")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degenerate pairs are flagged in the result
-        pairwise = pairwise_wilcoxon_holm(kld_by_strategy)
-    report["pairwise"] = [
-        {
-            "pair": list(entry["pair"]),
-            "statistic": entry["test"].statistic,
-            "p_value": entry["test"].p_value,
-            "method": entry["test"].method,
-            "degenerate": entry["test"].degenerate,
-            "p_holm": entry["p_holm"],
-        }
-        for entry in pairwise
-    ]
-    return report
 
 
 def _read_table(path: str) -> ContingencyTable:

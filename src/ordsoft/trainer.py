@@ -163,7 +163,12 @@ class TrainingDiverged(RuntimeError):
 
 
 class TooFewToSplit(ValueError):
-    """A grade has fewer than 2 rows, so a stratified split cannot put it on both sides."""
+    """A grade has fewer than 2 rows, so a stratified split cannot put it on both sides.
+
+    ``scale`` is the index of the grade scale whose labels were split, when
+    ``run_paired_single`` made the split."""
+
+    scale: Optional[int] = None
 
 
 def _check_schedule(config, seed_field: str) -> None:
@@ -925,24 +930,6 @@ def _holdout_run(history: TrainHistory, holdout: SampleSet, space: LabelSpace) -
     return RunResult(history, compute_report(build_confusion(preds, space)), preds)
 
 
-def _run_scales(
-    features: np.ndarray, scales: Sequence[tuple[np.ndarray, LabelSpace]],
-    strategies: Sequence[str], seed: int, search_space: SearchSpace, settings: ProtocolSettings,
-) -> list[tuple[RunResult, ...]]:
-    """One seed's runs per grade scale on shared ``features``, given each scale's
-    labels and grades as ``[(labels, space), ...]``, on one split stratified on the
-    first scale's labels: per scale, search every strategy on the train subset and
-    score its model on the holdout. Per strategy, the scales' results in order."""
-    train_idx, test_idx = stratified_split(scales[0][0], settings.train_fraction, seed)
-    per_scale = []
-    for labels, space in scales:
-        dataset = SampleSet(features, labels)
-        train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
-        histories = random_search(search_space, train_set, strategies, seed, space, settings)
-        per_scale.append([_holdout_run(history, test_set, space) for history in histories])
-    return list(zip(*per_scale))
-
-
 def run_fixed(
     dataset: SampleSet, label_space: LabelSpace, config: TrainConfig,
     settings: ProtocolSettings = ProtocolSettings(),
@@ -968,7 +955,7 @@ def run_single(
 ) -> list[RunResult]:
     """One seed's runs, one per strategy, on a split stratified on the labels."""
     scales = [(dataset.labels, label_space)]
-    runs = _run_scales(dataset.features, scales, strategies, seed, search_space, settings)
+    runs = run_paired_single(dataset.features, scales, strategies, seed, search_space, settings)
     return [result for (result,) in runs]
 
 
@@ -979,7 +966,23 @@ def run_paired_single(
     seed: int,
     search_space: SearchSpace,
     settings: ProtocolSettings,
-) -> list[tuple[RunResult, RunResult]]:
-    """One seed's runs per grade scale, ``[(labels, space), ...]`` A first, on one
-    split stratified on the A labels: per strategy, the scales' results, A first."""
-    return _run_scales(features, scales, strategies, seed, search_space, settings)
+) -> list[tuple[RunResult, ...]]:
+    """One seed's runs per grade scale on shared ``features``, given each scale's
+    labels and grades as ``[(labels, space), ...]``, on one split stratified on the
+    first scale's labels: per scale, search every strategy on the train subset and
+    score its model on the holdout. Per strategy, the scales' results in order.
+    A ``TooFewToSplit`` carries the index of the scale whose labels it could not
+    split."""
+    scale = 0  # the scale whose labels the split in progress stratifies on
+    try:
+        train_idx, test_idx = stratified_split(scales[0][0], settings.train_fraction, seed)
+        per_scale = []
+        for scale, (labels, space) in enumerate(scales):
+            dataset = SampleSet(features, labels)
+            train_set, test_set = dataset.subset(train_idx), dataset.subset(test_idx)
+            histories = random_search(search_space, train_set, strategies, seed, space, settings)
+            per_scale.append([_holdout_run(history, test_set, space) for history in histories])
+    except TooFewToSplit as exc:
+        exc.scale = scale
+        raise
+    return list(zip(*per_scale))

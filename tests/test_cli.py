@@ -225,6 +225,21 @@ def test_train_flags_are_the_train_config_fields():
     assert flags == names | {f.name for f in dataclasses.fields(SmoothingParams)}
 
 
+def test_train_flags_override_the_config_file_which_overrides_the_defaults(tmp_path):
+    data, config, out = tmp_path / "data.csv", tmp_path / "config.json", tmp_path / "runs.jsonl"
+    main(["synth", "--classes", "3", "--per-class", "10", "--seed", "2", "--out", str(data)])
+    config.write_text(json.dumps({"strategy": "beta", "learning_rate": 0.01, "seed": 1,
+                                  "params": {"eta": 1.0, "concentration": 10.0},
+                                  "max_epochs": 3, "patience": 3}))
+    assert main(["train", "--data", str(data), "--config", str(config), "--seed", "2",
+                 "--eta", "0.8", "--out", str(out)]) == EXIT_OK
+    record = json.loads(out.read_text())
+    # batch_size and optimizer, which neither gives, keep TrainConfig's defaults
+    expected = TrainConfig(learning_rate=0.01, strategy="beta", seed=2, max_epochs=3, patience=3,
+                           params=SmoothingParams(eta=0.8, concentration=10.0))
+    assert (record["seed"], record["config"]) == (2, expected.to_dict())
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--strategy", "bogus"], "unknown strategy 'bogus'"),
     (["--optimizer", "rmsprop"], "unknown optimizer 'rmsprop'"),
@@ -318,6 +333,20 @@ def test_evaluate_reports_metrics(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     _validate("ordsoft.metric_report-v1", report)
     assert report["mae"] == pytest.approx(0.25)
+
+
+def test_evaluate_of_a_train_records_holdout_pairs_is_the_records_metrics(tmp_path, capsys):
+    data, out, pairs = tmp_path / "data.csv", tmp_path / "runs.jsonl", tmp_path / "holdout.csv"
+    main(["synth", "--classes", "5", "--per-class", "20", "--flip-prob", "0.1", "--seed", "7",
+          "--out", str(data)])
+    assert main(["train", "--data", str(data), "--strategy", "triangular", "--alpha", "0.05",
+                 "--seed", "1", "--max-epochs", "10", "--patience", "10",
+                 "--out", str(out)]) == EXIT_OK
+    record = json.loads(out.read_text())
+    rows = zip(record["true_labels"], record["predicted_labels"])
+    pairs.write_text("true,pred\n" + "".join(f"{t},{p}\n" for t, p in rows))
+    assert main(["evaluate", "--predictions", str(pairs), "--classes", "5"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == record["metrics"]
 
 
 def test_evaluate_zero_classes_is_usage_error(tmp_path, capsys):
@@ -450,6 +479,24 @@ def test_a_grade_too_small_to_split_is_usage_error_naming_the_file(tmp_path, cap
     assert not out.exists() and not out_dir.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_paired_grade_too_small_to_split_is_usage_error_naming_its_column(
+    tmp_path, capsys, monkeypatch, workers
+):
+    # grades 0-2 ten times each on both scales, but for two rows whose B grade is 3:
+    # the split stratified on A keeps one of them for training, where B's own
+    # validation split finds it alone
+    monkeypatch.setenv("ORDSOFT_WORKERS", workers)
+    data = tmp_path / "paired.csv"
+    rows = [f"{0.1 * k},{k % 3},{3 if k < 2 else k % 3}" for k in range(30)]
+    data.write_text("\n".join(["f0,label_a,label_b", *rows]) + "\n")
+    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal"], n_seeds=1)
+    assert main(["sweep", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: {data}: label_b: classes [3] have fewer than 2 samples" in err, err
+    assert not out_dir.exists()
+
+
 def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path, capsys):
     data = tmp_path / "data.csv"
     before = (gc.get_freeze_count(), gc.isenabled())
@@ -528,19 +575,35 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert (out_dir / "summary.json").read_bytes() == first_summary
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path):
-    data = tmp_path / "data.csv"
-    main(["synth", "--classes", "3", "--per-class", "16", "--flip-prob", "0.2",
-          "--seed", "1", "--out", str(data)])
-    config, out_dir = _write_sweep_config(tmp_path, data, ["nominal", "binomial"], n_seeds=2)
-    assert main(["sweep", "--config", str(config)]) == EXIT_OK
-    serial = (out_dir / "results.jsonl").read_bytes()
-    os.environ["ORDSOFT_WORKERS"] = "2"
-    try:
-        assert main(["sweep", "--config", str(config)]) == EXIT_OK
-    finally:
-        del os.environ["ORDSOFT_WORKERS"]
-    assert (out_dir / "results.jsonl").read_bytes() == serial
+@pytest.mark.parametrize("case", ["single", "staggered", "paired"])
+def test_sweep_worker_pool_matches_serial(tmp_path, monkeypatch, case):
+    strategies, extra = ["nominal", "binomial"], None
+    if case == "paired":
+        data = _paired_dataset(tmp_path)
+    elif case == "single":
+        data = tmp_path / "data.csv"
+        main(["synth", "--classes", "3", "--per-class", "16", "--flip-prob", "0.2",
+              "--seed", "1", "--out", str(data)])
+    else:
+        # patience below the epoch cap: on this data the members of each seed's stack of
+        # 15 stop at epochs from 14 to 20, so removals and smaller validation blocks run
+        data = tmp_path / "data.csv"
+        main(["synth", "--classes", "5", "--per-class", "40", "--flip-prob", "0.1",
+              "--seed", "7", "--out", str(data)])
+        strategies = ["nominal", "beta", "triangular"]
+        extra = {"search_space": {"max_configs": 6},
+                 "settings": {"max_epochs": 20, "patience": 3}}
+    config, _ = _write_sweep_config(tmp_path, data, strategies, n_seeds=2, extra=extra)
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ORDSOFT_WORKERS", workers)
+        out_dir = tmp_path / f"workers{workers}"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == EXIT_OK
+        outputs.append({path.relative_to(out_dir): path.read_bytes()
+                        for path in out_dir.rglob("*") if path.is_file()})
+    assert outputs[0] == outputs[1]
+    # results, summaries and, when paired, the truth and 2 x 2 predicted tables
+    assert len(outputs[0]) == (9 if case == "paired" else 3)
 
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-3", "1.5"])
@@ -628,7 +691,8 @@ def test_sweep_paired_writes_tables(tmp_path, capsys):
         _validate("ordsoft.paired_run_record-v1", record)
         table_path = out_dir / record["table_file"]
         assert table_path.exists()
-    assert (out_dir / "tables" / "truth.csv").exists()
+    tables = sorted(path.name for path in (out_dir / "tables").iterdir())
+    assert tables == sorted(["truth.csv", *(Path(r["table_file"]).name for r in records)])
     for name, metrics_key in (("summary.json", "metrics_a"), ("summary_b.json", "metrics_b")):
         summary = json.loads((out_dir / name).read_text())
         _validate("ordsoft.sweep_summary-v1", summary)
@@ -891,6 +955,23 @@ def test_analyze_requires_two_strategies(tmp_path):
     _write_table(tmp_path / "only_seed0.csv", [[5, 5], [5, 5]])
     assert main(["analyze", "--truth", str(truth),
                  "--pred", str(tmp_path / "only_seed*.csv")]) == EXIT_RUNTIME
+
+
+def test_analyse_tables_checks_the_seed_sets_before_any_kld_or_test(monkeypatch):
+    import ordsoft.jointanalysis as jointanalysis
+    from ordsoft.cli import analyse_tables
+    from ordsoft.jointanalysis import ContingencyTable
+
+    called = []
+    for name in ("kld", "kruskal_wallis", "pairwise_wilcoxon_holm"):
+        monkeypatch.setattr(jointanalysis, name, lambda *args, name=name: called.append(name))
+    table = ContingencyTable(np.array([[30, 5], [5, 30]]))
+    predicted = {"beta": [(0, table), (1, table)], "nominal": [(0, table), (2, table)]}
+    with pytest.raises(ValueError, match="mismatched seed sets"):
+        analyse_tables(table, predicted)
+    with pytest.raises(ValueError, match="need at least 2 strategies"):
+        analyse_tables(table, {"beta": predicted["beta"]})
+    assert called == []
 
 
 def test_analyze_shape_mismatch_is_runtime_error(tmp_path):

@@ -6,14 +6,24 @@ Each tree is a checkout of this repository. The commands run once per tree,
 serially (``ORDSOFT_WORKERS=1``), as ``python -m ordsoft.cli`` with
 ``PYTHONPATH=TREE/src``, each tree in a directory of its own under ``--work``
 (default: a new temporary directory) with the same relative paths, so any
-difference in an output is a difference of the program. The set covers:
+difference in an output is a difference of the program. This is the repository's
+determinism check. CI runs it twice: with ``--parent . --change .``, two runs of
+one tree, which must agree run to run; and, on a pull request, against a
+checkout of its base, so a change that moves any output of the set shows it.
+The set covers:
 
 - ``synth``: a 400-row 5-grade set, a 460-row 20-grade set, and a 300-row paired
   5x4 set with its truth table;
 - ``sweep``: single-scale with the default search (51 candidates, past Adam's
   step 356, members leaving at staggered epochs), a short run with patience 3,
   a linear model under SGD, and a paired sweep followed by ``analyze``;
-- ``train``: one record under Adam and one under SGD;
+- ``train``: one record under Adam and one under SGD, set by flags alone; one
+  from a config file whose seed and eta the flags override; and one with the
+  exponential strategy;
+- ``softlabels``: each of the six strategies given every smoothing flag, and
+  the ``--plot-data`` table of one;
+- ``evaluate``: the metric report of a fixed ``true,pred`` CSV that the tool
+  writes beside the configs;
 - ``histories.json``: the library's ``trainer.run_single``, default search, on
   the 400-row set with the MLP under Adam and the linear model under SGD, and
   on the 20-grade set with an MLP of hidden width 4, with each winner's epoch
@@ -64,7 +74,14 @@ CONFIGS = {
     "paired.json": {"task": "parity_paired", "dataset": "paired.csv", "strategies": STRATEGIES,
                     "n_seeds": 2, "output_dir": "unused", "search_space": {"max_configs": 3},
                     "settings": {"max_epochs": 20, "patience": 20}},
+    # a train config whose seed and eta the command's flags override
+    "train.json": {"strategy": "beta", "learning_rate": 0.01,
+                   "params": {"eta": 1.0, "concentration": 10.0}, "seed": 1, "max_epochs": 10,
+                   "patience": 10},
 }
+
+# the CSV that ``evaluate`` reads: every grade predicted, errors of 0, 1 and 2 grades
+PREDICTIONS = "true,pred\n0,0\n0,1\n1,1\n1,0\n1,2\n2,2\n2,1\n2,4\n3,3\n3,2\n4,4\n4,3\n4,2\n"
 
 COMMANDS = [
     ["synth", "--classes", "5", "--per-class", "80", "--flip-prob", "0.1", "--seed", "7",
@@ -84,6 +101,18 @@ COMMANDS = [
     ["train", "--data", "data.csv", "--strategy", "beta", "--concentration", "10",
      "--optimizer", "sgd", "--learning-rate", "0.05", "--seed", "2", "--max-epochs", "30",
      "--patience", "8", "--out", "train.jsonl"],
+    ["train", "--data", "data.csv", "--config", "train.json", "--seed", "2", "--eta", "0.8",
+     "--out", "train.jsonl"],
+    ["train", "--data", "data.csv", "--strategy", "exponential", "--p", "1.5", "--seed", "1",
+     "--max-epochs", "10", "--patience", "10", "--out", "train.jsonl"],
+    # every strategy takes every smoothing flag, each reading its own
+    *(["softlabels", "--classes", "5", "--strategy", strategy, "--eta", "0.8", "--alpha", "0.05",
+       "--p", "1.5", "--concentration", "10", "--out", f"softlabels/{strategy}.csv"]
+      for strategy in ["nominal", "nominal_smoothed", "triangular", "binomial", "beta",
+                       "exponential"]),
+    ["softlabels", "--classes", "5", "--strategy", "beta", "--concentration", "10", "--plot-data",
+     "--out", "softlabels/plot_data.csv"],
+    ["evaluate", "--predictions", "predictions.csv", "--classes", "5", "--out", "evaluate.json"],
 ]
 
 
@@ -122,6 +151,7 @@ def run_side(tree: Path, work: Path) -> list[str]:
     work.mkdir(parents=True)
     for name, config in CONFIGS.items():
         (work / name).write_text(json.dumps(config))
+    (work / "predictions.csv").write_text(PREDICTIONS)
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "ORDSOFT_WORKERS": "1"}
     # an installed ordsoft must not shadow the tree's
     where = subprocess.run([sys.executable, "-c", "import ordsoft; print(ordsoft.__file__)"],
