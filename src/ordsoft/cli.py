@@ -624,6 +624,9 @@ def _read_table(path: str) -> ContingencyTable:
 
 
 def cmd_analyze(args) -> int:
+    """Analyse the tables ``args.pred`` matches against ``args.truth``. Every fault
+    of the tables is a usage error: a second table of one (strategy, seed),
+    which names both files, and each ``ValueError`` of ``analyse_tables``."""
     if args.epsilon is not None and not (np.isfinite(args.epsilon) and args.epsilon >= 0):
         raise UsageError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
     truth = _read_table(args.truth)
@@ -631,6 +634,7 @@ def cmd_analyze(args) -> int:
     if not files:
         raise UsageError(f"no predicted tables match {args.pred!r}")
     predicted: dict[str, list[tuple[int, ContingencyTable]]] = {}
+    paths: dict[tuple[str, int], str] = {}  # (strategy, seed) -> the file that holds its table
     for path in files:
         stem = Path(path).stem
         match = _TABLE_NAME.match(stem)
@@ -638,8 +642,18 @@ def cmd_analyze(args) -> int:
             raise UsageError(
                 f"{path}: predicted tables must be named <strategy>_seed<N>.csv"
             )
-        predicted.setdefault(match["strategy"], []).append((int(match["seed"]), _read_table(path)))
-    report = analyse_tables(truth, predicted, epsilon=args.epsilon)
+        run = match["strategy"], int(match["seed"])
+        if run in paths:
+            raise UsageError(
+                f"{paths[run]} and {path} are both the table of {run[0]} seed {run[1]}"
+            )
+        paths[run] = path
+        predicted.setdefault(run[0], []).append((run[1], _read_table(path)))
+    try:
+        report = analyse_tables(truth, predicted, epsilon=args.epsilon)
+    except ValueError as exc:
+        # every ValueError of analyse_tables is a fault of the tables it was given
+        raise UsageError(str(exc)) from exc
     _emit(_dump_json(report) + "\n", args.out)
     return EXIT_OK
 

@@ -59,7 +59,7 @@ class JointDistribution:
 class TestResult:
     statistic: float
     p_value: float
-    method: str  # kruskal_wallis | wilcoxon_exact | wilcoxon_normal | anova_f
+    method: str  # kruskal_wallis | wilcoxon_exact | wilcoxon_normal
     n: tuple
     degenerate: bool = False
 

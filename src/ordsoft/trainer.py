@@ -1,138 +1,19 @@
 """Desk-scale classifier training under soft-target supervision.
 
-A small numpy network (linear or one-hidden-layer ReLU MLP) stands in for the
-image backbone: the supervision strategies under study act purely at the
-label level, so the comparison logic is architecture-agnostic. Training is
+A small numpy network, a one-hidden-layer ReLU MLP, stands in for the image
+backbone: the supervision strategies under study act purely at the label
+level, so the comparison logic does not depend on the model. Training is
 plain mini-batch gradient descent (SGD or Adam) on the soft cross-entropy,
 with early stopping on validation loss (weights restored from the best epoch)
 and full determinism: every random draw comes from child generators of the
 run seed.
 
-There is one training loop, ``_fit_lockstep``, which trains K models at once:
-their weights are stacked on a leading axis, every step runs one batched
-forward/backward and one update on a mini-batch they share, each with its own
-learning rate and targets, and each stops early on its own. Stacking saves a
-step's fixed cost of numpy calls, not its arithmetic: pinned to one CPU, a
-step is member-linear above K≈8, at 7.85 µs per member for K=51 (400.5 µs
-a step in ``BENCH_shared_hidden_steps.json``), validation aside
-(``tools/step_bench.py``). Each member's arithmetic is bit for bit that of a
-lone fit. ``train`` is the loop's one-member case. A member's
-``TrainConfig`` alone names its targets, by its (strategy, params), which the
-fit builds once per pair.
-
-A model is two affine blocks, each a weight matrix whose last row is its
-bias: ``w_out`` ((H+1) x J), preceded for the MLP by ``w_in`` ((d+1) x H); the
-linear model is ``w_out`` ((d+1) x J) alone. A block reads its input with a
-ones column appended, so its bias is the last term of its product. The
-architecture, grade count and hidden width are read off those shapes.
-``init_model`` makes one, ``train`` and each ``TrainHistory`` hold the best
-one, and ``predict_proba`` is inference: the plain, allocating forward pass,
-two products and a ReLU over inputs with their ones columns appended, then
-``loss.softmax``.
-
-The K members' parameters live in one flat buffer laid out role-major,
-``[w_in (K, d+1, H) | w_out (K, H+1, J)]``, so each block of every member is
-one contiguous run and each member's block one contiguous piece of it; their
-gradients and Adam moments live in buffers of the same layout, and the blocks
-are named ``(K, *shape)`` views of them. The optimizer updates the whole buffer
-with one short run of in-place ufuncs per step, against a learning rate spread
-to every parameter, and computes the step in the gradient buffer, which it has
-read by then, so it keeps no scratch buffer of its own.
-
-Every input of a fit carries its ones column: a fit gathers each epoch's
-shuffled training rows into one ``(N, d+1)`` buffer whose last column is ones,
-and gives the validation rows theirs once. The hidden activations hold H+1
-values per (member, row), the last of which is set to 1 when the work buffers
-are made: the first product writes the first H, and the ReLU keeps the ones,
-since ``max(1, 0) = 1``. So the forward pass is two products and a ReLU, and the two weight-gradient
-products return the bias gradients as their last rows: no bias add or bias sum
-is left. On the default 8 -> 32 -> 5 shapes this rounds as the separate adds
-and batch sums did; a product's rounding depends on its shapes, so on some
-others it does not, and the tests hold the fit to a folded reference.
-
-A step's forward/backward allocates no arrays either, only views. It writes
-into work arrays (``_Work``) laid out batch-major: ``(B, K, H+1)`` hidden
-activations and ReLU mask, laid out alike so that the mask's product runs as
-one contiguous pass; ``(B, K, J)`` targets, logits, which become probabilities
-and then ``d_logits`` in place, and their floored logarithms; ``(B, K)`` row
-values, each row's max and then its sum. The backward pass writes the hidden
-units' gradient over their activations once the ``w_out`` gradient product and
-the mask have read them, so one buffer serves both (memory shared by liveness,
-as in Chen, Xu, Zhang & Guestrin, 2016); the mask is True under the ones
-column, so the ones stay for the next pass. Each member's matmuls run on
-``(K, B, .)`` transposed views, whose rows are contiguous, so each is still one
-gemm. The backward product into the hidden units reads ``w_out``'s weight rows
-transposed: for a batch of two or more rows from a ``(K, J, H)`` contiguous
-copy, an NN gemm, and for a 1-row batch, where numpy takes gemv and the two
-forms round apart, from the strided (NT) view. Every pass, a batch or a
-validation block, runs one forward-and-loss head, ``_log_likelihood``, which
-writes its target-weighted terms member-major, into a ``(K, B, J)`` array, and
-sums each member's block at once, as ``loss.mean_soft_ce`` sums a lone member's
-rows; a batch goes on to the backward pass, and a validation block divides by
-its row count. A fit allocates its work arrays once, as one arena (``_Arena``)
-holding a flat buffer per work role, every role sized for the largest pass: a
-batch of all K members, or a validation block. The arena hands out one set per
-pass shape, of every role, built on its first use, each a contiguous
-``[:n].reshape`` prefix view of those buffers, since every work array is
-written before it is read, bar the hidden ones column, which sits at the same
-places in every prefix. A matmul or ufunc writing into such a view rounds bit
-for bit as into an array of its own, and the tests hold every fit to lone fits
-and to an allocating per-block reference. Every pass, a batch or a validation
-block, gathers its rows' targets from its members' label-major ``(J, K, J)``
-target rows into its set's ``targets`` with one ``take``, so no array of every
-row's targets, training or validation, is kept or reshuffled; the fit checks
-both label sets' range once, since that ``take`` clips. The softmax takes each
-row's max and sum as J-1 ufuncs over the grade columns rather than as
-reductions over the last axis, because numpy reduces a length-5 trailing axis
-slowly; the max is exact and numpy adds a short row in index order, so the
-probabilities are bit for bit those of ``loss.softmax``, and ``predict_proba``
-of a member's best weights is bit for bit its validation at its best epoch.
-
-Each epoch ends with the validation loss of all K members: one forward pass
-over the V validation rows per block of at most ``_VAL_BLOCK`` (8) members, in
-stack order, whose weights and target rows are slices of the stack's, so
-validation memory stays that of 8 members however large the stack. When
-members leave the stack, the fit compacts the members left in place: within
-each role of the parameter, Adam moment, learning-rate and target-row buffers,
-the rows kept move to the front, and each role's segment slides down, so the
-smaller stack is again role-major in a prefix of each buffer. The gradient and
-Adam denominator buffers, rewritten every step, shrink to a prefix, and the
-arena drops every set, so the smaller stack builds the sets it runs on their
-first use. A member leaving allocates nothing. Every ufunc is elementwise or
-keeps its reduction order, and every member runs its own gemm, so none of this
-changes a single bit.
-
-Each member's ``TrainHistory`` is the one record of its trained candidate:
-``train`` returns it, ``random_search`` returns each strategy's winning one,
-and a ``RunResult`` holds it. It books the member's losses; the fit keeps the
-weights. Each member's best epoch's parameters live in a role-major ``best``
-buffer beside the parameters, laid out as the first stack, into which, after
-each epoch's validation, the members that improved copy their rows with one
-indexed assignment per block. A member keeps its row of ``best`` for the whole
-fit, so ``best`` never moves; each member's own ``best_weights``, one flat copy
-seen through block views, is cut from it once, when the fit ends.
-
-``random_search`` searches several strategies on one seed at once. Each
-strategy samples its configurations without replacement from its own grid,
-with a generator of the seed of its own, as a lone search of it would. All
-candidates of all strategies share the seed, hence the split, validation set,
-initial weights and shuffle order, and differ only in learning rate and
-targets, so they train as one lockstep fit: up to 51 members for the five
-paper strategies at the default grid, where five per-strategy fits would each
-pay a step's fixed cost of numpy calls. Each strategy's winner is the lowest
-validation AMAE among its own candidates, and the search returns its record,
-which holds the weights it trained.
-
-One seed's runs for one grading scale search every strategy on the train
-subset of a split and score each strategy's model on the holdout, one
-``RunResult`` per strategy. ``run_single`` makes them on a split stratified on
-the labels. A paired task makes them once per scale, on shared features and
-the scales' label columns: ``run_paired_single`` splits stratified on the A
-grades alone, since joint cells can be too sparse to stratify on, and both
-scales' runs share that split, so each strategy's holdout predictions pair up
-row by row into its predicted joint table. ``run_fixed``, the run of
-``ordsoft train``, trains one given config on the same split, validation set
-and initial weights as a search and scores it on the holdout alike.
+A model is the dict of two affine blocks that ``init_model`` makes, and
+``predict_proba`` is its inference. There is one training loop,
+``_fit_lockstep``, which trains K models at once; ``train`` is its one-member
+case, and ``random_search`` trains every candidate of every strategy on one
+seed as one such fit. ``run_single``, ``run_paired_single`` and ``run_fixed``
+are one seed's protocol: split, search or train, and score on the holdout.
 """
 
 from __future__ import annotations
@@ -212,30 +93,29 @@ class TrainConfig:
 
 class _Arena:
     """The work buffers of one fit: one flat buffer per work role, each sized for
-    the largest pass, and one ``_Work`` set of prefix views of them per pass shape.
+    the largest pass, a batch of all K members or a validation block, and one
+    ``_Work`` set of prefix views of them per pass shape, built on its first use.
 
     ``hidden``, ``mask``, ``logits``, ``llik``, ``member_llik``, ``targets``
     and ``row_sum`` hold ``n_rows`` (member, row) pairs, the most that any pass
     runs; every pass writes them all but ``mask``, which only a batch writes,
-    so its pages past a batch's pairs stay unwritten. ``hidden`` holds the
-    MLP's H+1 values per pair, the activations and then, in a backward pass,
-    their gradient, the last of them set to 1 here, the ones column that the
-    output block's bias row reads, and ``mask`` is laid out alike; every set's
-    view puts its pairs' ones at the same places, and every pass leaves them as
-    they are. ``row_sum`` holds each row's softmax max and then its sum.
-    ``w_out_t``, which a backward pass over two or more rows uses, holds each
-    member's ``w_out`` weight rows transposed, J x H; ``total`` holds one value
-    per member. The fit clears ``sets`` when members leave, as the smaller
-    stack runs other shapes.
+    so its pages past a batch's pairs stay unwritten. ``hidden`` holds H+1
+    values per pair, the last of them set to 1 here: the ones column that the
+    output block's bias row reads. Every set's view puts its pairs' ones at the
+    same places and every pass leaves them as they are, so a prefix view serves
+    any pass: every other value is written before it is read, and a matmul or
+    ufunc writing into such a view rounds bit for bit as into an array of its
+    own. ``w_out_t`` holds each member's ``w_out`` weight rows transposed,
+    J x H, for the backward product; ``total`` holds one value per member. The
+    fit clears ``sets`` when members leave, as the smaller stack runs other
+    shapes.
     """
 
     def __init__(self, blocks: dict, n_members: int, n_rows: int):
         """Buffers for passes of up to ``n_members`` models laid out as ``blocks`` (one model's)."""
-        self.n_hidden = blocks["w_in"].shape[1] if "w_in" in blocks else 0
-        self.n_grades = blocks["w_out"].shape[1]
-        self.hidden = np.empty(n_rows * (self.n_hidden + 1 if self.n_hidden else 0))
-        if self.n_hidden:
-            self.hidden[self.n_hidden:: self.n_hidden + 1] = 1.0
+        self.n_hidden, self.n_grades = blocks["w_in"].shape[1], blocks["w_out"].shape[1]
+        self.hidden = np.empty(n_rows * (self.n_hidden + 1))
+        self.hidden[self.n_hidden:: self.n_hidden + 1] = 1.0
         self.mask = np.empty(self.hidden.size, dtype=bool)
         self.w_out_t = np.empty(n_members * self.n_hidden * self.n_grades)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
@@ -246,8 +126,9 @@ class _Arena:
 
     def scored(self, target_rows: np.ndarray, labels: np.ndarray) -> _Work:
         """The set for a pass of the members whose target rows are the ``(J, k, J)``
-        label-major ``target_rows`` over rows labelled ``labels``, built on first
-        use, their targets gathered in with one ``take`` that clips."""
+        label-major ``target_rows`` over rows labelled ``labels``, their targets
+        gathered in with one ``take`` that clips, so no array of every row's
+        targets is kept or reshuffled."""
         key = (target_rows.shape[1], len(labels))
         if key not in self.sets:
             self.sets[key] = _Work(self, *key)
@@ -260,19 +141,14 @@ class _Work:
     """Work arrays for one pass of K members over a batch of B rows, each a
     contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
-    The arrays are batch-major. ``hidden`` is ``(B, K, H+1)``, the activations
-    and then, in a backward pass, their gradient, its last column the ones that
-    the output block's bias row reads, and the ReLU ``mask`` is laid out alike,
-    so the mask and its product each run as one contiguous pass (both None for
-    the linear model); ``targets``, ``logits``, which become probabilities (and
-    then ``d_logits`` in a backward pass), and their floored logarithms ``llik``
-    are ``(B, K, J)``; ``row_sum``, each row's max and then its sum, is
-    ``(B, K)``; ``total`` is ``(K,)``; ``w_out_t``, into which the members'
-    ``w_out`` weight rows are copied transposed for the backward product, is
-    ``(K, J, H)``. Each member's matmuls write and read ``hidden_t``,
-    ``logits_t`` and ``units_t``, the H units alone, ``(K, B, .)`` transposed
-    views of those: a member's ``(B, .)`` matrix has contiguous rows a stack row
-    apart, so each member's product is still one gemm.
+    The arrays are batch-major: ``hidden`` and the ReLU ``mask`` are
+    ``(B, K, H+1)``, so the mask and its product each run as one contiguous
+    pass; ``targets``, ``logits`` and ``llik`` are ``(B, K, J)``; ``row_sum`` is
+    ``(B, K)``; ``total`` is ``(K,)``; ``w_out_t`` is ``(K, J, H)``. Each
+    member's matmuls write and read ``hidden_t``, ``logits_t`` and ``units_t``,
+    the H units alone, ``(K, B, .)`` transposed views of those: a member's
+    ``(B, .)`` matrix has contiguous rows a stack row apart, so each member's
+    product is still one gemm.
 
     One member-major array keeps each member's loss terms in one contiguous
     block, as a lone member's are: ``member_llik``, ``(K, B, J)``, into which
@@ -285,13 +161,11 @@ class _Work:
         def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
             return buffer[: math.prod(shape)].reshape(shape)
 
-        self.hidden = self.mask = None
         batch = (n_rows, n_members)
-        if arena.n_hidden:
-            self.hidden = view(arena.hidden, *batch, arena.n_hidden + 1)
-            self.hidden_t = self.hidden.swapaxes(0, 1)
-            self.units_t = self.hidden_t[..., :-1]
-            self.mask = view(arena.mask, *batch, arena.n_hidden + 1)
+        self.hidden = view(arena.hidden, *batch, arena.n_hidden + 1)
+        self.hidden_t = self.hidden.swapaxes(0, 1)
+        self.units_t = self.hidden_t[..., :-1]
+        self.mask = view(arena.mask, *batch, arena.n_hidden + 1)
         self.w_out_t = view(arena.w_out_t, n_members, arena.n_grades, arena.n_hidden)
         self.logits = view(arena.logits, *batch, arena.n_grades)
         self.logits_t = self.logits.swapaxes(0, 1)
@@ -307,14 +181,12 @@ class _Work:
 
 def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     """Logits of a ``(K, ...)`` stack of models on the batch ``x`` they share, whose
-    last column is ones, written into ``work.logits`` and returned; ``work.hidden``
-    keeps the MLP's ReLU hidden layer, its ones column too (``max(1, 0) = 1``)."""
-    inputs = x
-    if work.hidden is not None:
-        np.matmul(x, weights["w_in"], out=work.units_t)
-        np.maximum(work.hidden, 0.0, out=work.hidden)
-        inputs = work.hidden_t
-    np.matmul(inputs, weights["w_out"], out=work.logits_t)
+    last column is ones, written into ``work.logits`` and returned: two products
+    and a ReLU. ``work.hidden`` keeps the ReLU hidden layer, its ones column too
+    (``max(1, 0) = 1``), so the output product reads its bias row off it."""
+    np.matmul(x, weights["w_in"], out=work.units_t)
+    np.maximum(work.hidden, 0.0, out=work.hidden)
+    np.matmul(work.hidden_t, weights["w_out"], out=work.logits_t)
     return work.logits
 
 
@@ -371,18 +243,21 @@ def _with_ones(features: np.ndarray) -> np.ndarray:
 
 def predict_proba(weights: dict, features: np.ndarray) -> np.ndarray:
     """Softmax probabilities of the model ``weights`` on ``features``: the plain,
-    allocating forward pass, bit for bit the fit's."""
-    inputs = _with_ones(features)
-    if "w_in" in weights:
-        inputs = _with_ones(np.maximum(inputs @ weights["w_in"], 0.0))
-    return softmax(inputs @ weights["w_out"])
+    allocating forward pass, two products and a ReLU over inputs with their ones
+    columns appended, then ``loss.softmax``. It rounds as the fit's does, so a
+    member's best weights give, bit for bit, its validation probabilities at its
+    best epoch."""
+    hidden = np.maximum(_with_ones(features) @ weights["w_in"], 0.0)
+    return softmax(_with_ones(hidden) @ weights["w_out"])
 
 
-def init_model(
-    architecture: str, n_features: int, n_classes: int, seed: int, hidden_width: int = 32
-) -> dict:
-    """A model's blocks: weights fan-in-scaled symmetric uniform, all seeded, each
-    over a bias row of zeros."""
+def init_model(n_features: int, n_classes: int, seed: int, hidden_width: int = 32) -> dict:
+    """A model: two affine blocks, ``w_in`` ((d+1) x H) and then ``w_out``
+    ((H+1) x J), each a weight matrix whose last row is its bias, so a block
+    reads its input with a ones column appended and its bias is the last term of
+    its product. The weights are fan-in-scaled symmetric uniform, all seeded, in
+    block order, over bias rows of zeros. The grade count and hidden width are
+    read off these shapes wherever a model is used."""
     rng = np.random.default_rng([seed, _STREAM_INIT])
 
     def block(fan_in: int, fan_out: int) -> np.ndarray:
@@ -391,14 +266,7 @@ def init_model(
         weights[:-1] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         return weights
 
-    if architecture == "linear":
-        weights, fan_in = {}, n_features
-    elif architecture == "mlp_1_hidden":
-        weights, fan_in = {"w_in": block(n_features, hidden_width)}, hidden_width
-    else:
-        raise ValueError(f"unknown architecture {architecture!r}")
-    weights["w_out"] = block(fan_in, n_classes)
-    return weights
+    return {"w_in": block(n_features, hidden_width), "w_out": block(hidden_width, n_classes)}
 
 
 def stratified_split(
@@ -495,30 +363,30 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     (minus the loss times the batch size), all through the work arrays ``work``
     sized for this batch; ``x``'s last column is ones. Each block's gradient is
     one product of its input, ones column included, with the gradient at its
-    output, so its last row, the bias gradient, is the sum over the batch. The
-    hidden units' gradient is written over their activations in ``work.hidden``
-    once the ``w_out`` gradient product and the ReLU mask have read them; the
-    ones column stays 1 for the next forward pass."""
+    output, so its last row, the bias gradient, is the sum over the batch, and
+    no bias sum is left. The hidden units' gradient is written over their
+    activations in ``work.hidden`` once the ``w_out`` gradient product and the
+    ReLU mask have read them, so one buffer serves both (memory shared by
+    liveness, as in Chen, Xu, Zhang & Guestrin, 2016); the ones column stays 1
+    for the next forward pass."""
     _log_likelihood(weights, x, work)
     d_logits = work.logits
     d_logits -= work.targets
     d_logits /= x.shape[0]
-    hidden = x if work.hidden is None else work.hidden_t
-    np.matmul(hidden.swapaxes(-1, -2), work.logits_t, out=grads["w_out"])
-    if work.hidden is not None:
-        # hidden > 0 exactly where the ReLU's input is positive
-        np.greater(work.hidden, 0.0, out=work.mask)
-        # the bias row takes no part: the ones column has no input to pass back to
-        w_out_t = weights["w_out"][:, :-1].swapaxes(-1, -2)
-        if x.shape[0] > 1:
-            # an NN gemm on a contiguous copy; a 1-row batch keeps the strided (NT)
-            # form, since numpy takes gemv there and the two forms round apart
-            np.copyto(work.w_out_t, w_out_t)
-            w_out_t = work.w_out_t
-        np.matmul(work.logits_t, w_out_t, out=work.units_t)
-        # the mask is True under the ones column, so that slot stays 1
-        work.hidden *= work.mask
-        np.matmul(x.T, work.units_t, out=grads["w_in"])
+    np.matmul(work.hidden_t.swapaxes(-1, -2), work.logits_t, out=grads["w_out"])
+    # hidden > 0 exactly where the ReLU's input is positive
+    np.greater(work.hidden, 0.0, out=work.mask)
+    # the bias row takes no part: the ones column has no input to pass back to
+    w_out_t = weights["w_out"][:, :-1].swapaxes(-1, -2)
+    if x.shape[0] > 1:
+        # an NN gemm on a contiguous copy; a 1-row batch keeps the strided (NT)
+        # form, since numpy takes gemv there and the two forms round apart
+        np.copyto(work.w_out_t, w_out_t)
+        w_out_t = work.w_out_t
+    np.matmul(work.logits_t, w_out_t, out=work.units_t)
+    # the mask is True under the ones column, so that slot stays 1
+    work.hidden *= work.mask
+    np.matmul(x.T, work.units_t, out=grads["w_in"])
     return work.total
 
 
@@ -531,8 +399,8 @@ def _mean_soft_ce(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
 
 class _Optimizer:
     """Plain SGD or Adam (bias-corrected moments, betas 0.9/0.999, eps 1e-8) over
-    the role-major parameter buffer of a stack of members, ``[w_in | w_out]`` (or
-    ``[w_out]``), with one learning rate per member.
+    the flat parameter buffer of a stack of members, with one learning rate per
+    member.
 
     The learning rates are spread to a vector with one entry per parameter, laid
     out as the parameters are, and Adam's moments are buffers of that layout too,
@@ -597,10 +465,12 @@ class _Optimizer:
 
 @dataclass
 class TrainHistory:
-    """One member of a lockstep fit: its config, epoch losses, best validation
-    loss with its 1-based epoch and weights, and any divergence;
-    ``random_search`` adds the validation AMAE and MAE of each candidate it scores.
-    The weights and the divergence take no part in equality.
+    """One member of a lockstep fit, the one record of a trained candidate: its
+    config, epoch losses, best validation loss with its 1-based epoch and
+    weights, and any divergence; ``random_search`` adds the validation AMAE and
+    MAE of each candidate it scores. ``train`` returns it, ``random_search`` each
+    strategy's winning one, and a ``RunResult`` holds it. The weights and the
+    divergence take no part in equality.
 
     ``record`` books the losses alone. The fit snapshots the weights of each epoch
     that improves and sets ``best_weights`` when it ends; it stays None for a
@@ -665,24 +535,30 @@ def _fit_lockstep(
     grades. The members' weights are stacked on a leading axis, and each step runs
     one batched forward/backward and update on one mini-batch that all members
     share; each epoch ends with a batched forward over the validation set per
-    block of at most ``_VAL_BLOCK`` members, in stack order. Every pass, batch or
-    block, takes its batch-major work set from the fit's one ``_Arena`` by shape
-    and gathers its rows' targets into it from its members' label-major
-    ``(J, k, J)`` target rows. Its input rows carry a ones column: each epoch's
-    shuffled training rows are gathered into one ``(N, d+1)`` buffer made once
-    per fit with its last column ones, and the validation rows get theirs once.
-    A batched matmul runs one gemm per member and each member's loss sums run
-    over a member-major block, so every member's arithmetic is bit for bit that
-    of the member trained alone. The weights and gradients are role-major flat
-    buffers, ``[w_in | w_out]``, seen through per-block ``(K, *shape)`` views,
-    each block's last row its bias. After each epoch's validation, the members
-    whose loss improved copy their parameters into their rows of a ``best``
-    buffer of the first stack's layout, which never moves. A member that stops
-    early or goes non-finite leaves the stack: the members left are compacted,
-    role by role, into a role-major prefix of the parameter, moment,
-    learning-rate and target-row buffers, the gradient prefix and block views are
-    taken afresh over the same memory, and the arena drops its work sets. When
-    the fit ends, every member takes its own copy of its ``best`` rows.
+    block of at most ``_VAL_BLOCK`` members, in stack order, whose weights and
+    target rows are slices of the stack's. Stacking saves a step's fixed cost of
+    numpy calls, not its arithmetic. Every pass, batch or block, takes its
+    batch-major work set from the fit's one ``_Arena`` by shape and gathers its
+    rows' targets into it from its members' label-major ``(J, k, J)`` target
+    rows. Its input rows carry a ones column: each epoch's shuffled training rows
+    are gathered into one ``(N, d+1)`` buffer made once per fit with its last
+    column ones, and the validation rows get theirs once. A batched matmul runs
+    one gemm per member and each member's loss sums run over a member-major
+    block, so every member's arithmetic is bit for bit that of the member
+    trained alone.
+
+    The parameters are one flat buffer laid out role-major,
+    ``[w_in (K, d+1, H) | w_out (K, H+1, J)]``, so each block of every member is
+    one contiguous run, seen through a ``(K, *shape)`` view; the gradients and
+    the optimizer's state are buffers of the same layout. After each epoch's
+    validation, the members whose loss improved copy their parameters into their
+    rows of a ``best`` buffer of the first stack's layout, which never moves. A
+    member that stops early or goes non-finite leaves the stack: the members
+    left are compacted, role by role, into a role-major prefix of the parameter,
+    moment, learning-rate and target-row buffers, the gradient prefix and block
+    views are taken afresh over the same memory, and the arena drops its work
+    sets; a member leaving allocates nothing and changes no other member's bits.
+    When the fit ends, every member takes its own copy of its ``best`` rows.
     """
     if data.n_samples == 0 or validation.n_samples == 0:
         raise ValueError("training and validation sets must be non-empty")
@@ -834,7 +710,6 @@ class ProtocolSettings:
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 40
-    architecture: str = "mlp_1_hidden"
     hidden_width: int = 32
     optimizer: str = "adam"
     root_seed: int = 0
@@ -845,8 +720,6 @@ class ProtocolSettings:
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1")
         _check_schedule(self, "root_seed")
-        if self.architecture not in ("linear", "mlp_1_hidden"):
-            raise ValueError(f"unknown architecture {self.architecture!r}")
         check_number("hidden_width", self.hidden_width, integer=True)
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be >= 1")
@@ -880,7 +753,9 @@ def random_search(
     it would train alone. A strategy listed twice is searched once. Ties break
     by validation MAE, then lower learning rate, then grid position. A diverged
     candidate is skipped; ``TrainingDiverged`` is raised when every candidate
-    of a strategy diverges.
+    of a strategy diverges. At the default grid the five paper strategies train
+    as one fit of 51 members, where five per-strategy fits would each pay a
+    step's fixed cost of numpy calls.
     """
     draws: dict[str, list[tuple[int, float, SmoothingParams]]] = {}
     for strategy in dict.fromkeys(strategies):
@@ -899,8 +774,7 @@ def random_search(
         for strategy, drawn in draws.items()
         for _, lr, params in drawn
     ]
-    init = init_model(settings.architecture, subtrain.n_features, label_space.n_classes, seed,
-                      settings.hidden_width)
+    init = init_model(subtrain.n_features, label_space.n_classes, seed, settings.hidden_width)
     histories = _fit_lockstep(init, subtrain, val, configs)
 
     grid_positions = [g for drawn in draws.values() for g, _, _ in drawn]
@@ -939,8 +813,8 @@ def run_fixed(
     and score on the holdout, as a search trains and scores it."""
     train_idx, test_idx = stratified_split(dataset.labels, settings.train_fraction, config.seed)
     subtrain, val = validation_split(dataset.subset(train_idx), config.seed, settings)
-    model = init_model(settings.architecture, dataset.n_features, label_space.n_classes,
-                       config.seed, settings.hidden_width)
+    model = init_model(dataset.n_features, label_space.n_classes, config.seed,
+                       settings.hidden_width)
     _, history = train(model, subtrain, config, val)
     return _holdout_run(history, dataset.subset(test_idx), label_space)
 

@@ -791,7 +791,7 @@ def test_sweep_bad_config_usage_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
     capsys.readouterr()
     bad_settings = [("patience", 0), ("batch_size", 0), ("train_fraction", 1.0),
-                    ("val_fraction", 0), ("architecture", "cnn"), ("optimizer", "rmsprop"),
+                    ("val_fraction", 0), ("optimizer", "rmsprop"),
                     ("hidden_width", 0)]
     for setting, value in bad_settings:
         # a bad setting fails before the dataset, which does not exist here, is read
@@ -820,6 +820,8 @@ def test_sweep_bad_config_usage_error(tmp_path, capsys):
     bad_keys_and_types = [
         ({"setings": {"max_epochs": 5}}, "setings"), ({"search_spaces": {}}, "search_spaces"),
         ({"settings": {"patiense": 3}}, "patiense"),
+        # the trainer has one model, so no setting names an architecture
+        ({"settings": {"architecture": "mlp_1_hidden"}}, "architecture"),
         ({"search_space": {"learning_rte": [0.1]}}, "learning_rte"),
         ({"search_space": None}, "search_space"), ({"n_seeds": 1.9}, "n_seeds"),
         ({"n_seeds": True}, "n_seeds"),
@@ -949,12 +951,34 @@ def test_analyze_separated_strategies(tmp_path, capsys):
     assert pair["p_value"] == pytest.approx(2 / 2**20, abs=1e-12)
 
 
-def test_analyze_requires_two_strategies(tmp_path):
+def test_analyze_requires_two_strategies(tmp_path, capsys):
+    # the input is at fault, so each is a usage error, as is analyse_tables' ValueError
     truth = tmp_path / "truth.csv"
     _write_table(truth, [[5, 5], [5, 5]])
     _write_table(tmp_path / "only_seed0.csv", [[5, 5], [5, 5]])
     assert main(["analyze", "--truth", str(truth),
-                 "--pred", str(tmp_path / "only_seed*.csv")]) == EXIT_RUNTIME
+                 "--pred", str(tmp_path / "only_seed*.csv")]) == EXIT_USAGE
+    assert "usage error: need at least 2 strategies" in capsys.readouterr().err
+    # two strategies whose seed sets differ cannot pair their runs
+    _write_table(tmp_path / "other_seed1.csv", [[5, 5], [5, 5]])
+    assert main(["analyze", "--truth", str(truth),
+                 "--pred", str(tmp_path / "*_seed*.csv")]) == EXIT_USAGE
+    assert "usage error: strategies have mismatched seed sets" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_second_table_of_one_run_naming_both_files(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    _write_table(truth, [[30, 5], [5, 30]])
+    for name in ("beta_seed1", "beta_seed01", "nominal_seed1", "nominal_seed01"):
+        _write_table(tmp_path / f"{name}.csv", [[28, 7], [4, 31]])
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--truth", str(truth), "--pred", str(tmp_path / "*_seed*.csv"),
+                 "--out", str(out)]) == EXIT_USAGE
+    # the files are read in sorted order, so beta_seed01 comes first
+    first, second = tmp_path / "beta_seed01.csv", tmp_path / "beta_seed1.csv"
+    err = capsys.readouterr().err
+    assert f"usage error: {first} and {second} are both the table of beta seed 1" in err, err
+    assert not out.exists()
 
 
 def test_analyse_tables_checks_the_seed_sets_before_any_kld_or_test(monkeypatch):
@@ -974,13 +998,14 @@ def test_analyse_tables_checks_the_seed_sets_before_any_kld_or_test(monkeypatch)
     assert called == []
 
 
-def test_analyze_shape_mismatch_is_runtime_error(tmp_path):
+def test_analyze_shape_mismatch_is_usage_error(tmp_path, capsys):
     truth = tmp_path / "truth.csv"
     _write_table(truth, [[5, 5], [5, 5]])
     _write_table(tmp_path / "a_seed0.csv", [[5, 5, 1], [5, 5, 1]])
     _write_table(tmp_path / "b_seed0.csv", [[5, 5], [5, 5]])
     assert main(["analyze", "--truth", str(truth),
-                 "--pred", str(tmp_path / "*_seed0.csv")]) == EXIT_RUNTIME
+                 "--pred", str(tmp_path / "*_seed0.csv")]) == EXIT_USAGE
+    assert "table shape (2, 3) for a seed 0 does not match truth (2, 2)" in capsys.readouterr().err
 
 
 def test_analyze_bad_glob_usage_error(tmp_path):

@@ -64,7 +64,7 @@ def test_separable_limit_trains_to_zero_amae():
     space = LabelSpace(3)
     train_idx, test_idx = stratified_split(data.labels, 0.7, seed=0)
     config = TrainConfig(0.5, "nominal", SmoothingParams(), seed=0, batch_size=256, max_epochs=200, patience=200)
-    model = init_model("linear", data.n_features, 3, seed=0)
+    model = init_model(data.n_features, 3, seed=0, hidden_width=8)
     model, _ = train(model, data.subset(train_idx), config, data.subset(test_idx))
     preds = PredictionSet(
         data.labels[test_idx], predict_proba(model, data.features[test_idx])

@@ -39,6 +39,11 @@ from ordsoft.trainer import (
 )
 
 
+# the model's name in the ids of the fit tests, which run the one-hidden-layer MLP
+MLP = "mlp_1_hidden"
+_OPTIMIZER_IDS = [f"{optimizer}-{MLP}" for optimizer in ("adam", "sgd")]
+
+
 def _labels_from_marginals(marginals):
     return np.repeat(np.arange(len(marginals)), marginals)
 
@@ -116,10 +121,11 @@ def test_training_loss_decreases_on_separable_data():
         0.5, "nominal", SmoothingParams(), seed=1, batch_size=10_000,
         max_epochs=2000, patience=2000, optimizer="sgd",
     )
-    model = init_model("linear", data.n_features, space.n_classes, seed=1)
+    model = init_model(data.n_features, space.n_classes, seed=1, hidden_width=8)
     model, history = train(model, data, config, data)
     losses = history.train_loss
-    # full-batch plain gradient descent on a convex loss descends monotonically
+    # full-batch plain gradient descent at this step descends monotonically, though
+    # the MLP's loss is not convex
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 0.05
 
@@ -133,7 +139,7 @@ def test_early_stopping_patience_one_constant_loss():
         0.1, "nominal_smoothed", SmoothingParams(eta=1.0),
         seed=2, batch_size=16, max_epochs=50, patience=1,
     )
-    model = init_model("linear", 4, space.n_classes, seed=2)
+    model = init_model(4, space.n_classes, seed=2, hidden_width=8)
     _, history = train(model, flat, config, flat)
     assert history.stopped_epoch == 2
     assert history.best_epoch == 1
@@ -148,7 +154,7 @@ def test_early_stopping_restores_best_epoch_weights():
         0.05, "triangular", SmoothingParams(eta=0.8, alpha=0.05),
         seed=3, batch_size=8, max_epochs=40, patience=10,
     )
-    model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=16)
+    model = init_model(data.n_features, space.n_classes, seed=3, hidden_width=16)
     model, history = train(model, data, config, val)
     final_val = mean_soft_ce(predict_proba(model, val.features), targets.rows[val.labels])
     assert final_val == min(history.val_loss)
@@ -161,7 +167,7 @@ def test_identical_seeds_give_identical_weights():
     )
     runs = []
     for _ in range(2):
-        model = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=7, hidden_width=8)
+        model = init_model(data.n_features, space.n_classes, seed=7, hidden_width=8)
         model, _ = train(model, data, config, data)
         runs.append(model)
     for key in runs[0]:
@@ -176,7 +182,7 @@ def test_divergence_raises():
         1e300, "nominal", SmoothingParams(), seed=4, batch_size=8,
         max_epochs=10, patience=10, optimizer="sgd",
     )
-    model = init_model("linear", big.n_features, space.n_classes, seed=4)
+    model = init_model(big.n_features, space.n_classes, seed=4, hidden_width=8)
     with pytest.raises(TrainingDiverged):
         train(model, big, config, big)
 
@@ -231,7 +237,7 @@ def test_a_fit_builds_one_target_matrix_per_distinct_strategy_and_params(monkeyp
         return build(space, strategy, params)
 
     monkeypatch.setattr(trainer, "build_target_matrix", spy)
-    init = init_model("linear", data.n_features, space.n_classes, seed=1)
+    init = init_model(data.n_features, space.n_classes, seed=1, hidden_width=4)
     _fit_lockstep(init, subtrain, val, configs)
     # in first-use order, over the grades of the initial weights
     assert built == [(4, *pairs[0]), (4, *pairs[1]), (4, *pairs[3])]
@@ -246,7 +252,7 @@ def test_lockstep_rejects_configs_that_disagree_on_a_shared_field(field):
     data, space = _small_dataset()
     base = TrainConfig(0.1, "nominal", SmoothingParams(), seed=1, batch_size=16,
                        max_epochs=4, patience=2)
-    init = init_model("linear", data.n_features, space.n_classes, seed=1)
+    init = init_model(data.n_features, space.n_classes, seed=1, hidden_width=4)
     names = list(_SHARED)
     # the field alone, then with every field after it: the first is the one named
     for changed in ([field], names[names.index(field):]):
@@ -262,7 +268,7 @@ def test_lockstep_members_stop_on_their_own_patience():
     configs = [base, dataclasses.replace(base, patience=6)]
     # zero features hold every member at a stationary point: the validation loss never improves
     flat = SampleSet(np.zeros((12, data.n_features)), np.array([0, 1, 2] * 4))
-    init = init_model("linear", data.n_features, space.n_classes, seed=1)
+    init = init_model(data.n_features, space.n_classes, seed=1, hidden_width=4)
     short, long = _fit_lockstep(init, flat, flat, configs)
     assert (short.stopped_epoch, long.stopped_epoch) == (2, 6)
 
@@ -359,8 +365,7 @@ def test_search_returns_the_model_it_trained_for_the_winner():
     (outcome,) = random_search(SearchSpace(max_configs=4), data, ["exponential"], seed=2,
                                label_space=space, settings=settings)
     subtrain, val = validation_split(data, 2, settings)
-    init = init_model(settings.architecture, data.n_features, space.n_classes, 2,
-                      settings.hidden_width)
+    init = init_model(data.n_features, space.n_classes, 2, settings.hidden_width)
     refit, history = train(init, subtrain, outcome.config, val)
     for key, weights in refit.items():
         np.testing.assert_array_equal(outcome.best_weights[key], weights)
@@ -379,17 +384,17 @@ def test_search_raises_when_every_candidate_diverges():
     data, space = _small_dataset()
     big = SampleSet(data.features * 1e4, data.labels)
     grid = SearchSpace(learning_rates=(1e300,), etas=(0.8, 1.0), max_configs=2)
-    settings = ProtocolSettings(batch_size=8, max_epochs=10, patience=10,
-                                architecture="linear", optimizer="sgd")
+    settings = ProtocolSettings(batch_size=8, max_epochs=10, patience=10, hidden_width=8,
+                                optimizer="sgd")
     with pytest.raises(TrainingDiverged, match="strategy=binomial, seed=4"):
         random_search(grid, big, ["binomial"], seed=4, label_space=space, settings=settings)
 
 
-@pytest.mark.parametrize("architecture, optimizer", [("mlp_1_hidden", "adam"), ("linear", "sgd")])
-def test_search_over_strategies_returns_each_strategys_lone_search(architecture, optimizer):
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"], ids=lambda optimizer: f"{MLP}-{optimizer}")
+def test_search_over_strategies_returns_each_strategys_lone_search(optimizer):
     data, space = _small_dataset(n_classes=4, n_per_class=25, noise_sd=0.6, adjacent_flip_prob=0.2)
-    settings = ProtocolSettings(batch_size=16, max_epochs=8, patience=3,
-                                architecture=architecture, optimizer=optimizer, hidden_width=8)
+    settings = ProtocolSettings(batch_size=16, max_epochs=8, patience=3, optimizer=optimizer,
+                                hidden_width=8)
     # a short last batch, so the fit's second set of work arrays runs too
     subtrain, _ = validation_split(data, 7, settings)
     assert subtrain.n_samples % settings.batch_size != 0
@@ -409,12 +414,11 @@ def test_search_over_strategies_returns_each_strategys_lone_search(architecture,
             np.testing.assert_array_equal(outcome.best_weights[key], weights)
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_lockstep_members_match_lone_fits(architecture, optimizer):
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"], ids=_OPTIMIZER_IDS)
+def test_lockstep_members_match_lone_fits(optimizer):
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
-    settings = ProtocolSettings(batch_size=16, max_epochs=30, patience=4,
-                                architecture=architecture, optimizer=optimizer, hidden_width=8)
+    settings = ProtocolSettings(batch_size=16, max_epochs=30, patience=4, optimizer=optimizer,
+                                hidden_width=8)
     subtrain, val = validation_split(data, 6, settings)
     # 11 members of two strategies validate in a block of 8 and a short one of 3;
     # lr 1e308 diverges; the others stop early at different epochs or run to max_epochs
@@ -430,12 +434,12 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
     # a short last batch; a lone fit's validation pass (V rows) outruns its batch (16 rows),
     # so its arena is sized by validation and each batch runs on a prefix of it
     assert subtrain.n_samples % 16 != 0 and val.n_samples > 16
-    init = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=6, hidden_width=8)
     members = _fit_lockstep(init, subtrain, val, configs)
 
     stopped = set()
     for config, member in zip(configs, members):
-        lone = init_model(architecture, data.n_features, space.n_classes, seed=6, hidden_width=8)
+        lone = init_model(data.n_features, space.n_classes, seed=6, hidden_width=8)
         if config.learning_rate == 1e308:
             assert isinstance(member.diverged, TrainingDiverged)
             with pytest.raises(TrainingDiverged):
@@ -454,12 +458,12 @@ def test_lockstep_members_match_lone_fits(architecture, optimizer):
 def test_lockstep_rejects_labels_past_the_target_grades():
     data, space = _small_dataset(n_classes=4)
     config = TrainConfig(0.1, "nominal", SmoothingParams(), seed=0, max_epochs=2, patience=2)
-    init = init_model("linear", data.n_features, 3, seed=0)
+    init = init_model(data.n_features, 3, seed=0, hidden_width=4)
     # the per-batch target gather clips, so it would quietly read grade 2's row for grade 3
     with pytest.raises(ValueError, match="below 3 grades"):
         _fit_lockstep(init, data, data, [config])
     # so does validation's: training labels in range do not let a validation label past
-    init = init_model("linear", data.n_features, 4, seed=0)
+    init = init_model(data.n_features, 4, seed=0, hidden_width=4)
     past = SampleSet(data.features[:3], np.array([0, 4, 1]))
     with pytest.raises(ValueError, match="below 4 grades"):
         _fit_lockstep(init, data, past, [config])
@@ -476,7 +480,7 @@ def test_lockstep_validates_every_member_in_blocks_of_eight(monkeypatch, n_membe
                     max_epochs=12, patience=2)
         for lr in learning_rates[:n_members]
     ]
-    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=8)
     passes = []
     mean_soft_ce = trainer._mean_soft_ce
 
@@ -519,9 +523,7 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
     t_all = target.rows[data.labels][None]
 
     def forward(x):
-        hidden = x
-        if "w_in" in weights:
-            hidden = np.maximum(_ones(x) @ weights["w_in"], 0.0)
+        hidden = np.maximum(_ones(x) @ weights["w_in"], 0.0)
         return hidden, softmax(_ones(hidden) @ weights["w_out"])
 
     for _ in range(n_epochs):
@@ -533,22 +535,21 @@ def _reference_epochs(init_weights, data, val, target, config, n_epochs):
             hidden, probs = forward(x)
             batch_losses.append(mean_soft_ce(probs, t))
             d_logits = (probs - t) / x.shape[0]
-            grads = {"w_out": _ones(hidden).swapaxes(-1, -2) @ d_logits}
-            if "w_in" in weights:
-                # the bias row has no input to pass a gradient back to; the product
-                # takes the fit's form: an NN gemm on a contiguous transposed copy for
-                # two or more rows, the strided (NT) transpose for one, where numpy
-                # takes gemv. At hidden width 2, 3, 4 or 12 with 16 or more grades
-                # the two forms round apart at every batch size
-                w_out_t = weights["w_out"][:, :-1].swapaxes(-1, -2)
-                if len(idx) > 1:
-                    w_out_t = np.ascontiguousarray(w_out_t)
-                d_hidden = d_logits @ w_out_t
-                d_hidden *= hidden > 0.0
-                # and the fit's operand: its d_hidden rows are H+1 apart, the last slot
-                # under the hidden ones column, and at hidden width 1 a product over
-                # 2 or 3 rows rounds by that stride
-                grads["w_in"] = _ones(x).T @ _ones(d_hidden)[..., :-1]
+            # the bias row has no input to pass a gradient back to; the product
+            # takes the fit's form: an NN gemm on a contiguous transposed copy for
+            # two or more rows, the strided (NT) transpose for one, where numpy
+            # takes gemv. At hidden width 2, 3, 4 or 12 with 16 or more grades
+            # the two forms round apart at every batch size
+            w_out_t = weights["w_out"][:, :-1].swapaxes(-1, -2)
+            if len(idx) > 1:
+                w_out_t = np.ascontiguousarray(w_out_t)
+            d_hidden = d_logits @ w_out_t
+            d_hidden *= hidden > 0.0
+            # and the fit's operand: its d_hidden rows are H+1 apart, the last slot
+            # under the hidden ones column, and at hidden width 1 a product over
+            # 2 or 3 rows rounds by that stride
+            grads = {"w_in": _ones(x).T @ _ones(d_hidden)[..., :-1],
+                     "w_out": _ones(hidden).swapaxes(-1, -2) @ d_logits}
             if config.optimizer == "sgd":
                 for key, grad in grads.items():
                     weights[key] -= lr * grad
@@ -609,12 +610,12 @@ def _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs):
     return members, epochs_run
 
 
-def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members):
+def _check_fit_against_reference(monkeypatch, optimizer, n_members):
     """Every epoch's weights and losses of each member of an ``n_members`` fit equal
     ``_reference_epochs``' to the bit."""
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
-    settings = ProtocolSettings(batch_size=16, max_epochs=60, patience=3,
-                                architecture=architecture, optimizer=optimizer, hidden_width=8)
+    settings = ProtocolSettings(batch_size=16, max_epochs=60, patience=3, optimizer=optimizer,
+                                hidden_width=8)
     subtrain, val = validation_split(data, 2, settings)
     # a short last batch, so the fit's second set of work arrays runs too
     assert subtrain.n_samples % settings.batch_size != 0
@@ -629,7 +630,7 @@ def _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members
                     batch_size=16, max_epochs=60, patience=patience, optimizer=optimizer)
         for lr, eta, patience in candidates
     ][:n_members]
-    init = init_model(architecture, data.n_features, space.n_classes, seed=2, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=2, hidden_width=8)
     members, epochs_run = _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs)
     assert epochs_run[0] * n_batches > 356
     if n_members > 1:
@@ -646,17 +647,16 @@ _TAIL_CLASS_SIZES = {
 }
 
 
-@pytest.mark.parametrize("architecture, hidden_width, n_classes, tail", [
+@pytest.mark.parametrize("hidden_width, n_classes, tail", [
     # the 1-row cases keep the ids they had before the 2-row ones were added
-    pytest.param(architecture, hidden_width, n_classes, tail,
-                 id=f"{architecture}-{hidden_width}-{n_classes}" + ("-tail2" if tail == 2 else ""))
+    pytest.param(hidden_width, n_classes, tail,
+                 id=f"{MLP}-{hidden_width}-{n_classes}" + ("-tail2" if tail == 2 else ""))
     for tail in (1, 2)
-    for architecture, hidden_width in [("mlp_1_hidden", 1), ("mlp_1_hidden", 4),
-                                       ("mlp_1_hidden", 16), ("mlp_1_hidden", 32), ("linear", 32)]
+    for hidden_width in (1, 4, 16, 32)
     for n_classes in (2, 4, 5, 9, 20)
 ])
 def test_folded_fit_matches_the_reference_on_every_shape(
-    monkeypatch, architecture, hidden_width, n_classes, tail
+    monkeypatch, hidden_width, n_classes, tail
 ):
     """A product's rounding depends on its shapes, so the folded blocks are held to
     the folded reference over hidden widths and grade counts, with a last batch
@@ -674,8 +674,7 @@ def test_folded_fit_matches_the_reference_on_every_shape(
                     batch_size=16, max_epochs=12, patience=patience)
         for lr, patience in ((1e-3, 12), (0.1, 3), (1.0, 2))
     ]
-    init = init_model(architecture, data.n_features, n_classes, seed=8,
-                      hidden_width=hidden_width)
+    init = init_model(data.n_features, n_classes, seed=8, hidden_width=hidden_width)
     members, _ = _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs)
     # and each member is its lone fit, whose work arrays are laid out for one member
     for config, member in zip(configs, members):
@@ -685,35 +684,24 @@ def test_folded_fit_matches_the_reference_on_every_shape(
             assert member.best_weights[key].tobytes() == weights.tobytes()
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_flat_update_matches_per_layer_reference_every_epoch(
-    monkeypatch, architecture, optimizer
-):
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"], ids=_OPTIMIZER_IDS)
+def test_flat_update_matches_per_layer_reference_every_epoch(monkeypatch, optimizer):
     # 11 members validate in a block of 8 and a tail block of 3
-    _check_fit_against_reference(monkeypatch, architecture, optimizer, n_members=11)
+    _check_fit_against_reference(monkeypatch, optimizer, n_members=11)
     assert 11 > trainer._VAL_BLOCK
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_lone_fit_on_an_arena_sized_by_validation_matches_the_reference(
-    monkeypatch, architecture, optimizer
-):
-    subtrain, val, (member,) = _check_fit_against_reference(
-        monkeypatch, architecture, optimizer, n_members=1
-    )
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"], ids=_OPTIMIZER_IDS)
+def test_lone_fit_on_an_arena_sized_by_validation_matches_the_reference(monkeypatch, optimizer):
+    subtrain, val, (member,) = _check_fit_against_reference(monkeypatch, optimizer, n_members=1)
     # the validation pass (V rows) outruns a batch (16 rows), so it sizes the arena
     # and every batch, the short last one too, runs on a prefix of its buffers
     assert val.n_samples > 16 and subtrain.n_samples % 16 != 0
     assert member.stopped_epoch > 1
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
-    monkeypatch, architecture, optimizer
-):
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"], ids=_OPTIMIZER_IDS)
+def test_one_arena_per_fit_and_members_leave_the_stack_in_place(monkeypatch, optimizer):
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
     subtrain, val = validation_split(data, 5, ProtocolSettings())
     # 11 members validate in blocks of 8 and 3; patience 2 stops some early
@@ -722,7 +710,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
                     patience=2, optimizer=optimizer)
         for lr in np.geomspace(1e-3, 3.0, 11)
     ]
-    init = init_model(architecture, data.n_features, space.n_classes, seed=5, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=8)
     arenas, events = [], []  # events: each set built, and "exit" as members leave
 
     class SpyArena(trainer._Arena):
@@ -775,10 +763,8 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(
     for owner, work, _, _ in sets:
         assert owner is arena
         # every set, batch or validation block, is prefix views of the arena's buffers
-        roles = ["logits", "llik", "member_llik", "targets", "row_sum", "total"]
-        if architecture == "mlp_1_hidden":
-            roles += ["hidden", "mask", "w_out_t"]
-        for role in roles:
+        for role in ("hidden", "mask", "w_out_t", "logits", "llik", "member_llik", "targets",
+                     "row_sum", "total"):
             assert np.shares_memory(getattr(work, role), getattr(arena, role)), role
     # each stack builds each of its sets once, on its first use
     stacks = [[]]
@@ -829,26 +815,22 @@ def _owner(array):
     return array if array.base is None else array.base
 
 
-@pytest.mark.parametrize("architecture, hidden_width", [
-    pytest.param("mlp_1_hidden", 16, id="mlp_1_hidden"),
-    pytest.param("mlp_1_hidden", 1, id="mlp_1_hidden-width1"),
-    pytest.param("mlp_1_hidden", 32, id="mlp_1_hidden-width32"),
-    pytest.param("linear", 16, id="linear"),
+@pytest.mark.parametrize("hidden_width", [
+    pytest.param(16, id=MLP), pytest.param(1, id=f"{MLP}-width1"),
+    pytest.param(32, id=f"{MLP}-width32"),
 ])
 @pytest.mark.parametrize("n_classes", [2, 4, 5, 9])
 @pytest.mark.parametrize("spread", [1e3, 10.0])
-def test_predict_proba_is_the_reference_softmax(architecture, hidden_width, n_classes, spread):
+def test_predict_proba_is_the_reference_softmax(hidden_width, n_classes, spread):
     rng = np.random.default_rng(n_classes)
-    model = init_model(architecture, 8, n_classes, seed=4, hidden_width=hidden_width)
+    model = init_model(8, n_classes, seed=4, hidden_width=hidden_width)
     # random bias rows too
     weights = {k: w + rng.normal(size=w.shape) for k, w in model.items()}
     # a row count unlike any batch size
     x = rng.normal(size=(37, 8))
 
     def reference_logits():
-        hidden = x
-        if "w_in" in weights:
-            hidden = np.maximum(_ones(x) @ weights["w_in"], 0.0)
+        hidden = np.maximum(_ones(x) @ weights["w_in"], 0.0)
         return _ones(hidden) @ weights["w_out"]
 
     # scale the output block so the logits spread over ``spread``: at 1e3 most
@@ -860,9 +842,9 @@ def test_predict_proba_is_the_reference_softmax(architecture, hidden_width, n_cl
     assert probs.tobytes() == softmax(logits).tobytes()
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
+@pytest.mark.parametrize("hidden_width", [8], ids=[MLP])
 def test_predict_proba_is_the_fits_validation_at_each_members_best_epoch(
-    monkeypatch, architecture
+    monkeypatch, hidden_width
 ):
     """``random_search`` scores each candidate on ``predict_proba`` of its best
     weights over the validation rows: those are, bit for bit, the probabilities
@@ -876,7 +858,7 @@ def test_predict_proba_is_the_fits_validation_at_each_members_best_epoch(
                     patience=2)
         for lr in np.geomspace(1e-3, 3.0, 11)
     ]
-    init = init_model(architecture, data.n_features, space.n_classes, seed=5, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=hidden_width)
     probs, validated = {}, []
     mean_soft_ce, record = trainer._mean_soft_ce, TrainHistory.record
 
@@ -900,17 +882,15 @@ def test_predict_proba_is_the_fits_validation_at_each_members_best_epoch(
         assert predict_proba(member.best_weights, val.features).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("architecture", ["mlp_1_hidden", "linear"])
-def test_init_model_draws_each_blocks_weights_over_a_zero_bias_row(architecture):
+@pytest.mark.parametrize("hidden_width", [7], ids=[MLP])
+def test_init_model_draws_each_blocks_weights_over_a_zero_bias_row(hidden_width):
     # the blocks' weight rows are the draws a model of separate biases made, in order
-    n_features, n_classes, hidden_width, seed = 6, 4, 7, 11
+    n_features, n_classes, seed = 6, 4, 11
     rng = np.random.default_rng([seed, trainer._STREAM_INIT])
     fans = [(n_features, hidden_width), (hidden_width, n_classes)]
-    if architecture == "linear":
-        fans = [(n_features, n_classes)]
     draws = [rng.uniform(-1 / math.sqrt(i), 1 / math.sqrt(i), size=(i, o)) for i, o in fans]
-    model = init_model(architecture, n_features, n_classes, seed, hidden_width)
-    assert list(model) == ["w_in", "w_out"][-len(fans):]
+    model = init_model(n_features, n_classes, seed, hidden_width)
+    assert list(model) == ["w_in", "w_out"]
     for block, draw in zip(model.values(), draws):
         assert block.shape == (draw.shape[0] + 1, draw.shape[1])
         assert block[:-1].tobytes() == draw.tobytes()
@@ -926,7 +906,7 @@ def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
     subtrain, val = validation_split(data, 5, ProtocolSettings())
     configs = [TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
                            max_epochs=4, patience=4) for lr in np.geomspace(1e-3, 1.0, 11)]
-    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=8)
     arenas, passes = [], []
 
     class SpyArena(trainer._Arena):
@@ -968,7 +948,7 @@ def test_the_backward_pass_leaves_the_hidden_gradient_in_the_hidden_buffer(n_row
     column is 1.0, as the next forward pass reads it."""
     rng = np.random.default_rng(n_rows)
     n_members, n_features, n_classes = 3, 6, 4
-    init = init_model("mlp_1_hidden", n_features, n_classes, seed=3, hidden_width=8)
+    init = init_model(n_features, n_classes, seed=3, hidden_width=8)
     layout = _layout(init)
     # each member its own weights, random bias rows included, stacked role-major
     stacked = {k: w + rng.normal(scale=0.5, size=(n_members, *w.shape)) for k, w in init.items()}
@@ -996,43 +976,38 @@ def test_the_backward_pass_leaves_the_hidden_gradient_in_the_hidden_buffer(n_row
 
 def test_batch_gradients_match_central_differences():
     """The backward pass against central differences of ``loss.mean_soft_ce`` in
-    every parameter, on the MLP and on the linear model."""
+    every parameter."""
     rng = np.random.default_rng(61)
     x = rng.normal(size=(7, 3))
     targets = rng.dirichlet(np.ones(4), size=7)
     step = 1e-5
-    for architecture in ("mlp_1_hidden", "linear"):
-        init = init_model(architecture, 3, 4, seed=2, hidden_width=5)
-        layout = _layout(init)
-        assert [shape for _, _, _, shape in layout] == (
-            [(4, 5), (6, 4)] if architecture == "mlp_1_hidden" else [(4, 4)])
-        # random bias rows too, so no ReLU input sits near its kink
-        flat = np.concatenate([w.ravel() for w in init.values()])
-        flat = flat + rng.normal(scale=0.5, size=flat.size)
+    init = init_model(3, 4, seed=2, hidden_width=5)
+    layout = _layout(init)
+    assert [shape for _, _, _, shape in layout] == [(4, 5), (6, 4)]
+    # random bias rows too, so no ReLU input sits near its kink
+    flat = np.concatenate([w.ravel() for w in init.values()])
+    flat = flat + rng.normal(scale=0.5, size=flat.size)
 
-        def loss(params):
-            # the blocks' weights and biases apart, as an affine layer is written
-            w = _views(params, layout)
-            hidden = x
-            if "w_in" in w:
-                hidden = np.maximum(x @ w["w_in"][:-1] + w["w_in"][-1], 0.0)
-            logits = hidden @ w["w_out"][:-1] + w["w_out"][-1]
-            return mean_soft_ce(softmax(logits), targets)
+    def loss(params):
+        # the blocks' weights and biases apart, as an affine layer is written
+        w = _views(params, layout)
+        hidden = np.maximum(x @ w["w_in"][:-1] + w["w_in"][-1], 0.0)
+        logits = hidden @ w["w_out"][:-1] + w["w_out"][-1]
+        return mean_soft_ce(softmax(logits), targets)
 
-        # one member's role-major stack is its flat parameters
-        params, grads = flat.copy(), np.empty(flat.size)
-        # each row its own label, so the target gather puts each row's target in place
-        work = _Arena(init, 1, len(x)).scored(targets[:, None], np.arange(len(x)))
-        total = _batch_gradients(_views(params, layout, 1), _views(grads, layout, 1), _ones(x),
-                                 work)
-        assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
-        numeric = np.empty(flat.size)
-        for i in range(flat.size):
-            up, down = flat.copy(), flat.copy()
-            up[i] += step
-            down[i] -= step
-            numeric[i] = (loss(up) - loss(down)) / (2 * step)
-        np.testing.assert_allclose(grads, numeric, rtol=1e-5, atol=1e-9)
+    # one member's role-major stack is its flat parameters
+    params, grads = flat.copy(), np.empty(flat.size)
+    # each row its own label, so the target gather puts each row's target in place
+    work = _Arena(init, 1, len(x)).scored(targets[:, None], np.arange(len(x)))
+    total = _batch_gradients(_views(params, layout, 1), _views(grads, layout, 1), _ones(x), work)
+    assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
+    numeric = np.empty(flat.size)
+    for i in range(flat.size):
+        up, down = flat.copy(), flat.copy()
+        up[i] += step
+        down[i] -= step
+        numeric[i] = (loss(up) - loss(down)) / (2 * step)
+    np.testing.assert_allclose(grads, numeric, rtol=1e-5, atol=1e-9)
 
 
 def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
@@ -1040,7 +1015,7 @@ def test_best_weights_do_not_alias_the_training_buffer(monkeypatch):
     subtrain, val = validation_split(data, 3, ProtocolSettings())
     config = TrainConfig(0.1, "nominal", SmoothingParams(), seed=3, batch_size=16,
                          max_epochs=30, patience=5)
-    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=3, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=3, hidden_width=8)
     shapes = {k: w.shape for k, w in init.items()}
     seen = _spy_on_record(monkeypatch)
     (member,) = _fit_lockstep(init, subtrain, val, [config])
@@ -1076,7 +1051,7 @@ def test_each_leaving_member_keeps_an_owned_copy_of_its_best_epochs_weights(monk
                     patience=2, optimizer="sgd")
         for lr in (1e-3, 0.3, 1.0, 3.0, 3e4, 1e5, 1e308)
     ]
-    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=5, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=8)
     stacks = []  # the owner of every buffer the fit compacts, the parameters among them
     compact = trainer._compact
 
@@ -1136,7 +1111,7 @@ def test_train_returns_the_best_weights_and_leaves_its_model_alone():
     subtrain, val = validation_split(data, 4, ProtocolSettings())
     config = TrainConfig(0.05, "nominal", SmoothingParams(), seed=4, batch_size=16,
                          max_epochs=12, patience=12)
-    init = init_model("mlp_1_hidden", data.n_features, space.n_classes, seed=4, hidden_width=8)
+    init = init_model(data.n_features, space.n_classes, seed=4, hidden_width=8)
     before = {k: w.copy() for k, w in init.items()}
     model, history = train(init, subtrain, config, val)
     assert model is history.best_weights

@@ -16,7 +16,7 @@ The set covers:
   5x4 set with its truth table;
 - ``sweep``: single-scale with the default search (51 candidates, past Adam's
   step 356, members leaving at staggered epochs), a short run with patience 3,
-  a linear model under SGD, and a paired sweep followed by ``analyze``;
+  one under SGD, and a paired sweep followed by ``analyze``;
 - ``train``: one record under Adam and one under SGD, set by flags alone; one
   from a config file whose seed and eta the flags override; and one with the
   exponential strategy;
@@ -25,20 +25,19 @@ The set covers:
 - ``evaluate``: the metric report of a fixed ``true,pred`` CSV that the tool
   writes beside the configs;
 - ``histories.json``: the library's ``trainer.run_single``, default search, on
-  the 400-row set with the MLP under Adam and the linear model under SGD, and
-  on the 20-grade set with an MLP of hidden width 4, with each winner's epoch
-  losses, best weights and holdout probabilities written out in full. The
-  commands' outputs hold argmax labels and metrics read off them, which a
-  change in a weight's last bit rarely moves; these do not. A product's
-  rounding depends on its shapes, and the 20-grade set's 225-row search
-  subtrain leaves a 1-row last batch, so its fit shows drift that the default
-  8 -> 32 -> 5 shapes hide: in the 1-row backward product into the hidden
-  layer, in the backward products at width 4 with 20 grades, and in numpy's
-  pairwise row sums over 8 or more grades. The best weights are written as one
-  flat vector, the model's arrays concatenated in dict order, so a change of
-  how a model splits its parameters into named arrays that keeps their order
-  and values, such as biases kept apart or held as the last row of their
-  weight matrix, leaves the file as it was.
+  the 400-row set under Adam and under SGD, and on the 20-grade set with an
+  MLP of hidden width 4, with each winner's epoch losses, best weights and
+  holdout probabilities written out in full. The commands' outputs hold argmax
+  labels and metrics read off them, which a change in a weight's last bit
+  rarely moves; these do not. A product's rounding depends on its shapes, and
+  the 20-grade set's 225-row search subtrain leaves a 1-row last batch, so its
+  fit shows drift that the default 8 -> 32 -> 5 shapes hide: in the 1-row
+  backward product into the hidden layer, in the backward products at width 4
+  with 20 grades, and in numpy's pairwise row sums over 8 or more grades. The
+  best weights are written as one flat vector, the model's arrays concatenated
+  in dict order, so a change of how a model splits its parameters into named
+  arrays that keeps their order and values, such as biases kept apart or held
+  as the last row of their weight matrix, leaves the file as it was.
 
 Every file the commands write, and each command's standard output, must be
 identical on both sides. The script prints each differing or one-sided file
@@ -67,10 +66,9 @@ CONFIGS = {
                      "strategies": ["nominal", "beta", "triangular"], "n_seeds": 2,
                      "output_dir": "unused", "search_space": {"max_configs": 6},
                      "settings": {"max_epochs": 20, "patience": 3}},
-    "linear_sgd.json": {"task": "parity_linear", "dataset": "data.csv", "strategies": STRATEGIES,
-                        "n_seeds": 2, "output_dir": "unused", "search_space": {"max_configs": 4},
-                        "settings": {"max_epochs": 30, "patience": 10, "architecture": "linear",
-                                     "optimizer": "sgd"}},
+    "sgd.json": {"task": "parity_sgd", "dataset": "data.csv", "strategies": STRATEGIES,
+                 "n_seeds": 2, "output_dir": "unused", "search_space": {"max_configs": 4},
+                 "settings": {"max_epochs": 30, "patience": 10, "optimizer": "sgd"}},
     "paired.json": {"task": "parity_paired", "dataset": "paired.csv", "strategies": STRATEGIES,
                     "n_seeds": 2, "output_dir": "unused", "search_space": {"max_configs": 3},
                     "settings": {"max_epochs": 20, "patience": 20}},
@@ -92,7 +90,7 @@ COMMANDS = [
      "--out", "paired.csv", "--truth-out", "truth.csv"],
     ["sweep", "--config", "single.json", "--out-dir", "single"],
     ["sweep", "--config", "stagger.json", "--out-dir", "stagger"],
-    ["sweep", "--config", "linear_sgd.json", "--out-dir", "linear_sgd"],
+    ["sweep", "--config", "sgd.json", "--out-dir", "sgd"],
     ["sweep", "--config", "paired.json", "--out-dir", "paired"],
     ["analyze", "--truth", "paired/tables/truth.csv", "--pred", "paired/tables/*_seed*.csv",
      "--out", "paired/analysis.json"],
@@ -126,8 +124,7 @@ from ordsoft.trainer import ProtocolSettings, SearchSpace, run_single
 runs = []
 for path, n_classes, settings in (
     ("data.csv", 5, ProtocolSettings(max_epochs=60, patience=20)),
-    ("data.csv", 5, ProtocolSettings(max_epochs=30, patience=10, architecture="linear",
-                                     optimizer="sgd")),
+    ("data.csv", 5, ProtocolSettings(max_epochs=30, patience=10, optimizer="sgd")),
     ("grades20.csv", 20, ProtocolSettings(hidden_width=4, max_epochs=30, patience=10)),
 ):
     data = SampleSet.from_csv(path)

@@ -4,7 +4,9 @@
         [--members 1,8,15,40,51] [--epochs 15] [--repeats 3] [--cpu N] \
         [--dim 8] [--hidden-width 32] [--out FILE]
 
-Each tree is a checkout of this repository. For each repeat, and each tree in
+Each tree is a checkout of this repository whose ``trainer.init_model`` takes
+``(n_features, n_classes, seed, hidden_width)``; a tree whose ``init_model``
+takes an architecture first cannot be timed. For each repeat, and each tree in
 turn (the order alternating between repeats), a worker process imports
 ``ordsoft`` from ``TREE/src``, pins itself to CPU ``N`` (default: the last CPU
 this process may run on) and, per stack size K, trains K members in one
@@ -60,7 +62,7 @@ def worker(src: Path, members: list[int], epochs: int, cpu: int, dim: int,
     settings = trainer.ProtocolSettings()
     train_idx, _ = trainer.stratified_split(dataset.labels, settings.train_fraction, 0)
     subtrain, val = trainer.validation_split(dataset.subset(train_idx), 0, settings)
-    init = trainer.init_model(settings.architecture, dataset.n_features, 5, 0, hidden_width)
+    init = trainer.init_model(dataset.n_features, 5, 0, hidden_width)
     strategies = [("nominal", SmoothingParams()), ("triangular", SmoothingParams(alpha=0.05)),
                   ("binomial", SmoothingParams()), ("beta", SmoothingParams(concentration=10.0)),
                   ("exponential", SmoothingParams(p=1.5))]
