@@ -533,8 +533,9 @@ def analyse_tables(
     """KLD/MAE per run, residuals of mean predicted tables, and the test pipeline.
 
     ``epsilon`` smooths the KLD; None means ``jointanalysis.DEFAULT_KLD_EPSILON``.
-    Fewer than 2 strategies, or strategies whose seed sets differ, so that their
-    runs cannot pair, raise ``ValueError`` before any KLD is taken. A run whose
+    Fewer than 2 strategies, a strategy that lists one seed twice, or strategies
+    whose seed sets differ, so that their runs cannot pair, raise ``ValueError``
+    before any KLD is taken. A run whose
     KLD is infinite, as at epsilon 0 when its table has 0 in a cell the truth
     fills, is a ``UsageError`` naming its strategy and seed.
     """
@@ -551,6 +552,11 @@ def analyse_tables(
 
     if len(predicted) < 2:
         raise ValueError("need at least 2 strategies for the global test")
+    for strategy, runs in sorted(predicted.items()):
+        seeds = sorted(seed for seed, _ in runs)
+        for seed, following in zip(seeds, seeds[1:]):
+            if seed == following:
+                raise ValueError(f"{strategy} lists seed {seed} twice; a run has one table")
     if len({tuple(sorted(seed for seed, _ in runs)) for runs in predicted.values()}) != 1:
         raise ValueError("strategies have mismatched seed sets; cannot pair runs")
     epsilon = DEFAULT_KLD_EPSILON if epsilon is None else epsilon

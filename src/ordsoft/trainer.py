@@ -92,88 +92,80 @@ class TrainConfig:
 
 
 class _Arena:
-    """The work buffers of one fit: one flat buffer per work role, each sized for
-    the largest pass, a batch of all K members or a validation block, and one
+    """The work buffers of one fit: one flat buffer per work role, and one
     ``_Work`` set of prefix views of them per pass shape, built on its first use.
 
-    ``hidden``, ``mask``, ``logits``, ``llik``, ``member_llik``, ``targets``
-    and ``row_sum`` hold ``n_rows`` (member, row) pairs, the most that any pass
-    runs; every pass writes them all but ``mask``, which only a batch writes,
-    so its pages past a batch's pairs stay unwritten. ``hidden`` holds H+1
-    values per pair, the last of them set to 1 here: the ones column that the
-    output block's bias row reads. Every set's view puts its pairs' ones at the
-    same places and every pass leaves them as they are, so a prefix view serves
-    any pass: every other value is written before it is read, and a matmul or
-    ufunc writing into such a view rounds bit for bit as into an array of its
-    own. ``w_out_t`` holds each member's ``w_out`` weight rows transposed,
-    J x H, for the backward product; ``total`` holds one value per member. The
-    fit clears ``sets`` when members leave, as the smaller stack runs other
-    shapes.
+    ``hidden``, ``logits``, ``llik``, ``targets`` and ``row_sum`` hold the
+    (member, row) pairs of the largest pass, a batch of all K members or a
+    validation block; ``mask``, which only a batch writes, those of the largest
+    batch. ``hidden`` holds H+1 values per pair, the last of them set to 1
+    here: the ones column that the output block's bias row reads. Every set's
+    view puts its pairs' ones at the same places and every pass leaves them as
+    they are, so a prefix view serves any pass: every other value is written
+    before it is read, and a matmul or ufunc writing into such a view rounds
+    bit for bit as into an array of its own. ``w_out_t`` holds each member's
+    ``w_out`` weight rows transposed, J x H, for the backward product;
+    ``total`` holds one value per member. The fit clears ``sets`` when members
+    leave, as the smaller stack runs other shapes.
     """
 
-    def __init__(self, blocks: dict, n_members: int, n_rows: int):
-        """Buffers for passes of up to ``n_members`` models laid out as ``blocks`` (one model's)."""
+    def __init__(self, blocks: dict, n_members: int, batch_rows: int, val_rows: int = 0):
+        """Buffers for passes of up to ``n_members`` models laid out as ``blocks``
+        (one model's): batches of up to ``batch_rows`` (member, row) pairs and
+        validation blocks of up to ``val_rows``."""
         self.n_hidden, self.n_grades = blocks["w_in"].shape[1], blocks["w_out"].shape[1]
+        n_rows = max(batch_rows, val_rows)
         self.hidden = np.empty(n_rows * (self.n_hidden + 1))
         self.hidden[self.n_hidden:: self.n_hidden + 1] = 1.0
-        self.mask = np.empty(self.hidden.size, dtype=bool)
+        self.mask = np.empty(batch_rows * (self.n_hidden + 1), dtype=bool)
         self.w_out_t = np.empty(n_members * self.n_hidden * self.n_grades)
         self.logits, self.llik = np.empty(n_rows * self.n_grades), np.empty(n_rows * self.n_grades)
-        self.member_llik, self.targets = np.empty(self.logits.size), np.empty(self.logits.size)
+        self.targets = np.empty(self.logits.size)
         self.row_sum = np.empty(n_rows)
         self.total = np.empty(n_members)
         self.sets = {}
 
     def scored(self, target_rows: np.ndarray, labels: np.ndarray) -> _Work:
-        """The set for a pass of the members whose target rows are the ``(J, k, J)``
-        label-major ``target_rows`` over rows labelled ``labels``, their targets
-        gathered in with one ``take`` that clips, so no array of every row's
-        targets is kept or reshuffled."""
-        key = (target_rows.shape[1], len(labels))
+        """The set for a pass of the members whose target rows are the ``(k, J, J)``
+        ``target_rows`` over rows labelled ``labels``, their targets gathered in
+        with one ``take`` that clips, so no array of every row's targets is kept
+        or reshuffled."""
+        key = (len(target_rows), len(labels))
         if key not in self.sets:
             self.sets[key] = _Work(self, *key)
         work = self.sets[key]
-        target_rows.take(labels, 0, work.targets, "clip")
+        target_rows.take(labels, 1, work.targets, "clip")
         return work
 
 
 class _Work:
-    """Work arrays for one pass of K members over a batch of B rows, each a
-    contiguous ``[:n].reshape(...)`` view of its role's buffer in an ``_Arena``.
+    """Work arrays for one pass of K members over n rows, each a contiguous
+    ``[:size].reshape(...)`` view of its role's buffer in an ``_Arena``.
 
-    The arrays are batch-major: ``hidden`` and the ReLU ``mask`` are
-    ``(B, K, H+1)``, so the mask and its product each run as one contiguous
-    pass; ``targets``, ``logits`` and ``llik`` are ``(B, K, J)``; ``row_sum`` is
-    ``(B, K)``; ``total`` is ``(K,)``; ``w_out_t`` is ``(K, J, H)``. Each
-    member's matmuls write and read ``hidden_t``, ``logits_t`` and ``units_t``,
-    the H units alone, ``(K, B, .)`` transposed views of those: a member's
-    ``(B, .)`` matrix has contiguous rows a stack row apart, so each member's
-    product is still one gemm.
-
-    One member-major array keeps each member's loss terms in one contiguous
-    block, as a lone member's are: ``member_llik``, ``(K, B, J)``, into which
-    every pass writes the target-weighted log-probabilities through its
-    ``(B, K, J)`` view ``member_llik_t``. The J column views of ``logits`` and
-    the ``(B, K, 1)`` broadcast view of ``row_sum`` are built with the set.
+    The arrays are member-major, so each member's ``(n, .)`` matrix is one
+    contiguous block, and its products and loss sums run as a lone member's do:
+    ``hidden`` and the ReLU ``mask`` are ``(K, n, H+1)``, and ``units`` is
+    ``hidden``'s H units alone; ``targets``, ``logits`` and ``llik`` are
+    ``(K, n, J)``; ``row_sum`` is ``(K, n)``; ``total`` is ``(K,)``;
+    ``w_out_t`` is ``(K, J, H)``. A set too large for the arena's ``mask``, a
+    validation block, has none. The J column views of ``logits`` and the
+    ``(K, n, 1)`` broadcast view of ``row_sum`` are built with the set.
     """
 
     def __init__(self, arena: _Arena, n_members: int, n_rows: int):
         def view(buffer: np.ndarray, *shape: int) -> np.ndarray:
             return buffer[: math.prod(shape)].reshape(shape)
 
-        batch = (n_rows, n_members)
-        self.hidden = view(arena.hidden, *batch, arena.n_hidden + 1)
-        self.hidden_t = self.hidden.swapaxes(0, 1)
-        self.units_t = self.hidden_t[..., :-1]
-        self.mask = view(arena.mask, *batch, arena.n_hidden + 1)
+        stack = (n_members, n_rows)
+        self.hidden = view(arena.hidden, *stack, arena.n_hidden + 1)
+        self.units = self.hidden[..., :-1]
+        fits = self.hidden.size <= arena.mask.size  # the mask holds the largest batch's pairs
+        self.mask = view(arena.mask, *self.hidden.shape) if fits else None
         self.w_out_t = view(arena.w_out_t, n_members, arena.n_grades, arena.n_hidden)
-        self.logits = view(arena.logits, *batch, arena.n_grades)
-        self.logits_t = self.logits.swapaxes(0, 1)
-        self.llik = view(arena.llik, *batch, arena.n_grades)
-        self.member_llik = view(arena.member_llik, n_members, n_rows, arena.n_grades)
-        self.member_llik_t = self.member_llik.swapaxes(0, 1)
-        self.targets = view(arena.targets, *batch, arena.n_grades)
-        self.row_sum = view(arena.row_sum, *batch)
+        self.logits = view(arena.logits, *stack, arena.n_grades)
+        self.llik = view(arena.llik, *stack, arena.n_grades)
+        self.targets = view(arena.targets, *stack, arena.n_grades)
+        self.row_sum = view(arena.row_sum, *stack)
         self.total = arena.total[:n_members]
         self.cols = [self.logits[..., j] for j in range(arena.n_grades)]
         self.row_bc = self.row_sum[..., None]
@@ -184,9 +176,9 @@ def _forward(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     last column is ones, written into ``work.logits`` and returned: two products
     and a ReLU. ``work.hidden`` keeps the ReLU hidden layer, its ones column too
     (``max(1, 0) = 1``), so the output product reads its bias row off it."""
-    np.matmul(x, weights["w_in"], out=work.units_t)
+    np.matmul(x, weights["w_in"], out=work.units)
     np.maximum(work.hidden, 0.0, out=work.hidden)
-    np.matmul(work.hidden_t, weights["w_out"], out=work.logits_t)
+    np.matmul(work.hidden, weights["w_out"], out=work.logits)
     return work.logits
 
 
@@ -222,16 +214,16 @@ def _log_likelihood(weights: dict, x: np.ndarray, work: _Work) -> np.ndarray:
     loss times the row count, written into ``work.total`` and returned.
 
     The forward pass and the softmax leave the probabilities in ``work.logits``;
-    their logarithms, floored as in ``loss``, go to ``work.llik``, and the
-    target-weighted terms to the member-major ``work.member_llik``, so each
-    member's ``(n, J)`` terms are one contiguous block summed at once, as
-    ``loss.mean_soft_ce`` sums a lone member's."""
+    their logarithms, floored as in ``loss``, go to ``work.llik``, which is then
+    weighted by the targets in place, so each member's ``(n, J)`` terms are one
+    contiguous block summed at once, as ``loss.mean_soft_ce`` sums a lone
+    member's."""
     _forward(weights, x, work)
     _softmax(work)
     np.maximum(work.logits, PROB_FLOOR, out=work.llik)
     np.log(work.llik, out=work.llik)
-    np.multiply(work.llik, work.targets, out=work.member_llik_t)
-    return work.member_llik.sum(axis=(-2, -1), out=work.total)
+    work.llik *= work.targets
+    return work.llik.sum(axis=(-2, -1), out=work.total)
 
 
 def _with_ones(features: np.ndarray) -> np.ndarray:
@@ -373,7 +365,7 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
     d_logits = work.logits
     d_logits -= work.targets
     d_logits /= x.shape[0]
-    np.matmul(work.hidden_t.swapaxes(-1, -2), work.logits_t, out=grads["w_out"])
+    np.matmul(work.hidden.swapaxes(-1, -2), d_logits, out=grads["w_out"])
     # hidden > 0 exactly where the ReLU's input is positive
     np.greater(work.hidden, 0.0, out=work.mask)
     # the bias row takes no part: the ones column has no input to pass back to
@@ -383,10 +375,10 @@ def _batch_gradients(weights: dict, grads: dict, x: np.ndarray, work: _Work) -> 
         # form, since numpy takes gemv there and the two forms round apart
         np.copyto(work.w_out_t, w_out_t)
         w_out_t = work.w_out_t
-    np.matmul(work.logits_t, w_out_t, out=work.units_t)
+    np.matmul(d_logits, w_out_t, out=work.units)
     # the mask is True under the ones column, so that slot stays 1
     work.hidden *= work.mask
-    np.matmul(x.T, work.units_t, out=grads["w_in"])
+    np.matmul(x.T, work.units, out=grads["w_in"])
     return work.total
 
 
@@ -537,15 +529,14 @@ def _fit_lockstep(
     share; each epoch ends with a batched forward over the validation set per
     block of at most ``_VAL_BLOCK`` members, in stack order, whose weights and
     target rows are slices of the stack's. Stacking saves a step's fixed cost of
-    numpy calls, not its arithmetic. Every pass, batch or block, takes its
-    batch-major work set from the fit's one ``_Arena`` by shape and gathers its
-    rows' targets into it from its members' label-major ``(J, k, J)`` target
-    rows. Its input rows carry a ones column: each epoch's shuffled training rows
-    are gathered into one ``(N, d+1)`` buffer made once per fit with its last
-    column ones, and the validation rows get theirs once. A batched matmul runs
-    one gemm per member and each member's loss sums run over a member-major
-    block, so every member's arithmetic is bit for bit that of the member
-    trained alone.
+    numpy calls, not its arithmetic. Every pass, batch or block, takes its work
+    set from the fit's one ``_Arena`` by shape and gathers its rows' targets
+    into it from its members' ``(k, J, J)`` target rows. Its input rows carry a
+    ones column: each epoch's shuffled training rows are gathered into one
+    ``(N, d+1)`` buffer made once per fit with its last column ones, and the
+    validation rows get theirs once. A batched matmul runs one gemm per member
+    on its contiguous block, and each member's loss sums run over its block, so
+    every member's arithmetic is bit for bit that of the member trained alone.
 
     The parameters are one flat buffer laid out role-major,
     ``[w_in (K, d+1, H) | w_out (K, H+1, J)]``, so each block of every member is
@@ -579,8 +570,8 @@ def _fit_lockstep(
     n_grades = init_weights["w_out"].shape[1]
     keys = dict.fromkeys((c.strategy, c.params) for c in configs)
     matrices = {key: build_target_matrix(LabelSpace(n_grades), *key).rows for key in keys}
-    # label-major (J, K, J): a label's row of every member is one contiguous run
-    target_rows = np.stack([matrices[c.strategy, c.params] for c in configs], axis=1)
+    # (K, J, J): each member's target row of each label
+    target_rows = np.stack([matrices[c.strategy, c.params] for c in configs])
     # each pass's target gather clips its indices, so a label past the grades must fail here
     if max(data.labels.max(), validation.labels.max()) >= n_grades:
         raise ValueError(f"labels must lie below {n_grades} grades")
@@ -591,7 +582,7 @@ def _fit_lockstep(
     batch_sizes = np.array([min(shared.batch_size, data.n_samples - s) for s in starts])
     batch_rows = len(members) * int(batch_sizes[0])
     val_rows = min(len(members), _VAL_BLOCK) * validation.n_samples
-    arena = _Arena(init_weights, len(members), max(batch_rows, val_rows))
+    arena = _Arena(init_weights, len(members), batch_rows, val_rows)
     x_epoch, x_val = _with_ones(data.features), _with_ones(validation.features)
 
     for epoch in range(1, shared.max_epochs + 1):
@@ -610,7 +601,7 @@ def _fit_lockstep(
             blocks = [slice(lo, lo + _VAL_BLOCK) for lo in range(0, len(alive), _VAL_BLOCK)]
             epoch_val = np.concatenate([
                 _mean_soft_ce({k: w[block] for k, w in weights.items()}, x_val,
-                              arena.scored(target_rows[:, block], validation.labels))
+                              arena.scored(target_rows[block], validation.labels))
                 for block in blocks
             ])
             rows, improved = [], []
@@ -625,8 +616,8 @@ def _fit_lockstep(
             if not rows:
                 break
             params = _compact(params, sizes, len(alive), rows)
-            target_rows = _compact(target_rows.reshape(-1), [n_grades] * n_grades, len(alive),
-                                   rows).reshape(n_grades, len(rows), n_grades)
+            target_rows = _compact(target_rows.reshape(-1), [n_grades**2], len(alive),
+                                   rows).reshape(len(rows), n_grades, n_grades)
             alive, ids = [alive[row] for row in rows], ids[rows]
             flat_grads = flat_grads[: params.size]  # rewritten every step
             weights, grads = (_views(flat, layout, len(rows)) for flat in (params, flat_grads))

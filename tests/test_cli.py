@@ -981,6 +981,24 @@ def test_analyze_rejects_a_second_table_of_one_run_naming_both_files(tmp_path, c
     assert not out.exists()
 
 
+def test_analyse_tables_rejects_a_strategy_listing_one_seed_twice_naming_it():
+    from ordsoft.cli import analyse_tables
+    from ordsoft.jointanalysis import ContingencyTable
+
+    truth = ContingencyTable(np.array([[30, 5], [5, 30]]))
+    near = ContingencyTable(np.array([[28, 7], [4, 31]]))
+    far = ContingencyTable(np.array([[20, 15], [9, 26]]))
+    # the seed sets match as multisets, so only the repeat is at fault
+    predicted = {"beta": [(1, near), (1, far)], "nominal": [(1, far), (1, near)]}
+    with pytest.raises(ValueError, match="beta lists seed 1 twice"):
+        analyse_tables(truth, predicted)
+    # a repeat among other seeds, in the second strategy by name
+    predicted = {"beta": [(0, near), (2, far), (3, near)],
+                 "nominal": [(2, near), (0, far), (2, far)]}
+    with pytest.raises(ValueError, match="nominal lists seed 2 twice"):
+        analyse_tables(truth, predicted)
+
+
 def test_analyse_tables_checks_the_seed_sets_before_any_kld_or_test(monkeypatch):
     import ordsoft.jointanalysis as jointanalysis
     from ordsoft.cli import analyse_tables

@@ -486,8 +486,8 @@ def test_lockstep_validates_every_member_in_blocks_of_eight(monkeypatch, n_membe
 
     def spy(weights, x, work):
         # every validation row of each member of the block, in one pass
-        assert work.targets.shape[0] == len(x) == val.n_samples
-        passes.append(work.targets.shape[1])
+        assert work.targets.shape[1] == len(x) == val.n_samples
+        passes.append(work.targets.shape[0])
         return mean_soft_ce(weights, x, work)
 
     monkeypatch.setattr(trainer, "_mean_soft_ce", spy)
@@ -700,6 +700,19 @@ def test_lone_fit_on_an_arena_sized_by_validation_matches_the_reference(monkeypa
     assert member.stopped_epoch > 1
 
 
+def _spy_on_arenas(monkeypatch):
+    """The ``_Arena`` of each fit run after this call, in order."""
+    arenas = []
+
+    class SpyArena(trainer._Arena):
+        def __init__(self, *args):
+            super().__init__(*args)
+            arenas.append(self)
+
+    monkeypatch.setattr(trainer, "_Arena", SpyArena)
+    return arenas
+
+
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"], ids=_OPTIMIZER_IDS)
 def test_one_arena_per_fit_and_members_leave_the_stack_in_place(monkeypatch, optimizer):
     data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
@@ -711,19 +724,14 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(monkeypatch, opt
         for lr in np.geomspace(1e-3, 3.0, 11)
     ]
     init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=8)
-    arenas, events = [], []  # events: each set built, and "exit" as members leave
-
-    class SpyArena(trainer._Arena):
-        def __init__(self, *args):
-            super().__init__(*args)
-            arenas.append(self)
+    arenas = _spy_on_arenas(monkeypatch)
+    events = []  # each set built, and "exit" as members leave
 
     class SpyWork(trainer._Work):
         def __init__(self, arena, n_members, n_rows):
             super().__init__(arena, n_members, n_rows)
             events.append((arena, self, n_members, n_rows))
 
-    monkeypatch.setattr(trainer, "_Arena", SpyArena)
     monkeypatch.setattr(trainer, "_Work", SpyWork)
     removals = []  # per removal, the memory owner of each optimizer buffer before and after
     keep = trainer._Optimizer.keep
@@ -746,7 +754,7 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(monkeypatch, opt
     def spy_gradients(weights, grads, x, work):
         # after an exit the arena holds only sets of the stack that is training
         (arena,) = arenas
-        assert set(arena.sets) <= live_sets(work.targets.shape[1])
+        assert set(arena.sets) <= live_sets(work.targets.shape[0])
         return batch_gradients(weights, grads, x, work)
 
     monkeypatch.setattr(trainer._Optimizer, "keep", spy_keep)
@@ -762,9 +770,11 @@ def test_one_arena_per_fit_and_members_leave_the_stack_in_place(monkeypatch, opt
     assert any(n_members < 11 for n_members, _ in built)
     for owner, work, _, _ in sets:
         assert owner is arena
-        # every set, batch or validation block, is prefix views of the arena's buffers
-        for role in ("hidden", "mask", "w_out_t", "logits", "llik", "member_llik", "targets",
-                     "row_sum", "total"):
+        # every set, batch or validation block, is prefix views of the arena's buffers;
+        # only a batch writes the mask, so a set of more pairs than the largest batch has none
+        assert (work.mask is None) == (math.prod(work.hidden.shape[:2]) > 11 * 16)
+        roles = ["hidden", "w_out_t", "logits", "llik", "targets", "row_sum", "total"]
+        for role in roles + ([] if work.mask is None else ["mask"]):
             assert np.shares_memory(getattr(work, role), getattr(arena, role)), role
     # each stack builds each of its sets once, on its first use
     stacks = [[]]
@@ -864,8 +874,8 @@ def test_predict_proba_is_the_fits_validation_at_each_members_best_epoch(
 
     def spy_validation(weights, x, work):
         out = mean_soft_ce(weights, x, work)
-        # the softmax leaves each member's probabilities in its column of the logits
-        validated.extend(work.logits[:, row].copy() for row in range(work.logits.shape[1]))
+        # the softmax leaves each member's probabilities in its block of the logits
+        validated.extend(block.copy() for block in work.logits)
         return out
 
     def spy_record(self, epoch, train_loss, val_loss):
@@ -907,12 +917,7 @@ def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
     configs = [TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
                            max_epochs=4, patience=4) for lr in np.geomspace(1e-3, 1.0, 11)]
     init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=8)
-    arenas, passes = [], []
-
-    class SpyArena(trainer._Arena):
-        def __init__(self, *args):
-            super().__init__(*args)
-            arenas.append(self)
+    arenas, passes = _spy_on_arenas(monkeypatch), []
 
     def checked(name, fn):
         def spy(*args):
@@ -925,19 +930,78 @@ def test_the_hidden_ones_column_holds_after_every_pass_shape(monkeypatch):
             return out
         return spy
 
-    monkeypatch.setattr(trainer, "_Arena", SpyArena)
     monkeypatch.setattr(trainer, "_batch_gradients",
                         checked("batch", trainer._batch_gradients))
     monkeypatch.setattr(trainer, "_mean_soft_ce", checked("validation", trainer._mean_soft_ce))
     monkeypatch.setattr(trainer, "_forward", checked("forward", trainer._forward))
     (member, *_) = _fit_lockstep(init, subtrain, val, configs)
     tail = subtrain.n_samples % 16
-    shapes = {("batch", (16, 11)), ("batch", (tail, 11)), ("validation", (val.n_samples, 8)),
-              ("validation", (val.n_samples, 3))}
+    shapes = {("batch", (11, 16)), ("batch", (11, tail)), ("validation", (8, val.n_samples)),
+              ("validation", (3, val.n_samples))}
     assert tail and shapes <= set(passes)
     passes.clear()
     predict_proba(member.best_weights, data.features)
     assert passes == [] and len(arenas) == 1
+
+
+def test_each_members_work_arrays_are_one_contiguous_block_in_every_pass(monkeypatch):
+    """The work arrays are member-major: in a full batch, the short last batch and
+    a validation block, each member's ``hidden``, ``logits`` and ``llik`` are one
+    C-contiguous block, and the arena keeps no second copy of the loss terms."""
+    data, space = _small_dataset(n_classes=4, noise_sd=0.6, adjacent_flip_prob=0.2)
+    subtrain, val = validation_split(data, 5, ProtocolSettings())
+    configs = [TrainConfig(lr, "nominal", SmoothingParams(), seed=5, batch_size=16,
+                           max_epochs=2, patience=2) for lr in np.geomspace(1e-3, 1.0, 11)]
+    init = init_model(data.n_features, space.n_classes, seed=5, hidden_width=8)
+    arenas, passes = _spy_on_arenas(monkeypatch), set()
+
+    def checked(name, fn):
+        def spy(*args):
+            work = args[-1]
+            passes.add((name, work.hidden.shape[:2]))
+            for role in ("hidden", "logits", "llik"):
+                blocks = getattr(work, role)
+                assert len(blocks) == len(work.total)
+                assert all(block.flags.c_contiguous for block in blocks), (name, role)
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(trainer, "_batch_gradients",
+                        checked("batch", trainer._batch_gradients))
+    monkeypatch.setattr(trainer, "_mean_soft_ce", checked("validation", trainer._mean_soft_ce))
+    _fit_lockstep(init, subtrain, val, configs)
+    tail = subtrain.n_samples % 16
+    assert tail and passes >= {("batch", (11, 16)), ("batch", (11, tail)),
+                               ("validation", (8, val.n_samples))}
+    (arena,) = arenas
+    assert not hasattr(arena, "member_llik")
+
+
+def test_the_mask_is_sized_for_the_largest_batch_where_validation_is_the_largest_pass(
+    monkeypatch
+):
+    """Only a batch writes the ReLU mask, so the arena holds it for the largest
+    batch, K x batch_size (member, row) pairs, while its other roles hold the
+    largest pass: at K=15 with 204 validation rows, a validation block of 8
+    members runs 1632 pairs and a batch 480. A validation set of more pairs than
+    a batch has no mask, and the fit is still the reference's to the bit."""
+    settings = ProtocolSettings()
+    dataset = generate(SynthSpec(n_classes=5, n_per_class=194, adjacent_flip_prob=0.1, seed=1))
+    train_idx, _ = stratified_split(dataset.labels, settings.train_fraction, 0)
+    subtrain, val = validation_split(dataset.subset(train_idx), 0, settings)
+    assert val.n_samples == 204 and settings.batch_size == 32
+    configs = [TrainConfig(lr, "triangular", SmoothingParams(eta=0.8, alpha=0.05), seed=0,
+                           max_epochs=2, patience=2) for lr in np.geomspace(1e-4, 1e-2, 15)]
+    init = init_model(dataset.n_features, 5, seed=0, hidden_width=32)
+    arenas = _spy_on_arenas(monkeypatch)
+    _assert_fit_is_the_reference(monkeypatch, init, subtrain, val, configs)
+    (arena,) = arenas
+    assert arena.mask.size == 15 * 32 * 33
+    assert arena.hidden.size == 8 * 204 * 33
+    assert {key for key, work in arena.sets.items() if work.mask is None} == {(8, 204), (7, 204)}
+    for work in arena.sets.values():
+        if work.mask is not None:
+            assert np.shares_memory(work.mask, arena.mask)
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 16])
@@ -955,7 +1019,7 @@ def test_the_backward_pass_leaves_the_hidden_gradient_in_the_hidden_buffer(n_row
     params = np.concatenate([w.ravel() for w in stacked.values()])
     x = _ones(rng.normal(size=(n_rows, n_features)))
     labels = rng.integers(n_classes, size=n_rows)
-    target_rows = rng.dirichlet(np.ones(n_classes), size=(n_classes, n_members))
+    target_rows = rng.dirichlet(np.ones(n_classes), size=(n_members, n_classes))
     arena = _Arena(init, n_members, n_members * 16)
     work = arena.scored(target_rows, labels)
     _batch_gradients(_views(params, layout, n_members),
@@ -963,14 +1027,14 @@ def test_the_backward_pass_leaves_the_hidden_gradient_in_the_hidden_buffer(n_row
 
     hidden = np.maximum(x @ stacked["w_in"], 0.0)  # (K, B, H)
     probs = softmax(_ones(hidden) @ stacked["w_out"])
-    d_logits = (probs - target_rows[labels].swapaxes(0, 1)) / n_rows
+    d_logits = (probs - target_rows[:, labels]) / n_rows
     # the fit's product form: an NN gemm on a contiguous transposed copy for two
     # or more rows, the strided (NT) transpose for one
     w_out_t = stacked["w_out"][:, :-1].swapaxes(-1, -2)
     if n_rows > 1:
         w_out_t = np.ascontiguousarray(w_out_t)
     expected = (d_logits @ w_out_t) * (hidden > 0.0)
-    assert work.hidden[..., :-1].tobytes() == expected.swapaxes(0, 1).tobytes()
+    assert work.hidden[..., :-1].tobytes() == expected.tobytes()
     assert (work.hidden[..., -1] == 1.0).all()
 
 
@@ -998,7 +1062,7 @@ def test_batch_gradients_match_central_differences():
     # one member's role-major stack is its flat parameters
     params, grads = flat.copy(), np.empty(flat.size)
     # each row its own label, so the target gather puts each row's target in place
-    work = _Arena(init, 1, len(x)).scored(targets[:, None], np.arange(len(x)))
+    work = _Arena(init, 1, len(x)).scored(targets[None], np.arange(len(x)))
     total = _batch_gradients(_views(params, layout, 1), _views(grads, layout, 1), _ones(x), work)
     assert -total[0] / len(x) == pytest.approx(loss(flat), rel=1e-12)
     numeric = np.empty(flat.size)
